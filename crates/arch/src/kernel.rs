@@ -1,0 +1,496 @@
+//! The one AND + BitCount kernel of the TCIM dataflow — Eq. (5),
+//! `TC = Σ BitCount(AND(R_i, C_j))` — and the one matrix walker over it.
+//!
+//! [`and_bitcount`] is the per-arc kernel: it ANDs every visited slice
+//! pair of a row and a column, counts the surviving bits, optionally
+//! reads non-zero results out into a [`TriangleSink`], and makes the
+//! sparse dispatch decision ([`dispatches`]). Every kernel in the
+//! repository runs through it: the serial engine, the scheduler's
+//! arrays and the software path via [`walk`], and the streaming deltas,
+//! motif rounds and shard composition arc by arc.
+//!
+//! [`walk`] is Algorithm 1 over a prepared matrix, generic over the
+//! [`Residency`] model the operands are charged to (`()` for none, an
+//! [`ArrayBuffer`] for the computational array) and over the sink that
+//! carries the [`Attribution`] level (`None` counts only).
+
+use std::collections::{BTreeMap, HashSet};
+
+use tcim_bitmatrix::popcount::{popcount_word, visit_set_bits, PopcountMethod};
+use tcim_bitmatrix::{PairStats, RowEncoding, SlicedMatrix, SlicedRow};
+use tcim_telemetry::{EventTrace, KernelEvent};
+
+use crate::buffer::{AccessOutcome, SliceCache};
+use crate::stats::AccessStats;
+
+/// What an execution accumulates beyond the triangle count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Attribution {
+    /// Plain counting: the bit counter consumes AND results in place.
+    Count,
+    /// Per-vertex participation: every non-zero AND result is read back
+    /// out (one read-class access) and its bits attributed.
+    PerVertex,
+    /// Per-vertex participation plus per-arc triangle support.
+    PerVertexWithSupport,
+}
+
+impl Attribution {
+    /// The sink this level accumulates into over `dim` vertices: `None`
+    /// for [`Attribution::Count`].
+    pub fn tally(self, dim: usize) -> Option<TriangleTally> {
+        match self {
+            Attribution::Count => None,
+            Attribution::PerVertex => Some(TriangleTally::new(dim, false)),
+            Attribution::PerVertexWithSupport => Some(TriangleTally::new(dim, true)),
+        }
+    }
+}
+
+/// Receives every triangle an attributed kernel surfaces — the per-row
+/// accumulation hook behind every query that needs more than the
+/// global count (per-vertex participation, clustering coefficients,
+/// edge support).
+///
+/// While processing arc `(i, j)` the kernel's AND result is read back
+/// out of the array; a surviving bit `w` is set in both row `i` and
+/// column `j`, so over an oriented matrix `i < w < j` and the triangle
+/// is reported as `triangle(i, w, j)`. The contract: `triangle(a, b,
+/// c)` is called with `a < b < c` in matrix id order, so the triangle's
+/// three edges are exactly the DAG arcs `(a, b)`, `(a, c)` and `(b, c)`
+/// and a sink can attribute per-vertex or per-edge quantities without
+/// any further graph lookups. Kernels over full-neighbourhood rows
+/// (streaming deltas, motif rounds) only collect the witness `b`.
+///
+/// Closures `FnMut(u32, u32, u32)` implement the trait, so ad-hoc
+/// sinks need no named type; a `Vec<u32>` collects the witnesses.
+pub trait TriangleSink {
+    /// Called once per triangle `{a, b, c}`, `a < b < c` in matrix id
+    /// order (arcs `(a, b)`, `(a, c)`, `(b, c)`).
+    fn triangle(&mut self, a: u32, b: u32, c: u32);
+}
+
+impl<F: FnMut(u32, u32, u32)> TriangleSink for F {
+    fn triangle(&mut self, a: u32, b: u32, c: u32) {
+        self(a, b, c);
+    }
+}
+
+/// Collects each triangle's witness (middle vertex), ascending per arc.
+impl TriangleSink for Vec<u32> {
+    fn triangle(&mut self, _: u32, b: u32, _: u32) {
+        self.push(b);
+    }
+}
+
+/// The canonical [`TriangleSink`]: accumulates per-vertex triangle
+/// participation and (optionally) per-arc triangle support, shared by
+/// every attributed execution path in the repository so the attribution
+/// bookkeeping has exactly one implementation.
+#[derive(Debug, Clone)]
+pub struct TriangleTally {
+    per_vertex: Vec<u64>,
+    support: Option<BTreeMap<(u32, u32), u64>>,
+    triangles: u64,
+}
+
+impl TriangleTally {
+    /// An empty tally over `dim` vertices; accumulates per-arc support
+    /// only when `need_support` is set.
+    pub fn new(dim: usize, need_support: bool) -> Self {
+        TriangleTally {
+            per_vertex: vec![0u64; dim],
+            support: need_support.then(BTreeMap::new),
+            triangles: 0,
+        }
+    }
+
+    /// Triangles recorded so far.
+    pub fn triangles(&self) -> u64 {
+        self.triangles
+    }
+
+    /// Adds a partial tally (one array's, say) into this one. Sums are
+    /// order-independent, so merging partials in any fixed order gives
+    /// identical results.
+    pub fn merge(&mut self, other: TriangleTally) {
+        self.triangles += other.triangles;
+        for (total, part) in self.per_vertex.iter_mut().zip(&other.per_vertex) {
+            *total += part;
+        }
+        if let (Some(map), Some(part)) = (self.support.as_mut(), other.support) {
+            for (arc, count) in part {
+                *map.entry(arc).or_insert(0) += count;
+            }
+        }
+    }
+
+    /// Consumes the tally: `(triangles, per-vertex counts, per-arc
+    /// support)`. The support triples `(i, j, count)` are ascending and
+    /// cover every arc in at least one triangle; `None` unless
+    /// requested at construction.
+    #[allow(clippy::type_complexity)]
+    pub fn into_parts(self) -> (u64, Vec<u64>, Option<Vec<(u32, u32, u64)>>) {
+        (
+            self.triangles,
+            self.per_vertex,
+            self.support.map(|map| map.into_iter().map(|((i, j), c)| (i, j, c)).collect()),
+        )
+    }
+}
+
+impl TriangleSink for TriangleTally {
+    fn triangle(&mut self, a: u32, b: u32, c: u32) {
+        self.triangles += 1;
+        self.per_vertex[a as usize] += 1;
+        self.per_vertex[b as usize] += 1;
+        self.per_vertex[c as usize] += 1;
+        if let Some(map) = self.support.as_mut() {
+            for arc in [(a, b), (a, c), (b, c)] {
+                *map.entry(arc).or_insert(0) += 1;
+            }
+        }
+    }
+}
+
+/// The sparse dispatch rule: dense rows launch the kernel for every
+/// arc; on sparse rows the controller consults the summary masks first
+/// and launches only when the walk visits at least one pair.
+pub fn dispatches(encoding: RowEncoding, pairs: PairStats) -> bool {
+    encoding == RowEncoding::Dense || pairs.visited > 0
+}
+
+/// One arc's kernel outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ArcKernel {
+    /// Bits surviving the AND: the arc's triangles (common neighbours).
+    pub count: u64,
+    /// Slice pairs visited (one AND + BitCount each) and skipped.
+    pub pairs: PairStats,
+    /// Non-zero AND results read out into the sink (zero without one).
+    pub readouts: u64,
+    /// Whether the controller launches this kernel ([`dispatches`]).
+    pub dispatched: bool,
+}
+
+impl ArcKernel {
+    /// Folds in another pass over the same arc (shard composition runs
+    /// one arc as region-disjoint sub-passes); the arc dispatches when
+    /// any pass does.
+    pub fn absorb(&mut self, other: ArcKernel) {
+        self.count += other.count;
+        self.pairs.visited += other.pairs.visited;
+        self.pairs.skipped += other.pairs.skipped;
+        self.readouts += other.readouts;
+        self.dispatched |= other.dispatched;
+    }
+}
+
+/// The AND + BitCount kernel over arc `arc = (i, j)`: ANDs every
+/// visited slice pair of `row` and `col`, counts each result with
+/// `popcount`, and calls `on_pair(slice, count)` per pair. With a
+/// `sink`, each non-zero result is read out and every surviving bit
+/// `w` is reported as `sink.triangle(i, w, j)`; zero results are
+/// filtered by the bit counter and never read out.
+///
+/// # Panics
+///
+/// Panics when the operands disagree in slice size, length or encoding
+/// (rows and columns of one matrix always agree by construction).
+pub fn and_bitcount<S: TriangleSink + ?Sized>(
+    (i, j): (u32, u32),
+    row: &SlicedRow,
+    col: &SlicedRow,
+    popcount: PopcountMethod,
+    mut sink: Option<&mut S>,
+    mut on_pair: impl FnMut(u32, u64),
+) -> ArcKernel {
+    let mut count = 0u64;
+    let mut readouts = 0u64;
+    let pairs = row
+        .for_each_matching(col, |k, anded| {
+            let mut bits = 0u64;
+            for &word in anded {
+                bits += u64::from(popcount_word(word, popcount));
+            }
+            count += bits;
+            on_pair(k, bits);
+            if bits > 0 {
+                if let Some(sink) = sink.as_deref_mut() {
+                    readouts += 1;
+                    let base = k * row.slice_size().bits();
+                    visit_set_bits(anded.iter().copied(), |offset| {
+                        sink.triangle(i, base + offset, j);
+                    });
+                }
+            }
+        })
+        .expect("kernel operands share slice size, length and encoding");
+    ArcKernel { count, pairs, readouts, dispatched: dispatches(row.encoding(), pairs) }
+}
+
+/// Where a walk's operands are charged to.
+///
+/// `()` is the host-only model (the software path: no array, nothing
+/// loaded); [`ArrayBuffer`] is the computational array's.
+pub trait Residency {
+    /// A new row becomes the current row.
+    fn begin_row(&mut self);
+    /// Slice pair `k` of arc `(i, j)` was ANDed and counted `count` bits.
+    fn pair(&mut self, i: u32, j: u32, k: u32, count: u64, stats: &mut AccessStats);
+}
+
+impl Residency for () {
+    fn begin_row(&mut self) {}
+    fn pair(&mut self, _: u32, _: u32, _: u32, _: u64, _: &mut AccessStats) {}
+}
+
+/// The computational array's data buffer (Fig. 4): the reserved row
+/// region holding the current row's slices (§IV-A), the column-slice
+/// cache, and the kernel-event trace (capacity 0 records nothing).
+#[derive(Debug, Clone)]
+pub struct ArrayBuffer {
+    row_region: HashSet<u32>,
+    cache: SliceCache,
+    trace: EventTrace,
+}
+
+impl ArrayBuffer {
+    /// An empty buffer over `cache`, recording into `trace`.
+    pub fn new(cache: SliceCache, trace: EventTrace) -> Self {
+        ArrayBuffer { row_region: HashSet::new(), cache, trace }
+    }
+
+    /// The recorded kernel events.
+    pub fn into_trace(self) -> EventTrace {
+        self.trace
+    }
+}
+
+impl Residency for ArrayBuffer {
+    fn begin_row(&mut self) {
+        // The new row overwrites the reserved row region (§IV-A).
+        self.row_region.clear();
+    }
+
+    fn pair(&mut self, i: u32, j: u32, k: u32, count: u64, stats: &mut AccessStats) {
+        if self.row_region.insert(k) {
+            stats.row_slice_writes += 1;
+            self.trace.push(KernelEvent::RowSliceWrite { row: i, slice: k });
+        }
+        match self.cache.access((u64::from(j) << 32) | u64::from(k)) {
+            AccessOutcome::Hit => {
+                stats.col_hits += 1;
+                self.trace.push(KernelEvent::ColHit { col: j, slice: k });
+            }
+            AccessOutcome::Miss => {
+                stats.col_misses += 1;
+                self.trace.push(KernelEvent::ColMiss { col: j, slice: k });
+            }
+            AccessOutcome::Exchange { .. } => {
+                stats.col_exchanges += 1;
+                self.trace.push(KernelEvent::ColExchange { col: j, slice: k });
+            }
+        }
+        // The in-array AND feeds the bit counter (Fig. 4 dataflow).
+        self.trace.push(KernelEvent::AndBitcount {
+            row: i,
+            col: j,
+            slice: k,
+            count: count as u32,
+        });
+    }
+}
+
+/// What a [`walk`] counted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Walk {
+    /// Triangles: bits surviving every AND.
+    pub triangles: u64,
+    /// Operation counts; `edges` holds the kernel dispatches. Residency
+    /// counters stay zero under `()`.
+    pub stats: AccessStats,
+}
+
+/// Algorithm 1 over `arcs` of `matrix` (row-major, as
+/// [`SlicedMatrix::edges`] yields them): one [`and_bitcount`] per arc,
+/// with the operands charged to `residency` and non-zero results read
+/// out into `sink` (`None` counts only).
+///
+/// # Panics
+///
+/// Panics when an arc's row and column disagree (never for arcs of
+/// `matrix`).
+pub fn walk<R: Residency, S: TriangleSink + ?Sized>(
+    matrix: &SlicedMatrix,
+    arcs: impl IntoIterator<Item = (u32, u32)>,
+    popcount: PopcountMethod,
+    residency: &mut R,
+    mut sink: Option<&mut S>,
+) -> Walk {
+    let mut stats = AccessStats::default();
+    let mut triangles = 0u64;
+    let mut current_row = None;
+    for (i, j) in arcs {
+        if current_row != Some(i) {
+            current_row = Some(i);
+            residency.begin_row();
+        }
+        let arc = and_bitcount(
+            (i, j),
+            matrix.row(i),
+            matrix.col(j),
+            popcount,
+            sink.as_deref_mut(),
+            |k, count| residency.pair(i, j, k, count, &mut stats),
+        );
+        triangles += arc.count;
+        stats.edges += u64::from(arc.dispatched);
+        stats.and_ops += arc.pairs.visited;
+        stats.bitcount_ops += arc.pairs.visited;
+        stats.blocks_skipped += arc.pairs.skipped;
+        stats.result_readouts += arc.readouts;
+    }
+    Walk { triangles, stats }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::buffer::ReplacementPolicy;
+    use tcim_bitmatrix::{EncodingPolicy, SliceSize};
+
+    fn fig2(encoding: RowEncoding) -> SlicedMatrix {
+        let adjacency = vec![vec![1, 2], vec![2, 3], vec![3], vec![]];
+        SlicedMatrix::from_adjacency_with(
+            &adjacency,
+            SliceSize::S64,
+            EncodingPolicy::force(encoding),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn dispatch_rule_launches_every_dense_arc_and_only_visited_sparse_arcs() {
+        let none = PairStats { visited: 0, skipped: 3 };
+        let some = PairStats { visited: 1, skipped: 0 };
+        assert!(dispatches(RowEncoding::Dense, none));
+        assert!(dispatches(RowEncoding::Dense, some));
+        assert!(!dispatches(RowEncoding::Sparse, none));
+        assert!(dispatches(RowEncoding::Sparse, some));
+    }
+
+    #[test]
+    fn arc_kernel_counts_and_reads_out_witnesses() {
+        let m = fig2(RowEncoding::Dense);
+        let mut witnesses = Vec::new();
+        let mut pairs = Vec::new();
+        let arc = and_bitcount(
+            (0, 2),
+            m.row(0),
+            m.col(2),
+            PopcountMethod::Lut8,
+            Some(&mut witnesses),
+            |k, count| pairs.push((k, count)),
+        );
+        assert_eq!(witnesses, vec![1], "0 < 1 < 2 closes the triangle");
+        assert_eq!(pairs, vec![(0, 1)]);
+        assert_eq!(
+            arc,
+            ArcKernel {
+                count: 1,
+                pairs: PairStats { visited: 1, skipped: 0 },
+                readouts: 1,
+                dispatched: true
+            }
+        );
+        let counted = and_bitcount(
+            (0, 1),
+            m.row(0),
+            m.col(1),
+            PopcountMethod::Native,
+            None::<&mut Vec<u32>>,
+            |_, _| {},
+        );
+        assert_eq!(
+            (counted.count, counted.readouts),
+            (0, 0),
+            "zero results are never read out"
+        );
+    }
+
+    #[test]
+    fn absorbing_sub_passes_sums_work_and_ors_dispatch() {
+        let mut arc = ArcKernel::default();
+        arc.absorb(ArcKernel {
+            pairs: PairStats { visited: 0, skipped: 2 },
+            ..ArcKernel::default()
+        });
+        assert!(!arc.dispatched);
+        arc.absorb(ArcKernel {
+            count: 3,
+            pairs: PairStats { visited: 2, skipped: 1 },
+            readouts: 1,
+            dispatched: true,
+        });
+        assert_eq!(arc.pairs, PairStats { visited: 2, skipped: 3 });
+        assert_eq!((arc.count, arc.readouts, arc.dispatched), (3, 1, true));
+    }
+
+    #[test]
+    fn host_and_array_walks_agree_on_every_shared_counter() {
+        for encoding in [RowEncoding::Dense, RowEncoding::Sparse] {
+            let m = fig2(encoding);
+            let host = walk(
+                &m,
+                m.edges(),
+                PopcountMethod::Native,
+                &mut (),
+                None::<&mut TriangleTally>,
+            );
+            let mut buffer = ArrayBuffer::new(
+                SliceCache::new(8, ReplacementPolicy::Lru, 0),
+                EventTrace::new(64),
+            );
+            let mut tally = TriangleTally::new(4, true);
+            let array =
+                walk(&m, m.edges(), PopcountMethod::Lut8, &mut buffer, Some(&mut tally));
+            assert_eq!(host.triangles, 2);
+            assert_eq!(array.triangles, 2);
+            assert_eq!(host.stats.edges, array.stats.edges);
+            assert_eq!(host.stats.and_ops, array.stats.and_ops);
+            assert_eq!(host.stats.row_slice_writes, 0, "the host loads nothing");
+            assert_eq!(array.stats.row_slice_writes, 3);
+            assert_eq!(array.stats.result_readouts, 2);
+            // 3 row writes + 5 column accesses + 5 AND/BitCount events.
+            assert_eq!(buffer.into_trace().len(), 13);
+            let (_, per_vertex, support) = tally.into_parts();
+            assert_eq!(per_vertex, vec![1, 2, 2, 1]);
+            assert_eq!(support.unwrap().len(), 5);
+        }
+    }
+
+    #[test]
+    fn merged_tallies_equal_one_tally() {
+        let mut whole = TriangleTally::new(4, true);
+        let mut parts = [TriangleTally::new(4, true), TriangleTally::new(4, true)];
+        for (n, (a, b, c)) in [(0, 1, 2), (1, 2, 3)].into_iter().enumerate() {
+            whole.triangle(a, b, c);
+            parts[n].triangle(a, b, c);
+        }
+        let [mut merged, second] = parts;
+        merged.merge(second);
+        assert_eq!(merged.into_parts(), whole.into_parts());
+    }
+
+    #[test]
+    fn attribution_levels_pick_their_tally() {
+        assert!(Attribution::Count.tally(4).is_none());
+        let mut tally = Attribution::PerVertex.tally(4).unwrap();
+        tally.triangle(0, 1, 2);
+        assert!(tally.into_parts().2.is_none());
+        let mut tally = Attribution::PerVertexWithSupport.tally(4).unwrap();
+        tally.triangle(0, 1, 2);
+        assert_eq!(tally.into_parts().2.unwrap().len(), 3);
+    }
+}

@@ -17,6 +17,8 @@
 //!   replacement policy, controller overhead).
 //! * [`PimCharacterization`] — the characterize-time half: device, array
 //!   and bit-counter models resolved once per configuration.
+//! * [`kernel`] — the one AND + BitCount kernel (Eq. 5) and the one
+//!   matrix walker over it, generic over residency and attribution.
 //! * [`runtime`] — the run-time half: Algorithm 1 executed over a
 //!   prepared sliced matrix against a characterization.
 //! * [`PimEngine`] — the one-object facade over both halves.
@@ -61,6 +63,7 @@ mod config;
 mod costs;
 mod engine;
 mod error;
+pub mod kernel;
 pub mod runtime;
 pub mod stats;
 pub mod sweep;
@@ -72,9 +75,7 @@ pub use config::PimConfig;
 pub use costs::SliceCostModel;
 pub use engine::PimEngine;
 pub use error::{ArchError, Result};
-pub use runtime::{
-    EnergyBreakdown, LatencyBreakdown, LocalRunResult, PimRunResult, TriangleSink,
-    TriangleTally,
-};
+pub use kernel::{Attribution, TriangleSink, TriangleTally};
+pub use runtime::{EnergyBreakdown, LatencyBreakdown, PimRunResult};
 pub use stats::AccessStats;
 pub use tcim_telemetry::{EventTrace, KernelEvent};

@@ -1,6 +1,6 @@
 //! Run-time execution of Algorithm 1 over a prepared [`SlicedMatrix`]:
-//! iterate edges, load valid slice pairs, AND + BitCount, manage the
-//! column cache, account latency and energy.
+//! the [`kernel`] walker charged to the computational array, with
+//! latency and energy accounted from its operation counts.
 //!
 //! These functions take a [`PimCharacterization`] (built once per
 //! configuration) and a matrix that is already oriented and sliced — the
@@ -8,14 +8,14 @@
 //! re-characterize; callers that want the one-shot convenience use
 //! [`PimEngine`](crate::PimEngine), which wraps both halves.
 
-use std::collections::HashSet;
+use tcim_bitmatrix::popcount::PopcountMethod;
+use tcim_bitmatrix::SlicedMatrix;
 
-use tcim_bitmatrix::{RowEncoding, SlicedMatrix};
-
-use crate::buffer::{AccessOutcome, SliceCache};
+use crate::buffer::SliceCache;
 use crate::characterization::PimCharacterization;
+use crate::kernel::{self, ArrayBuffer, TriangleSink, TriangleTally};
 use crate::stats::AccessStats;
-use tcim_telemetry::{EventTrace, KernelEvent};
+use tcim_telemetry::EventTrace;
 
 /// Where the simulated time went.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -97,22 +97,9 @@ impl PimRunResult {
     }
 }
 
-/// Result of one per-vertex (local) counting run — see [`run_local`].
-#[derive(Debug, Clone)]
-pub struct LocalRunResult {
-    /// Global triangle count (identical to [`PimRunResult::triangles`]).
-    pub triangles: u64,
-    /// Triangles each vertex participates in; sums to `3 × triangles`.
-    pub per_vertex: Vec<u64>,
-    /// Access statistics, including [`AccessStats::result_readouts`].
-    pub stats: AccessStats,
-    /// Latency breakdown (includes the readout component).
-    pub latency: LatencyBreakdown,
-    /// Energy breakdown (includes the readout component).
-    pub energy: EnergyBreakdown,
-}
-
-/// Executes Algorithm 1 over an oriented sliced matrix.
+/// Executes Algorithm 1 over an oriented sliced matrix: the one kernel
+/// walker ([`kernel::walk`]) charged to the array's buffer, then rolled
+/// up into latency and energy.
 ///
 /// The returned triangle count is computed by the simulated dataflow
 /// itself (LUT bit counter over sliced ANDs), so functional correctness
@@ -123,166 +110,7 @@ pub struct LocalRunResult {
 /// Panics if `matrix` was built with a different slice size than the
 /// characterization's configuration — a mapping bug at the call site.
 pub fn run(chr: &PimCharacterization, matrix: &SlicedMatrix) -> PimRunResult {
-    assert_eq!(
-        matrix.slice_size(),
-        chr.config().slice_size,
-        "matrix slice size must match the engine configuration"
-    );
-    let mut cache = SliceCache::new(
-        chr.column_capacity(matrix),
-        chr.config().replacement,
-        chr.config().replacement_seed,
-    );
-    let mut trace = EventTrace::new(chr.config().trace_capacity);
-    let mut stats = AccessStats::default();
-    let mut triangles = 0u64;
-
-    let mut current_row: Option<u32> = None;
-    let mut row_loaded: HashSet<u32> = HashSet::new();
-
-    let sparse = matrix.encoding() == RowEncoding::Sparse;
-    for (i, j) in matrix.edges() {
-        if current_row != Some(i) {
-            // The new row overwrites the reserved row region (§IV-A).
-            current_row = Some(i);
-            row_loaded.clear();
-        }
-        let row = matrix.row(i);
-        let col = matrix.col(j);
-        let pair_stats = row
-            .for_each_matching(col, |k, anded| {
-                if row_loaded.insert(k) {
-                    stats.row_slice_writes += 1;
-                    trace.push(KernelEvent::RowSliceWrite { row: i, slice: k });
-                }
-                let key = (u64::from(j) << 32) | u64::from(k);
-                match cache.access(key) {
-                    AccessOutcome::Hit => {
-                        stats.col_hits += 1;
-                        trace.push(KernelEvent::ColHit { col: j, slice: k });
-                    }
-                    AccessOutcome::Miss => {
-                        stats.col_misses += 1;
-                        trace.push(KernelEvent::ColMiss { col: j, slice: k });
-                    }
-                    AccessOutcome::Exchange { .. } => {
-                        stats.col_exchanges += 1;
-                        trace.push(KernelEvent::ColExchange { col: j, slice: k });
-                    }
-                }
-
-                // The in-array AND feeds the bit counter (Fig. 4 dataflow).
-                let count = chr.bitcounter().count(anded);
-                triangles += count;
-                stats.and_ops += 1;
-                stats.bitcount_ops += 1;
-                trace.push(KernelEvent::AndBitcount {
-                    row: i,
-                    col: j,
-                    slice: k,
-                    count: count as u32,
-                });
-            })
-            .expect("rows and columns of one matrix always align");
-        stats.blocks_skipped += pair_stats.skipped;
-        // On sparse matrices the controller consults the summary masks
-        // before dispatching, so edges with no visited pair never invoke
-        // the kernel at all. Dense matrices keep the paper's per-edge
-        // dispatch accounting.
-        if !sparse || pair_stats.visited > 0 {
-            stats.edges += 1;
-        }
-    }
-
-    let (latency, energy) = chr.roll_up(&stats);
-    PimRunResult { triangles, stats, latency, energy, trace }
-}
-
-/// Receives every triangle an attributed run surfaces — the per-row
-/// accumulation hook behind every query that needs more than the
-/// global count (per-vertex participation, clustering coefficients,
-/// edge support).
-///
-/// While processing arc `(i, j)` the kernel's AND result is read back
-/// out of the array (see [`BitCounterModel::read_out`]); a surviving
-/// bit `w` is set in both row `i` and column `j`, so `i < w < j` and
-/// the triangle is reported as `triangle(i, w, j)`. The contract holds
-/// for every sink source in the repository: `triangle(a, b, c)` is
-/// called with `a < b < c` in matrix id order, so the triangle's three
-/// edges are exactly the DAG arcs `(a, b)`, `(a, c)` and `(b, c)` and
-/// a sink can attribute per-vertex or per-edge quantities without any
-/// further graph lookups.
-///
-/// Closures `FnMut(u32, u32, u32)` implement the trait, so ad-hoc
-/// sinks need no named type.
-///
-/// [`BitCounterModel::read_out`]: crate::BitCounterModel::read_out
-pub trait TriangleSink {
-    /// Called once per triangle `{a, b, c}`, `a < b < c` in matrix id
-    /// order (arcs `(a, b)`, `(a, c)`, `(b, c)`).
-    fn triangle(&mut self, a: u32, b: u32, c: u32);
-}
-
-impl<F: FnMut(u32, u32, u32)> TriangleSink for F {
-    fn triangle(&mut self, a: u32, b: u32, c: u32) {
-        self(a, b, c);
-    }
-}
-
-/// The canonical [`TriangleSink`]: accumulates per-vertex triangle
-/// participation and (optionally) per-arc triangle support, shared by
-/// every attributed execution path in the repository (serial engine,
-/// per-array scheduled executor, software slicing) so the attribution
-/// bookkeeping has exactly one implementation.
-#[derive(Debug, Clone)]
-pub struct TriangleTally {
-    per_vertex: Vec<u64>,
-    support: Option<std::collections::BTreeMap<(u32, u32), u64>>,
-    triangles: u64,
-}
-
-impl TriangleTally {
-    /// An empty tally over `dim` vertices; accumulates per-arc support
-    /// only when `need_support` is set.
-    pub fn new(dim: usize, need_support: bool) -> Self {
-        TriangleTally {
-            per_vertex: vec![0u64; dim],
-            support: need_support.then(std::collections::BTreeMap::new),
-            triangles: 0,
-        }
-    }
-
-    /// Triangles recorded so far.
-    pub fn triangles(&self) -> u64 {
-        self.triangles
-    }
-
-    /// Consumes the tally: `(triangles, per-vertex counts, per-arc
-    /// support)`. The support triples `(i, j, count)` are ascending and
-    /// cover every arc in at least one triangle; `None` unless
-    /// requested at construction.
-    #[allow(clippy::type_complexity)]
-    pub fn into_parts(self) -> (u64, Vec<u64>, Option<Vec<(u32, u32, u64)>>) {
-        (
-            self.triangles,
-            self.per_vertex,
-            self.support.map(|map| map.into_iter().map(|((i, j), c)| (i, j, c)).collect()),
-        )
-    }
-}
-
-impl TriangleSink for TriangleTally {
-    fn triangle(&mut self, a: u32, b: u32, c: u32) {
-        self.triangles += 1;
-        self.per_vertex[a as usize] += 1;
-        self.per_vertex[b as usize] += 1;
-        self.per_vertex[c as usize] += 1;
-        if let Some(map) = self.support.as_mut() {
-            for arc in [(a, b), (a, c), (b, c)] {
-                *map.entry(arc).or_insert(0) += 1;
-            }
-        }
-    }
+    execute(chr, matrix, None::<&mut TriangleTally>)
 }
 
 /// Executes Algorithm 1 with triangle attribution: besides counting,
@@ -292,9 +120,9 @@ impl TriangleSink for TriangleTally {
 ///
 /// Hardware-wise this costs one extra operation class relative to
 /// [`run`]: one read-class array access per *non-zero* slice pair
-/// ([`AccessStats::result_readouts`]), rolled into the latency/energy
-/// model. Zero results are filtered by the bit counter and never read
-/// out.
+/// ([`AccessStats::result_readouts`]),
+/// rolled into the latency/energy model. Zero results are filtered by
+/// the bit counter and never read out.
 ///
 /// # Panics
 ///
@@ -305,106 +133,34 @@ pub fn run_attributed<S: TriangleSink + ?Sized>(
     matrix: &SlicedMatrix,
     sink: &mut S,
 ) -> PimRunResult {
-    assert_eq!(
-        matrix.slice_size(),
-        chr.config().slice_size,
-        "matrix slice size must match the engine configuration"
-    );
-    let slice_bits = chr.config().slice_size.bits();
-    let mut cache = SliceCache::new(
-        chr.column_capacity(matrix),
-        chr.config().replacement,
-        chr.config().replacement_seed,
-    );
-    let mut trace = EventTrace::new(chr.config().trace_capacity);
-    let mut stats = AccessStats::default();
-    let mut triangles = 0u64;
-    let mut current_row: Option<u32> = None;
-    let mut row_loaded: HashSet<u32> = HashSet::new();
-
-    let sparse = matrix.encoding() == RowEncoding::Sparse;
-    for (i, j) in matrix.edges() {
-        if current_row != Some(i) {
-            current_row = Some(i);
-            row_loaded.clear();
-        }
-        let pair_stats = matrix
-            .row(i)
-            .for_each_matching(matrix.col(j), |k, anded| {
-                if row_loaded.insert(k) {
-                    stats.row_slice_writes += 1;
-                    trace.push(KernelEvent::RowSliceWrite { row: i, slice: k });
-                }
-                let key = (u64::from(j) << 32) | u64::from(k);
-                match cache.access(key) {
-                    AccessOutcome::Hit => {
-                        stats.col_hits += 1;
-                        trace.push(KernelEvent::ColHit { col: j, slice: k });
-                    }
-                    AccessOutcome::Miss => {
-                        stats.col_misses += 1;
-                        trace.push(KernelEvent::ColMiss { col: j, slice: k });
-                    }
-                    AccessOutcome::Exchange { .. } => {
-                        stats.col_exchanges += 1;
-                        trace.push(KernelEvent::ColExchange { col: j, slice: k });
-                    }
-                }
-                let count = chr.bitcounter().count(anded);
-                stats.and_ops += 1;
-                stats.bitcount_ops += 1;
-                trace.push(KernelEvent::AndBitcount {
-                    row: i,
-                    col: j,
-                    slice: k,
-                    count: count as u32,
-                });
-                if count > 0 {
-                    // Drain the counter's latch and attribute each
-                    // surviving bit to its triangle.
-                    stats.result_readouts += 1;
-                    triangles += count;
-                    chr.bitcounter().read_out(anded, |offset| {
-                        // The witness lies between the arc's endpoints:
-                        // i < w < j.
-                        sink.triangle(i, k * slice_bits + offset, j);
-                    });
-                }
-            })
-            .expect("rows and columns of one matrix always align");
-        stats.blocks_skipped += pair_stats.skipped;
-        if !sparse || pair_stats.visited > 0 {
-            stats.edges += 1;
-        }
-    }
-
-    let (latency, energy) = chr.roll_up(&stats);
-    PimRunResult { triangles, stats, latency, energy, trace }
+    execute(chr, matrix, Some(sink))
 }
 
-/// Executes Algorithm 1 with per-vertex accounting: every vertex
-/// receives the number of triangles it belongs to (the quantity behind
-/// local clustering coefficients, one of the paper's motivating
-/// applications). A thin wrapper over [`run_attributed`] with a
-/// per-vertex [`TriangleSink`].
-///
-/// Vertex ids in the returned vector are the matrix's ids; callers
-/// that relabelled (degree/degeneracy orientation) map them back via
-/// `OrientedGraph::original_id`.
-///
-/// # Panics
-///
-/// Panics if `matrix` was built with a different slice size than the
-/// characterization's configuration.
-pub fn run_local(chr: &PimCharacterization, matrix: &SlicedMatrix) -> LocalRunResult {
-    let mut tally = TriangleTally::new(matrix.dim(), false);
-    let run = run_attributed(chr, matrix, &mut tally);
-    let (_, per_vertex, _) = tally.into_parts();
-    LocalRunResult {
-        triangles: run.triangles,
-        per_vertex,
-        stats: run.stats,
-        latency: run.latency,
-        energy: run.energy,
+fn execute<S: TriangleSink + ?Sized>(
+    chr: &PimCharacterization,
+    matrix: &SlicedMatrix,
+    sink: Option<&mut S>,
+) -> PimRunResult {
+    let config = chr.config();
+    assert_eq!(
+        matrix.slice_size(),
+        config.slice_size,
+        "matrix slice size must match the engine configuration"
+    );
+    let cache = SliceCache::new(
+        chr.column_capacity(matrix),
+        config.replacement,
+        config.replacement_seed,
+    );
+    let mut buffer = ArrayBuffer::new(cache, EventTrace::new(config.trace_capacity));
+    // The bit counter is the 8→256 LUT of §V-A.
+    let walk = kernel::walk(matrix, matrix.edges(), PopcountMethod::Lut8, &mut buffer, sink);
+    let (latency, energy) = chr.roll_up(&walk.stats);
+    PimRunResult {
+        triangles: walk.triangles,
+        stats: walk.stats,
+        latency,
+        energy,
+        trace: buffer.into_trace(),
     }
 }

@@ -5,9 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tcim_bitmatrix::popcount::PopcountMethod;
-use tcim_bitmatrix::SliceSize;
+use tcim_bitmatrix::{SliceSize, SlicedMatrix};
 use tcim_core::baseline;
-use tcim_core::software::sliced_software_tc;
+use tcim_core::software::sliced_count;
 use tcim_graph::generators::{barabasi_albert, road_grid};
 use tcim_graph::{CsrGraph, Orientation};
 
@@ -35,15 +35,12 @@ fn bench_baselines(c: &mut Criterion) {
             b.iter(|| baseline::parallel_edge_iterator(black_box(&g), 4))
         });
         group.bench_function(BenchmarkId::from_parameter("sliced_software"), |b| {
+            // Orient + slice + count: the whole software path.
             b.iter(|| {
-                sliced_software_tc(
-                    black_box(&g),
-                    SliceSize::S64,
-                    Orientation::Natural,
-                    PopcountMethod::Native,
-                )
-                .unwrap()
-                .triangles
+                let oriented = Orientation::Natural.orient(black_box(&g));
+                let matrix =
+                    SlicedMatrix::from_adjacency(oriented.rows(), SliceSize::S64).unwrap();
+                sliced_count(&matrix, PopcountMethod::Native).triangles
             })
         });
         group.finish();

@@ -15,7 +15,7 @@
 
 use std::time::{Duration, Instant};
 
-use tcim_arch::{LocalRunResult, PimConfig, PimEngine, PimRunResult};
+use tcim_arch::{PimConfig, PimEngine, PimRunResult, TriangleTally};
 use tcim_bitmatrix::{EncodingPolicy, SliceStats, SlicedMatrix};
 use tcim_graph::{CsrGraph, Orientation};
 use tcim_sched::{SchedPolicy, ScheduledReport};
@@ -65,7 +65,7 @@ pub struct LocalTcimReport {
     /// `3 × triangles`.
     pub per_vertex: Vec<u64>,
     /// The raw architecture result (statistics, latency, energy).
-    pub sim: LocalRunResult,
+    pub sim: PimRunResult,
 }
 
 /// The TCIM accelerator: a characterized PIM engine bound to a graph
@@ -165,12 +165,14 @@ impl TcimAccelerator {
     /// Results are indexed by the *input graph's* vertex ids regardless of
     /// the configured orientation (relabellings are undone internally).
     /// The run costs one extra read-class array access per non-zero slice
-    /// pair; see `tcim_arch::runtime::run_local`.
+    /// pair; see `tcim_arch::runtime::run_attributed`.
     pub fn count_local_triangles(&self, g: &CsrGraph) -> LocalTcimReport {
         let prepared = self.pipeline.prepare(g);
-        let run = self.engine().run_local(prepared.matrix());
+        let mut tally = TriangleTally::new(prepared.matrix().dim(), false);
+        let run = self.engine().run_attributed(prepared.matrix(), &mut tally);
+        let (_, local, _) = tally.into_parts();
         let mut per_vertex = vec![0u64; g.vertex_count()];
-        for (new_id, &count) in run.per_vertex.iter().enumerate() {
+        for (new_id, &count) in local.iter().enumerate() {
             per_vertex[prepared.oriented().original_id(new_id as u32) as usize] = count;
         }
         LocalTcimReport { triangles: run.triangles, per_vertex, sim: run }

@@ -581,8 +581,9 @@ fn merge_intersect_count(a: &[u32], b: &[u32]) -> u64 {
 }
 
 /// Visits each common element of two sorted slices — the one
-/// implementation of the two-pointer walk both CPU baselines build on.
-fn merge_intersect_visit(a: &[u32], b: &[u32], mut visit: impl FnMut(u32)) {
+/// implementation of the two-pointer walk the CPU baselines and the
+/// motif engine's adjacency flavor build on.
+pub(crate) fn merge_intersect_visit(a: &[u32], b: &[u32], mut visit: impl FnMut(u32)) {
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {

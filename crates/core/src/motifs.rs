@@ -39,12 +39,12 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use tcim_arch::{SliceCostModel, TriangleSink, TriangleTally};
-use tcim_bitmatrix::popcount::visit_set_bits;
+use tcim_arch::{kernel, SliceCostModel, TriangleSink, TriangleTally};
+use tcim_bitmatrix::popcount::PopcountMethod;
 use tcim_bitmatrix::{RowEncoding, SliceSize, SlicedRow};
 use tcim_sched::{plan_deltas, DeltaJob, SchedPolicy};
 
-use crate::backend::AttributedRun;
+use crate::backend::{merge_intersect_visit, AttributedRun};
 use crate::error::{CoreError, Result};
 use crate::pipeline::PreparedGraph;
 use crate::query::{EdgeTruss, KernelStats, Query, QueryReport, QueryValue};
@@ -152,7 +152,6 @@ struct MotifState {
     adjacency: Vec<Vec<u32>>,
     rows: Option<Vec<SlicedRow>>,
     slice_size: SliceSize,
-    sparse: bool,
     kernel: KernelStats,
 }
 
@@ -180,13 +179,7 @@ impl MotifState {
                     .collect(),
             ),
         };
-        MotifState {
-            adjacency,
-            rows,
-            slice_size,
-            sparse: encoding == RowEncoding::Sparse,
-            kernel: KernelStats::default(),
-        }
+        MotifState { adjacency, rows, slice_size, kernel: KernelStats::default() }
     }
 
     /// `N(u) ∩ N(v)` over the live state: one AND+BitCount kernel
@@ -194,19 +187,14 @@ impl MotifState {
     /// the flavor's honest accounting.
     fn intersect(&mut self, u: u32, v: u32) -> (Vec<u32>, KernelSample) {
         match &self.rows {
-            Some(rows) => sliced_kernel(
-                &rows[u as usize],
-                &rows[v as usize],
-                self.slice_size.bits(),
-                self.sparse,
+            Some(rows) => {
+                sliced_kernel((u, v), &rows[u as usize], &rows[v as usize], &mut self.kernel)
+            }
+            None => merged_kernel(
+                &self.adjacency[u as usize],
+                &self.adjacency[v as usize],
                 &mut self.kernel,
             ),
-            None => {
-                let witnesses =
-                    merge_sorted(&self.adjacency[u as usize], &self.adjacency[v as usize]);
-                self.kernel.kernel_invocations += 1;
-                (witnesses, KernelSample::default())
-            }
         }
     }
 
@@ -214,17 +202,13 @@ impl MotifState {
     /// (the chained second AND over a re-materialized witness row).
     fn intersect_row(&mut self, c: u32, witness_row: &WitnessRow) -> (Vec<u32>, KernelSample) {
         match (&self.rows, witness_row) {
-            (Some(rows), WitnessRow::Sliced(row)) => sliced_kernel(
-                &rows[c as usize],
-                row,
-                self.slice_size.bits(),
-                self.sparse,
-                &mut self.kernel,
-            ),
+            // The witness row has no vertex of its own; the witness
+            // sink reads only the surviving bits.
+            (Some(rows), WitnessRow::Sliced(row)) => {
+                sliced_kernel((c, c), &rows[c as usize], row, &mut self.kernel)
+            }
             (None, WitnessRow::List(list)) => {
-                let xs = merge_sorted(&self.adjacency[c as usize], list);
-                self.kernel.kernel_invocations += 1;
-                (xs, KernelSample::default())
+                merged_kernel(&self.adjacency[c as usize], list, &mut self.kernel)
             }
             _ => unreachable!("witness rows are built by the same state"),
         }
@@ -265,41 +249,34 @@ impl MotifState {
     }
 }
 
-/// The sliced kernel: AND matching valid pairs, read each non-zero
-/// result back out for its witnesses. Sparse operands whose byte masks
-/// prove every pair disjoint are never dispatched — the same rule the
-/// sparse triangle dispatch applies.
+/// The sliced kernel over `arc`: AND matching valid pairs, read each
+/// non-zero result back out for its witnesses. Sparse operands whose
+/// byte masks prove every pair disjoint are never dispatched — the
+/// kernel's one dispatch rule.
 fn sliced_kernel(
+    arc: (u32, u32),
     a: &SlicedRow,
     b: &SlicedRow,
-    slice_bits: u32,
-    sparse: bool,
-    kernel: &mut KernelStats,
+    stats: &mut KernelStats,
 ) -> (Vec<u32>, KernelSample) {
     let mut witnesses = Vec::new();
-    let mut readouts = 0u64;
-    let stats = a
-        .for_each_matching(b, |k, anded| {
-            let before = witnesses.len();
-            visit_set_bits(anded.iter().copied(), |offset| {
-                witnesses.push(k * slice_bits + offset);
-            });
-            if witnesses.len() > before {
-                readouts += 1;
-            }
-        })
-        .expect("motif rows share one universe and encoding");
-    if !sparse || stats.visited > 0 {
-        kernel.kernel_invocations += 1;
-    }
-    kernel.slice_pairs += stats.visited;
-    kernel.blocks_skipped += stats.skipped;
-    kernel.result_readouts += readouts;
+    let run = kernel::and_bitcount(
+        arc,
+        a,
+        b,
+        PopcountMethod::Native,
+        Some(&mut witnesses),
+        |_, _| {},
+    );
+    stats.kernel_invocations += u64::from(run.dispatched);
+    stats.slice_pairs += run.pairs.visited;
+    stats.blocks_skipped += run.pairs.skipped;
+    stats.result_readouts += run.readouts;
     let sample = KernelSample {
         valid_a: a.valid_slice_count() as u64,
         valid_b: b.valid_slice_count() as u64,
-        pairs: stats.visited,
-        readouts,
+        pairs: run.pairs.visited,
+        readouts: run.readouts,
     };
     (witnesses, sample)
 }
@@ -310,22 +287,13 @@ enum WitnessRow {
     List(Vec<u32>),
 }
 
-/// Intersection of two sorted ascending lists.
-fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
+/// The adjacency flavor's kernel: one sorted-list merge, counted as one
+/// invocation with no slice pairs.
+fn merged_kernel(a: &[u32], b: &[u32], stats: &mut KernelStats) -> (Vec<u32>, KernelSample) {
+    let mut witnesses = Vec::new();
+    merge_intersect_visit(a, b, |w| witnesses.push(w));
+    stats.kernel_invocations += 1;
+    (witnesses, KernelSample::default())
 }
 
 /// Full-neighbourhood adjacency of the prepared graph in *input-id*

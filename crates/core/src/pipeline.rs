@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tcim_arch::PimEngine;
+use tcim_arch::{kernel, PimEngine};
 use tcim_bitmatrix::{EncodingPolicy, RowEncoding, SliceSize, SliceStats, SlicedMatrix};
 use tcim_graph::{CsrGraph, Orientation, OrientedGraph};
 
@@ -88,8 +88,6 @@ pub struct PreparedPricing {
     /// Optimistic single-array busy time (s): every valid slice written
     /// once plus the AND/BitCount work (an all-hits lower bound).
     pub est_busy_s: f64,
-    /// Serial host dispatch time over all edges (s).
-    pub controller_s: f64,
 }
 
 /// A graph prepared for execution: oriented, sliced, measured and
@@ -127,11 +125,11 @@ impl PreparedGraph {
 
         // Price the run: the visited-pair population is exact (the same
         // walk the controller performs, skipping what the sparse
-        // encoding proves zero), the busy time optimistic.
+        // encoding proves zero, under the kernel's own dispatch rule),
+        // the busy time optimistic.
         let mut slice_pairs = 0u64;
         let mut kernel_dispatches = 0u64;
         let mut blocks_skipped = 0u64;
-        let sparse = matrix.encoding() == RowEncoding::Sparse;
         for (i, j) in matrix.edges() {
             let pairs = matrix
                 .row(i)
@@ -139,20 +137,13 @@ impl PreparedGraph {
                 .expect("rows and columns of one matrix always align");
             slice_pairs += pairs.visited;
             blocks_skipped += pairs.skipped;
-            // Mirror of the runtime dispatch rule: dense rows always
-            // launch; sparse rows launch only when the walk visited at
-            // least one mutually valid pair.
-            if !sparse || pairs.visited > 0 {
-                kernel_dispatches += 1;
-            }
+            kernel_dispatches += u64::from(kernel::dispatches(matrix.encoding(), pairs));
         }
-        let costs = engine.cost_model();
         let pricing = PreparedPricing {
             slice_pairs,
             kernel_dispatches,
             blocks_skipped,
-            est_busy_s: costs.estimate_busy_s(stats.valid_slices, slice_pairs),
-            controller_s: matrix.edge_count() as f64 * costs.controller_overhead_s,
+            est_busy_s: engine.cost_model().estimate_busy_s(stats.valid_slices, slice_pairs),
         };
 
         drop(prepare_span);
@@ -683,7 +674,7 @@ mod tests {
         // The priced pair population is exact.
         assert_eq!(prepared.pricing().slice_pairs, run.stats.and_ops);
         assert!(prepared.pricing().est_busy_s > 0.0);
-        assert!(prepared.pricing().controller_s > 0.0);
+        assert_eq!(prepared.pricing().kernel_dispatches, run.stats.edges);
         assert_eq!(prepared.slice_stats().nnz as usize, g.edge_count());
     }
 

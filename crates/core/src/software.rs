@@ -6,27 +6,10 @@
 //! exchange." This module reproduces that software path so Table V's
 //! `w/o PIM` column can be measured rather than quoted.
 
-use std::time::{Duration, Instant};
-
+use tcim_arch::kernel::{self, Walk};
+use tcim_arch::TriangleTally;
 use tcim_bitmatrix::popcount::PopcountMethod;
-use tcim_bitmatrix::{RowEncoding, SliceSize, SlicedMatrix};
-use tcim_graph::{CsrGraph, Orientation};
-
-use crate::error::Result;
-
-/// Outcome of a software sliced run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SoftwareRun {
-    /// Exact triangle count.
-    pub triangles: u64,
-    /// Wall-clock time of the counting phase (excludes graph slicing).
-    pub count_time: Duration,
-    /// Wall-clock time spent building the sliced representation.
-    pub build_time: Duration,
-    /// Valid slice pairs processed (the same quantity the PIM engine
-    /// counts as AND operations).
-    pub slice_pairs: u64,
-}
+use tcim_bitmatrix::SlicedMatrix;
 
 /// Outcome of the pure counting kernel over an already-sliced matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,28 +45,9 @@ pub struct SoftwareCount {
 /// # Ok::<(), tcim_bitmatrix::BitMatrixError>(())
 /// ```
 pub fn sliced_count(matrix: &SlicedMatrix, popcount: PopcountMethod) -> SoftwareCount {
-    let sparse = matrix.encoding() == RowEncoding::Sparse;
-    let mut triangles = 0u64;
-    let mut slice_pairs = 0u64;
-    let mut kernel_invocations = 0u64;
-    let mut blocks_skipped = 0u64;
-    for (i, j) in matrix.edges() {
-        let pair_stats = matrix
-            .row(i)
-            .for_each_matching(matrix.col(j), |_, anded| {
-                slice_pairs += 1;
-                for &w in anded {
-                    triangles +=
-                        u64::from(tcim_bitmatrix::popcount::popcount_word(w, popcount));
-                }
-            })
-            .expect("rows and columns of one matrix always align");
-        blocks_skipped += pair_stats.skipped;
-        if !sparse || pair_stats.visited > 0 {
-            kernel_invocations += 1;
-        }
-    }
-    SoftwareCount { triangles, slice_pairs, kernel_invocations, blocks_skipped }
+    let walk =
+        kernel::walk(matrix, matrix.edges(), popcount, &mut (), None::<&mut TriangleTally>);
+    SoftwareCount::from(walk)
 }
 
 /// Runs the AND + BitCount kernel with triangle attribution: every
@@ -92,94 +56,43 @@ pub fn sliced_count(matrix: &SlicedMatrix, popcount: PopcountMethod) -> Software
 /// `sink(i, w, j)` (matrix ids, ascending — the
 /// `tcim_arch::TriangleSink` contract), the software twin of
 /// `tcim_arch::runtime::run_attributed` minus the readout cost model.
-/// The count falls out of the readout drain itself, so no popcount
-/// method is selected.
 pub fn sliced_count_attributed(
     matrix: &SlicedMatrix,
     mut sink: impl FnMut(u32, u32, u32),
 ) -> SoftwareCount {
-    let sparse = matrix.encoding() == RowEncoding::Sparse;
-    let slice_bits = matrix.slice_size().bits();
-    let mut triangles = 0u64;
-    let mut slice_pairs = 0u64;
-    let mut kernel_invocations = 0u64;
-    let mut blocks_skipped = 0u64;
-    for (i, j) in matrix.edges() {
-        let pair_stats = matrix
-            .row(i)
-            .for_each_matching(matrix.col(j), |k, anded| {
-                slice_pairs += 1;
-                tcim_bitmatrix::popcount::visit_set_bits(anded.iter().copied(), |offset| {
-                    triangles += 1;
-                    sink(i, k * slice_bits + offset, j);
-                });
-            })
-            .expect("rows and columns of one matrix always align");
-        blocks_skipped += pair_stats.skipped;
-        if !sparse || pair_stats.visited > 0 {
-            kernel_invocations += 1;
-        }
-    }
-    SoftwareCount { triangles, slice_pairs, kernel_invocations, blocks_skipped }
+    let walk =
+        kernel::walk(matrix, matrix.edges(), PopcountMethod::Native, &mut (), Some(&mut sink));
+    SoftwareCount::from(walk)
 }
 
-/// Runs the sliced bitwise dataflow in software: orient, slice, then for
-/// every edge AND the matching valid slice pairs and accumulate the
-/// bit count.
-///
-/// `popcount` selects the hardware-faithful LUT path or the native
-/// `popcnt` instruction (results are identical; speed differs).
-///
-/// # Errors
-///
-/// Propagates slicing errors (cannot occur for a well-formed graph).
-///
-/// # Example
-///
-/// ```
-/// use tcim_core::software::sliced_software_tc;
-/// use tcim_bitmatrix::{popcount::PopcountMethod, SliceSize};
-/// use tcim_graph::{generators::classic, Orientation};
-///
-/// let g = classic::fig2_example();
-/// let run = sliced_software_tc(&g, SliceSize::S64, Orientation::Natural,
-///                              PopcountMethod::Native)?;
-/// assert_eq!(run.triangles, 2);
-/// # Ok::<(), tcim_core::CoreError>(())
-/// ```
-pub fn sliced_software_tc(
-    g: &CsrGraph,
-    slice_size: SliceSize,
-    orientation: Orientation,
-    popcount: PopcountMethod,
-) -> Result<SoftwareRun> {
-    let build_start = Instant::now();
-    let oriented = orientation.orient(g);
-    let matrix = SlicedMatrix::from_adjacency(oriented.rows(), slice_size)?;
-    let build_time = build_start.elapsed();
-
-    let count_start = Instant::now();
-    let SoftwareCount { triangles, slice_pairs, .. } = sliced_count(&matrix, popcount);
-    let count_time = count_start.elapsed();
-
-    Ok(SoftwareRun { triangles, count_time, build_time, slice_pairs })
+impl From<Walk> for SoftwareCount {
+    /// The host-side view of a walk: no array, so no readouts to bill.
+    fn from(walk: Walk) -> Self {
+        SoftwareCount {
+            triangles: walk.triangles,
+            slice_pairs: walk.stats.and_ops,
+            kernel_invocations: walk.stats.edges,
+            blocks_skipped: walk.stats.blocks_skipped,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline;
+    use tcim_bitmatrix::SliceSize;
     use tcim_graph::generators::{classic, gnm};
+    use tcim_graph::{CsrGraph, Orientation};
+
+    fn sliced(g: &CsrGraph, slice_size: SliceSize, orientation: Orientation) -> SlicedMatrix {
+        SlicedMatrix::from_adjacency(orientation.orient(g).rows(), slice_size).unwrap()
+    }
 
     #[test]
     fn fig2_counts_two() {
-        let run = sliced_software_tc(
-            &classic::fig2_example(),
-            SliceSize::S64,
-            Orientation::Natural,
-            PopcountMethod::Native,
-        )
-        .unwrap();
+        let m = sliced(&classic::fig2_example(), SliceSize::S64, Orientation::Natural);
+        let run = sliced_count(&m, PopcountMethod::Native);
         assert_eq!(run.triangles, 2);
         assert_eq!(run.slice_pairs, 5);
     }
@@ -187,8 +100,7 @@ mod tests {
     #[test]
     fn attributed_count_agrees_with_plain_count_and_sums_to_three() {
         let g = gnm(200, 1400, 5).unwrap();
-        let oriented = Orientation::Natural.orient(&g);
-        let matrix = SlicedMatrix::from_adjacency(oriented.rows(), SliceSize::S64).unwrap();
+        let matrix = sliced(&g, SliceSize::S64, Orientation::Natural);
         let plain = sliced_count(&matrix, PopcountMethod::Native);
         let mut per_vertex = vec![0u64; g.vertex_count()];
         let attributed = sliced_count_attributed(&matrix, |i, j, w| {
@@ -207,11 +119,11 @@ mod tests {
             let g = gnm(300, 2000, seed).unwrap();
             let expected = baseline::edge_iterator_merge(&g);
             for orientation in [Orientation::Natural, Orientation::Degree] {
-                for popcount in [PopcountMethod::Native, PopcountMethod::Lut8] {
-                    let run =
-                        sliced_software_tc(&g, SliceSize::S64, orientation, popcount).unwrap();
-                    assert_eq!(run.triangles, expected, "seed {seed}");
-                }
+                let m = sliced(&g, SliceSize::S64, orientation);
+                // The LUT path and the native instruction agree exactly.
+                let native = sliced_count(&m, PopcountMethod::Native);
+                assert_eq!(native.triangles, expected, "seed {seed}");
+                assert_eq!(sliced_count(&m, PopcountMethod::Lut8), native, "seed {seed}");
             }
         }
     }
@@ -221,8 +133,8 @@ mod tests {
         let g = gnm(250, 1500, 9).unwrap();
         let expected = baseline::forward(&g);
         for s in SliceSize::ALL {
-            let run = sliced_software_tc(&g, s, Orientation::Natural, PopcountMethod::Native)
-                .unwrap();
+            let run =
+                sliced_count(&sliced(&g, s, Orientation::Natural), PopcountMethod::Native);
             assert_eq!(run.triangles, expected, "slice size {s}");
         }
     }
@@ -232,22 +144,11 @@ mod tests {
         // Every 16-bit match lies inside a matching 512-bit pair, so
         // shrinking |S| by 32x multiplies the pair count by at most 32.
         let g = gnm(300, 2500, 4).unwrap();
-        let p16 = sliced_software_tc(
-            &g,
-            SliceSize::S16,
-            Orientation::Natural,
-            PopcountMethod::Native,
-        )
-        .unwrap()
-        .slice_pairs;
-        let p512 = sliced_software_tc(
-            &g,
-            SliceSize::S512,
-            Orientation::Natural,
-            PopcountMethod::Native,
-        )
-        .unwrap()
-        .slice_pairs;
+        let pairs = |s| {
+            sliced_count(&sliced(&g, s, Orientation::Natural), PopcountMethod::Native)
+                .slice_pairs
+        };
+        let (p16, p512) = (pairs(SliceSize::S16), pairs(SliceSize::S512));
         assert!(p16 <= 32 * p512, "16-bit pairs {p16} vs 512-bit pairs {p512}");
     }
 }

@@ -1,126 +1,38 @@
 //! The per-array executor: Algorithm 1 restricted to one array's
 //! assigned rows, with the array's own column-slice buffer.
 //!
-//! Functionally this mirrors `tcim_arch::PimEngine::run`; the difference
-//! is scope — each array only sees its assigned rows and manages an
-//! independent (partitioned) data buffer, which is exactly what makes
-//! the scheduled counts bit-identical to the serial engine: the AND +
-//! BitCount dataflow per edge is unchanged, only *where* and *when* each
-//! edge executes moves.
+//! The walk is the serial engine's own ([`tcim_arch::kernel::walk`]);
+//! the difference is scope — each array only sees its assigned rows and
+//! manages an independent (partitioned) data buffer, which is exactly
+//! what makes the scheduled counts bit-identical to the serial engine:
+//! the AND + BitCount dataflow per edge is unchanged, only *where* and
+//! *when* each edge executes moves.
 
-use std::collections::HashSet;
-
-use tcim_arch::{
-    AccessStats, BitCounterModel, ReplacementPolicy, SliceCache, TriangleSink, TriangleTally,
-};
-use tcim_bitmatrix::{RowEncoding, SlicedMatrix};
+use tcim_arch::kernel::{self, ArrayBuffer, Walk};
+use tcim_arch::{Attribution, EventTrace, ReplacementPolicy, SliceCache, TriangleTally};
+use tcim_bitmatrix::popcount::PopcountMethod;
+use tcim_bitmatrix::SlicedMatrix;
 
 use crate::jobs::RowJob;
 
-/// What each array accumulates beyond the triangle count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Attribution {
-    /// Plain counting: the bit counter consumes AND results in place.
-    Count,
-    /// Per-vertex participation: every non-zero AND result is read back
-    /// out (one read-class access) and its bits attributed.
-    PerVertex,
-    /// Per-vertex participation plus per-arc triangle support.
-    PerVertexWithSupport,
-}
-
-/// The functional result of one array's execution.
-#[derive(Debug, Clone)]
-pub(crate) struct ArrayRun {
-    /// Triangles found by this array's slice pairs.
-    pub triangles: u64,
-    /// This array's access statistics.
-    pub stats: AccessStats,
-    /// Partial per-vertex participation over the whole vertex universe
-    /// (matrix ids); present unless the attribution was
-    /// [`Attribution::Count`].
-    pub per_vertex: Option<Vec<u64>>,
-    /// Partial per-arc triangle support triples `(i, j, count)` in
-    /// ascending matrix-id order; present only for
-    /// [`Attribution::PerVertexWithSupport`].
-    pub support: Option<Vec<(u32, u32, u64)>>,
-}
-
-/// Executes the assigned `jobs` (ascending row order) on one array.
+/// Executes the assigned `jobs` (ascending row order) on one array,
+/// returning the walk and, unless `attribution` is
+/// [`Attribution::Count`], the array's partial tally (matrix ids).
 pub(crate) fn run_array(
     matrix: &SlicedMatrix,
     jobs: &[&RowJob],
-    bitcounter: &BitCounterModel,
     column_capacity: usize,
     replacement: ReplacementPolicy,
     replacement_seed: u64,
     attribution: Attribution,
-) -> ArrayRun {
-    let mut cache = SliceCache::new(column_capacity.max(1), replacement, replacement_seed);
-    let mut stats = AccessStats::default();
-    let mut triangles = 0u64;
-    let mut row_loaded: HashSet<u32> = HashSet::new();
-    let slice_bits = matrix.slice_size().bits();
-    let mut tally = match attribution {
-        Attribution::Count => None,
-        Attribution::PerVertex => Some(TriangleTally::new(matrix.dim(), false)),
-        Attribution::PerVertexWithSupport => Some(TriangleTally::new(matrix.dim(), true)),
-    };
-
-    let sparse = matrix.encoding() == RowEncoding::Sparse;
-    for job in jobs {
-        let i = job.row;
-        // A new row overwrites the reserved row region (§IV-A).
-        row_loaded.clear();
-        let row = matrix.row(i);
-        for &j in &job.cols {
-            let pair_stats = row
-                .for_each_matching(matrix.col(j), |k, anded| {
-                    if row_loaded.insert(k) {
-                        stats.row_slice_writes += 1;
-                    }
-                    let key = (u64::from(j) << 32) | u64::from(k);
-                    match cache.access(key) {
-                        tcim_arch::AccessOutcome::Hit => stats.col_hits += 1,
-                        tcim_arch::AccessOutcome::Miss => stats.col_misses += 1,
-                        tcim_arch::AccessOutcome::Exchange { .. } => stats.col_exchanges += 1,
-                    }
-                    let count = bitcounter.count(anded);
-                    triangles += count;
-                    stats.and_ops += 1;
-                    stats.bitcount_ops += 1;
-                    if count > 0 {
-                        if let Some(tally) = tally.as_mut() {
-                            // Read the surviving bits back out and attribute
-                            // the triangle exactly as the serial attributed
-                            // run does: a surviving bit w satisfies
-                            // i < w < j (the `TriangleSink` contract).
-                            stats.result_readouts += 1;
-                            bitcounter.read_out(anded, |offset| {
-                                tally.triangle(i, k * slice_bits + offset, j);
-                            });
-                        }
-                    }
-                })
-                .expect("rows and columns of one matrix always align");
-            stats.blocks_skipped += pair_stats.skipped;
-            // Sparse matrices skip the per-edge dispatch entirely when
-            // the summary walk visits nothing (mirrors the serial
-            // engine's accounting).
-            if !sparse || pair_stats.visited > 0 {
-                stats.edges += 1;
-            }
-        }
-    }
-
-    let (per_vertex, support) = match tally {
-        Some(tally) => {
-            let (_, per_vertex, support) = tally.into_parts();
-            (Some(per_vertex), support)
-        }
-        None => (None, None),
-    };
-    ArrayRun { triangles, stats, per_vertex, support }
+) -> (Walk, Option<TriangleTally>) {
+    let cache = SliceCache::new(column_capacity.max(1), replacement, replacement_seed);
+    let mut buffer = ArrayBuffer::new(cache, EventTrace::new(0));
+    let mut tally = attribution.tally(matrix.dim());
+    let arcs = jobs.iter().flat_map(|job| job.cols.iter().map(|&j| (job.row, j)));
+    // The bit counter is the 8→256 LUT of §V-A, as in the serial engine.
+    let walk = kernel::walk(matrix, arcs, PopcountMethod::Lut8, &mut buffer, tally.as_mut());
+    (walk, tally)
 }
 
 #[cfg(test)]
@@ -144,19 +56,12 @@ mod tests {
         let engine = PimEngine::new(&PimConfig::default()).unwrap();
         let jobs = decompose(&m, &engine.cost_model());
         let refs: Vec<&RowJob> = jobs.iter().collect();
-        let run = run_array(
-            &m,
-            &refs,
-            engine.bitcounter(),
-            1024,
-            ReplacementPolicy::Lru,
-            0,
-            Attribution::Count,
-        );
+        let (run, tally) =
+            run_array(&m, &refs, 1024, ReplacementPolicy::Lru, 0, Attribution::Count);
         let serial = engine.run(&m);
+        assert!(tally.is_none());
         assert_eq!(run.triangles, serial.triangles);
-        assert_eq!(run.stats.and_ops, serial.stats.and_ops);
-        assert_eq!(run.stats.row_slice_writes, serial.stats.row_slice_writes);
+        assert_eq!(run.stats, serial.stats);
     }
 
     #[test]
@@ -167,24 +72,8 @@ mod tests {
         let serial = engine.run(&m).triangles;
         let first: Vec<&RowJob> = jobs.iter().take(1).collect();
         let rest: Vec<&RowJob> = jobs.iter().skip(1).collect();
-        let a = run_array(
-            &m,
-            &first,
-            engine.bitcounter(),
-            64,
-            ReplacementPolicy::Lru,
-            0,
-            Attribution::Count,
-        );
-        let b = run_array(
-            &m,
-            &rest,
-            engine.bitcounter(),
-            64,
-            ReplacementPolicy::Lru,
-            1,
-            Attribution::Count,
-        );
+        let (a, _) = run_array(&m, &first, 64, ReplacementPolicy::Lru, 0, Attribution::Count);
+        let (b, _) = run_array(&m, &rest, 64, ReplacementPolicy::Lru, 1, Attribution::Count);
         assert_eq!(a.triangles + b.triangles, serial);
         assert_eq!(a.stats.edges + b.stats.edges, 5);
     }
@@ -202,24 +91,10 @@ mod tests {
         let engine = PimEngine::new(&PimConfig::default()).unwrap();
         let jobs = decompose(&m, &engine.cost_model());
         let refs: Vec<&RowJob> = jobs.iter().collect();
-        let roomy = run_array(
-            &m,
-            &refs,
-            engine.bitcounter(),
-            4096,
-            ReplacementPolicy::Lru,
-            0,
-            Attribution::Count,
-        );
-        let tight = run_array(
-            &m,
-            &refs,
-            engine.bitcounter(),
-            1,
-            ReplacementPolicy::Lru,
-            0,
-            Attribution::Count,
-        );
+        let (roomy, _) =
+            run_array(&m, &refs, 4096, ReplacementPolicy::Lru, 0, Attribution::Count);
+        let (tight, _) =
+            run_array(&m, &refs, 1, ReplacementPolicy::Lru, 0, Attribution::Count);
         assert_eq!(roomy.triangles, tight.triangles);
         assert!(tight.stats.col_exchanges > roomy.stats.col_exchanges);
     }

@@ -28,9 +28,10 @@
 //!   AND + BitCount kernels a dynamic-graph batch (`tcim-stream`)
 //!   produces: tiny, independent, residency-free jobs priced by the
 //!   same cost model and balanced by the same policies.
-//! * **Batch execution** ([`ScheduledRun`], [`BatchRunner`]) —
-//!   independent per-array work fans out over scoped host threads and
-//!   partial triangle counts merge deterministically in array order.
+//! * **Execution** ([`ScheduledRun`]) — each array runs the serial
+//!   engine's kernel walker over its own rows, fanned out over scoped
+//!   host threads; partial counts merge deterministically in array
+//!   order.
 //!
 //! Functional correctness is independent of scheduling by construction:
 //! every policy executes the identical AND + BitCount dataflow per edge,
@@ -78,4 +79,4 @@ pub use jobs::RowJob;
 pub use placement::{ArrayAssignment, Placement};
 pub use policy::{PlacementPolicy, SchedPolicy};
 pub use report::{ArrayReport, ScheduledReport};
-pub use runner::{parallel_map_indexed, AttributedScheduledRun, BatchRunner, ScheduledRun};
+pub use runner::{parallel_map_indexed, AttributedScheduledRun, ScheduledRun};

@@ -1,23 +1,20 @@
-//! The batch job API: planned runs ([`ScheduledRun`]) and multi-graph
-//! fan-out ([`BatchRunner`]), executed over host worker threads with a
-//! deterministic merge.
+//! The planned-run API ([`ScheduledRun`]), executed over host worker
+//! threads with a deterministic merge.
 //!
 //! Host-side parallelism uses `std::thread::scope` worker fan-out (the
 //! build environment has no registry access, so a rayon dependency is
 //! deliberately avoided; scoped threads give the same fork-join shape).
-//! Determinism: per-array results are merged in array order and batch
-//! results in submission order, so the reported counts and statistics
-//! are independent of thread interleaving.
+//! Determinism: per-array results are merged in array order, so the
+//! reported counts and statistics are independent of thread
+//! interleaving.
 
 use std::time::Instant;
 
-use tcim_arch::{PimEngine, SliceCostModel};
+use tcim_arch::{Attribution, PimEngine, SliceCostModel, TriangleTally};
 use tcim_bitmatrix::SlicedMatrix;
 
-use std::collections::BTreeMap;
-
 use crate::error::{Result, SchedError};
-use crate::executor::{run_array, ArrayRun, Attribution};
+use crate::executor::run_array;
 use crate::jobs::{decompose, RowJob};
 use crate::placement::Placement;
 use crate::policy::SchedPolicy;
@@ -139,7 +136,7 @@ impl<'a> ScheduledRun<'a> {
     /// threads, merges triangle counts and statistics deterministically,
     /// and aggregates inter-array timing/energy.
     pub fn execute(&self) -> ScheduledReport {
-        self.execute_mode(Attribution::Count).report
+        self.execute_mode(Attribution::Count).0
     }
 
     /// Executes the planned run with triangle attribution: every array
@@ -152,14 +149,20 @@ impl<'a> ScheduledRun<'a> {
     /// priced into the report's critical path and energy, mirroring the
     /// serial engine's attributed run.
     pub fn execute_attributed(&self, need_support: bool) -> AttributedScheduledRun {
-        self.execute_mode(if need_support {
+        let (report, tally) = self.execute_mode(if need_support {
             Attribution::PerVertexWithSupport
         } else {
             Attribution::PerVertex
-        })
+        });
+        let (_, per_vertex, support) =
+            tally.expect("attributed levels always tally").into_parts();
+        AttributedScheduledRun { report, per_vertex, support }
     }
 
-    fn execute_mode(&self, attribution: Attribution) -> AttributedScheduledRun {
+    fn execute_mode(
+        &self,
+        attribution: Attribution,
+    ) -> (ScheduledReport, Option<TriangleTally>) {
         let arrays = self.policy.arrays;
         let per_array_jobs: Vec<Vec<&RowJob>> = (0..arrays)
             .map(|a| {
@@ -179,7 +182,7 @@ impl<'a> ScheduledRun<'a> {
         // worker threads, which the calling thread's profiler cannot
         // observe, so the array phase is timed as a unit here.
         let array_span = tcim_telemetry::span("array");
-        let runs: Vec<ArrayRun> = parallel_map_indexed(arrays, self.host_threads(), |a| {
+        let runs = parallel_map_indexed(arrays, self.host_threads(), |a| {
             let jobs = &per_array_jobs[a];
             // Reserve the widest assigned row inside this array's
             // share of the buffer, exactly like the serial engine
@@ -188,7 +191,6 @@ impl<'a> ScheduledRun<'a> {
             run_array(
                 self.matrix,
                 jobs,
-                self.engine.bitcounter(),
                 capacity.saturating_sub(row_reserve).max(1),
                 replacement,
                 base_seed.wrapping_add(a as u64),
@@ -199,27 +201,15 @@ impl<'a> ScheduledRun<'a> {
         let host_sim_time = start.elapsed();
 
         // Deterministic merge: array order, independent of thread timing.
-        let triangles = runs.iter().map(|r| r.triangles).sum();
+        let triangles = runs.iter().map(|(walk, _)| walk.triangles).sum();
         let rows_per_array: Vec<usize> =
             per_array_jobs.iter().map(std::vec::Vec::len).collect();
-        let mut per_vertex = vec![0u64; self.matrix.dim()];
-        let mut support: Option<BTreeMap<(u32, u32), u64>> = match attribution {
-            Attribution::PerVertexWithSupport => Some(BTreeMap::new()),
-            _ => None,
-        };
+        let mut tally = attribution.tally(self.matrix.dim());
         let mut stats_per_array = Vec::with_capacity(runs.len());
-        for run in runs {
-            let ArrayRun { stats, per_vertex: partial, support: partial_support, .. } = run;
-            stats_per_array.push(stats);
-            if let Some(partial) = partial {
-                for (total, part) in per_vertex.iter_mut().zip(&partial) {
-                    *total += part;
-                }
-            }
-            if let (Some(map), Some(partial_support)) = (support.as_mut(), partial_support) {
-                for (i, j, count) in partial_support {
-                    *map.entry((i, j)).or_insert(0) += count;
-                }
+        for (walk, partial) in runs {
+            stats_per_array.push(walk.stats);
+            if let (Some(total), Some(partial)) = (tally.as_mut(), partial) {
+                total.merge(partial);
             }
         }
         let report = ScheduledReport::assemble(
@@ -231,67 +221,11 @@ impl<'a> ScheduledRun<'a> {
             self.placement_time,
             host_sim_time,
         );
-        AttributedScheduledRun {
-            report,
-            per_vertex,
-            support: support.map(|map| map.into_iter().map(|((i, j), c)| (i, j, c)).collect()),
-        }
+        (report, tally)
     }
 
     fn host_threads(&self) -> usize {
         self.policy.resolved_host_threads()
-    }
-}
-
-/// Plans and runs batches of independent counting jobs under one policy.
-///
-/// Jobs fan out over host threads (one worker per job, bounded by the
-/// policy's `host_threads`); inside a batch each job simulates its
-/// arrays serially so the host is never oversubscribed. Reports come
-/// back in submission order.
-#[derive(Debug)]
-pub struct BatchRunner<'e> {
-    engine: &'e PimEngine,
-    policy: SchedPolicy,
-}
-
-impl<'e> BatchRunner<'e> {
-    /// A runner scheduling every job with `policy` on `engine`.
-    pub fn new(engine: &'e PimEngine, policy: SchedPolicy) -> Self {
-        BatchRunner { engine, policy }
-    }
-
-    /// The policy applied to every job.
-    pub fn policy(&self) -> &SchedPolicy {
-        &self.policy
-    }
-
-    /// Plans and executes one job.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning errors; see [`ScheduledRun::plan`].
-    pub fn run(&self, matrix: &SlicedMatrix) -> Result<ScheduledReport> {
-        ScheduledRun::plan(self.engine, matrix, &self.policy).map(|run| run.execute())
-    }
-
-    /// Plans and executes every job, fanning independent jobs over host
-    /// threads. Reports are returned in submission order; the first
-    /// planning error aborts the batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first planning error across the batch.
-    pub fn run_all(&self, matrices: &[SlicedMatrix]) -> Result<Vec<ScheduledReport>> {
-        // Plan serially (cheap, and errors surface before any spawn)…
-        let inner_policy = SchedPolicy { host_threads: Some(1), ..self.policy.clone() };
-        let runs: Vec<ScheduledRun<'_>> = matrices
-            .iter()
-            .map(|m| ScheduledRun::plan(self.engine, m, &inner_policy))
-            .collect::<Result<_>>()?;
-        // …execute in parallel.
-        let threads = self.policy.resolved_host_threads();
-        Ok(parallel_map_indexed(runs.len(), threads, |i| runs[i].execute()))
     }
 }
 
@@ -300,7 +234,7 @@ impl<'e> BatchRunner<'e> {
 /// regardless of scheduling.
 ///
 /// Exposed because every layer that fans per-array work over the host
-/// (this crate's runners, the `tcim-stream` delta executor) needs the
+/// (this crate's runner, the `tcim-stream` delta executor) needs the
 /// identical deterministic fork-join shape.
 pub fn parallel_map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
@@ -392,13 +326,15 @@ mod tests {
     fn attributed_run_matches_serial_local_counts() {
         let e = engine();
         let m = wheel_matrix(120);
-        let serial = e.run_local(&m);
+        let mut tally = TriangleTally::new(m.dim(), false);
+        let serial = e.run_attributed(&m, &mut tally);
+        let (_, serial_per_vertex, _) = tally.into_parts();
         for arrays in [1usize, 2, 4, 8] {
             let policy =
                 SchedPolicy { arrays, host_threads: Some(2), ..SchedPolicy::default() };
             let run = ScheduledRun::plan(&e, &m, &policy).unwrap().execute_attributed(true);
             assert_eq!(run.report.triangles, serial.triangles, "{arrays} arrays");
-            assert_eq!(run.per_vertex, serial.per_vertex, "{arrays} arrays");
+            assert_eq!(run.per_vertex, serial_per_vertex, "{arrays} arrays");
             assert_eq!(run.report.stats.result_readouts, serial.stats.result_readouts);
             // Every triangle contributes to exactly three arcs.
             let support = run.support.unwrap();
@@ -416,28 +352,6 @@ mod tests {
         let m = b.build();
         let err = ScheduledRun::plan(&e, &m, &SchedPolicy::default()).unwrap_err();
         assert!(matches!(err, SchedError::SliceSizeMismatch { .. }));
-    }
-
-    #[test]
-    fn batch_runner_preserves_submission_order() {
-        let e = engine();
-        let matrices: Vec<SlicedMatrix> =
-            [50usize, 150, 100].iter().map(|&n| wheel_matrix(n)).collect();
-        let runner = BatchRunner::new(&e, SchedPolicy::with_arrays(4));
-        let reports = runner.run_all(&matrices).unwrap();
-        let counts: Vec<u64> = reports.iter().map(|r| r.triangles).collect();
-        assert_eq!(counts, vec![49, 149, 99]);
-    }
-
-    #[test]
-    fn batch_and_single_runs_agree() {
-        let e = engine();
-        let m = wheel_matrix(200);
-        let runner = BatchRunner::new(&e, SchedPolicy::with_arrays(4));
-        let single = runner.run(&m).unwrap();
-        let batch = runner.run_all(std::slice::from_ref(&m)).unwrap();
-        assert_eq!(single.triangles, batch[0].triangles);
-        assert_eq!(single.stats, batch[0].stats);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! out when attribution is requested, exactly like the monolithic
 //! attributed run.
 
-use tcim_arch::{SliceCostModel, TriangleSink, TriangleTally};
-use tcim_bitmatrix::popcount::{popcount_word, visit_set_bits, PopcountMethod};
-use tcim_bitmatrix::RowEncoding;
+use tcim_arch::kernel::{self, ArcKernel};
+use tcim_arch::{SliceCostModel, TriangleTally};
+use tcim_bitmatrix::popcount::PopcountMethod;
+use tcim_bitmatrix::{PairStats, SlicedRow};
 use tcim_sched::{parallel_map_indexed, plan_deltas, DeltaJob, SchedPolicy};
 
 use crate::boundary::{BoundarySlices, SplitOperand};
@@ -103,24 +104,28 @@ pub fn compose_census(boundary: &BoundarySlices) -> Result<ComposeCensus> {
     for &(a, c) in boundary.cross_arcs() {
         let row = operand(boundary.row(a), a, "row")?;
         let col = operand(boundary.col(c), c, "column")?;
-        let sparse = row.local.encoding() == RowEncoding::Sparse;
-        let pairs_before = census.slice_pairs;
-        for (left, right) in [
-            (&row.local, &col.boundary),
-            (&row.boundary, &col.boundary),
-            (&row.boundary, &col.local),
-        ] {
-            let pair_stats = left
-                .for_each_matching_index(right, |_| {})
+        let mut pairs = PairStats::default();
+        for (left, right) in sub_passes(row, col) {
+            let sub = left
+                .matching_stats(right)
                 .expect("boundary operands share slice size and universe");
-            census.slice_pairs += pair_stats.visited;
-            census.blocks_skipped += pair_stats.skipped;
+            pairs.visited += sub.visited;
+            pairs.skipped += sub.skipped;
         }
-        if !sparse || census.slice_pairs > pairs_before {
-            census.kernel_invocations += 1;
-        }
+        census.slice_pairs += pairs.visited;
+        census.blocks_skipped += pairs.skipped;
+        census.kernel_invocations +=
+            u64::from(kernel::dispatches(row.local.encoding(), pairs));
     }
     Ok(census)
+}
+
+/// The three region-disjoint sub-passes of cross arc `row → col`.
+fn sub_passes<'a>(
+    row: &'a SplitOperand,
+    col: &'a SplitOperand,
+) -> [(&'a SlicedRow, &'a SlicedRow); 3] {
+    [(&row.local, &col.boundary), (&row.boundary, &col.boundary), (&row.boundary, &col.local)]
 }
 
 /// One worker array's partial results.
@@ -211,9 +216,7 @@ pub fn compose(
     let mut readouts = 0u64;
     let mut writes = 0u64;
     let mut busy: Vec<f64> = Vec::with_capacity(per_array.len());
-    let mut per_vertex = attributed.then(|| vec![0u64; vertex_count]);
-    let mut support: Option<std::collections::BTreeMap<(u32, u32), u64>> =
-        (attributed && need_support).then(std::collections::BTreeMap::new);
+    let mut tally = attributed.then(|| TriangleTally::new(vertex_count, need_support));
     for partial in partials {
         let partial = partial?;
         triangles += partial.triangles;
@@ -223,20 +226,14 @@ pub fn compose(
         readouts += partial.readouts;
         writes += partial.writes;
         busy.push(partial.busy_s);
-        if let Some(tally) = partial.tally {
-            let (_, pv, sp) = tally.into_parts();
-            if let Some(total) = per_vertex.as_mut() {
-                for (t, p) in total.iter_mut().zip(&pv) {
-                    *t += p;
-                }
-            }
-            if let (Some(map), Some(sp)) = (support.as_mut(), sp) {
-                for (i, j, c) in sp {
-                    *map.entry((i, j)).or_insert(0) += c;
-                }
-            }
+        if let (Some(total), Some(partial)) = (tally.as_mut(), partial.tally) {
+            total.merge(partial);
         }
     }
+    let (per_vertex, support) = match tally.map(TriangleTally::into_parts) {
+        Some((_, per_vertex, support)) => (Some(per_vertex), support),
+        None => (None, None),
+    };
 
     // Host dispatch stays serial (one controller), array work runs on
     // the busiest array's clock.
@@ -251,7 +248,7 @@ pub fn compose(
     Ok(CompositionRun {
         triangles,
         per_vertex,
-        support: support.map(|map| map.into_iter().map(|((i, j), c)| (i, j, c)).collect()),
+        support,
         kernel_invocations: invocations,
         slice_pairs: pairs,
         blocks_skipped: skipped,
@@ -325,37 +322,22 @@ fn run_unit(
         }
         // A sparse arc whose three sub-passes all filter to nothing is
         // never dispatched; dense arcs always are.
-        let sparse = row.local.encoding() == RowEncoding::Sparse;
-        let pairs_before = partial.pairs;
-        for (left, right) in [
-            (&row.local, &col.boundary),
-            (&row.boundary, &col.boundary),
-            (&row.boundary, &col.local),
-        ] {
-            let slice_bits = left.slice_size().bits();
-            let pair_stats = left
-                .for_each_matching(right, |slice, anded| {
-                    partial.pairs += 1;
-                    let count: u64 = anded
-                        .iter()
-                        .map(|&w| u64::from(popcount_word(w, PopcountMethod::Native)))
-                        .sum();
-                    partial.triangles += count;
-                    if count > 0 {
-                        if let Some(tally) = partial.tally.as_mut() {
-                            partial.readouts += 1;
-                            visit_set_bits(anded.iter().copied(), |offset| {
-                                tally.triangle(a, slice * slice_bits + offset, c);
-                            });
-                        }
-                    }
-                })
-                .expect("boundary operands share slice size and universe");
-            partial.skipped += pair_stats.skipped;
+        let mut arc = ArcKernel::default();
+        for (left, right) in sub_passes(row, col) {
+            arc.absorb(kernel::and_bitcount(
+                (a, c),
+                left,
+                right,
+                PopcountMethod::Native,
+                partial.tally.as_mut(),
+                |_, _| {},
+            ));
         }
-        if !sparse || partial.pairs > pairs_before {
-            partial.invocations += 1;
-        }
+        partial.triangles += arc.count;
+        partial.invocations += u64::from(arc.dispatched);
+        partial.pairs += arc.pairs.visited;
+        partial.skipped += arc.pairs.skipped;
+        partial.readouts += arc.readouts;
     }
     Ok(())
 }
@@ -366,7 +348,7 @@ mod tests {
     use crate::plan::plan_shards;
     use crate::spec::ShardSpec;
     use tcim_arch::{PimConfig, PimEngine};
-    use tcim_bitmatrix::SliceSize;
+    use tcim_bitmatrix::{RowEncoding, SliceSize};
     use tcim_graph::generators::gnm;
     use tcim_graph::{CsrGraph, Orientation, OrientedGraph};
 

@@ -41,8 +41,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use tcim_arch::kernel::{self, ArcKernel};
 use tcim_arch::SliceCostModel;
-use tcim_bitmatrix::{PairStats, RowEncoding, SliceSize, SlicedRow};
+use tcim_bitmatrix::popcount::PopcountMethod;
+use tcim_bitmatrix::{RowEncoding, SliceSize, SlicedRow};
 use tcim_core::{Backend, PreparedGraph, Query, TcimConfig, TcimPipeline};
 use tcim_graph::CsrGraph;
 use tcim_sched::{parallel_map_indexed, plan_deltas, DeltaJob, SchedPolicy};
@@ -299,10 +301,10 @@ impl DynamicGraph {
         for (u, list) in self.adjacency.iter().enumerate() {
             let u = u as u32;
             for &v in list.iter().filter(|&&v| v > u) {
-                let (common, stats) = kernel(&self.rows[u as usize], &self.rows[v as usize]);
-                slice_pairs += stats.visited;
-                skipped += stats.skipped;
-                support.push((u, v, common));
+                let arc = delta_kernel(&self.rows, (u, v), None);
+                slice_pairs += arc.pairs.visited;
+                skipped += arc.pairs.skipped;
+                support.push((u, v, arc.count));
             }
         }
         (support, slice_pairs, skipped)
@@ -719,29 +721,18 @@ impl DynamicGraph {
             .collect();
         let plan = plan_deltas(&jobs, &plan_policy)?;
 
-        let slice_bits = self.slice_size.bits();
+        let rows = &self.rows;
+        let run = |m: &RoundMember| {
+            let mut witnesses = Vec::new();
+            let arc = delta_kernel(rows, (m.u, m.v), Some(&mut witnesses));
+            (arc.count, arc.pairs.visited, witnesses)
+        };
         let results = if fan_out {
-            let rows = &self.rows;
             let per_array = plan.per_array_jobs();
             let outs: Vec<Vec<(usize, (u64, u64, Vec<u32>))>> = parallel_map_indexed(
                 plan.arrays,
                 self.config.sched.resolved_host_threads(),
-                |a| {
-                    per_array[a]
-                        .iter()
-                        .map(|&k| {
-                            let m = &members[k];
-                            (
-                                k,
-                                kernel_attributed(
-                                    &rows[m.u as usize],
-                                    &rows[m.v as usize],
-                                    slice_bits,
-                                ),
-                            )
-                        })
-                        .collect()
-                },
+                |a| per_array[a].iter().map(|&k| (k, run(&members[k]))).collect(),
             );
             let mut results = vec![(0u64, 0u64, Vec::new()); members.len()];
             for out in outs {
@@ -751,16 +742,7 @@ impl DynamicGraph {
             }
             results
         } else {
-            members
-                .iter()
-                .map(|m| {
-                    kernel_attributed(
-                        &self.rows[m.u as usize],
-                        &self.rows[m.v as usize],
-                        slice_bits,
-                    )
-                })
-                .collect()
+            members.iter().map(run).collect()
         };
         Ok((results, plan.critical_path_s()))
     }
@@ -801,37 +783,23 @@ impl DynamicGraph {
     }
 }
 
-/// The TCIM delta kernel: `popcount(a AND b)` over matching valid slice
-/// pairs, returning the count and the pair accounting. Sparse rows skip
-/// pairs their byte masks prove disjoint before the AND.
-fn kernel(a: &SlicedRow, b: &SlicedRow) -> (u64, PairStats) {
-    let mut common = 0u64;
-    let stats = a
-        .for_each_matching(b, |_, anded| {
-            for &w in anded {
-                common += u64::from(w.count_ones());
-            }
-        })
-        .expect("dynamic rows share one universe and encoding");
-    (common, stats)
-}
-
-/// As [`kernel`], additionally reading the surviving bits back out of
-/// each non-zero AND result: the returned witnesses are the common
-/// neighbours themselves (ascending), which per-vertex maintenance
-/// attributes — the streaming twin of
-/// `tcim_arch::runtime::run_attributed`'s readout.
-fn kernel_attributed(a: &SlicedRow, b: &SlicedRow, slice_bits: u32) -> (u64, u64, Vec<u32>) {
-    let mut witnesses = Vec::new();
-    let mut pairs = 0u64;
-    a.for_each_matching(b, |k, anded| {
-        pairs += 1;
-        tcim_bitmatrix::popcount::visit_set_bits(anded.iter().copied(), |offset| {
-            witnesses.push(k * slice_bits + offset);
-        });
-    })
-    .expect("dynamic rows share one universe and encoding");
-    (witnesses.len() as u64, pairs, witnesses)
+/// The TCIM delta kernel `N(u) AND N(v)` over the live rows (sparse
+/// rows skip pairs their byte masks prove disjoint). With `witnesses`,
+/// each non-zero result is read back out and the common neighbours
+/// land there, ascending — what per-vertex maintenance attributes.
+fn delta_kernel(
+    rows: &[SlicedRow],
+    (u, v): (u32, u32),
+    witnesses: Option<&mut Vec<u32>>,
+) -> ArcKernel {
+    kernel::and_bitcount(
+        (u, v),
+        &rows[u as usize],
+        &rows[v as usize],
+        PopcountMethod::Native,
+        witnesses,
+        |_, _| {},
+    )
 }
 
 #[cfg(test)]

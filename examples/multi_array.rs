@@ -8,7 +8,7 @@
 //! ```
 
 use tcim_repro::graph::generators::{barabasi_albert, road_grid};
-use tcim_repro::sched::{BatchRunner, PlacementPolicy, SchedPolicy};
+use tcim_repro::sched::{PlacementPolicy, SchedPolicy, ScheduledRun};
 use tcim_repro::tcim::{baseline, TcimAccelerator, TcimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -54,14 +54,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Part 3: a batch of independent jobs --------------------------
-    println!("\n== batch: three graphs through BatchRunner ==");
-    let matrices = vec![
+    println!("\n== batch: three graphs, one planned run each ==");
+    let matrices = [
         accelerator.compress(&barabasi_albert(1500, 6, 1)?),
         accelerator.compress(&road_grid(25, 25, 0.9, 0.3, 2)?),
         accelerator.compress(&barabasi_albert(800, 4, 3)?),
     ];
-    let runner = BatchRunner::new(accelerator.engine(), SchedPolicy::with_arrays(4));
-    for (i, job) in runner.run_all(&matrices)?.iter().enumerate() {
+    let policy = SchedPolicy::with_arrays(4);
+    for (i, matrix) in matrices.iter().enumerate() {
+        let job = ScheduledRun::plan(accelerator.engine(), matrix, &policy)?.execute();
         println!(
             "  job {i}: {} triangles, critical path {:.3e} s, imbalance {:.3}",
             job.triangles, job.critical_path_s, job.imbalance

@@ -10,11 +10,8 @@
 use std::time::Instant;
 
 use tcim_repro::bitmatrix::popcount::PopcountMethod;
-use tcim_repro::bitmatrix::SliceSize;
 use tcim_repro::graph::datasets::Dataset;
-use tcim_repro::graph::Orientation;
-use tcim_repro::tcim::software::sliced_software_tc;
-use tcim_repro::tcim::{baseline, metrics, TcimAccelerator, TcimConfig};
+use tcim_repro::tcim::{baseline, metrics, Backend, TcimAccelerator, TcimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An ego-facebook-style stand-in at 50 % published size.
@@ -32,14 +29,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cpu = baseline::hash_intersect(&graph);
     let cpu_time = t.elapsed();
 
-    let sw = sliced_software_tc(
-        &graph,
-        SliceSize::S64,
-        Orientation::Natural,
-        PopcountMethod::Native,
-    )?;
-
     let accelerator = TcimAccelerator::new(&TcimConfig::default())?;
+    let prepared = accelerator.pipeline().prepare(&graph);
+    let sw = accelerator
+        .pipeline()
+        .execute(&prepared, &Backend::Software(PopcountMethod::Native))?;
+
     let report = accelerator.count_triangles(&graph);
 
     assert_eq!(cpu, sw.triangles);
@@ -48,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  framework-style CPU  : {:>10.3} ms (measured)", cpu_time.as_secs_f64() * 1e3);
     println!(
         "  sliced software      : {:>10.3} ms (measured)",
-        sw.count_time.as_secs_f64() * 1e3
+        sw.execute_time.as_secs_f64() * 1e3
     );
     println!(
         "  TCIM                 : {:>10.3} ms (simulated)",

@@ -2,13 +2,13 @@
 //! agree on every graph family, end to end.
 
 use tcim_repro::bitmatrix::popcount::PopcountMethod;
-use tcim_repro::bitmatrix::{BitMatrix, SliceSize};
+use tcim_repro::bitmatrix::{BitMatrix, SliceSize, SlicedMatrix};
 use tcim_repro::graph::datasets::TABLE_II;
 use tcim_repro::graph::generators::{
     barabasi_albert, classic, gnm, rmat, road_grid, watts_strogatz, RmatParams,
 };
 use tcim_repro::graph::{CsrGraph, Orientation};
-use tcim_repro::tcim::software::sliced_software_tc;
+use tcim_repro::tcim::software::sliced_count;
 use tcim_repro::tcim::{baseline, TcimAccelerator, TcimConfig};
 
 /// Counts with every implemented method and asserts unanimity.
@@ -19,8 +19,10 @@ fn assert_all_paths_agree(g: &CsrGraph, label: &str) -> u64 {
     assert_eq!(baseline::parallel_edge_iterator(g, 4), reference, "{label}: parallel");
 
     for orientation in [Orientation::Natural, Orientation::Degree, Orientation::Degeneracy] {
-        let run = sliced_software_tc(g, SliceSize::S64, orientation, PopcountMethod::Lut8)
-            .expect("software path runs");
+        let oriented = orientation.orient(g);
+        let matrix = SlicedMatrix::from_adjacency(oriented.rows(), SliceSize::S64)
+            .expect("oriented adjacency is in bounds");
+        let run = sliced_count(&matrix, PopcountMethod::Lut8);
         assert_eq!(run.triangles, reference, "{label}: software {orientation:?}");
     }
 

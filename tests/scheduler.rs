@@ -3,7 +3,7 @@
 //! the public `TcimAccelerator` API against the software baselines.
 
 use tcim_repro::graph::generators::{barabasi_albert, classic, gnm};
-use tcim_repro::sched::{BatchRunner, PlacementPolicy, SchedPolicy};
+use tcim_repro::sched::{PlacementPolicy, SchedPolicy, ScheduledRun};
 use tcim_repro::tcim::{baseline, TcimAccelerator, TcimConfig};
 
 fn accelerator() -> TcimAccelerator {
@@ -87,19 +87,19 @@ fn wider_schedules_shorten_the_critical_path() {
     }
 }
 
-/// The batch API processes independent graphs deterministically and in
-/// submission order.
+/// Planned runs over independent graphs are exact and deterministic:
+/// executing one plan twice repeats every count and statistic.
 #[test]
-fn batch_runner_end_to_end() {
+fn scheduled_runs_are_deterministic_end_to_end() {
     let acc = accelerator();
     let graphs = [classic::wheel(40), gnm(200, 1200, 3).unwrap(), classic::complete(15)];
-    let expected: Vec<u64> = graphs.iter().map(baseline::edge_iterator_merge).collect();
-    let matrices: Vec<_> = graphs.iter().map(|g| acc.compress(g)).collect();
-    let runner = BatchRunner::new(acc.engine(), SchedPolicy::with_arrays(4));
-    let first: Vec<u64> =
-        runner.run_all(&matrices).unwrap().iter().map(|r| r.triangles).collect();
-    let second: Vec<u64> =
-        runner.run_all(&matrices).unwrap().iter().map(|r| r.triangles).collect();
-    assert_eq!(first, expected);
-    assert_eq!(first, second, "batch execution must be deterministic");
+    for g in &graphs {
+        let matrix = acc.compress(g);
+        let run =
+            ScheduledRun::plan(acc.engine(), &matrix, &SchedPolicy::with_arrays(4)).unwrap();
+        let (first, second) = (run.execute(), run.execute());
+        assert_eq!(first.triangles, baseline::edge_iterator_merge(g));
+        assert_eq!(first.triangles, second.triangles, "execution must be deterministic");
+        assert_eq!(first.stats, second.stats);
+    }
 }
