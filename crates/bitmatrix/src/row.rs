@@ -15,7 +15,7 @@ use std::fmt;
 use crate::bitvec::BitVec;
 use crate::error::{BitMatrixError, Result};
 use crate::popcount::{popcount_words, PopcountMethod};
-use crate::slice::SliceSize;
+use crate::slice::{SliceSize, MAX_WORDS_PER_SLICE};
 use crate::sliced::{MatchingSlices, SlicedBitVector};
 use crate::sparse::{walk_matching, SparseSlicedRow};
 
@@ -382,15 +382,15 @@ impl SlicedRow {
         self.check_compatible(other)?;
         match (self, other) {
             (SlicedRow::Dense(a), SlicedRow::Dense(b)) => {
-                let wps = self.slice_size().words_per_slice();
-                let mut scratch = vec![0u64; wps];
+                let mut buf = [0u64; MAX_WORDS_PER_SLICE];
+                let scratch = &mut buf[..self.slice_size().words_per_slice()];
                 let mut stats = PairStats::default();
                 for (k, left, right) in a.matching_slices(b)? {
                     for (s, (&x, &y)) in scratch.iter_mut().zip(left.iter().zip(right)) {
                         *s = x & y;
                     }
                     stats.visited += 1;
-                    f(k, &scratch);
+                    f(k, scratch);
                 }
                 Ok(stats)
             }

@@ -41,6 +41,10 @@ pub enum SliceSize {
     S512,
 }
 
+/// Words of the widest slice ([`SliceSize::S512`]): the length of the
+/// stack buffers the pair walks decode and AND into.
+pub(crate) const MAX_WORDS_PER_SLICE: usize = 8;
+
 impl SliceSize {
     /// All supported sizes in ascending order (useful for sweeps).
     pub const ALL: [SliceSize; 6] = [
@@ -159,6 +163,8 @@ mod tests {
         assert_eq!(SliceSize::S64.words_per_slice(), 1);
         assert_eq!(SliceSize::S128.words_per_slice(), 2);
         assert_eq!(SliceSize::S512.words_per_slice(), 8);
+        let widest = SliceSize::ALL.iter().map(|s| s.words_per_slice()).max();
+        assert_eq!(widest, Some(MAX_WORDS_PER_SLICE));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::fmt;
 use crate::bitvec::BitVec;
 use crate::error::{BitMatrixError, Result};
 use crate::row::PairStats;
-use crate::slice::SliceSize;
+use crate::slice::{SliceSize, MAX_WORDS_PER_SLICE};
 use crate::sliced::SlicedBitVector;
 
 /// A bit row compressed with the hierarchical sparse encoding:
@@ -429,7 +429,7 @@ impl SparseSlicedRow {
 /// two-level matching walk. Groups are consumed in ascending order;
 /// `base_rank` tracks the valid-slice ordinal at the current group and
 /// `(mask_ord, block_off)` lag behind, advancing only to slices the walk
-/// actually inspects.
+/// actually decodes.
 struct Walk<'a> {
     row: &'a SparseSlicedRow,
     ti: usize,
@@ -514,14 +514,19 @@ impl<'a> Walk<'a> {
 /// summary levels, then visit only mutually valid slices whose byte
 /// masks intersect. `DECODE` controls whether visited pairs are decoded
 /// and ANDed into `f` (index-only callers skip the payload work).
+///
+/// The byte-mask test indexes the masks by rank directly, so the payload
+/// cursors advance only to pairs that are decoded: skipped pairs and
+/// index-only walks never scan masks.
 pub(crate) fn walk_matching<const DECODE: bool>(
     a: &SparseSlicedRow,
     b: &SparseSlicedRow,
     mut f: impl FnMut(u32, &[u64]),
 ) -> PairStats {
     let wps = a.slice_size.words_per_slice();
-    let mut scratch_a = vec![0u64; wps];
-    let mut scratch_b = vec![0u64; wps];
+    let mut buf_a = [0u64; MAX_WORDS_PER_SLICE];
+    let mut buf_b = [0u64; MAX_WORDS_PER_SLICE];
+    let (scratch_a, scratch_b) = (&mut buf_a[..wps], &mut buf_b[..wps]);
     let mut stats = PairStats::default();
     let mut wa = Walk::new(a);
     let mut wb = Walk::new(b);
@@ -543,19 +548,19 @@ pub(crate) fn walk_matching<const DECODE: bool>(
             let k = (g1 * 64 + kin) as u32;
             let ra = wa.base_rank + (w1 & ((1u64 << kin) - 1)).count_ones() as usize;
             let rb = wb.base_rank + (w2 & ((1u64 << kin) - 1)).count_ones() as usize;
-            wa.advance_to(ra);
-            wb.advance_to(rb);
             let intersects =
                 (0..wps).any(|w| a.masks[ra * wps + w] & b.masks[rb * wps + w] != 0);
             if intersects {
                 stats.visited += 1;
                 if DECODE {
-                    wa.decode(ra, &mut scratch_a);
-                    wb.decode(rb, &mut scratch_b);
+                    wa.advance_to(ra);
+                    wb.advance_to(rb);
+                    wa.decode(ra, scratch_a);
+                    wb.decode(rb, scratch_b);
                     for (x, &y) in scratch_a.iter_mut().zip(scratch_b.iter()) {
                         *x &= y;
                     }
-                    f(k, &scratch_a);
+                    f(k, scratch_a);
                 } else {
                     f(k, &[]);
                 }
@@ -647,6 +652,75 @@ mod tests {
             let index_stats = walk_matching::<false>(&sa, &sb, |k, _| index_ks.push(k));
             assert_eq!(index_ks, visited_ks);
             assert_eq!(index_stats, stats);
+        }
+    }
+
+    /// Bit `b` of the result is set ⇔ byte `b` of `word` is non-zero.
+    fn byte_mask(word: u64) -> u8 {
+        (0..8).filter(|b| (word >> (8 * b)) & 0xff != 0).fold(0, |m, b| m | 1 << b)
+    }
+
+    #[test]
+    fn deferred_cursors_decode_exact_payloads_after_runs_of_skips() {
+        // Skipped runs lead group 0, sit between visits, straddle the
+        // group 0/1 boundary (60..70) and fill part of group 2; every
+        // skipped slice carries several payload bytes, so a cursor that
+        // fell behind would decode the wrong bytes for the next visit.
+        let skipped = [0..5, 20..23, 60..70, 130..140];
+        let visited = [5, 6, 24, 40, 70, 71, 100, 141];
+        for s in [SliceSize::S16, SliceSize::S128, SliceSize::S512] {
+            let bits = s.bits() as usize;
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for k in 0..150usize {
+                for y in 0..bits / 8 {
+                    let byte = k * bits + 8 * y;
+                    if skipped.iter().any(|r| r.contains(&k)) {
+                        // Byte-disjoint: `a` owns even bytes, `b` odd.
+                        let row = if y % 2 == 0 { &mut a } else { &mut b };
+                        row.push(byte + (y + k) % 8);
+                    } else if visited.contains(&k) {
+                        // Shared bytes: one row holds a two-bit pattern
+                        // unique to (k, y), the other the full byte, so
+                        // the AND is the pattern and any misread shows.
+                        let pattern = [byte + (k + y) % 8, byte + (k + y + 3) % 8];
+                        let (patterned, full) =
+                            if y % 2 == 0 { (&mut a, &mut b) } else { (&mut b, &mut a) };
+                        patterned.extend(pattern);
+                        full.extend(byte..byte + 8);
+                    }
+                }
+            }
+            a.extend([10 * bits + 1, 75 * bits + 1]); // valid in `a` only
+            b.extend([11 * bits + 2, 76 * bits + 2]); // valid in `b` only
+            a.sort_unstable();
+            b.sort_unstable();
+            let len = 150 * bits;
+            let da = SlicedBitVector::from_sorted_indices(len, a.iter().copied(), s);
+            let db = SlicedBitVector::from_sorted_indices(len, b.iter().copied(), s);
+
+            // The dense merge-join, split by the byte-mask rule.
+            let mut want = Vec::new();
+            let mut want_stats = PairStats::default();
+            for (k, left, right) in da.matching_slices(&db).unwrap() {
+                if left.iter().zip(right).any(|(&x, &y)| byte_mask(x) & byte_mask(y) != 0) {
+                    want_stats.visited += 1;
+                    want.push((k, left.iter().zip(right).map(|(x, y)| x & y).collect()));
+                } else {
+                    want_stats.skipped += 1;
+                }
+            }
+            assert_eq!(want_stats.visited, visited.len() as u64, "|S|={s}");
+            assert_eq!(want_stats.skipped, 5 + 3 + 10 + 10, "|S|={s}");
+
+            let (sa, sb) =
+                (SparseSlicedRow::from_dense(&da), SparseSlicedRow::from_dense(&db));
+            let mut got: Vec<(u32, Vec<u64>)> = Vec::new();
+            let stats =
+                walk_matching::<true>(&sa, &sb, |k, anded| got.push((k, anded.to_vec())));
+            assert_eq!(got, want, "|S|={s}: decoded payloads");
+            assert_eq!(stats, want_stats, "|S|={s}");
+            let index_stats = walk_matching::<false>(&sa, &sb, |_, _| {});
+            assert_eq!(index_stats, want_stats, "|S|={s}: index-only walk");
         }
     }
 

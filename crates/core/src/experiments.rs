@@ -324,14 +324,19 @@ impl fmt::Display for SlicingReport {
 // Table V — runtime comparison
 // ---------------------------------------------------------------------
 
+/// Timed runs behind each measured Table V column; the fastest counts.
+const TABLE5_TIMED_RUNS: usize = 3;
+
 /// One regenerated Table V row.
 #[derive(Debug, Clone, Copy)]
 pub struct Table5Row {
     /// The paper's published row (CPU/GPU/FPGA/w-o-PIM/TCIM, full size).
     pub paper: &'static PaperRow,
-    /// Our measured framework-flavoured CPU baseline (s, at scale).
+    /// Our measured framework-flavoured CPU baseline (s, at scale;
+    /// fastest of several runs).
     pub cpu_s: f64,
-    /// Our measured sliced software path (s, at scale).
+    /// Our measured sliced software path (s, at scale; fastest of
+    /// several runs).
     pub wo_pim_s: f64,
     /// Our simulated TCIM runtime (s, at scale).
     pub tcim_s: f64,
@@ -406,13 +411,24 @@ pub fn table5(scale: ExperimentScale) -> Result<Table5Report> {
     for d in &TABLE_II {
         let g = scale.synthesize(d)?;
 
-        let start = Instant::now();
         let cpu_triangles = baseline::hash_intersect(&g);
-        let cpu_s = start.elapsed().as_secs_f64();
-
         let prepared = pipeline.prepare(&g);
-        let sw = pipeline.execute(&prepared, &Backend::Software(PopcountMethod::Native))?;
-        assert_eq!(sw.triangles, cpu_triangles, "software paths disagree on {}", d.name);
+        // The two measured columns take the fastest of a few runs, so
+        // one preempted run cannot invert their order; every run's
+        // answer is checked.
+        let mut cpu_s = f64::INFINITY;
+        let mut wo_pim_s = f64::INFINITY;
+        for _ in 0..TABLE5_TIMED_RUNS {
+            let start = Instant::now();
+            let triangles = baseline::hash_intersect(&g);
+            cpu_s = cpu_s.min(start.elapsed().as_secs_f64());
+            assert_eq!(triangles, cpu_triangles, "cpu runs disagree on {}", d.name);
+
+            let sw =
+                pipeline.execute(&prepared, &Backend::Software(PopcountMethod::Native))?;
+            wo_pim_s = wo_pim_s.min(sw.execute_time.as_secs_f64());
+            assert_eq!(sw.triangles, cpu_triangles, "software paths disagree on {}", d.name);
+        }
 
         let pim = pipeline.execute(&prepared, &Backend::SerialPim)?;
         assert_eq!(pim.triangles, cpu_triangles, "pim path disagrees on {}", d.name);
@@ -420,7 +436,7 @@ pub fn table5(scale: ExperimentScale) -> Result<Table5Report> {
         rows.push(Table5Row {
             paper: reported::paper_row(d.name).expect("every dataset has a paper row"),
             cpu_s,
-            wo_pim_s: sw.execute_time.as_secs_f64(),
+            wo_pim_s,
             tcim_s: pim.modelled_time_s.expect("the PIM backend always models time"),
             triangles: cpu_triangles,
         });

@@ -142,6 +142,9 @@ pub struct ShardPieceSummary {
     pub range: (u32, u32),
     /// Arcs of the induced subgraph the shard executes.
     pub arcs: u64,
+    /// Cross arcs whose tail the shard owns: the composition work its
+    /// rows feed.
+    pub cross_arcs: u64,
     /// The shard's exact intra-run kernel census.
     pub census: KernelCensus,
 }
@@ -315,8 +318,13 @@ impl fmt::Display for ExplainReport {
             for piece in &shard.per_shard {
                 writeln!(
                     f,
-                    "    shard {:>2}  [{:>6}, {:>6})  {:>6} arcs  {}",
-                    piece.shard, piece.range.0, piece.range.1, piece.arcs, piece.census
+                    "    shard {:>2}  [{:>6}, {:>6})  {:>6} arcs  {:>6} cross  {}",
+                    piece.shard,
+                    piece.range.0,
+                    piece.range.1,
+                    piece.arcs,
+                    piece.cross_arcs,
+                    piece.census
                 )?;
             }
             writeln!(f, "    compose   {}", shard.compose)?;
@@ -468,6 +476,7 @@ impl TcimPipeline {
                             shard,
                             range: piece.range(),
                             arcs: piece.prepared().oriented().arc_count() as u64,
+                            cross_arcs: artifact.plan().cross_arcs_by_tail()[shard],
                             census: KernelCensus::from(piece.prepared().pricing()),
                         })
                         .collect(),
@@ -614,6 +623,8 @@ mod tests {
             pieces + shard.compose.kernel_invocations,
             plan.predicted.census.kernel_invocations
         );
+        let cross: u64 = shard.per_shard.iter().map(|s| s.cross_arcs).sum();
+        assert_eq!(cross, shard.cross_arcs);
         let prepared = p.prepare(&g);
         let report = p.query(&prepared, &spec, &Query::TotalTriangles).unwrap();
         assert!(plan.predicted.census.matches(&report.kernel), "{plan}");

@@ -37,16 +37,16 @@
 //! (`tests/sharding.rs`).
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use tcim_arch::{AccessStats, PimEngine};
+use tcim_arch::{AccessStats, PimEngine, SliceCostModel};
 use tcim_bitmatrix::EncodingPolicy;
 use tcim_graph::CsrGraph;
 use tcim_sched::{parallel_map_indexed, SchedPolicy};
 use tcim_shard::{
-    compose, compose_census, plan_shards, BoundarySlices, ComposeCensus, ShardMode, ShardPlan,
-    ShardSpec,
+    compose_census, plan_shards, BoundarySlices, ComposeCensus, CompositionPlan, ShardError,
+    ShardMode, ShardPlan, ShardSpec,
 };
 
 use crate::backend::{
@@ -134,7 +134,7 @@ impl ShardPiece {
 /// A graph prepared for sharded execution: the global oriented DAG
 /// partitioned into slice-aligned vertex ranges, one [`PreparedGraph`]
 /// per induced subgraph, plus the cross-shard boundary slices the
-/// composition pass ANDs.
+/// composition pass ANDs and the composition plans built over them.
 ///
 /// # Examples
 ///
@@ -151,13 +151,16 @@ impl ShardPiece {
 /// assert_eq!(intra as u64 + sharded.plan().cross_arcs(), 4000);
 /// # Ok::<(), tcim_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ShardedPreparedGraph {
     base: PreparedKey,
     spec: ShardSpec,
     plan: ShardPlan,
     boundary: BoundarySlices,
     compose_census: ComposeCensus,
+    /// Composition plans built so far, at most one per array count ×
+    /// placement × cost model.
+    compose_plans: Mutex<Vec<Arc<CompositionPlan>>>,
     pieces: Vec<ShardPiece>,
     prepare_time: Duration,
 }
@@ -198,9 +201,7 @@ impl ShardedPreparedGraph {
         // only on the boundary operands, not on placement), so one dry
         // walk at preparation time makes every later EXPLAIN plan and
         // calibration prediction O(shards) instead of O(cross arcs).
-        let compose_census = compose_census(&boundary)
-            .map_err(CoreError::Shard)
-            .expect("a freshly extracted boundary holds both operands of every cross arc");
+        let compose_census = compose_census(&boundary);
 
         let pieces = plan
             .ranges()
@@ -238,6 +239,7 @@ impl ShardedPreparedGraph {
             plan,
             boundary,
             compose_census,
+            compose_plans: Mutex::default(),
             pieces,
             prepare_time: start.elapsed(),
         })
@@ -272,6 +274,44 @@ impl ShardedPreparedGraph {
     /// time — what the pass *will* execute, before it runs.
     pub fn compose_census(&self) -> ComposeCensus {
         self.compose_census
+    }
+
+    /// The composition plan for `policy` under `costs`: built the first
+    /// time an array count × placement × cost model asks for it, then
+    /// memoized on the artifact, so later queries — whatever their host
+    /// threads or attribution — only execute it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Shard`] for an invalid policy.
+    pub fn compose_plan(
+        &self,
+        policy: &SchedPolicy,
+        costs: &SliceCostModel,
+    ) -> Result<Arc<CompositionPlan>> {
+        policy.validate().map_err(|e| CoreError::Shard(ShardError::from(e)))?;
+        let mut plans = self.compose_plans();
+        if let Some(plan) = plans.iter().find(|plan| plan.is_for(policy, costs)) {
+            return Ok(Arc::clone(plan));
+        }
+        let plan = Arc::new(
+            CompositionPlan::new(&self.plan, &self.boundary, policy, costs)
+                .map_err(CoreError::Shard)?,
+        );
+        plans.push(Arc::clone(&plan));
+        Ok(plan)
+    }
+
+    /// Composition plans this artifact has built so far.
+    pub fn compose_plans_built(&self) -> usize {
+        self.compose_plans().len()
+    }
+
+    /// The plan memo. A plan is a pure function of the artifact and its
+    /// key and is pushed only once complete, so a lock poisoned by a
+    /// panicking builder is recovered, not propagated.
+    fn compose_plans(&self) -> MutexGuard<'_, Vec<Arc<CompositionPlan>>> {
+        self.compose_plans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The per-shard prepared pieces, in shard order.
@@ -321,6 +361,9 @@ pub struct ShardSliceReport {
     pub range: (u32, u32),
     /// Arcs of the induced subgraph.
     pub arcs: u64,
+    /// Cross arcs whose tail the shard owns: the composition work its
+    /// rows feed.
+    pub cross_arcs: u64,
     /// Triangles the shard's intra run found.
     pub triangles: u64,
     /// The shard run's normalized kernel accounting.
@@ -575,6 +618,7 @@ impl<'e> ShardedBackend<'e> {
             per_shard.push(ShardSliceReport {
                 range: pieces[s].range(),
                 arcs: pieces[s].prepared().oriented().arc_count() as u64,
+                cross_arcs: sharded.plan().cross_arcs_by_tail()[s],
                 triangles: partial.triangles,
                 kernel: partial.kernel,
             });
@@ -592,18 +636,18 @@ impl<'e> ShardedBackend<'e> {
         }
         let intra_triangles = triangles;
 
-        // Cross-shard composition pass.
+        // Cross-shard composition pass, planned once per artifact and
+        // policy.
         let compose_span = tcim_telemetry::span("compose");
-        let comp = compose(
+        let composition =
+            sharded.compose_plan(&self.policy.inner, &self.engine.cost_model())?;
+        let comp = composition.execute(
             n,
-            sharded.plan(),
             sharded.boundary(),
-            &self.policy.inner,
-            &self.engine.cost_model(),
+            self.policy.inner.resolved_host_threads(),
             attributed,
             need_support,
-        )
-        .map_err(CoreError::Shard)?;
+        );
         drop(compose_span);
         triangles += comp.triangles;
         kernel.merge(&KernelStats {
@@ -815,13 +859,17 @@ mod tests {
         let prepared = p.prepare(&gnm(256, 1800, 5).unwrap());
         let spec = Backend::Sharded(ShardPolicy::with_shards(2));
         p.execute(&prepared, &spec).unwrap();
-        let built = tcim_bitmatrix::matrices_built();
+        let builds = || p.metrics_snapshot().counter("tcim_prepared_builds_total");
+        let built = builds();
         for _ in 0..3 {
             p.query(&prepared, &spec, &Query::PerVertexTriangles).unwrap();
         }
-        assert_eq!(tcim_bitmatrix::matrices_built(), built, "no re-slicing after first build");
+        assert_eq!(p.sharded_cache().misses(), 1, "partitioned once");
+        assert_eq!(builds(), built, "no re-slicing after first build");
         assert_eq!(p.sharded_cache().len(), 1);
         assert!(p.sharded_cache().hits() >= 3);
+        let artifact = p.prepare_sharded(&prepared, &ShardSpec::one_d(2)).unwrap();
+        assert_eq!(artifact.compose_plans_built(), 1, "composition planned once");
     }
 
     #[test]
@@ -835,13 +883,49 @@ mod tests {
         let again = p.prepare_sharded(&prepared, &ShardSpec::one_d(2)).unwrap();
         assert!(Arc::ptr_eq(&a, &again));
         // Policies differing only in inner scheduling share the
-        // artifact: executing with a different array count hits.
-        let hits = p.sharded_cache().hits();
-        let spec =
-            Backend::Sharded(ShardPolicy::with_shards(2).inner(SchedPolicy::with_arrays(8)));
-        p.execute(&prepared, &spec).unwrap();
+        // artifact; each array count × placement plans composition once
+        // on it, and host threads alone never re-plan.
+        let run = |inner: SchedPolicy| {
+            let hits = p.sharded_cache().hits();
+            p.execute(&prepared, &Backend::Sharded(ShardPolicy::with_shards(2).inner(inner)))
+                .unwrap();
+            assert!(p.sharded_cache().hits() > hits, "the artifact is served from the cache");
+            a.compose_plans_built()
+        };
+        assert_eq!(run(SchedPolicy::with_arrays(4)), 1);
+        assert_eq!(run(SchedPolicy::with_arrays(4)), 1, "a repeated policy builds no plan");
+        assert_eq!(run(SchedPolicy::with_arrays(8)), 2, "new arrays build exactly one plan");
+        let threads = SchedPolicy { host_threads: Some(1), ..SchedPolicy::with_arrays(8) };
+        assert_eq!(run(threads), 2, "host threads alone build no plan");
         assert_eq!(p.sharded_cache().len(), 2, "no duplicate artifact");
-        assert!(p.sharded_cache().hits() > hits);
+        assert_eq!(b.compose_plans_built(), 0, "the other artifact never composed");
+    }
+
+    #[test]
+    fn compose_plan_lookup_reuses_the_memoized_plan() {
+        let p = pipeline();
+        let prepared = p.prepare(&gnm(256, 1800, 5).unwrap());
+        let sharded = p.prepare_sharded(&prepared, &ShardSpec::one_d(4)).unwrap();
+        let costs = p.engine().cost_model();
+        let policy = SchedPolicy::with_arrays(4);
+        let first = sharded.compose_plan(&policy, &costs).unwrap();
+        let threads = SchedPolicy { host_threads: Some(1), ..policy.clone() };
+        assert!(Arc::ptr_eq(&first, &sharded.compose_plan(&threads, &costs).unwrap()));
+        let round_robin = policy.clone().placement(tcim_sched::PlacementPolicy::RoundRobin);
+        assert!(!Arc::ptr_eq(&first, &sharded.compose_plan(&round_robin, &costs).unwrap()));
+        assert_eq!(sharded.compose_plans_built(), 2);
+        // An invalid policy is rejected even when its key would hit.
+        let zero_threads = SchedPolicy { host_threads: Some(0), ..policy.clone() };
+        let err = sharded.compose_plan(&zero_threads, &costs).unwrap_err();
+        assert!(matches!(err, CoreError::Shard(ShardError::Sched(_))), "{err}");
+        assert_eq!(sharded.compose_plans_built(), 2);
+        // A panic while the memo is locked poisons it; lookups recover.
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _plans = sharded.compose_plans();
+            panic!("poison the plan memo");
+        }));
+        assert!(poisoned.is_err());
+        assert!(Arc::ptr_eq(&first, &sharded.compose_plan(&policy, &costs).unwrap()));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! vertices that actually terminate a cross arc get material extracted;
 //! everything else stays inside its shard's own prepared artifact.
 //! Operands are built under the caller's [`RowEncoding`] so a sparse
-//! base artifact keeps its skip-empty walk across shard cuts.
-
-use std::collections::HashMap;
+//! base artifact keeps its skip-empty walk across shard cuts, and each
+//! cross arc's two operands are resolved to indices once, at
+//! extraction, so the composition pass looks nothing up per arc.
 
 use tcim_bitmatrix::{RowEncoding, SliceSize, SlicedRow};
 use tcim_graph::OrientedGraph;
@@ -46,12 +46,20 @@ impl SplitOperand {
 /// The extracted boundary material of a sharded graph: split sliced
 /// rows for every vertex with an outgoing cross arc, split sliced
 /// columns for every vertex with an incoming one, plus the cross-arc
-/// list itself (row-major, deterministic).
+/// list itself (row-major, deterministic) with each arc's operands
+/// resolved to indices.
 #[derive(Debug, Clone)]
 pub struct BoundarySlices {
-    rows: HashMap<u32, SplitOperand>,
-    cols: HashMap<u32, SplitOperand>,
+    /// Cross-tail vertices, ascending; `rows[r]` is `row_ids[r]`'s row.
+    row_ids: Vec<u32>,
+    rows: Vec<SplitOperand>,
+    /// Cross-head vertices, ascending; `cols[h]` is `col_ids[h]`'s column.
+    col_ids: Vec<u32>,
+    cols: Vec<SplitOperand>,
     cross_arcs: Vec<(u32, u32)>,
+    /// `(row index, column index)` of each cross arc, aligned with
+    /// `cross_arcs`.
+    arc_operands: Vec<(usize, usize)>,
     boundary_valid_slices: u64,
 }
 
@@ -72,28 +80,37 @@ impl BoundarySlices {
     ) -> BoundarySlices {
         let n = oriented.vertex_count();
         let total_slices = slice_size.slices_for(n) as u32;
-        let mut cross_arcs = Vec::new();
-        for (a, c) in oriented.arcs() {
-            if plan.is_cross(a, c) {
-                cross_arcs.push((a, c));
-            }
-        }
+        let cross_arcs: Vec<(u32, u32)> =
+            oriented.arcs().filter(|&(a, c)| plan.is_cross(a, c)).collect();
+        // Row-major arc order lists tails ascending already.
+        let mut row_ids: Vec<u32> = cross_arcs.iter().map(|&(a, _)| a).collect();
+        row_ids.dedup();
+        let mut col_ids: Vec<u32> = cross_arcs.iter().map(|&(_, c)| c).collect();
+        col_ids.sort_unstable();
+        col_ids.dedup();
+        let index = |ids: &[u32], v: u32| {
+            ids.binary_search(&v).expect("every cross-arc endpoint has an operand")
+        };
+        let arc_operands = cross_arcs
+            .iter()
+            .map(|&(a, c)| (index(&row_ids, a), index(&col_ids, c)))
+            .collect();
+
         // Full in-neighbour lists for cross heads: a middle vertex `w`
         // closes the triangle through arc `(w, c)` whether that arc is
         // intra- or cross-shard, so the column operand must carry every
         // tail of `c`. Row-major arc order appends tails ascending, as
         // slicing requires.
-        let mut col_tails: HashMap<u32, Vec<u32>> =
-            cross_arcs.iter().map(|&(_, c)| (c, Vec::new())).collect();
+        let mut col_tails: Vec<Vec<u32>> = vec![Vec::new(); col_ids.len()];
         for (a, c) in oriented.arcs() {
-            if let Some(tails) = col_tails.get_mut(&c) {
-                tails.push(a);
+            if let Ok(h) = col_ids.binary_search(&c) {
+                col_tails[h].push(a);
             }
         }
 
-        let mut rows = HashMap::new();
-        for &(a, _) in &cross_arcs {
-            rows.entry(a).or_insert_with(|| {
+        let rows: Vec<SplitOperand> = row_ids
+            .iter()
+            .map(|&a| {
                 let full = SlicedRow::from_sorted_indices(
                     n,
                     oriented.row(a).iter().map(|&j| j as usize),
@@ -105,11 +122,12 @@ impl BoundarySlices {
                     local: full.restrict_slices(own.clone()),
                     boundary: full.restrict_slices(own.end..total_slices),
                 }
-            });
-        }
-        let cols: HashMap<u32, SplitOperand> = col_tails
-            .into_iter()
-            .map(|(c, tails)| {
+            })
+            .collect();
+        let cols: Vec<SplitOperand> = col_ids
+            .iter()
+            .zip(col_tails)
+            .map(|(&c, tails)| {
                 let full = SlicedRow::from_sorted_indices(
                     n,
                     tails.iter().map(|&a| a as usize),
@@ -117,35 +135,52 @@ impl BoundarySlices {
                     encoding,
                 );
                 let own = plan.slice_range(plan.shard_of(c));
-                let split = SplitOperand {
+                SplitOperand {
                     boundary: full.restrict_slices(0..own.start),
                     local: full.restrict_slices(own),
-                };
-                (c, split)
+                }
             })
             .collect();
 
-        let boundary_valid_slices = rows
-            .values()
-            .chain(cols.values())
-            .map(|s| s.boundary.valid_slice_count() as u64)
-            .sum();
-        BoundarySlices { rows, cols, cross_arcs, boundary_valid_slices }
+        let boundary_valid_slices =
+            rows.iter().chain(&cols).map(|s| s.boundary.valid_slice_count() as u64).sum();
+        BoundarySlices {
+            row_ids,
+            rows,
+            col_ids,
+            cols,
+            cross_arcs,
+            arc_operands,
+            boundary_valid_slices,
+        }
     }
 
     /// The split row of cross-tail vertex `a`, if one was extracted.
     pub fn row(&self, a: u32) -> Option<&SplitOperand> {
-        self.rows.get(&a)
+        self.row_ids.binary_search(&a).ok().map(|r| &self.rows[r])
     }
 
     /// The split column of cross-head vertex `c`, if one was extracted.
     pub fn col(&self, c: u32) -> Option<&SplitOperand> {
-        self.cols.get(&c)
+        self.col_ids.binary_search(&c).ok().map(|h| &self.cols[h])
     }
 
     /// The cross-shard arcs, in deterministic row-major order.
     pub fn cross_arcs(&self) -> &[(u32, u32)] {
         &self.cross_arcs
+    }
+
+    /// The `(row index, column index)` operand pair of cross arc `k`
+    /// (a position in [`BoundarySlices::cross_arcs`]): equal indices
+    /// mean the same operand.
+    pub(crate) fn arc_operands(&self, k: usize) -> (usize, usize) {
+        self.arc_operands[k]
+    }
+
+    /// The split row and split column cross arc `k` ANDs.
+    pub(crate) fn operands(&self, k: usize) -> (&SplitOperand, &SplitOperand) {
+        let (r, h) = self.arc_operands[k];
+        (&self.rows[r], &self.cols[h])
     }
 
     /// Valid slices in the *boundary* parts across all extracted
@@ -170,6 +205,7 @@ mod tests {
     use super::*;
     use crate::plan::plan_shards;
     use crate::spec::ShardSpec;
+    use std::collections::HashMap;
     use tcim_graph::generators::gnm;
     use tcim_graph::Orientation;
 
@@ -204,10 +240,14 @@ mod tests {
     fn extracts_exactly_the_cross_arc_endpoints() {
         let (oriented, plan, b) = fixture(4);
         assert_eq!(b.cross_arcs().len() as u64, plan.cross_arcs());
-        for &(a, c) in b.cross_arcs() {
+        for (k, &(a, c)) in b.cross_arcs().iter().enumerate() {
             assert!(plan.is_cross(a, c));
-            assert!(b.row(a).is_some(), "tail {a} must have a split row");
-            assert!(b.col(c).is_some(), "head {c} must have a split column");
+            let row = b.row(a).expect("every cross tail has a split row");
+            let col = b.col(c).expect("every cross head has a split column");
+            // The per-arc indices resolve to the same operands.
+            let (resolved_row, resolved_col) = b.operands(k);
+            assert!(std::ptr::eq(resolved_row, row), "arc {k} row");
+            assert!(std::ptr::eq(resolved_col, col), "arc {k} column");
         }
         // No spurious extractions: every extracted row belongs to some
         // cross arc tail.

@@ -18,12 +18,17 @@
 //! Each surviving bit `w` names the triangle `(a, w, c)` — read back
 //! out when attribution is requested, exactly like the monolithic
 //! attributed run.
+//!
+//! The pass is a [`CompositionPlan`] — placement units priced as delta
+//! jobs and placed onto arrays, which depends on neither the query nor
+//! the host — followed by [`CompositionPlan::execute`], which runs the
+//! kernels. [`compose`] is the two back to back.
 
 use tcim_arch::kernel::{self, ArcKernel};
 use tcim_arch::{SliceCostModel, TriangleTally};
 use tcim_bitmatrix::popcount::PopcountMethod;
 use tcim_bitmatrix::{PairStats, SlicedRow};
-use tcim_sched::{parallel_map_indexed, plan_deltas, DeltaJob, SchedPolicy};
+use tcim_sched::{parallel_map_indexed, plan_deltas, DeltaJob, PlacementPolicy, SchedPolicy};
 
 use crate::boundary::{BoundarySlices, SplitOperand};
 use crate::error::{Result, ShardError};
@@ -93,17 +98,12 @@ pub struct ComposeCensus {
 
 /// Walks the composition pass's arcs without executing kernels and
 /// returns the exact dispatch census the pass will produce (the same
-/// per-arc rule as [`compose`]'s inner loop, minus the ANDs).
-///
-/// # Errors
-///
-/// Returns [`ShardError::MissingBoundary`] when an arc's operands were
-/// not extracted (an internal invariant violation).
-pub fn compose_census(boundary: &BoundarySlices) -> Result<ComposeCensus> {
+/// per-arc rule as [`CompositionPlan::execute`]'s inner loop, minus the
+/// ANDs).
+pub fn compose_census(boundary: &BoundarySlices) -> ComposeCensus {
     let mut census = ComposeCensus::default();
-    for &(a, c) in boundary.cross_arcs() {
-        let row = operand(boundary.row(a), a, "row")?;
-        let col = operand(boundary.col(c), c, "column")?;
+    for k in 0..boundary.cross_arcs().len() {
+        let (row, col) = boundary.operands(k);
         let mut pairs = PairStats::default();
         for (left, right) in sub_passes(row, col) {
             let sub = left
@@ -117,7 +117,7 @@ pub fn compose_census(boundary: &BoundarySlices) -> Result<ComposeCensus> {
         census.kernel_invocations +=
             u64::from(kernel::dispatches(row.local.encoding(), pairs));
     }
-    Ok(census)
+    census
 }
 
 /// The three region-disjoint sub-passes of cross arc `row → col`.
@@ -128,7 +128,236 @@ fn sub_passes<'a>(
     [(&row.local, &col.boundary), (&row.boundary, &col.boundary), (&row.boundary, &col.local)]
 }
 
+/// The placement half of a composition pass: the cross arcs grouped
+/// into placement units (single arcs in [`ShardMode::OneD`],
+/// `(tail shard, head shard)` edge blocks in [`ShardMode::TwoD`]),
+/// priced as `tcim-sched` delta jobs, placed onto arrays, and laid out
+/// as the arc list each array runs.
+///
+/// A plan depends only on the boundary, the shard mode, the policy's
+/// array count and placement, and the cost model — not on host threads,
+/// attribution or the query — so a sharded artifact builds one per
+/// policy and every query reuses it.
+#[derive(Debug, Clone)]
+pub struct CompositionPlan {
+    placement: PlacementPolicy,
+    costs: SliceCostModel,
+    per_array: Vec<ArrayWork>,
+    cross_arcs: usize,
+    placement_units: usize,
+}
+
+/// One array's share of a plan.
+#[derive(Debug, Clone)]
+struct ArrayWork {
+    /// Positions in [`BoundarySlices::cross_arcs`], unit by unit.
+    arcs: Vec<usize>,
+    /// Operand slices the array's units write.
+    writes: u64,
+}
+
+impl CompositionPlan {
+    /// Groups, prices and places the cross arcs of `boundary` (extracted
+    /// for `plan`) onto `policy.arrays` arrays under `policy.placement`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShardError::Sched`] for an invalid policy.
+    pub fn new(
+        plan: &ShardPlan,
+        boundary: &BoundarySlices,
+        policy: &SchedPolicy,
+        costs: &SliceCostModel,
+    ) -> Result<CompositionPlan> {
+        policy.validate().map_err(ShardError::Sched)?;
+        let arcs = boundary.cross_arcs();
+        let positions: Vec<usize> = (0..arcs.len()).collect();
+        let blocks: Vec<Vec<usize>>;
+        let units: Vec<&[usize]> = match plan.mode() {
+            ShardMode::OneD => positions.iter().map(std::slice::from_ref).collect(),
+            ShardMode::TwoD => {
+                let mut grouped: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
+                    std::collections::BTreeMap::new();
+                for (k, &(a, c)) in arcs.iter().enumerate() {
+                    grouped.entry((plan.shard_of(a), plan.shard_of(c))).or_default().push(k);
+                }
+                blocks = grouped.into_values().collect();
+                blocks.iter().map(Vec::as_slice).collect()
+            }
+        };
+
+        // Price each unit: every distinct operand is written once per
+        // unit (the 2D mode's reuse), plus a pair upper bound for load
+        // balancing. `last_unit_*` remember which unit last wrote each
+        // operand.
+        let mut last_unit_row = vec![usize::MAX; boundary.row_count()];
+        let mut last_unit_col = vec![usize::MAX; boundary.col_count()];
+        let jobs: Vec<DeltaJob> = units
+            .iter()
+            .enumerate()
+            .map(|(id, unit)| {
+                let (mut row_writes, mut col_writes, mut est_pairs) = (0u64, 0u64, 0u64);
+                for &k in *unit {
+                    let (r, h) = boundary.arc_operands(k);
+                    let (row, col) = boundary.operands(k);
+                    if std::mem::replace(&mut last_unit_row[r], id) != id {
+                        row_writes += row.valid_slices();
+                    }
+                    if std::mem::replace(&mut last_unit_col[h], id) != id {
+                        col_writes += col.valid_slices();
+                    }
+                    est_pairs += row.valid_slices().min(col.valid_slices());
+                }
+                DeltaJob::price(id, row_writes, col_writes, est_pairs, costs)
+            })
+            .collect();
+        let per_array = plan_deltas(&jobs, policy)
+            .map_err(ShardError::Sched)?
+            .per_array_jobs()
+            .into_iter()
+            .map(|placed| ArrayWork {
+                arcs: placed.iter().flat_map(|&u| units[u].iter().copied()).collect(),
+                writes: placed.iter().map(|&u| jobs[u].write_slices).sum(),
+            })
+            .collect();
+        Ok(CompositionPlan {
+            placement: policy.placement,
+            costs: *costs,
+            per_array,
+            cross_arcs: arcs.len(),
+            placement_units: units.len(),
+        })
+    }
+
+    /// Whether this plan is the one [`CompositionPlan::new`] builds for
+    /// `policy` and `costs` (over the same boundary): the array count,
+    /// placement policy and cost model agree. Host threads do not matter.
+    pub fn is_for(&self, policy: &SchedPolicy, costs: &SliceCostModel) -> bool {
+        self.per_array.len() == policy.arrays
+            && self.placement == policy.placement
+            && self.costs == *costs
+    }
+
+    /// Runs the planned pass over `boundary` — the material the plan was
+    /// built from — with `host_threads` host worker threads.
+    ///
+    /// With `attributed` set, every non-zero AND result is read back out
+    /// and each surviving middle vertex `w` is recorded as the triangle
+    /// `(a, w, c)`; `need_support` additionally accumulates per-arc
+    /// support.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `boundary` holds a different number of cross arcs
+    /// than the one the plan was built over.
+    pub fn execute(
+        &self,
+        vertex_count: usize,
+        boundary: &BoundarySlices,
+        host_threads: usize,
+        attributed: bool,
+        need_support: bool,
+    ) -> CompositionRun {
+        assert_eq!(
+            boundary.cross_arcs().len(),
+            self.cross_arcs,
+            "a composition plan runs over the boundary it was built from"
+        );
+        let arcs = boundary.cross_arcs();
+        let costs = &self.costs;
+        let new_tally = || attributed.then(|| TriangleTally::new(vertex_count, need_support));
+
+        // Execute each array's arcs; merge deterministically in array
+        // order afterwards.
+        let partials: Vec<ArrayPartial> =
+            parallel_map_indexed(self.per_array.len(), host_threads, |array| {
+                let work = &self.per_array[array];
+                let mut partial = ArrayPartial {
+                    writes: work.writes,
+                    tally: new_tally(),
+                    ..Default::default()
+                };
+                for &k in &work.arcs {
+                    let (row, col) = boundary.operands(k);
+                    // A sparse arc whose three sub-passes all filter to
+                    // nothing is never dispatched; dense arcs always are.
+                    let mut arc = ArcKernel::default();
+                    for (left, right) in sub_passes(row, col) {
+                        arc.absorb(kernel::and_bitcount(
+                            arcs[k],
+                            left,
+                            right,
+                            PopcountMethod::Native,
+                            partial.tally.as_mut(),
+                            |_, _| {},
+                        ));
+                    }
+                    partial.triangles += arc.count;
+                    partial.invocations += u64::from(arc.dispatched);
+                    partial.pairs += arc.pairs.visited;
+                    partial.skipped += arc.pairs.skipped;
+                    partial.readouts += arc.readouts;
+                }
+                partial.busy_s = costs.write_latency_s * partial.writes as f64
+                    + (costs.and_latency_s + costs.bitcount_latency_s) * partial.pairs as f64
+                    + costs.readout_latency_s * partial.readouts as f64;
+                partial
+            });
+
+        let mut triangles = 0u64;
+        let mut invocations = 0u64;
+        let mut pairs = 0u64;
+        let mut skipped = 0u64;
+        let mut readouts = 0u64;
+        let mut writes = 0u64;
+        let mut busy: Vec<f64> = Vec::with_capacity(partials.len());
+        let mut tally = new_tally();
+        for partial in partials {
+            triangles += partial.triangles;
+            invocations += partial.invocations;
+            pairs += partial.pairs;
+            skipped += partial.skipped;
+            readouts += partial.readouts;
+            writes += partial.writes;
+            busy.push(partial.busy_s);
+            if let (Some(total), Some(partial)) = (tally.as_mut(), partial.tally) {
+                total.merge(partial);
+            }
+        }
+        let (per_vertex, support) = match tally.map(TriangleTally::into_parts) {
+            Some((_, per_vertex, support)) => (Some(per_vertex), support),
+            None => (None, None),
+        };
+
+        // Host dispatch stays serial (one controller), array work runs on
+        // the busiest array's clock.
+        let host_s = arcs.len() as f64 * costs.controller_overhead_s;
+        let max_busy = busy.iter().copied().fold(0.0, f64::max);
+        let mean_busy =
+            if busy.is_empty() { 0.0 } else { busy.iter().sum::<f64>() / busy.len() as f64 };
+        let energy = costs.write_energy_j * writes as f64
+            + (costs.and_energy_j + costs.bitcount_energy_j) * pairs as f64
+            + costs.readout_energy_j * readouts as f64;
+
+        CompositionRun {
+            triangles,
+            per_vertex,
+            support,
+            kernel_invocations: invocations,
+            slice_pairs: pairs,
+            blocks_skipped: skipped,
+            result_readouts: readouts,
+            write_slices: writes,
+            critical_path_s: host_s + max_busy,
+            modelled_energy_j: energy,
+            imbalance: if mean_busy > 0.0 { max_busy / mean_busy } else { 1.0 },
+            placement_units: self.placement_units,
+        }
+    }
+}
+
 /// One worker array's partial results.
+#[derive(Default)]
 struct ArrayPartial {
     triangles: u64,
     invocations: u64,
@@ -141,7 +370,9 @@ struct ArrayPartial {
 }
 
 /// Runs the composition pass for `plan` over the extracted `boundary`
-/// material, placing kernels onto `policy.arrays` arrays.
+/// material, placing kernels onto `policy.arrays` arrays: a fresh
+/// [`CompositionPlan`] executed once. Callers that run many passes over
+/// one boundary keep the plan instead.
 ///
 /// With `attributed` set, every non-zero AND result is read back out
 /// and each surviving middle vertex `w` is recorded as the triangle
@@ -150,9 +381,7 @@ struct ArrayPartial {
 ///
 /// # Errors
 ///
-/// Returns [`ShardError::MissingBoundary`] when an arc's operands were
-/// not extracted (an internal invariant violation) and propagates
-/// placement errors.
+/// Returns [`ShardError::Sched`] for an invalid policy.
 pub fn compose(
     vertex_count: usize,
     plan: &ShardPlan,
@@ -162,184 +391,14 @@ pub fn compose(
     attributed: bool,
     need_support: bool,
 ) -> Result<CompositionRun> {
-    policy.validate().map_err(ShardError::Sched)?;
-    let arcs = boundary.cross_arcs();
-
-    // Group arcs into placement units and price each unit.
-    let units: Vec<Vec<usize>> = match plan.mode() {
-        ShardMode::OneD => (0..arcs.len()).map(|k| vec![k]).collect(),
-        ShardMode::TwoD => {
-            let mut blocks: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
-                std::collections::BTreeMap::new();
-            for (k, &(a, c)) in arcs.iter().enumerate() {
-                blocks.entry((plan.shard_of(a), plan.shard_of(c))).or_default().push(k);
-            }
-            blocks.into_values().collect()
-        }
-    };
-    let jobs: Vec<DeltaJob> = units
-        .iter()
-        .enumerate()
-        .map(|(id, unit)| price_unit(id, unit, arcs, boundary, costs))
-        .collect::<Result<_>>()?;
-    let delta_plan = plan_deltas(&jobs, policy).map_err(ShardError::Sched)?;
-    let per_array = delta_plan.per_array_jobs();
-
-    // Execute each array's units; merge deterministically in array
-    // order afterwards.
-    let threads = policy.resolved_host_threads();
-    let partials: Vec<Result<ArrayPartial>> =
-        parallel_map_indexed(per_array.len(), threads, |array| {
-            let mut partial = ArrayPartial {
-                triangles: 0,
-                invocations: 0,
-                pairs: 0,
-                skipped: 0,
-                readouts: 0,
-                writes: 0,
-                busy_s: 0.0,
-                tally: attributed.then(|| TriangleTally::new(vertex_count, need_support)),
-            };
-            for &unit in &per_array[array] {
-                run_unit(&units[unit], arcs, boundary, &mut partial)?;
-            }
-            partial.busy_s = costs.write_latency_s * partial.writes as f64
-                + (costs.and_latency_s + costs.bitcount_latency_s) * partial.pairs as f64
-                + costs.readout_latency_s * partial.readouts as f64;
-            Ok(partial)
-        });
-
-    let mut triangles = 0u64;
-    let mut invocations = 0u64;
-    let mut pairs = 0u64;
-    let mut skipped = 0u64;
-    let mut readouts = 0u64;
-    let mut writes = 0u64;
-    let mut busy: Vec<f64> = Vec::with_capacity(per_array.len());
-    let mut tally = attributed.then(|| TriangleTally::new(vertex_count, need_support));
-    for partial in partials {
-        let partial = partial?;
-        triangles += partial.triangles;
-        invocations += partial.invocations;
-        pairs += partial.pairs;
-        skipped += partial.skipped;
-        readouts += partial.readouts;
-        writes += partial.writes;
-        busy.push(partial.busy_s);
-        if let (Some(total), Some(partial)) = (tally.as_mut(), partial.tally) {
-            total.merge(partial);
-        }
-    }
-    let (per_vertex, support) = match tally.map(TriangleTally::into_parts) {
-        Some((_, per_vertex, support)) => (Some(per_vertex), support),
-        None => (None, None),
-    };
-
-    // Host dispatch stays serial (one controller), array work runs on
-    // the busiest array's clock.
-    let host_s = arcs.len() as f64 * costs.controller_overhead_s;
-    let max_busy = busy.iter().copied().fold(0.0, f64::max);
-    let mean_busy =
-        if busy.is_empty() { 0.0 } else { busy.iter().sum::<f64>() / busy.len() as f64 };
-    let energy = costs.write_energy_j * writes as f64
-        + (costs.and_energy_j + costs.bitcount_energy_j) * pairs as f64
-        + costs.readout_energy_j * readouts as f64;
-
-    Ok(CompositionRun {
-        triangles,
-        per_vertex,
-        support,
-        kernel_invocations: invocations,
-        slice_pairs: pairs,
-        blocks_skipped: skipped,
-        result_readouts: readouts,
-        write_slices: writes,
-        critical_path_s: host_s + max_busy,
-        modelled_energy_j: energy,
-        imbalance: if mean_busy > 0.0 { max_busy / mean_busy } else { 1.0 },
-        placement_units: units.len(),
-    })
-}
-
-/// Prices one placement unit: operand write slices (each distinct
-/// operand written once per unit — the 2D mode's reuse) plus a pair
-/// upper bound for load balancing.
-fn price_unit(
-    id: usize,
-    unit: &[usize],
-    arcs: &[(u32, u32)],
-    boundary: &BoundarySlices,
-    costs: &SliceCostModel,
-) -> Result<DeltaJob> {
-    let mut row_writes = 0u64;
-    let mut col_writes = 0u64;
-    let mut est_pairs = 0u64;
-    let mut seen_rows: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    let mut seen_cols: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    for &k in unit {
-        let (a, c) = arcs[k];
-        let row = operand(boundary.row(a), a, "row")?;
-        let col = operand(boundary.col(c), c, "column")?;
-        if seen_rows.insert(a) {
-            row_writes += row.valid_slices();
-        }
-        if seen_cols.insert(c) {
-            col_writes += col.valid_slices();
-        }
-        est_pairs += row.valid_slices().min(col.valid_slices());
-    }
-    Ok(DeltaJob::price(id, row_writes, col_writes, est_pairs, costs))
-}
-
-fn operand<'a>(
-    found: Option<&'a SplitOperand>,
-    vertex: u32,
-    side: &'static str,
-) -> Result<&'a SplitOperand> {
-    found.ok_or(ShardError::MissingBoundary { vertex, side })
-}
-
-/// Executes one placement unit's arcs on one array: every arc runs its
-/// three region sub-passes, counting operand writes with per-unit
-/// reuse (a 2D block writes each distinct operand once).
-fn run_unit(
-    unit: &[usize],
-    arcs: &[(u32, u32)],
-    boundary: &BoundarySlices,
-    partial: &mut ArrayPartial,
-) -> Result<()> {
-    let mut seen_rows: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    let mut seen_cols: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    for &k in unit {
-        let (a, c) = arcs[k];
-        let row = operand(boundary.row(a), a, "row")?;
-        let col = operand(boundary.col(c), c, "column")?;
-        if seen_rows.insert(a) {
-            partial.writes += row.valid_slices();
-        }
-        if seen_cols.insert(c) {
-            partial.writes += col.valid_slices();
-        }
-        // A sparse arc whose three sub-passes all filter to nothing is
-        // never dispatched; dense arcs always are.
-        let mut arc = ArcKernel::default();
-        for (left, right) in sub_passes(row, col) {
-            arc.absorb(kernel::and_bitcount(
-                (a, c),
-                left,
-                right,
-                PopcountMethod::Native,
-                partial.tally.as_mut(),
-                |_, _| {},
-            ));
-        }
-        partial.triangles += arc.count;
-        partial.invocations += u64::from(arc.dispatched);
-        partial.pairs += arc.pairs.visited;
-        partial.skipped += arc.pairs.skipped;
-        partial.readouts += arc.readouts;
-    }
-    Ok(())
+    let composition = CompositionPlan::new(plan, boundary, policy, costs)?;
+    Ok(composition.execute(
+        vertex_count,
+        boundary,
+        policy.resolved_host_threads(),
+        attributed,
+        need_support,
+    ))
 }
 
 #[cfg(test)]
@@ -501,7 +560,7 @@ mod tests {
             let oriented = Orientation::Natural.orient(&g);
             let plan = plan_shards(&oriented, &ShardSpec::one_d(4), SliceSize::S64).unwrap();
             let boundary = BoundarySlices::extract(&oriented, &plan, SliceSize::S64, encoding);
-            let census = compose_census(&boundary).unwrap();
+            let census = compose_census(&boundary);
             let run = compose(
                 oriented.vertex_count(),
                 &plan,
@@ -516,6 +575,107 @@ mod tests {
             assert_eq!(census.slice_pairs, run.slice_pairs, "{encoding}");
             assert_eq!(census.blocks_skipped, run.blocks_skipped, "{encoding}");
         }
+    }
+
+    /// Every field of a run, f64s by their bits.
+    #[allow(clippy::type_complexity)]
+    fn fields(
+        run: &CompositionRun,
+    ) -> (
+        u64,
+        Option<Vec<u64>>,
+        Option<Vec<(u32, u32, u64)>>,
+        u64,
+        u64,
+        u64,
+        u64,
+        u64,
+        u64,
+        u64,
+        u64,
+        usize,
+    ) {
+        (
+            run.triangles,
+            run.per_vertex.clone(),
+            run.support.clone(),
+            run.kernel_invocations,
+            run.slice_pairs,
+            run.blocks_skipped,
+            run.result_readouts,
+            run.write_slices,
+            run.critical_path_s.to_bits(),
+            run.modelled_energy_j.to_bits(),
+            run.imbalance.to_bits(),
+            run.placement_units,
+        )
+    }
+
+    #[test]
+    fn one_plan_reruns_identically_and_equals_the_free_compose() {
+        let g = gnm(512, 3500, 9).unwrap();
+        let oriented = Orientation::Natural.orient(&g);
+        let n = oriented.vertex_count();
+        let policy = SchedPolicy::with_arrays(4);
+        for spec in [ShardSpec::one_d(4), ShardSpec::two_d(4)] {
+            let plan = plan_shards(&oriented, &spec, SliceSize::S64).unwrap();
+            for encoding in [RowEncoding::Dense, RowEncoding::Sparse] {
+                let boundary =
+                    BoundarySlices::extract(&oriented, &plan, SliceSize::S64, encoding);
+                let composition =
+                    CompositionPlan::new(&plan, &boundary, &policy, &costs()).unwrap();
+                for (attributed, need_support) in [(false, false), (true, false), (true, true)]
+                {
+                    let ctx = format!("{} {encoding} {attributed}/{need_support}", spec.mode);
+                    let run = |threads| {
+                        composition.execute(n, &boundary, threads, attributed, need_support)
+                    };
+                    let (first, again) = (run(1), run(2));
+                    let free = compose(
+                        n,
+                        &plan,
+                        &boundary,
+                        &policy,
+                        &costs(),
+                        attributed,
+                        need_support,
+                    )
+                    .unwrap();
+                    assert_eq!(fields(&first), fields(&again), "{ctx}: rerun");
+                    assert_eq!(fields(&first), fields(&free), "{ctx}: free compose");
+                    assert!(first.triangles > 0, "{ctx}");
+                    if spec.mode == ShardMode::OneD {
+                        // A one-arc unit writes both its operands once.
+                        let writes: u64 = (0..boundary.cross_arcs().len())
+                            .map(|k| {
+                                let (row, col) = boundary.operands(k);
+                                row.valid_slices() + col.valid_slices()
+                            })
+                            .sum();
+                        assert_eq!(first.write_slices, writes, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_plan_is_for_its_arrays_placement_and_costs_not_host_threads() {
+        let g = gnm(512, 3500, 9).unwrap();
+        let oriented = Orientation::Natural.orient(&g);
+        let plan = plan_shards(&oriented, &ShardSpec::one_d(4), SliceSize::S64).unwrap();
+        let boundary =
+            BoundarySlices::extract(&oriented, &plan, SliceSize::S64, RowEncoding::Dense);
+        let policy = SchedPolicy::with_arrays(4);
+        let composition = CompositionPlan::new(&plan, &boundary, &policy, &costs()).unwrap();
+        assert!(composition.is_for(&policy, &costs()));
+        assert!(composition
+            .is_for(&SchedPolicy { host_threads: Some(1), ..policy.clone() }, &costs()));
+        assert!(!composition.is_for(&SchedPolicy::with_arrays(8), &costs()));
+        assert!(!composition
+            .is_for(&policy.clone().placement(PlacementPolicy::RoundRobin), &costs()));
+        let cheaper = SliceCostModel { write_latency_s: 0.0, ..costs() };
+        assert!(!composition.is_for(&policy, &cheaper));
     }
 
     #[test]

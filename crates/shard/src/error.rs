@@ -17,14 +17,6 @@ pub enum ShardError {
         /// What was invalid.
         reason: String,
     },
-    /// A composition arc referenced a vertex with no extracted boundary
-    /// slices — a planning/extraction mismatch (internal invariant).
-    MissingBoundary {
-        /// The vertex whose sliced row/column was absent.
-        vertex: u32,
-        /// Which operand side was missing (`"row"` or `"column"`).
-        side: &'static str,
-    },
     /// Bit-matrix construction failed while building boundary slices.
     BitMatrix(tcim_bitmatrix::BitMatrixError),
     /// Scheduling the composition kernels failed.
@@ -35,9 +27,6 @@ impl fmt::Display for ShardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ShardError::InvalidSpec { reason } => write!(f, "invalid shard spec: {reason}"),
-            ShardError::MissingBoundary { vertex, side } => {
-                write!(f, "no boundary {side} slices extracted for vertex {vertex}")
-            }
             ShardError::BitMatrix(e) => write!(f, "bit-matrix error: {e}"),
             ShardError::Sched(e) => write!(f, "scheduling error: {e}"),
         }
@@ -49,7 +38,7 @@ impl Error for ShardError {
         match self {
             ShardError::BitMatrix(e) => Some(e),
             ShardError::Sched(e) => Some(e),
-            ShardError::InvalidSpec { .. } | ShardError::MissingBoundary { .. } => None,
+            ShardError::InvalidSpec { .. } => None,
         }
     }
 }

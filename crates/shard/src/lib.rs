@@ -22,7 +22,10 @@
 //! * [`compose`] — the cross-shard pass: one AND + BitCount kernel per
 //!   cross arc, decomposed into three region-disjoint sub-passes over
 //!   the split operands, priced as `tcim-sched` delta jobs and fanned
-//!   over arrays with a deterministic merge ([`CompositionRun`]).
+//!   over arrays with a deterministic merge ([`CompositionRun`]). The
+//!   pricing and placement form a [`CompositionPlan`], so a caller
+//!   running many passes over one boundary plans once; `compose` plans
+//!   and executes in one call.
 //!
 //! **Exactness.** Shards own contiguous ranges of oriented ids, and the
 //! TCIM kernel counts a triangle `a < b < c` at its extreme arc
@@ -82,7 +85,7 @@ mod plan;
 mod spec;
 
 pub use boundary::{BoundarySlices, SplitOperand};
-pub use compose::{compose, compose_census, ComposeCensus, CompositionRun};
+pub use compose::{compose, compose_census, ComposeCensus, CompositionPlan, CompositionRun};
 pub use error::{Result, ShardError};
 pub use plan::{plan_shards, ShardPlan};
 pub use spec::{ShardMode, ShardSpec};

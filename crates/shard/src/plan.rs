@@ -35,8 +35,9 @@ pub struct ShardPlan {
     align_bits: u32,
     /// Arcs with both endpoints in one shard.
     intra_arcs: u64,
-    /// Arcs whose endpoints land in different shards.
-    cross_arcs: u64,
+    /// Per shard, the arcs whose tail it owns and whose head another
+    /// shard owns.
+    cross_arcs_by_tail: Vec<u64>,
 }
 
 impl ShardPlan {
@@ -129,7 +130,13 @@ impl ShardPlan {
     /// Arcs spanning two shards — the composition pass's workload (the
     /// *boundary edges* of the partition).
     pub fn cross_arcs(&self) -> u64 {
-        self.cross_arcs
+        self.cross_arcs_by_tail.iter().sum()
+    }
+
+    /// Per shard, in shard order, the cross arcs whose tail it owns:
+    /// where the composition pass's work comes from.
+    pub fn cross_arcs_by_tail(&self) -> &[u64] {
+        &self.cross_arcs_by_tail
     }
 
     /// Number of shards owning a non-empty vertex range.
@@ -205,13 +212,14 @@ pub fn plan_shards(
         weights,
         align_bits: align,
         intra_arcs: 0,
-        cross_arcs: 0,
+        cross_arcs_by_tail: vec![0; k],
     };
     for (a, c) in oriented.arcs() {
-        if plan.is_cross(a, c) {
-            plan.cross_arcs += 1;
-        } else {
+        let tail = plan.shard_of(a);
+        if tail == plan.shard_of(c) {
             plan.intra_arcs += 1;
+        } else {
+            plan.cross_arcs_by_tail[tail] += 1;
         }
     }
     Ok(plan)
@@ -258,6 +266,18 @@ mod tests {
             }
         }
         assert_eq!(p.intra_arcs() + p.cross_arcs(), 4000);
+        // Cross arcs are attributed to their tail's shard; arcs point
+        // upward, so the last shard owns no cross tail.
+        let g = gnm(640, 4000, 11).unwrap();
+        let oriented = Orientation::Natural.orient(&g);
+        let mut by_tail = vec![0u64; p.shard_count()];
+        for (a, c) in oriented.arcs() {
+            if p.is_cross(a, c) {
+                by_tail[p.shard_of(a)] += 1;
+            }
+        }
+        assert_eq!(p.cross_arcs_by_tail(), by_tail);
+        assert_eq!(p.cross_arcs_by_tail()[p.shard_count() - 1], 0);
     }
 
     #[test]

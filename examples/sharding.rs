@@ -39,18 +39,27 @@ fn main() -> tcim_repro::Result<()> {
     let policy = ShardPolicy::with_shards(4);
     let sharded = pipeline.prepare_sharded(&prepared, &policy.spec)?;
     println!(
-        "\n== 4-shard partition == imbalance {:.3}, {} cross arcs, {} boundary slices",
+        "\n== 4-shard partition == imbalance {:.3}, {} cross arcs ({:.3} of all arcs), \
+         {} boundary slices",
         sharded.plan().imbalance(),
         sharded.plan().cross_arcs(),
+        sharded.plan().cross_arcs() as f64 / prepared.oriented().arc_count() as f64,
         sharded.boundary().boundary_valid_slices(),
     );
     for (s, piece) in sharded.pieces().iter().enumerate() {
         let (lo, hi) = piece.range();
         println!(
-            "  shard {s}: vertices {lo:>5}..{hi:<5}  {:>6} intra arcs",
+            "  shard {s}: vertices {lo:>5}..{hi:<5}  {:>6} intra arcs  {:>6} cross arcs out",
             piece.prepared().oriented().arc_count(),
+            sharded.plan().cross_arcs_by_tail()[s],
         );
     }
+    // The sweep above composed on this artifact once; another query
+    // executes the memoized composition plan instead of re-planning.
+    assert_eq!(sharded.compose_plans_built(), 1);
+    pipeline.execute(&prepared, &Backend::Sharded(policy.clone()))?;
+    assert_eq!(sharded.compose_plans_built(), 1, "a second query re-plans nothing");
+    println!("  composition planned once, reused by every later query");
 
     // --- Rich queries + provenance, 1D vs 2D composition -------------
     println!("\n== queries with shard provenance ==");

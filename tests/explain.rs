@@ -68,6 +68,11 @@ fn predicted_census_matches_execution_across_the_grid() {
                         assert_eq!(planned.per_shard.len(), ran.shards, "{label}");
                         assert_eq!(planned.occupied_shards, ran.occupied_shards, "{label}");
                         assert_eq!(planned.cross_arcs, ran.boundary_arcs, "{label}");
+                        let planned_cross: Vec<u64> =
+                            planned.per_shard.iter().map(|p| p.cross_arcs).collect();
+                        let ran_cross: Vec<u64> =
+                            ran.per_shard.iter().map(|s| s.cross_arcs).collect();
+                        assert_eq!(planned_cross, ran_cross, "{label}: cross arcs per shard");
                     }
                     (None, None) => {}
                     (planned, ran) => {

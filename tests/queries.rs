@@ -4,6 +4,8 @@
 //! across the full generator grid and every orientation, without any
 //! re-slicing at query time (pinned via `matrices_built()`).
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use tcim_repro::graph::generators::{
     barabasi_albert, classic, gnm, rmat, watts_strogatz, RmatParams,
 };
@@ -12,6 +14,16 @@ use tcim_repro::shard::{ShardMode, ShardSpec};
 use tcim_repro::tcim::{
     baseline, Backend, Query, QueryValue, SchedPolicy, ShardPolicy, TcimConfig, TcimPipeline,
 };
+
+/// `matrices_built()` counts every matrix the process builds, and the
+/// harness runs this binary's tests on parallel threads: each test holds
+/// this lock throughout, so no test builds matrices while another reads
+/// the counter.
+static MATRIX_COUNTER: Mutex<()> = Mutex::new(());
+
+fn exclusive_matrix_counter() -> MutexGuard<'static, ()> {
+    MATRIX_COUNTER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The generator grid the satellite task names: fig2, wheel, ER, BA,
 /// R-MAT and Watts–Strogatz.
@@ -56,6 +68,7 @@ fn naive_edge_support(g: &CsrGraph) -> Vec<(u32, u32, u64)> {
 /// preparation.
 #[test]
 fn backend_query_agreement_grid() {
+    let _counter = exclusive_matrix_counter();
     let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
     for (name, g) in generator_grid() {
         let total = baseline::edge_iterator_merge(&g);
@@ -138,6 +151,7 @@ fn backend_query_agreement_grid() {
 /// motif rounds.
 #[test]
 fn motif_queries_agree_with_the_oracle_across_the_grid() {
+    let _counter = exclusive_matrix_counter();
     let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
     let mut suite = Backend::default_suite();
     suite.push(Backend::Sharded(ShardPolicy {
@@ -191,6 +205,7 @@ fn motif_queries_agree_with_the_oracle_across_the_grid() {
 /// all-ties worst case.
 #[test]
 fn topk_breaks_total_ties_by_ascending_input_id_on_every_backend() {
+    let _counter = exclusive_matrix_counter();
     let g = watts_strogatz(64, 6, 0.0, 1).unwrap();
     let local = baseline::local_triangles(&g);
     assert!(
@@ -222,6 +237,7 @@ fn topk_breaks_total_ties_by_ascending_input_id_on_every_backend() {
 /// graph inside the execution layer.
 #[test]
 fn attributed_queries_are_orientation_invariant() {
+    let _counter = exclusive_matrix_counter();
     let g = barabasi_albert(200, 6, 9).unwrap();
     let local = baseline::local_triangles(&g);
     let support = naive_edge_support(&g);
@@ -252,6 +268,7 @@ fn attributed_queries_are_orientation_invariant() {
 /// identical between serial and scheduled paths.
 #[test]
 fn attributed_queries_cost_readouts_and_report_normalized_stats() {
+    let _counter = exclusive_matrix_counter();
     let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
     let prepared = pipeline.prepare(&gnm(250, 1800, 2).unwrap());
     let total =

@@ -81,23 +81,25 @@ fn sharded_matches_unsharded_across_the_grid() {
 }
 
 /// Once a sharded artifact is cached, further sharded queries build no
-/// new sliced matrices — partitioning happens once per (graph, policy).
+/// new sliced matrices and no new composition plan — partitioning and
+/// composition planning happen once per (graph, policy). Every count
+/// read here belongs to this test's own pipeline and artifact.
 #[test]
 fn sharded_queries_reuse_the_partitioned_artifact() {
     let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
     let prepared = pipeline.prepare(&gnm(512, 3600, 13).unwrap());
     let spec = sharded(4, ShardMode::OneD);
     pipeline.query(&prepared, &spec, &Query::TotalTriangles).unwrap();
-    let built = tcim_repro::bitmatrix::matrices_built();
+    let builds = || pipeline.metrics_snapshot().counter("tcim_prepared_builds_total");
+    let built = builds();
     for query in Query::example_suite() {
         pipeline.query(&prepared, &spec, &query).unwrap();
     }
-    assert_eq!(
-        tcim_repro::bitmatrix::matrices_built(),
-        built,
-        "queries after the first sharded build must not re-slice"
-    );
+    assert_eq!(pipeline.sharded_cache().misses(), 1, "partitioned once");
+    assert_eq!(builds(), built, "queries after the first sharded build must not re-slice");
     assert!(pipeline.sharded_cache().hits() >= 6);
+    let artifact = pipeline.prepare_sharded(&prepared, &ShardSpec::one_d(4)).unwrap();
+    assert_eq!(artifact.compose_plans_built(), 1, "composition planned once");
 
     // The same reuse story told by the metrics snapshot: sharded-cache
     // counters fold in from the cache itself, and the execution counter
