@@ -163,8 +163,10 @@ fn bits(x: Option<f64>) -> String {
 
 /// Every counter and modelled bit the kernel walks produce, one line per
 /// cell: BA(600, 5, 7) and rmat(9, 2600) under forced dense and forced
-/// sparse rows; the six backends × {TotalTriangles, EdgeSupport,
-/// KTruss{k: 4}} with their EXPLAIN predictions; the serial and
+/// sparse rows; the six backends × {TotalTriangles, PerVertexTriangles,
+/// EdgeSupport, KTruss{k: 4}, FourCliques} with their EXPLAIN
+/// predictions, plus one coalesced batch of [`Query::example_suite`] per
+/// backend (executions and the shared carrier census); the serial and
 /// scheduled `AccessStats`; the serial event-trace lengths; and a live
 /// graph's stream counters after one fixed churn batch.
 fn golden_census() -> String {
@@ -174,7 +176,13 @@ fn golden_census() -> String {
     ];
     let encodings =
         [("dense", EncodingPolicy::ForceDense), ("sparse", EncodingPolicy::ForceSparse)];
-    let queries = [Query::TotalTriangles, Query::EdgeSupport, Query::KTruss { k: 4 }];
+    let queries = [
+        Query::TotalTriangles,
+        Query::PerVertexTriangles,
+        Query::EdgeSupport,
+        Query::KTruss { k: 4 },
+        Query::FourCliques,
+    ];
     let mut out = String::new();
     for (name, g) in &graphs {
         for (enc, encoding) in encodings {
@@ -221,6 +229,24 @@ fn golden_census() -> String {
                     )
                     .unwrap();
                 }
+                let suite = Query::example_suite();
+                let outcome = pipeline.query_coalesced(&prepared, &backend, &suite).unwrap();
+                let r = outcome.reports[0].as_ref().unwrap();
+                let k = r.kernel;
+                writeln!(
+                    out,
+                    "{cell} {} coalesced suite: executions {} kernels {} pairs {} readouts {} \
+                     skipped {} time {} energy {}",
+                    r.backend,
+                    outcome.executions,
+                    k.kernel_invocations,
+                    k.slice_pairs,
+                    k.result_readouts,
+                    k.blocks_skipped,
+                    bits(r.modelled_time_s),
+                    bits(r.modelled_energy_j)
+                )
+                .unwrap();
             }
             let serial = pipeline.execute(&prepared, &Backend::SerialPim).unwrap();
             writeln!(out, "{cell} serial stats {:?}", serial.stats.unwrap()).unwrap();
