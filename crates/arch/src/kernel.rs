@@ -23,8 +23,10 @@ use tcim_telemetry::{EventTrace, KernelEvent};
 use crate::buffer::{AccessOutcome, SliceCache};
 use crate::stats::AccessStats;
 
-/// What an execution accumulates beyond the triangle count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What an execution accumulates beyond the triangle count. Levels are
+/// ordered by what they read out: each level answers everything the
+/// levels below it answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Attribution {
     /// Plain counting: the bit counter consumes AND results in place.
     Count,

@@ -8,23 +8,23 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use tcim_core::{PlacementPolicy, SchedPolicy, TcimAccelerator, TcimConfig};
+use tcim_core::{PlacementPolicy, SchedPolicy, TcimConfig, TcimPipeline};
 use tcim_graph::generators::barabasi_albert;
 use tcim_sched::ScheduledRun;
 
 fn bench_serial_vs_scheduled(c: &mut Criterion) {
-    let acc = TcimAccelerator::new(&TcimConfig::default()).unwrap();
-    let g = barabasi_albert(2000, 8, 42).unwrap();
-    let matrix = acc.compress(&g);
+    let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
+    let prepared = pipeline.prepare(&barabasi_albert(2000, 8, 42).unwrap());
+    let (engine, matrix) = (pipeline.engine(), prepared.matrix());
 
     let mut group = c.benchmark_group("scheduler/execute");
     group.sample_size(10);
     group.bench_function("serial_engine", |b| {
-        b.iter(|| acc.engine().run(black_box(&matrix)).triangles)
+        b.iter(|| engine.run(black_box(matrix)).triangles)
     });
     for arrays in [2usize, 4, 8, 16] {
         let policy = SchedPolicy::with_arrays(arrays);
-        let run = ScheduledRun::plan(acc.engine(), &matrix, &policy).unwrap();
+        let run = ScheduledRun::plan(engine, matrix, &policy).unwrap();
         group.bench_with_input(BenchmarkId::new("scheduled", arrays), &run, |b, run| {
             b.iter(|| black_box(run).execute().triangles)
         });
@@ -33,9 +33,9 @@ fn bench_serial_vs_scheduled(c: &mut Criterion) {
 }
 
 fn bench_planning(c: &mut Criterion) {
-    let acc = TcimAccelerator::new(&TcimConfig::default()).unwrap();
-    let g = barabasi_albert(2000, 8, 42).unwrap();
-    let matrix = acc.compress(&g);
+    let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
+    let prepared = pipeline.prepare(&barabasi_albert(2000, 8, 42).unwrap());
+    let (engine, matrix) = (pipeline.engine(), prepared.matrix());
 
     let mut group = c.benchmark_group("scheduler/plan");
     group.sample_size(10);
@@ -46,7 +46,7 @@ fn bench_planning(c: &mut Criterion) {
             &policy,
             |b, policy| {
                 b.iter(|| {
-                    ScheduledRun::plan(acc.engine(), black_box(&matrix), policy)
+                    ScheduledRun::plan(engine, black_box(matrix), policy)
                         .unwrap()
                         .placement()
                         .est_imbalance()

@@ -8,22 +8,25 @@
 //! rows stacked on few arrays, while LPT placement keeps the critical
 //! path near `serial / arrays`.
 
-use tcim_core::{PlacementPolicy, SchedPolicy, TcimAccelerator, TcimConfig};
+use tcim_core::{
+    Backend, BackendDetail, PlacementPolicy, SchedPolicy, TcimConfig, TcimPipeline,
+};
 use tcim_graph::generators::{barabasi_albert, road_grid};
 use tcim_graph::CsrGraph;
 
 fn report_graph(
-    acc: &TcimAccelerator,
+    pipeline: &TcimPipeline,
     name: &str,
     g: &CsrGraph,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let serial = acc.count_triangles(g);
+    let prepared = pipeline.prepare(g);
+    let serial = pipeline.execute(&prepared, &Backend::SerialPim)?;
     println!(
         "\n== {name}: |V| = {}, |E| = {}, {} triangles, serial {:.3e} s ==",
         g.vertex_count(),
         g.edge_count(),
         serial.triangles,
-        serial.sim.total_time_s(),
+        serial.modelled_time_s.unwrap(),
     );
     println!(
         "{:>14} {:>7} {:>14} {:>10} {:>9} {:>8}",
@@ -32,7 +35,10 @@ fn report_graph(
     for placement in PlacementPolicy::ALL {
         for arrays in [1usize, 2, 4, 8, 16] {
             let policy = SchedPolicy { arrays, placement, host_threads: None };
-            let r = acc.count_triangles_scheduled(g, &policy)?;
+            let report = pipeline.execute(&prepared, &Backend::ScheduledPim(policy))?;
+            let BackendDetail::ScheduledPim(r) = report.detail else {
+                unreachable!("the scheduled backend returns a scheduled detail")
+            };
             assert_eq!(r.triangles, serial.triangles, "scheduling must not change counts");
             println!(
                 "{:>14} {:>7} {:>14.3e} {:>10.3} {:>9.2} {:>8.1}",
@@ -50,14 +56,14 @@ fn report_graph(
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = tcim_bench::scale_from_env();
-    let acc = TcimAccelerator::new(&TcimConfig::default())?;
+    let pipeline = TcimPipeline::new(&TcimConfig::default())?;
 
     let n = ((4000.0 * scale.scale) / 0.05).max(200.0) as usize;
     let skewed = barabasi_albert(n, 8, scale.seed)?;
-    report_graph(&acc, "barabasi-albert (skewed)", &skewed)?;
+    report_graph(&pipeline, "barabasi-albert (skewed)", &skewed)?;
 
     let side = ((30.0 * (scale.scale / 0.05).sqrt()).max(10.0)) as usize;
     let uniform = road_grid(side, side, 0.9, 0.3, scale.seed)?;
-    report_graph(&acc, "road grid (uniform)", &uniform)?;
+    report_graph(&pipeline, "road grid (uniform)", &uniform)?;
     Ok(())
 }

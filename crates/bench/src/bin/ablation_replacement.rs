@@ -5,7 +5,7 @@
 //! prints hit/exchange rates plus total WRITEs.
 
 use tcim_arch::{PimConfig, ReplacementPolicy};
-use tcim_core::{TcimAccelerator, TcimConfig};
+use tcim_core::{Backend, TcimConfig, TcimPipeline};
 use tcim_graph::datasets::Dataset;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     },
                     ..TcimConfig::default()
                 };
-                let report = TcimAccelerator::new(&config)?.count_triangles(&g);
-                let s = report.sim.stats;
+                let report = TcimPipeline::new(&config)?.count(&g, &Backend::SerialPim)?;
+                let s = report.stats.expect("serial PIM simulates the data buffer");
                 println!(
                     "{:<10} {:>10} {:>8.1} {:>8.1} {:>8.1} {:>12}",
                     format!("{policy:?}"),

@@ -3,16 +3,16 @@
 //! column. Documents the calibration claim made in EXPERIMENTS.md.
 
 fn main() {
-    use tcim_core::{TcimAccelerator, TcimConfig};
+    use tcim_core::{Backend, TcimConfig, TcimPipeline};
     use tcim_graph::datasets::Dataset;
-    let acc = TcimAccelerator::new(&TcimConfig::default()).unwrap();
+    let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
     for name in ["ego-facebook", "email-enron"] {
         let g = Dataset::by_name(name).unwrap().synthesize(1.0, 42).unwrap();
-        let r = acc.count_triangles(&g);
+        let r = pipeline.count(&g, &Backend::SerialPim).unwrap();
         println!(
             "{name}: |E|={}, TCIM sim = {:.4} s (paper {})",
             g.edge_count(),
-            r.sim.total_time_s(),
+            r.modelled_time_s.unwrap(),
             if name == "ego-facebook" { "0.005" } else { "0.021" }
         );
     }

@@ -11,8 +11,9 @@ use tcim_arch::PimConfig;
 use tcim_bitmatrix::{SliceSize, SlicedMatrix};
 use tcim_graph::{CsrGraph, Orientation};
 
-use crate::accelerator::{TcimAccelerator, TcimConfig};
+use crate::backend::Backend;
 use crate::error::Result;
+use crate::pipeline::{TcimConfig, TcimPipeline};
 
 /// One point of the orientation ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +35,7 @@ pub struct OrientationPoint {
 ///
 /// # Errors
 ///
-/// Propagates accelerator characterization failures.
+/// Propagates engine characterization failures.
 ///
 /// # Panics
 ///
@@ -44,17 +45,20 @@ pub fn orientation_ablation(g: &CsrGraph) -> Result<Vec<OrientationPoint>> {
     let mut points = Vec::with_capacity(3);
     let mut reference: Option<u64> = None;
     for orientation in [Orientation::Natural, Orientation::Degree, Orientation::Degeneracy] {
-        let acc = TcimAccelerator::new(&TcimConfig { orientation, ..TcimConfig::default() })?;
-        let report = acc.count_triangles(g);
+        let pipeline =
+            TcimPipeline::new(&TcimConfig { orientation, ..TcimConfig::default() })?;
+        let prepared = pipeline.prepare(g);
+        let report = pipeline.execute(&prepared, &Backend::SerialPim)?;
+        let stats = report.stats.expect("serial PIM simulates the data buffer");
         match reference {
             None => reference = Some(report.triangles),
             Some(r) => assert_eq!(r, report.triangles, "orientation changed the count"),
         }
         points.push(OrientationPoint {
             orientation,
-            and_ops: report.sim.stats.and_ops,
-            hit_rate: report.sim.stats.hit_rate(),
-            valid_fraction: report.slice_stats.valid_fraction(),
+            and_ops: stats.and_ops,
+            hit_rate: stats.hit_rate(),
+            valid_fraction: prepared.slice_stats().valid_fraction(),
             triangles: report.triangles,
         });
     }
@@ -80,7 +84,7 @@ pub struct SliceSizePoint {
 ///
 /// # Errors
 ///
-/// Propagates accelerator characterization failures.
+/// Propagates engine characterization failures.
 ///
 /// # Panics
 ///
@@ -93,16 +97,18 @@ pub fn slice_size_ablation(g: &CsrGraph) -> Result<Vec<SliceSizePoint>> {
             pim: PimConfig { slice_size, ..PimConfig::default() },
             ..TcimConfig::default()
         };
-        let report = TcimAccelerator::new(&config)?.count_triangles(g);
+        let pipeline = TcimPipeline::new(&config)?;
+        let prepared = pipeline.prepare(g);
+        let report = pipeline.execute(&prepared, &Backend::SerialPim)?;
         match reference {
             None => reference = Some(report.triangles),
             Some(r) => assert_eq!(r, report.triangles, "slice size changed the count"),
         }
         points.push(SliceSizePoint {
             slice_size,
-            compressed_bytes: report.slice_stats.compressed_bytes,
-            and_ops: report.sim.stats.and_ops,
-            time_s: report.sim.total_time_s(),
+            compressed_bytes: prepared.slice_stats().compressed_bytes,
+            and_ops: report.kernel.slice_pairs,
+            time_s: report.modelled_time_s.expect("serial PIM models its latency"),
             triangles: report.triangles,
         });
     }

@@ -2,21 +2,22 @@
 //! one [`ExecutionBackend`] trait, selected by value via [`Backend`] and
 //! all consuming the same [`PreparedGraph`] artifact.
 //!
-//! Since the typed-query redesign the trait answers [`Query`] values
-//! rather than only counting: every backend implements two primitives —
-//! [`execute`](ExecutionBackend::execute) (the global count, returned
-//! as the legacy [`CountReport`]) and
-//! [`execute_attributed`](ExecutionBackend::execute_attributed) (the
-//! per-triangle attribution every richer query shape is derived from) —
-//! and the provided [`query`](ExecutionBackend::query) method dispatches
-//! a [`Query`] onto whichever primitive it needs. Swap the engine, keep
-//! the call site *and* the question.
+//! Every backend implements one primitive,
+//! [`run`](ExecutionBackend::run): execute the prepared graph at an
+//! [`Attribution`] level and return one [`ExecutionReport`]. The level
+//! says what the run reads out beyond the count — nothing, per-vertex
+//! participation, or per-vertex participation plus per-arc support —
+//! and the provided [`query`](ExecutionBackend::query) method runs each
+//! [`Query`] at the level it needs. Swap the engine, keep the call site
+//! *and* the question.
 
 use std::fmt;
 use std::time::{Duration, Instant};
 
+use tcim_arch::kernel;
 use tcim_arch::{
-    AccessStats, PimEngine, PimRunResult, SliceCostModel, TriangleSink, TriangleTally,
+    AccessStats, Attribution, PimEngine, PimRunResult, SliceCostModel, TriangleSink,
+    TriangleTally,
 };
 use tcim_bitmatrix::popcount::PopcountMethod;
 use tcim_sched::{SchedPolicy, ScheduledReport, ScheduledRun};
@@ -26,7 +27,7 @@ use crate::motifs::{self, MotifFlavor, MotifPricing};
 use crate::pipeline::PreparedGraph;
 use crate::query::{self, KernelStats, Query, QueryReport};
 use crate::sharded::{ShardPolicy, ShardProvenance, ShardedBackend};
-use crate::software;
+use crate::software::SoftwareCount;
 
 /// A query engine that executes prepared graphs.
 ///
@@ -39,31 +40,52 @@ pub trait ExecutionBackend {
     /// Human-readable backend name (stable per configuration).
     fn name(&self) -> String;
 
-    /// Executes the global count over a prepared graph — the engine's
-    /// cheap primitive (no AND-result readouts), equivalent to
-    /// [`Query::TotalTriangles`].
+    /// Executes a prepared graph at `attribution` — the engine's one
+    /// primitive. [`Attribution::Count`] only counts (no AND-result
+    /// readouts); the higher levels also attribute every triangle to its
+    /// three vertices and, at [`Attribution::PerVertexWithSupport`], to
+    /// its three arcs. On the PIM backends that reads each non-zero AND
+    /// result back out of the array, which the modelled costs include.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Pipeline`] when the artifact does not match
     /// the backend (wrong slice size), and propagates engine-specific
     /// failures (e.g. invalid scheduling policies).
-    fn execute(&self, prepared: &PreparedGraph) -> Result<CountReport>;
+    fn run(
+        &self,
+        prepared: &PreparedGraph,
+        attribution: Attribution,
+    ) -> Result<ExecutionReport>;
 
-    /// Executes with per-triangle attribution — the engine's rich
-    /// primitive: besides counting, every triangle is attributed to its
-    /// three vertices (and, when `need_support` is set, to its three
-    /// edges). On the PIM backends this reads each non-zero AND result
-    /// back out of the array, which the modelled costs include.
+    /// [`run`](ExecutionBackend::run) at [`Attribution::Count`].
     ///
     /// # Errors
     ///
-    /// As [`ExecutionBackend::execute`].
+    /// As [`ExecutionBackend::run`].
+    fn execute(&self, prepared: &PreparedGraph) -> Result<ExecutionReport> {
+        self.run(prepared, Attribution::Count)
+    }
+
+    /// [`run`](ExecutionBackend::run) at [`Attribution::PerVertex`], or
+    /// at [`Attribution::PerVertexWithSupport`] when `need_support` is
+    /// set.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExecutionBackend::run`].
     fn execute_attributed(
         &self,
         prepared: &PreparedGraph,
         need_support: bool,
-    ) -> Result<AttributedRun>;
+    ) -> Result<ExecutionReport> {
+        let attribution = if need_support {
+            Attribution::PerVertexWithSupport
+        } else {
+            Attribution::PerVertex
+        };
+        self.run(prepared, attribution)
+    }
 
     /// How this backend's motif engine intersects neighbourhoods:
     /// sliced AND+BitCount kernels by default; the CPU baselines
@@ -80,116 +102,41 @@ pub trait ExecutionBackend {
         None
     }
 
-    /// Answers a typed query over a prepared graph, dispatching to the
-    /// cheapest primitive that can answer it: count-only queries run
-    /// [`execute`](ExecutionBackend::execute), everything else runs
-    /// [`execute_attributed`](ExecutionBackend::execute_attributed).
-    /// Motif queries ([`Query::is_motif`]) anchor on an attributed run
-    /// and then hand over to the motif engine ([`crate::motifs`]),
+    /// Answers a typed query over a prepared graph: one
+    /// [`run`](ExecutionBackend::run) at the query's
+    /// [`attribution`](Query::attribution) level, shaped into the
+    /// query's value. Motif queries ([`Query::is_motif`]) anchor on that
+    /// run and then hand over to the motif engine ([`crate::motifs`]),
     /// which peels / chains further kernels without ever re-slicing.
     ///
     /// # Errors
     ///
-    /// As [`ExecutionBackend::execute`], plus [`CoreError::Query`] for
+    /// As [`ExecutionBackend::run`], plus [`CoreError::Query`] for
     /// invalid query parameters (e.g. out-of-bounds vertices).
     fn query(&self, prepared: &PreparedGraph, query: &Query) -> Result<QueryReport> {
+        let run = self.run(prepared, query.attribution())?;
+        let (flavor, pricing) = (self.motif_flavor(), self.motif_pricing());
         match query {
-            // The k-truss peel seeds from the anchor run's edge
-            // supports (the kernels EdgeSupport already runs).
+            // The k-truss peel seeds from the anchor run's edge supports.
             Query::KTruss { k } => {
-                let run = self.execute_attributed(prepared, true)?;
-                return motifs::ktruss_report(
-                    prepared,
-                    query,
-                    run,
-                    self.motif_flavor(),
-                    self.motif_pricing(),
-                    *k,
-                );
+                motifs::ktruss_report(prepared, query, run, flavor, pricing, *k)
             }
             // The 4-clique witness pass re-derives the triangle census
             // as a built-in cross-check against the anchor run.
             Query::FourCliques => {
-                let run = self.execute_attributed(prepared, false)?;
-                return motifs::four_clique_report(
-                    prepared,
-                    query,
-                    run,
-                    self.motif_flavor(),
-                    self.motif_pricing(),
-                );
+                motifs::four_clique_report(prepared, query, run, flavor, pricing)
             }
-            _ => {}
+            _ => {
+                let value = query::shape(std::slice::from_ref(query), prepared, &run)
+                    .pop()
+                    .expect("one query shapes one value")?;
+                Ok(QueryReport::of_run(query, value, prepared, &run))
+            }
         }
-        if !query.needs_attribution() {
-            let report = self.execute(prepared)?;
-            let sharding = match &report.detail {
-                BackendDetail::Sharded(provenance) => Some((**provenance).clone()),
-                _ => None,
-            };
-            let value = query::shape_count(query, prepared, report.triangles);
-            return Ok(QueryReport {
-                backend: report.backend,
-                query: query.clone(),
-                value,
-                triangles: report.triangles,
-                execute_time: report.execute_time,
-                modelled_time_s: report.modelled_time_s,
-                modelled_energy_j: report.modelled_energy_j,
-                kernel: report.kernel,
-                compressed_bytes: prepared.slice_stats().compressed_bytes,
-                sharding,
-            });
-        }
-        let need_support = matches!(query, Query::EdgeSupport);
-        let run = self.execute_attributed(prepared, need_support)?;
-        let per_vertex = query::to_original_ids(prepared, &run.per_vertex);
-        let sharding = run.sharding.clone();
-        let value = query::shape_attributed(query, prepared, per_vertex, run.support)?;
-        Ok(QueryReport {
-            backend: run.backend,
-            query: query.clone(),
-            value,
-            triangles: run.triangles,
-            execute_time: run.execute_time,
-            modelled_time_s: run.modelled_time_s,
-            modelled_energy_j: run.modelled_energy_j,
-            kernel: run.kernel,
-            compressed_bytes: prepared.slice_stats().compressed_bytes,
-            sharding,
-        })
     }
 }
 
-/// The raw product of an attributed execution, in *matrix* id space
-/// (the query layer maps ids back to the input graph).
-#[derive(Debug, Clone)]
-pub struct AttributedRun {
-    /// Which backend produced this run.
-    pub backend: String,
-    /// Exact triangle count.
-    pub triangles: u64,
-    /// Triangles each matrix vertex participates in; sums to
-    /// `3 × triangles`.
-    pub per_vertex: Vec<u64>,
-    /// Triangle support per DAG arc `(i, j)`, ascending, covering every
-    /// arc in at least one triangle; present only when requested.
-    pub support: Option<Vec<(u32, u32, u64)>>,
-    /// Host wall-clock time of the execution stage.
-    pub execute_time: Duration,
-    /// Modelled accelerator latency (s), for simulated-hardware backends.
-    pub modelled_time_s: Option<f64>,
-    /// Modelled accelerator energy (J), for simulated-hardware backends.
-    pub modelled_energy_j: Option<f64>,
-    /// Normalized kernel accounting (includes the readouts).
-    pub kernel: KernelStats,
-    /// Shard-level provenance, carried only by sharded executions so
-    /// every query shape (including the motif queries, which consume
-    /// the run whole) reports it without a backend-specific override.
-    pub sharding: Option<ShardProvenance>,
-}
-
-/// Backend-specific payload of a [`CountReport`].
+/// Backend-specific payload of an [`ExecutionReport`].
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum BackendDetail {
@@ -198,7 +145,7 @@ pub enum BackendDetail {
     /// Full scheduled multi-array report.
     ScheduledPim(Box<ScheduledReport>),
     /// Software slicing payload (work counters live in the shared
-    /// [`CountReport::kernel`]).
+    /// [`ExecutionReport::kernel`]).
     Software {
         /// The popcount kernel used.
         popcount: PopcountMethod,
@@ -210,9 +157,11 @@ pub enum BackendDetail {
     Sharded(Box<ShardProvenance>),
 }
 
-/// The common result every backend returns.
+/// What one backend execution produced, at the [`Attribution`] level it
+/// ran. Ids are *matrix* ids (the query layer maps them back to the
+/// input graph).
 #[derive(Debug, Clone)]
-pub struct CountReport {
+pub struct ExecutionReport {
     /// Which backend produced this report.
     pub backend: String,
     /// Exact triangle count.
@@ -228,13 +177,42 @@ pub struct CountReport {
     pub stats: Option<AccessStats>,
     /// Normalized kernel accounting, identical in meaning across
     /// backends (the serial and scheduled PIM paths report identical
-    /// `slice_pairs`/`kernel_invocations` by construction).
+    /// `slice_pairs`/`kernel_invocations` by construction); includes
+    /// the readouts of attributed runs.
     pub kernel: KernelStats,
+    /// Triangles each matrix vertex participates in, summing to
+    /// `3 × triangles`; present above [`Attribution::Count`].
+    pub per_vertex: Option<Vec<u64>>,
+    /// Triangle support per DAG arc `(i, j)`, ascending, covering every
+    /// arc in at least one triangle; present at
+    /// [`Attribution::PerVertexWithSupport`].
+    pub support: Option<Vec<(u32, u32, u64)>>,
     /// Backend-specific payload.
     pub detail: BackendDetail,
 }
 
-impl fmt::Display for CountReport {
+impl ExecutionReport {
+    /// Shard-level provenance, carried only by sharded executions.
+    pub fn sharding(&self) -> Option<&ShardProvenance> {
+        match &self.detail {
+            BackendDetail::Sharded(provenance) => Some(provenance),
+            _ => None,
+        }
+    }
+
+    /// Moves an attributed run's tally into the report (a no-op at
+    /// [`Attribution::Count`], which has none).
+    fn with_tally(mut self, tally: Option<TriangleTally>) -> Self {
+        if let Some(tally) = tally {
+            let (_, per_vertex, support) = tally.into_parts();
+            self.per_vertex = Some(per_vertex);
+            self.support = support;
+        }
+        self
+    }
+}
+
+impl fmt::Display for ExecutionReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -341,6 +319,29 @@ fn kernel_from_stats(stats: &AccessStats) -> KernelStats {
     }
 }
 
+/// The report of a host-only backend (software or CPU): nothing
+/// modelled, no simulated data buffer.
+fn host_report(
+    backend: String,
+    triangles: u64,
+    start: Instant,
+    kernel: KernelStats,
+    detail: BackendDetail,
+) -> ExecutionReport {
+    ExecutionReport {
+        backend,
+        triangles,
+        execute_time: start.elapsed(),
+        modelled_time_s: None,
+        modelled_energy_j: None,
+        stats: None,
+        kernel,
+        per_vertex: None,
+        support: None,
+        detail,
+    }
+}
+
 fn check_slice_size(
     backend: &str,
     engine: &PimEngine,
@@ -376,11 +377,19 @@ impl ExecutionBackend for SerialPimBackend<'_> {
         Backend::SerialPim.label()
     }
 
-    fn execute(&self, prepared: &PreparedGraph) -> Result<CountReport> {
+    fn run(
+        &self,
+        prepared: &PreparedGraph,
+        attribution: Attribution,
+    ) -> Result<ExecutionReport> {
         check_slice_size(&self.name(), self.engine, prepared)?;
         let start = Instant::now();
-        let sim = self.engine.run(prepared.matrix());
-        Ok(CountReport {
+        let mut tally = attribution.tally(prepared.matrix().dim());
+        let sim = match tally.as_mut() {
+            Some(tally) => self.engine.run_attributed(prepared.matrix(), tally),
+            None => self.engine.run(prepared.matrix()),
+        };
+        let report = ExecutionReport {
             backend: self.name(),
             triangles: sim.triangles,
             execute_time: start.elapsed(),
@@ -388,31 +397,11 @@ impl ExecutionBackend for SerialPimBackend<'_> {
             modelled_energy_j: Some(sim.total_energy_j()),
             stats: Some(sim.stats),
             kernel: kernel_from_stats(&sim.stats),
+            per_vertex: None,
+            support: None,
             detail: BackendDetail::SerialPim(Box::new(sim)),
-        })
-    }
-
-    fn execute_attributed(
-        &self,
-        prepared: &PreparedGraph,
-        need_support: bool,
-    ) -> Result<AttributedRun> {
-        check_slice_size(&self.name(), self.engine, prepared)?;
-        let start = Instant::now();
-        let mut tally = TriangleTally::new(prepared.matrix().dim(), need_support);
-        let sim = self.engine.run_attributed(prepared.matrix(), &mut tally);
-        let (_, per_vertex, support) = tally.into_parts();
-        Ok(AttributedRun {
-            backend: self.name(),
-            triangles: sim.triangles,
-            per_vertex,
-            support,
-            execute_time: start.elapsed(),
-            modelled_time_s: Some(sim.total_time_s()),
-            modelled_energy_j: Some(sim.total_energy_j()),
-            kernel: kernel_from_stats(&sim.stats),
-            sharding: None,
-        })
+        };
+        Ok(report.with_tally(tally))
     }
 
     fn motif_pricing(&self) -> Option<MotifPricing> {
@@ -450,16 +439,20 @@ impl ExecutionBackend for ScheduledPimBackend<'_> {
         Backend::ScheduledPim(self.policy.clone()).label()
     }
 
-    fn execute(&self, prepared: &PreparedGraph) -> Result<CountReport> {
+    fn run(
+        &self,
+        prepared: &PreparedGraph,
+        attribution: Attribution,
+    ) -> Result<ExecutionReport> {
         let start = Instant::now();
-        let report = ScheduledRun::plan_with_costs(
+        let (report, tally) = ScheduledRun::plan_with_costs(
             self.engine,
             prepared.matrix(),
             &self.policy,
             self.costs,
         )?
-        .execute();
-        Ok(CountReport {
+        .execute_with(attribution);
+        let report = ExecutionReport {
             backend: self.name(),
             triangles: report.triangles,
             execute_time: start.elapsed(),
@@ -467,34 +460,11 @@ impl ExecutionBackend for ScheduledPimBackend<'_> {
             modelled_energy_j: Some(report.total_energy_j),
             stats: Some(report.stats),
             kernel: kernel_from_stats(&report.stats),
+            per_vertex: None,
+            support: None,
             detail: BackendDetail::ScheduledPim(Box::new(report)),
-        })
-    }
-
-    fn execute_attributed(
-        &self,
-        prepared: &PreparedGraph,
-        need_support: bool,
-    ) -> Result<AttributedRun> {
-        let start = Instant::now();
-        let run = ScheduledRun::plan_with_costs(
-            self.engine,
-            prepared.matrix(),
-            &self.policy,
-            self.costs,
-        )?
-        .execute_attributed(need_support);
-        Ok(AttributedRun {
-            backend: self.name(),
-            triangles: run.report.triangles,
-            per_vertex: run.per_vertex,
-            support: run.support,
-            execute_time: start.elapsed(),
-            modelled_time_s: Some(run.report.critical_path_s),
-            modelled_energy_j: Some(run.report.total_energy_j),
-            kernel: kernel_from_stats(&run.report.stats),
-            sharding: None,
-        })
+        };
+        Ok(report.with_tally(tally))
     }
 
     fn motif_pricing(&self) -> Option<MotifPricing> {
@@ -523,61 +493,27 @@ impl ExecutionBackend for SoftwareBackend {
         Backend::Software(self.popcount).label()
     }
 
-    fn execute(&self, prepared: &PreparedGraph) -> Result<CountReport> {
-        let start = Instant::now();
-        let run = software::sliced_count(prepared.matrix(), self.popcount);
-        Ok(CountReport {
-            backend: self.name(),
-            triangles: run.triangles,
-            execute_time: start.elapsed(),
-            modelled_time_s: None,
-            modelled_energy_j: None,
-            stats: None,
-            kernel: KernelStats {
-                kernel_invocations: run.kernel_invocations,
-                slice_pairs: run.slice_pairs,
-                result_readouts: 0,
-                blocks_skipped: run.blocks_skipped,
-            },
-            detail: BackendDetail::Software { popcount: self.popcount },
-        })
-    }
-
-    fn execute_attributed(
+    fn run(
         &self,
         prepared: &PreparedGraph,
-        need_support: bool,
-    ) -> Result<AttributedRun> {
+        attribution: Attribution,
+    ) -> Result<ExecutionReport> {
         let start = Instant::now();
-        let mut tally = TriangleTally::new(prepared.matrix().dim(), need_support);
-        let run = software::sliced_count_attributed(prepared.matrix(), |i, j, w| {
-            tally.triangle(i, j, w)
-        });
-        let (_, per_vertex, support) = tally.into_parts();
-        Ok(AttributedRun {
-            backend: self.name(),
-            triangles: run.triangles,
-            per_vertex,
-            support,
-            execute_time: start.elapsed(),
-            modelled_time_s: None,
-            modelled_energy_j: None,
-            kernel: KernelStats {
-                kernel_invocations: run.kernel_invocations,
-                slice_pairs: run.slice_pairs,
-                result_readouts: 0,
-                blocks_skipped: run.blocks_skipped,
-            },
-            sharding: None,
-        })
+        let matrix = prepared.matrix();
+        let mut tally = attribution.tally(matrix.dim());
+        let walk =
+            kernel::walk(matrix, matrix.edges(), self.popcount, &mut (), tally.as_mut());
+        // Host-side: no array, so no readouts to bill.
+        let run = SoftwareCount::from(walk);
+        let kernel = KernelStats {
+            kernel_invocations: run.kernel_invocations,
+            slice_pairs: run.slice_pairs,
+            result_readouts: 0,
+            blocks_skipped: run.blocks_skipped,
+        };
+        let detail = BackendDetail::Software { popcount: self.popcount };
+        Ok(host_report(self.name(), run.triangles, start, kernel, detail).with_tally(tally))
     }
-}
-
-/// Intersection size of two sorted slices (shared by the CPU backends).
-fn merge_intersect_count(a: &[u32], b: &[u32]) -> u64 {
-    let mut count = 0u64;
-    merge_intersect_visit(a, b, |_| count += 1);
-    count
 }
 
 /// Visits each common element of two sorted slices — the one
@@ -622,48 +558,34 @@ impl ExecutionBackend for CpuMergeBackend {
         Backend::CpuMerge.label()
     }
 
-    fn execute(&self, prepared: &PreparedGraph) -> Result<CountReport> {
-        let start = Instant::now();
-        let dag = prepared.oriented();
-        let mut triangles = 0u64;
-        for (i, j) in dag.arcs() {
-            triangles += merge_intersect_count(dag.row(i), dag.row(j));
-        }
-        Ok(CountReport {
-            backend: self.name(),
-            triangles,
-            execute_time: start.elapsed(),
-            modelled_time_s: None,
-            modelled_energy_j: None,
-            stats: None,
-            kernel: cpu_kernel(prepared),
-            detail: BackendDetail::Cpu,
-        })
-    }
-
-    fn execute_attributed(
+    fn run(
         &self,
         prepared: &PreparedGraph,
-        need_support: bool,
-    ) -> Result<AttributedRun> {
+        attribution: Attribution,
+    ) -> Result<ExecutionReport> {
         let start = Instant::now();
         let dag = prepared.oriented();
-        let mut tally = TriangleTally::new(dag.vertex_count(), need_support);
+        let mut tally = attribution.tally(dag.vertex_count());
+        let mut sink = tally.as_mut();
+        let mut triangles = 0u64;
         for (i, j) in dag.arcs() {
-            merge_intersect_visit(dag.row(i), dag.row(j), |w| tally.triangle(i, j, w));
+            // A common out-neighbour w closes the triangle {i, j, w},
+            // whose arcs are (i, j), (i, w) and (j, w).
+            merge_intersect_visit(dag.row(i), dag.row(j), |w| {
+                triangles += 1;
+                if let Some(sink) = sink.as_deref_mut() {
+                    sink.triangle(i, j, w);
+                }
+            });
         }
-        let (triangles, per_vertex, support) = tally.into_parts();
-        Ok(AttributedRun {
-            backend: self.name(),
+        let report = host_report(
+            self.name(),
             triangles,
-            per_vertex,
-            support,
-            execute_time: start.elapsed(),
-            modelled_time_s: None,
-            modelled_energy_j: None,
-            kernel: cpu_kernel(prepared),
-            sharding: None,
-        })
+            start,
+            cpu_kernel(prepared),
+            BackendDetail::Cpu,
+        );
+        Ok(report.with_tally(tally))
     }
 
     fn motif_flavor(&self) -> MotifFlavor {
@@ -684,63 +606,40 @@ impl ExecutionBackend for CpuForwardBackend {
         Backend::CpuForward.label()
     }
 
-    fn execute(&self, prepared: &PreparedGraph) -> Result<CountReport> {
-        let start = Instant::now();
-        let dag = prepared.oriented();
-        let n = dag.vertex_count();
-        let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut triangles = 0u64;
-        for i in 0..n as u32 {
-            for &j in dag.row(i) {
-                triangles += merge_intersect_count(&preds[i as usize], &preds[j as usize]);
-                // Predecessors arrive in ascending i, so lists stay sorted.
-                preds[j as usize].push(i);
-            }
-        }
-        Ok(CountReport {
-            backend: self.name(),
-            triangles,
-            execute_time: start.elapsed(),
-            modelled_time_s: None,
-            modelled_energy_j: None,
-            stats: None,
-            kernel: cpu_kernel(prepared),
-            detail: BackendDetail::Cpu,
-        })
-    }
-
-    fn execute_attributed(
+    fn run(
         &self,
         prepared: &PreparedGraph,
-        need_support: bool,
-    ) -> Result<AttributedRun> {
+        attribution: Attribution,
+    ) -> Result<ExecutionReport> {
         let start = Instant::now();
         let dag = prepared.oriented();
         let n = dag.vertex_count();
+        let mut tally = attribution.tally(n);
+        let mut sink = tally.as_mut();
         let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut tally = TriangleTally::new(n, need_support);
+        let mut triangles = 0u64;
         for i in 0..n as u32 {
             for &j in dag.row(i) {
                 // A common predecessor w closes the triangle {w, i, j},
                 // whose arcs are (w, i), (w, j) and (i, j).
                 merge_intersect_visit(&preds[i as usize], &preds[j as usize], |w| {
-                    tally.triangle(w, i, j);
+                    triangles += 1;
+                    if let Some(sink) = sink.as_deref_mut() {
+                        sink.triangle(w, i, j);
+                    }
                 });
+                // Predecessors arrive in ascending i, so lists stay sorted.
                 preds[j as usize].push(i);
             }
         }
-        let (triangles, per_vertex, support) = tally.into_parts();
-        Ok(AttributedRun {
-            backend: self.name(),
+        let report = host_report(
+            self.name(),
             triangles,
-            per_vertex,
-            support,
-            execute_time: start.elapsed(),
-            modelled_time_s: None,
-            modelled_energy_j: None,
-            kernel: cpu_kernel(prepared),
-            sharding: None,
-        })
+            start,
+            cpu_kernel(prepared),
+            BackendDetail::Cpu,
+        );
+        Ok(report.with_tally(tally))
     }
 
     fn motif_flavor(&self) -> MotifFlavor {
@@ -751,9 +650,8 @@ impl ExecutionBackend for CpuForwardBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accelerator::TcimConfig;
     use crate::baseline;
-    use crate::pipeline::TcimPipeline;
+    use crate::pipeline::{TcimConfig, TcimPipeline};
     use tcim_bitmatrix::SliceSize;
     use tcim_graph::generators::{classic, gnm};
     use tcim_graph::Orientation;
@@ -832,6 +730,69 @@ mod tests {
         let cpu = p.execute(&prepared, &Backend::CpuMerge).unwrap().kernel;
         assert_eq!(cpu.kernel_invocations, serial.kernel_invocations);
         assert_eq!(cpu.slice_pairs, 0);
+    }
+
+    /// Attributed runs account for the same work as the count run: the
+    /// same access statistics, kernel census and backend detail, apart
+    /// from the readouts the attribution adds — on all six backends over
+    /// dense and sparse rows.
+    #[test]
+    fn attributed_runs_keep_the_count_runs_stats_and_detail() {
+        use crate::sharded::ShardPolicy;
+        use tcim_bitmatrix::EncodingPolicy;
+        use tcim_graph::generators::barabasi_albert;
+
+        let g = barabasi_albert(300, 5, 7).unwrap();
+        let backends = [
+            Backend::SerialPim,
+            Backend::ScheduledPim(SchedPolicy::with_arrays(4)),
+            Backend::Software(PopcountMethod::Lut8),
+            Backend::CpuMerge,
+            Backend::CpuForward,
+            Backend::Sharded(ShardPolicy::with_shards(4).inner(SchedPolicy::with_arrays(2))),
+        ];
+        let without_readouts = |stats: Option<AccessStats>| {
+            stats.map(|s| AccessStats { result_readouts: 0, ..s })
+        };
+        for encoding in [EncodingPolicy::ForceDense, EncodingPolicy::ForceSparse] {
+            let p =
+                TcimPipeline::new(&TcimConfig { encoding, ..TcimConfig::default() }).unwrap();
+            let prepared = p.prepare(&g);
+            for spec in &backends {
+                let backend = p.backend(spec);
+                let count = backend.run(&prepared, Attribution::Count).unwrap();
+                assert!(count.per_vertex.is_none() && count.support.is_none());
+                for level in [Attribution::PerVertex, Attribution::PerVertexWithSupport] {
+                    let ctx = format!("{encoding:?} {} {level:?}", spec.label());
+                    let run = backend.run(&prepared, level).unwrap();
+                    assert_eq!(run.triangles, count.triangles, "{ctx}");
+                    assert_eq!(
+                        without_readouts(run.stats),
+                        without_readouts(count.stats),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        KernelStats { result_readouts: 0, ..run.kernel },
+                        KernelStats { result_readouts: 0, ..count.kernel },
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        std::mem::discriminant(&run.detail),
+                        std::mem::discriminant(&count.detail),
+                        "{ctx}"
+                    );
+                    if let BackendDetail::Software { popcount } = run.detail {
+                        assert_eq!(popcount, PopcountMethod::Lut8, "{ctx}");
+                    }
+                    let per_vertex = run.per_vertex.unwrap();
+                    assert_eq!(per_vertex.iter().sum::<u64>(), 3 * run.triangles, "{ctx}");
+                    let support = run.support.map(|s| s.iter().map(|&(_, _, c)| c).sum());
+                    let expected = (level == Attribution::PerVertexWithSupport)
+                        .then_some(3 * run.triangles);
+                    assert_eq!(support, expected, "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

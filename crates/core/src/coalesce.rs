@@ -1,32 +1,23 @@
 //! Batched attributed dispatch: answer many compatible queries from
 //! one execution.
 //!
-//! Every [`Query`] shape is a projection of the same underlying
+//! Every classic [`Query`] shape is a projection of the same underlying
 //! triangle quantities — the global count, the per-vertex
 //! participation vector, undirected degrees, and the per-edge support
-//! list. A *batch* of queries against one prepared artifact therefore
-//! never needs one kernel sweep per member: a single **carrier**
-//! execution, chosen as the weakest query shape whose report recovers
-//! every quantity any member needs, is run once and its attribution
-//! fans out into each member's [`QueryReport`] through the shared
-//! [`shape_value`] path.
+//! list — and each needs an execution at its
+//! [`attribution`](Query::attribution) level. A *batch* of queries
+//! against one prepared artifact therefore never needs one kernel sweep
+//! per member: a single **carrier** execution at the highest member
+//! level reads out every quantity any member needs, and its report fans
+//! out into each member's [`QueryReport`] through the shared shaping
+//! path ([`crate::query::shape_value`]).
 //!
-//! The carrier ladder, from strongest requirement down:
-//!
-//! | any member needs            | carrier                    |
-//! |-----------------------------|----------------------------|
-//! | the per-edge support list   | [`Query::EdgeSupport`]     |
-//! | per-triangle attribution    | [`Query::PerVertexTriangles`] |
-//! | degrees (global clustering) | [`Query::GlobalClustering`]|
-//! | only the count              | [`Query::TotalTriangles`]  |
-//!
-//! Because the recovered quantities are exact integers (per-vertex
-//! counts recovered from edge support via `Σ support(e ∋ v) / 2`,
-//! degrees re-read from the prepared DAG exactly as the unbatched path
-//! reads them), every shaped value is **bit-identical** to what a
-//! one-at-a-time execution of the same member would have produced —
-//! floating-point clustering coefficients included, since they are
-//! computed from the same integer inputs by the same expressions.
+//! Because the quantities are exact integers (degrees are re-read from
+//! the prepared DAG exactly as the unbatched path reads them), every
+//! shaped value is **bit-identical** to what a one-at-a-time execution
+//! of the same member would have produced — floating-point clustering
+//! coefficients included, since they are computed from the same integer
+//! inputs by the same expressions.
 //!
 //! **Motif queries** are not projections of those quantities, so they
 //! form their own coalescing classes alongside the classic carrier:
@@ -35,14 +26,14 @@
 //! in `k` re-filter without re-peeling) and all [`Query::FourCliques`]
 //! members share one chained-AND run. A mixed batch therefore performs
 //! one execution per non-empty class — still far fewer than one per
-//! member — and `carrier` reports the classic class's carrier shape.
+//! member — and `carrier` reports the classic class's carrier level.
+
+use tcim_arch::Attribution;
 
 use crate::backend::Backend;
 use crate::error::Result;
 use crate::pipeline::{PreparedGraph, TcimPipeline};
-use crate::query::{
-    original_degrees, shape_value, EdgeSupport, Query, QueryReport, QueryValue,
-};
+use crate::query::{shape, Query, QueryReport, QueryValue};
 
 /// The outcome of answering a batch of queries through one carrier
 /// execution: per-member reports (in input order) plus the execution
@@ -58,38 +49,10 @@ pub struct CoalescedOutcome {
     /// `0` for an empty batch. The saving is
     /// `queries answered − executions`.
     pub executions: u64,
-    /// The carrier query shape of the *classic* class, when one ran
-    /// (`None` for empty or motif-only batches).
-    pub carrier: Option<Query>,
-}
-
-/// Picks the weakest carrier shape that recovers every quantity any
-/// member of `queries` needs.
-fn carrier_for(queries: &[Query]) -> Query {
-    if queries.iter().any(|q| matches!(q, Query::EdgeSupport)) {
-        Query::EdgeSupport
-    } else if queries.iter().any(Query::needs_attribution) {
-        Query::PerVertexTriangles
-    } else if queries.iter().any(|q| matches!(q, Query::GlobalClustering)) {
-        Query::GlobalClustering
-    } else {
-        Query::TotalTriangles
-    }
-}
-
-/// Recovers the per-vertex participation vector from a complete
-/// per-edge support list: every triangle through `v` has exactly two
-/// edges incident to `v`, so `Σ support(e ∋ v) = 2 · triangles(v)`.
-fn per_vertex_from_support(support: &[EdgeSupport], n: usize) -> Vec<u64> {
-    let mut doubled = vec![0u64; n];
-    for e in support {
-        doubled[e.u as usize] += e.support;
-        doubled[e.v as usize] += e.support;
-    }
-    for v in &mut doubled {
-        *v /= 2;
-    }
-    doubled
+    /// The level the *classic* class's carrier ran at — the highest
+    /// member [`Query::attribution`] — when one ran (`None` for empty or
+    /// motif-only batches).
+    pub carrier: Option<Attribution>,
 }
 
 impl TcimPipeline {
@@ -114,9 +77,6 @@ impl TcimPipeline {
         spec: &Backend,
         queries: &[Query],
     ) -> Result<CoalescedOutcome> {
-        if queries.is_empty() {
-            return Ok(CoalescedOutcome { reports: Vec::new(), executions: 0, carrier: None });
-        }
         let mut slots: Vec<Option<Result<QueryReport>>> =
             queries.iter().map(|_| None).collect();
         let mut executions = 0u64;
@@ -156,57 +116,21 @@ impl TcimPipeline {
             }
         }
 
-        // The classic class: one carrier execution, attribution fanned
-        // out through the shared shaping path.
-        let classic: Vec<(usize, &Query)> =
-            queries.iter().enumerate().filter(|(_, q)| !q.is_motif()).collect();
-        let mut carrier = None;
-        if !classic.is_empty() {
+        // The classic class: one carrier execution at the highest member
+        // level, shaped member by member.
+        let (positions, classic): (Vec<usize>, Vec<Query>) =
+            queries.iter().cloned().enumerate().filter(|(_, q)| !q.is_motif()).unzip();
+        let carrier = classic.iter().map(Query::attribution).max();
+        if let Some(level) = carrier {
             executions += 1;
-            let members: Vec<Query> = classic.iter().map(|(_, q)| (*q).clone()).collect();
-            let carrier_query = carrier_for(&members);
-            let report = self.query(prepared, spec, &carrier_query)?;
-            carrier = Some(carrier_query);
-
-            let support: Option<Vec<EdgeSupport>> = match &report.value {
-                QueryValue::EdgeSupport(list) => Some(list.clone()),
-                _ => None,
-            };
-            let per_vertex: Vec<u64> = match (&report.value, &support) {
-                (QueryValue::PerVertex(pv), _) => pv.clone(),
-                (_, Some(list)) => per_vertex_from_support(list, prepared.key().vertices),
-                _ => Vec::new(),
-            };
-            // Degrees are re-read from the prepared DAG exactly as the
-            // unbatched shaping path reads them, so clustering members
-            // stay bit-identical regardless of which carrier ran.
-            let degrees: Vec<u64> = if members
-                .iter()
-                .any(|q| matches!(q, Query::LocalClustering { .. } | Query::GlobalClustering))
-            {
-                original_degrees(prepared)
-            } else {
-                Vec::new()
-            };
-
-            for (i, query) in classic {
-                let member_support = matches!(query, Query::EdgeSupport).then(|| {
-                    support.clone().expect("edge-support carrier ran for this batch")
-                });
-                slots[i] = Some(
-                    shape_value(
-                        query,
-                        report.triangles,
-                        &per_vertex,
-                        &degrees,
-                        member_support,
-                    )
-                    .map(|value| QueryReport {
-                        query: query.clone(),
-                        value,
-                        ..report.clone()
-                    }),
-                );
+            let run = self.backend(spec).run(prepared, level)?;
+            // The member the carrier level came from labels the sample.
+            let labelled = classic.iter().find(|q| q.attribution() == level);
+            self.record(prepared, spec, labelled, &run);
+            let values = shape(&classic, prepared, &run);
+            for ((i, query), value) in positions.into_iter().zip(&classic).zip(values) {
+                slots[i] =
+                    Some(value.map(|value| QueryReport::of_run(query, value, prepared, &run)));
             }
         }
 
@@ -221,27 +145,36 @@ impl TcimPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accelerator::TcimConfig;
+    use crate::pipeline::TcimConfig;
     use tcim_graph::generators::{barabasi_albert, classic};
 
     fn pipeline() -> TcimPipeline {
         TcimPipeline::new(&TcimConfig::default()).unwrap()
     }
 
+    /// The carrier runs at the highest member level: the weakest
+    /// execution that reads out everything any member needs.
     #[test]
     fn carrier_ladder_picks_the_weakest_sufficient_shape() {
-        assert_eq!(carrier_for(&[Query::TotalTriangles]), Query::TotalTriangles);
+        let p = pipeline();
+        let prepared = p.prepare(&classic::wheel(9));
+        let carrier = |batch: &[Query]| {
+            let outcome = p.query_coalesced(&prepared, &Backend::SerialPim, batch).unwrap();
+            assert_eq!(outcome.executions, 1);
+            outcome.carrier
+        };
+        assert_eq!(carrier(&[Query::TotalTriangles]), Some(Attribution::Count));
         assert_eq!(
-            carrier_for(&[Query::TotalTriangles, Query::GlobalClustering]),
-            Query::GlobalClustering
+            carrier(&[Query::TotalTriangles, Query::GlobalClustering]),
+            Some(Attribution::Count)
         );
         assert_eq!(
-            carrier_for(&[Query::TotalTriangles, Query::TopKVertices { k: 2 }]),
-            Query::PerVertexTriangles
+            carrier(&[Query::TotalTriangles, Query::TopKVertices { k: 2 }]),
+            Some(Attribution::PerVertex)
         );
         assert_eq!(
-            carrier_for(&[Query::PerVertexTriangles, Query::EdgeSupport]),
-            Query::EdgeSupport
+            carrier(&[Query::PerVertexTriangles, Query::EdgeSupport]),
+            Some(Attribution::PerVertexWithSupport)
         );
     }
 
@@ -254,7 +187,7 @@ mod tests {
         for backend in [Backend::SerialPim, Backend::CpuMerge, Backend::CpuForward] {
             let outcome = p.query_coalesced(&prepared, &backend, &suite).unwrap();
             assert_eq!(outcome.executions, 1);
-            assert_eq!(outcome.carrier, Some(Query::EdgeSupport));
+            assert_eq!(outcome.carrier, Some(Attribution::PerVertexWithSupport));
             for (query, coalesced) in suite.iter().zip(&outcome.reports) {
                 let coalesced = coalesced.as_ref().unwrap();
                 let solo = p.query(&prepared, &backend, query).unwrap();
@@ -276,7 +209,7 @@ mod tests {
                 &[Query::TotalTriangles, Query::TotalTriangles],
             )
             .unwrap();
-        assert_eq!(outcome.carrier, Some(Query::TotalTriangles));
+        assert_eq!(outcome.carrier, Some(Attribution::Count));
         for report in &outcome.reports {
             assert_eq!(report.as_ref().unwrap().kernel.result_readouts, 0);
             assert_eq!(report.as_ref().unwrap().triangles, 20);
@@ -326,7 +259,7 @@ mod tests {
         let outcome = p.query_coalesced(&prepared, &Backend::SerialPim, &batch).unwrap();
         // Three classes ran: classic carrier, k-truss, 4-clique.
         assert_eq!(outcome.executions, 3);
-        assert_eq!(outcome.carrier, Some(Query::EdgeSupport));
+        assert_eq!(outcome.carrier, Some(Attribution::PerVertexWithSupport));
         for (query, coalesced) in batch.iter().zip(&outcome.reports) {
             let coalesced = coalesced.as_ref().unwrap();
             let solo = p.query(&prepared, &Backend::SerialPim, query).unwrap();
@@ -359,6 +292,8 @@ mod tests {
         assert!(outcome.reports.iter().all(|r| r.is_ok()));
     }
 
+    /// A per-vertex member riding a support-level carrier reads the
+    /// carrier's per-vertex tally and matches its solo answer.
     #[test]
     fn per_vertex_recovered_from_support_matches_attribution() {
         let p = pipeline();

@@ -18,11 +18,10 @@ use tcim_mtj::llg::LlgSolver;
 use tcim_mtj::sense::SenseAmp;
 use tcim_mtj::{MtjCell, MtjParams};
 
-use crate::accelerator::TcimConfig;
 use crate::backend::Backend;
 use crate::baseline;
 use crate::error::Result;
-use crate::pipeline::TcimPipeline;
+use crate::pipeline::{TcimConfig, TcimPipeline};
 use crate::reported::{self, PaperRow};
 
 /// Scale factor and seed shared by every dataset-driven experiment.

@@ -24,6 +24,7 @@
 use std::fmt;
 use std::time::Duration;
 
+use tcim_arch::Attribution;
 use tcim_bitmatrix::{EncodingPolicy, RowEncoding};
 use tcim_graph::CsrGraph;
 use tcim_sched::{ArrayAssignment, PlacementPolicy, ScheduledRun};
@@ -488,7 +489,7 @@ impl TcimPipeline {
         Ok(ExplainReport {
             backend: spec.label(),
             query: query.clone(),
-            needs_attribution: query.needs_attribution(),
+            needs_attribution: query.attribution() > Attribution::Count,
             encoding: EncodingDecision {
                 policy: prepared.key().encoding,
                 resolved: prepared.encoding(),
@@ -570,7 +571,7 @@ impl TcimPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accelerator::TcimConfig;
+    use crate::pipeline::TcimConfig;
     use crate::sharded::ShardPolicy;
     use tcim_graph::generators::gnm;
     use tcim_sched::SchedPolicy;

@@ -44,7 +44,7 @@ use tcim_bitmatrix::popcount::PopcountMethod;
 use tcim_bitmatrix::{RowEncoding, SliceSize, SlicedRow};
 use tcim_sched::{plan_deltas, DeltaJob, SchedPolicy};
 
-use crate::backend::{merge_intersect_visit, AttributedRun};
+use crate::backend::{merge_intersect_visit, ExecutionReport};
 use crate::error::{CoreError, Result};
 use crate::pipeline::PreparedGraph;
 use crate::query::{EdgeTruss, KernelStats, Query, QueryReport, QueryValue};
@@ -475,7 +475,7 @@ fn four_clique_engine(
 fn assemble(
     prepared: &PreparedGraph,
     query: &Query,
-    base: AttributedRun,
+    base: ExecutionReport,
     value: QueryValue,
     motif_kernel: KernelStats,
     motif_time_s: Option<f64>,
@@ -487,16 +487,11 @@ fn assemble(
         (a, b) => a.or(b),
     };
     QueryReport {
-        backend: base.backend,
-        query: query.clone(),
-        value,
-        triangles: base.triangles,
         execute_time: base.execute_time + started.elapsed(),
         modelled_time_s: combine(base.modelled_time_s, motif_time_s),
         modelled_energy_j: combine(base.modelled_energy_j, motif_energy_j),
         kernel: base.kernel.merged(&motif_kernel),
-        compressed_bytes: prepared.slice_stats().compressed_bytes,
-        sharding: base.sharding,
+        ..QueryReport::of_run(query, value, prepared, &base)
     }
 }
 
@@ -505,7 +500,7 @@ fn assemble(
 pub(crate) fn ktruss_report(
     prepared: &PreparedGraph,
     query: &Query,
-    base: AttributedRun,
+    base: ExecutionReport,
     flavor: MotifFlavor,
     pricing: Option<MotifPricing>,
     k: u32,
@@ -525,7 +520,7 @@ pub(crate) fn ktruss_report(
 pub(crate) fn four_clique_report(
     prepared: &PreparedGraph,
     query: &Query,
-    base: AttributedRun,
+    base: ExecutionReport,
     flavor: MotifFlavor,
     pricing: Option<MotifPricing>,
 ) -> Result<QueryReport> {

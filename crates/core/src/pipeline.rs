@@ -14,17 +14,30 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tcim_arch::{kernel, PimEngine};
+use tcim_arch::{kernel, PimConfig, PimEngine};
 use tcim_bitmatrix::{EncodingPolicy, RowEncoding, SliceSize, SliceStats, SlicedMatrix};
 use tcim_graph::{CsrGraph, Orientation, OrientedGraph};
 
-use crate::accelerator::TcimConfig;
-use crate::backend::{Backend, CountReport, ExecutionBackend};
+use crate::backend::{Backend, ExecutionBackend, ExecutionReport};
 use crate::error::Result;
-use crate::query::{Query, QueryReport};
+use crate::query::{KernelStats, Query, QueryReport};
 use crate::sharded::{ShardedBackend, ShardedCache, ShardedPreparedGraph};
 use crate::telemetry::{ExecutionSample, PipelineMetrics};
 use tcim_shard::ShardSpec;
+
+/// Configuration of a [`TcimPipeline`]: how to orient the graph, how to
+/// encode its rows, plus the full PIM simulator configuration.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct TcimConfig {
+    /// Edge orientation applied before slicing (paper: natural order).
+    pub orientation: Orientation,
+    /// Row-encoding selection policy: measure the sliced matrix's
+    /// valid-slice density and pick dense or hierarchical sparse rows
+    /// (default: automatic with a 25% density threshold).
+    pub encoding: EncodingPolicy,
+    /// Architecture-simulator configuration (paper defaults).
+    pub pim: PimConfig,
+}
 
 /// Cache key of one prepared artifact: the graph's structural
 /// fingerprint (paired with its exact sizes to make collisions
@@ -526,38 +539,21 @@ impl TcimPipeline {
         }
     }
 
-    /// Executes `spec` over a prepared graph.
+    /// Executes `spec` over a prepared graph at
+    /// [`Attribution::Count`](tcim_arch::Attribution::Count).
     ///
     /// # Errors
     ///
     /// Propagates backend errors (mismatched slice size, invalid
     /// scheduling policy).
-    pub fn execute(&self, prepared: &PreparedGraph, spec: &Backend) -> Result<CountReport> {
-        let report = self.backend(spec).execute(prepared)?;
-        self.metrics.record_execution(&ExecutionSample {
-            backend: &report.backend,
-            encoding: prepared.encoding(),
-            kernel: &report.kernel,
-            execute_time: report.execute_time,
-            modelled_time_s: report.modelled_time_s,
-            predicted_modelled_s: self.predicted_modelled_s(prepared, spec),
-            query: None,
-        });
-        Ok(report)
-    }
-
-    /// Executes every backend in `specs` over one prepared graph,
-    /// returning reports in input order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first backend error.
-    pub fn execute_all(
+    pub fn execute(
         &self,
         prepared: &PreparedGraph,
-        specs: &[Backend],
-    ) -> Result<Vec<CountReport>> {
-        specs.iter().map(|spec| self.execute(prepared, spec)).collect()
+        spec: &Backend,
+    ) -> Result<ExecutionReport> {
+        let report = self.backend(spec).execute(prepared)?;
+        self.record(prepared, spec, None, &report);
+        Ok(report)
     }
 
     /// Answers a typed [`Query`] over a prepared graph on the selected
@@ -576,47 +572,8 @@ impl TcimPipeline {
         query: &Query,
     ) -> Result<QueryReport> {
         let report = self.backend(spec).query(prepared, query)?;
-        self.metrics.record_execution(&ExecutionSample {
-            backend: &report.backend,
-            encoding: prepared.encoding(),
-            kernel: &report.kernel,
-            execute_time: report.execute_time,
-            modelled_time_s: report.modelled_time_s,
-            predicted_modelled_s: self.predicted_modelled_s(prepared, spec),
-            query: Some(query.label()),
-        });
+        self.record(prepared, spec, Some(query), &report);
         Ok(report)
-    }
-
-    /// Answers every query in `queries` over one prepared graph on one
-    /// backend, in input order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first query error.
-    pub fn query_all(
-        &self,
-        prepared: &PreparedGraph,
-        spec: &Backend,
-        queries: &[Query],
-    ) -> Result<Vec<QueryReport>> {
-        let backend = self.backend(spec);
-        queries
-            .iter()
-            .map(|q| {
-                let report = backend.query(prepared, q)?;
-                self.metrics.record_execution(&ExecutionSample {
-                    backend: &report.backend,
-                    encoding: prepared.encoding(),
-                    kernel: &report.kernel,
-                    execute_time: report.execute_time,
-                    modelled_time_s: report.modelled_time_s,
-                    predicted_modelled_s: self.predicted_modelled_s(prepared, spec),
-                    query: Some(q.label()),
-                });
-                Ok(report)
-            })
-            .collect()
     }
 
     /// One-shot convenience: prepare (cached) and execute — the
@@ -625,8 +582,50 @@ impl TcimPipeline {
     /// # Errors
     ///
     /// Propagates backend errors.
-    pub fn count(&self, g: &CsrGraph, spec: &Backend) -> Result<CountReport> {
+    pub fn count(&self, g: &CsrGraph, spec: &Backend) -> Result<ExecutionReport> {
         self.execute(&self.prepare(g), spec)
+    }
+
+    /// Records one completed execution of `spec` over `prepared` in this
+    /// pipeline's metrics: the report's own accounting, the artifact's
+    /// encoding, the cost model's prediction and, for typed queries, the
+    /// query's label.
+    pub(crate) fn record(
+        &self,
+        prepared: &PreparedGraph,
+        spec: &Backend,
+        query: Option<&Query>,
+        report: &impl Accounted,
+    ) {
+        let (backend, kernel, execute_time, modelled_time_s) = report.accounting();
+        self.metrics.record_execution(&ExecutionSample {
+            backend,
+            encoding: prepared.encoding(),
+            kernel,
+            execute_time,
+            modelled_time_s,
+            predicted_modelled_s: self.predicted_modelled_s(prepared, spec),
+            query: query.map(Query::label),
+        });
+    }
+}
+
+/// The accounting a pipeline records per execution, read off either
+/// report type its entry points return.
+pub(crate) trait Accounted {
+    /// Backend label, kernel census, host wall and modelled latency.
+    fn accounting(&self) -> (&str, &KernelStats, Duration, Option<f64>);
+}
+
+impl Accounted for ExecutionReport {
+    fn accounting(&self) -> (&str, &KernelStats, Duration, Option<f64>) {
+        (&self.backend, &self.kernel, self.execute_time, self.modelled_time_s)
+    }
+}
+
+impl Accounted for QueryReport {
+    fn accounting(&self) -> (&str, &KernelStats, Duration, Option<f64>) {
+        (&self.backend, &self.kernel, self.execute_time, self.modelled_time_s)
     }
 }
 

@@ -35,6 +35,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
 
+use tcim_arch::Attribution;
+
+use crate::backend::ExecutionReport;
 use crate::error::{CoreError, Result};
 use crate::pipeline::PreparedGraph;
 
@@ -115,10 +118,19 @@ impl Query {
         }
     }
 
-    /// Whether answering needs per-triangle attribution (AND-result
-    /// readouts on the PIM backends) rather than the plain count.
-    pub fn needs_attribution(&self) -> bool {
-        !matches!(self, Query::TotalTriangles | Query::GlobalClustering)
+    /// The [`Attribution`] level an execution must run at to answer this
+    /// query — for motif queries, the level of the run they anchor on.
+    /// Above [`Attribution::Count`] the PIM backends read AND results
+    /// back out.
+    pub fn attribution(&self) -> Attribution {
+        match self {
+            Query::TotalTriangles | Query::GlobalClustering => Attribution::Count,
+            Query::PerVertexTriangles
+            | Query::LocalClustering { .. }
+            | Query::TopKVertices { .. }
+            | Query::FourCliques => Attribution::PerVertex,
+            Query::EdgeSupport | Query::KTruss { .. } => Attribution::PerVertexWithSupport,
+        }
     }
 
     /// One representative of every *triangle-quantity* query shape —
@@ -421,6 +433,30 @@ pub struct QueryReport {
     pub sharding: Option<crate::sharded::ShardProvenance>,
 }
 
+impl QueryReport {
+    /// The answer envelope of `run`: its execution accounting around
+    /// `query`'s shaped `value`.
+    pub(crate) fn of_run(
+        query: &Query,
+        value: QueryValue,
+        prepared: &PreparedGraph,
+        run: &ExecutionReport,
+    ) -> QueryReport {
+        QueryReport {
+            backend: run.backend.clone(),
+            query: query.clone(),
+            value,
+            triangles: run.triangles,
+            execute_time: run.execute_time,
+            modelled_time_s: run.modelled_time_s,
+            modelled_energy_j: run.modelled_energy_j,
+            kernel: run.kernel,
+            compressed_bytes: prepared.slice_stats().compressed_bytes,
+            sharding: run.sharding().cloned(),
+        }
+    }
+}
+
 impl fmt::Display for QueryReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -551,23 +587,35 @@ pub fn shape_value(
     }
 }
 
-/// Shapes a per-vertex participation vector (input-graph ids) into the
-/// value of an attributed query.
-pub(crate) fn shape_attributed(
-    query: &Query,
+/// Shapes one execution into the values of `queries`: a solo query's
+/// answer, or every member of a coalesced batch from its carrier's run.
+/// `run` must have executed at (at least) every member's
+/// [`Query::attribution`] level. The quantities members need —
+/// per-vertex counts and degrees in input-graph ids, the per-edge support
+/// list — are derived from it once.
+pub(crate) fn shape(
+    queries: &[Query],
     prepared: &PreparedGraph,
-    per_vertex: Vec<u64>,
-    support: Option<Vec<(u32, u32, u64)>>,
-) -> Result<QueryValue> {
-    let degrees = match query {
-        Query::LocalClustering { .. } | Query::GlobalClustering => original_degrees(prepared),
-        _ => Vec::new(),
+    run: &ExecutionReport,
+) -> Vec<Result<QueryValue>> {
+    let any = |wanted: fn(&Query) -> bool| queries.iter().any(wanted);
+    let per_vertex = match &run.per_vertex {
+        Some(by_matrix_id) => to_original_ids(prepared, by_matrix_id),
+        None => Vec::new(),
     };
-    let edge_support = matches!(query, Query::EdgeSupport).then(|| {
-        let by_arc: HashMap<(u32, u32), u64> = support
-            .expect("edge-support queries always run with support accumulation")
-            .into_iter()
-            .map(|(i, j, c)| ((i, j), c))
+    let degrees =
+        if any(|q| matches!(q, Query::LocalClustering { .. } | Query::GlobalClustering)) {
+            original_degrees(prepared)
+        } else {
+            Vec::new()
+        };
+    let edge_support = any(|q| matches!(q, Query::EdgeSupport)).then(|| {
+        let by_arc: HashMap<(u32, u32), u64> = run
+            .support
+            .as_ref()
+            .expect("edge-support queries run with support accumulation")
+            .iter()
+            .map(|&(i, j, c)| ((i, j), c))
             .collect();
         let oriented = prepared.oriented();
         let mut edges: Vec<EdgeSupport> = oriented
@@ -585,29 +633,20 @@ pub(crate) fn shape_attributed(
         edges.sort_by_key(|e| (e.u, e.v));
         edges
     });
-    let triangles = per_vertex.iter().sum::<u64>() / 3;
-    shape_value(query, triangles, &per_vertex, &degrees, edge_support)
-}
-
-/// Shapes a plain count into the value of a count-only query.
-pub(crate) fn shape_count(
-    query: &Query,
-    prepared: &PreparedGraph,
-    triangles: u64,
-) -> QueryValue {
-    let degrees = match query {
-        Query::GlobalClustering => original_degrees(prepared),
-        _ => Vec::new(),
-    };
-    shape_value(query, triangles, &[], &degrees, None).expect("count-only shaping never fails")
+    queries
+        .iter()
+        .map(|query| {
+            let support = matches!(query, Query::EdgeSupport).then(|| edge_support.clone());
+            shape_value(query, run.triangles, &per_vertex, &degrees, support.flatten())
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accelerator::TcimConfig;
     use crate::backend::Backend;
-    use crate::pipeline::TcimPipeline;
+    use crate::pipeline::{TcimConfig, TcimPipeline};
     use tcim_graph::generators::classic;
 
     fn prepared_fig2() -> (TcimPipeline, std::sync::Arc<PreparedGraph>) {
@@ -630,10 +669,16 @@ mod tests {
 
     #[test]
     fn attribution_need_follows_the_query_shape() {
-        assert!(!Query::TotalTriangles.needs_attribution());
-        assert!(!Query::GlobalClustering.needs_attribution());
-        assert!(Query::PerVertexTriangles.needs_attribution());
-        assert!(Query::EdgeSupport.needs_attribution());
+        assert_eq!(Query::TotalTriangles.attribution(), Attribution::Count);
+        assert_eq!(Query::GlobalClustering.attribution(), Attribution::Count);
+        assert_eq!(Query::PerVertexTriangles.attribution(), Attribution::PerVertex);
+        assert_eq!(Query::TopKVertices { k: 2 }.attribution(), Attribution::PerVertex);
+        assert_eq!(Query::EdgeSupport.attribution(), Attribution::PerVertexWithSupport);
+        // Motif queries anchor on the level their engine consumes.
+        assert_eq!(Query::FourCliques.attribution(), Attribution::PerVertex);
+        assert_eq!(Query::KTruss { k: 3 }.attribution(), Attribution::PerVertexWithSupport);
+        assert!(Attribution::Count < Attribution::PerVertex);
+        assert!(Attribution::PerVertex < Attribution::PerVertexWithSupport);
     }
 
     #[test]

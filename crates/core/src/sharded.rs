@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use tcim_arch::{AccessStats, PimEngine, SliceCostModel};
+use tcim_arch::{AccessStats, Attribution, PimEngine, SliceCostModel};
 use tcim_bitmatrix::EncodingPolicy;
 use tcim_graph::CsrGraph;
 use tcim_sched::{parallel_map_indexed, SchedPolicy};
@@ -50,7 +50,7 @@ use tcim_shard::{
 };
 
 use crate::backend::{
-    AttributedRun, Backend, BackendDetail, CountReport, ExecutionBackend, ScheduledPimBackend,
+    Backend, BackendDetail, ExecutionBackend, ExecutionReport, ScheduledPimBackend,
 };
 use crate::error::{CoreError, Result};
 use crate::motifs::MotifPricing;
@@ -499,7 +499,8 @@ impl ShardedCache {
     }
 }
 
-/// One shard's merged partial result, in shard order.
+/// One shard's partial result, normalized for merging in shard order.
+#[derive(Default)]
 struct IntraPartial {
     triangles: u64,
     kernel: KernelStats,
@@ -507,24 +508,10 @@ struct IntraPartial {
     modelled_energy_j: f64,
     stats: AccessStats,
     /// Per-vertex counts indexed by *local input* id (dense over the
-    /// shard's range).
+    /// shard's range); present above [`Attribution::Count`].
     per_vertex: Option<Vec<u64>>,
     /// Support over *global oriented* arcs.
     support: Option<Vec<(u32, u32, u64)>>,
-}
-
-/// Everything one sharded execution produces, in global oriented ids
-/// (the query layer maps back to input-graph ids exactly as for every
-/// other backend).
-struct ShardedOutcome {
-    triangles: u64,
-    per_vertex: Option<Vec<u64>>,
-    support: Option<Vec<(u32, u32, u64)>>,
-    kernel: KernelStats,
-    stats: AccessStats,
-    modelled_time_s: f64,
-    modelled_energy_j: f64,
-    provenance: ShardProvenance,
 }
 
 /// Sharded execution over a prepared graph: intra-shard scheduled runs
@@ -572,13 +559,63 @@ impl<'e> ShardedBackend<'e> {
             )?)),
         }
     }
+}
+
+/// Runs one shard piece through the scheduled backend and normalizes
+/// the partial: per-vertex counts mapped to local *input* ids (dense
+/// over the range), support mapped to global oriented arcs. A piece
+/// without arcs contributes nothing and runs nothing.
+fn intra_partial(
+    backend: &ScheduledPimBackend<'_>,
+    piece: &ShardPiece,
+    attribution: Attribution,
+) -> Result<IntraPartial> {
+    let oriented = piece.prepared().oriented();
+    if oriented.arc_count() == 0 {
+        return Ok(IntraPartial::default());
+    }
+    let (lo, _) = piece.range();
+    let run = backend.run(piece.prepared(), attribution)?;
+    // Local matrix ids → local input ids (undo the piece's own
+    // orientation relabelling).
+    let per_vertex = run.per_vertex.map(|by_matrix_id| {
+        let mut per_vertex = vec![0u64; oriented.vertex_count()];
+        for (m, &count) in by_matrix_id.iter().enumerate() {
+            per_vertex[oriented.original_id(m as u32) as usize] += count;
+        }
+        per_vertex
+    });
+    let support = run.support.map(|triples| {
+        triples
+            .into_iter()
+            .map(|(i, j, c)| {
+                let x = lo + oriented.original_id(i);
+                let y = lo + oriented.original_id(j);
+                (x.min(y), x.max(y), c)
+            })
+            .collect()
+    });
+    Ok(IntraPartial {
+        triangles: run.triangles,
+        kernel: run.kernel,
+        modelled_time_s: run.modelled_time_s.unwrap_or(0.0),
+        modelled_energy_j: run.modelled_energy_j.unwrap_or(0.0),
+        stats: run.stats.unwrap_or_default(),
+        per_vertex,
+        support,
+    })
+}
+
+impl ExecutionBackend for ShardedBackend<'_> {
+    fn name(&self) -> String {
+        Backend::Sharded(self.policy.clone()).label()
+    }
 
     fn run(
         &self,
         prepared: &PreparedGraph,
-        attributed: bool,
-        need_support: bool,
-    ) -> Result<(ShardedOutcome, Duration)> {
+        attribution: Attribution,
+    ) -> Result<ExecutionReport> {
         let start = Instant::now();
         let sharded = self.artifact(prepared)?;
         let pieces = sharded.pieces();
@@ -592,7 +629,7 @@ impl<'e> ShardedBackend<'e> {
         let shard_span = tcim_telemetry::span("shard");
         let partials: Vec<Result<IntraPartial>> =
             parallel_map_indexed(pieces.len(), threads, |s| {
-                intra_partial(&backend, &pieces[s], attributed, need_support)
+                intra_partial(&backend, &pieces[s], attribution)
             });
         drop(shard_span);
 
@@ -602,9 +639,9 @@ impl<'e> ShardedBackend<'e> {
         let mut stats = AccessStats::default();
         let mut intra_critical = 0.0f64;
         let mut energy = 0.0f64;
-        let mut per_vertex = attributed.then(|| vec![0u64; n]);
+        let mut per_vertex = (attribution > Attribution::Count).then(|| vec![0u64; n]);
         let mut support: Option<BTreeMap<(u32, u32), u64>> =
-            (attributed && need_support).then(BTreeMap::new);
+            (attribution == Attribution::PerVertexWithSupport).then(BTreeMap::new);
         let mut per_shard = Vec::with_capacity(pieces.len());
         for (s, partial) in partials.into_iter().enumerate() {
             let partial = partial?;
@@ -645,8 +682,7 @@ impl<'e> ShardedBackend<'e> {
             n,
             sharded.boundary(),
             self.policy.inner.resolved_host_threads(),
-            attributed,
-            need_support,
+            attribution,
         );
         drop(compose_span);
         triangles += comp.triangles;
@@ -688,130 +724,27 @@ impl<'e> ShardedBackend<'e> {
             composition_units: comp.placement_units,
             per_shard,
         };
-        Ok((
-            ShardedOutcome {
-                triangles,
-                per_vertex,
-                support: support
-                    .map(|map| map.into_iter().map(|((i, j), c)| (i, j, c)).collect()),
-                kernel,
-                stats,
-                modelled_time_s: intra_critical + comp.critical_path_s,
-                modelled_energy_j: energy,
-                provenance,
-            },
-            start.elapsed(),
-        ))
-    }
-}
-
-/// Runs one shard piece through the scheduled backend and normalizes
-/// the partial: per-vertex counts mapped to local *input* ids (dense
-/// over the range), support mapped to global oriented arcs.
-fn intra_partial(
-    backend: &ScheduledPimBackend<'_>,
-    piece: &ShardPiece,
-    attributed: bool,
-    need_support: bool,
-) -> Result<IntraPartial> {
-    let oriented = piece.prepared().oriented();
-    if oriented.arc_count() == 0 {
-        return Ok(IntraPartial {
-            triangles: 0,
-            kernel: KernelStats::default(),
-            modelled_time_s: 0.0,
-            modelled_energy_j: 0.0,
-            stats: AccessStats::default(),
-            per_vertex: attributed.then(|| vec![0u64; oriented.vertex_count()]),
-            support: (attributed && need_support).then(Vec::new),
-        });
-    }
-    let (lo, _) = piece.range();
-    if attributed {
-        let run = backend.execute_attributed(piece.prepared(), need_support)?;
-        // Local matrix ids → local input ids (undo the piece's own
-        // orientation relabelling).
-        let mut per_vertex = vec![0u64; oriented.vertex_count()];
-        for (m, &count) in run.per_vertex.iter().enumerate() {
-            per_vertex[oriented.original_id(m as u32) as usize] += count;
-        }
-        let support = run.support.map(|triples| {
-            triples
-                .into_iter()
-                .map(|(i, j, c)| {
-                    let x = lo + oriented.original_id(i);
-                    let y = lo + oriented.original_id(j);
-                    (x.min(y), x.max(y), c)
-                })
-                .collect()
-        });
-        Ok(IntraPartial {
-            triangles: run.triangles,
-            kernel: run.kernel,
-            modelled_time_s: run.modelled_time_s.unwrap_or(0.0),
-            modelled_energy_j: run.modelled_energy_j.unwrap_or(0.0),
-            stats: AccessStats::default(),
-            per_vertex: Some(per_vertex),
+        let support =
+            support.map(|map| map.into_iter().map(|((i, j), c)| (i, j, c)).collect());
+        Ok(ExecutionReport {
+            backend: self.name(),
+            triangles,
+            execute_time: start.elapsed(),
+            modelled_time_s: Some(intra_critical + comp.critical_path_s),
+            modelled_energy_j: Some(energy),
+            stats: Some(stats),
+            kernel,
+            per_vertex,
             support,
-        })
-    } else {
-        let report = backend.execute(piece.prepared())?;
-        Ok(IntraPartial {
-            triangles: report.triangles,
-            kernel: report.kernel,
-            modelled_time_s: report.modelled_time_s.unwrap_or(0.0),
-            modelled_energy_j: report.modelled_energy_j.unwrap_or(0.0),
-            stats: report.stats.unwrap_or_default(),
-            per_vertex: None,
-            support: None,
-        })
-    }
-}
-
-impl ExecutionBackend for ShardedBackend<'_> {
-    fn name(&self) -> String {
-        Backend::Sharded(self.policy.clone()).label()
-    }
-
-    fn execute(&self, prepared: &PreparedGraph) -> Result<CountReport> {
-        let (out, wall) = self.run(prepared, false, false)?;
-        Ok(CountReport {
-            backend: self.name(),
-            triangles: out.triangles,
-            execute_time: wall,
-            modelled_time_s: Some(out.modelled_time_s),
-            modelled_energy_j: Some(out.modelled_energy_j),
-            stats: Some(out.stats),
-            kernel: out.kernel,
-            detail: BackendDetail::Sharded(Box::new(out.provenance)),
-        })
-    }
-
-    fn execute_attributed(
-        &self,
-        prepared: &PreparedGraph,
-        need_support: bool,
-    ) -> Result<AttributedRun> {
-        let (out, wall) = self.run(prepared, true, need_support)?;
-        Ok(AttributedRun {
-            backend: self.name(),
-            triangles: out.triangles,
-            per_vertex: out.per_vertex.expect("attributed runs always tally"),
-            support: out.support,
-            execute_time: wall,
-            modelled_time_s: Some(out.modelled_time_s),
-            modelled_energy_j: Some(out.modelled_energy_j),
-            kernel: out.kernel,
-            sharding: Some(out.provenance),
+            detail: BackendDetail::Sharded(Box::new(provenance)),
         })
     }
 
     // Query dispatch (including the motif engines) is the provided
-    // trait method: shard provenance flows through the run itself
-    // (`AttributedRun::sharding` / `BackendDetail::Sharded`), and the
-    // peeling / chained-AND rounds are priced under the *inner*
-    // scheduling policy — post-composition delta work is planned across
-    // the same arrays a shard runs on.
+    // trait method: shard provenance flows through the run's
+    // `BackendDetail::Sharded`, and the peeling / chained-AND rounds are
+    // priced under the *inner* scheduling policy — post-composition
+    // delta work is planned across the same arrays a shard runs on.
 
     fn motif_pricing(&self) -> Option<MotifPricing> {
         Some(MotifPricing::new(self.engine.cost_model(), self.policy.inner.clone()))
@@ -821,8 +754,7 @@ impl ExecutionBackend for ShardedBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accelerator::TcimConfig;
-    use crate::pipeline::TcimPipeline;
+    use crate::pipeline::{TcimConfig, TcimPipeline};
     use crate::query::Query;
     use tcim_graph::generators::gnm;
 

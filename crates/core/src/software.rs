@@ -50,21 +50,6 @@ pub fn sliced_count(matrix: &SlicedMatrix, popcount: PopcountMethod) -> Software
     SoftwareCount::from(walk)
 }
 
-/// Runs the AND + BitCount kernel with triangle attribution: every
-/// surviving bit `w` of an AND result at arc `(i, j)` satisfies
-/// `i < w < j` and is reported to `sink` as the triangle
-/// `sink(i, w, j)` (matrix ids, ascending — the
-/// `tcim_arch::TriangleSink` contract), the software twin of
-/// `tcim_arch::runtime::run_attributed` minus the readout cost model.
-pub fn sliced_count_attributed(
-    matrix: &SlicedMatrix,
-    mut sink: impl FnMut(u32, u32, u32),
-) -> SoftwareCount {
-    let walk =
-        kernel::walk(matrix, matrix.edges(), PopcountMethod::Native, &mut (), Some(&mut sink));
-    SoftwareCount::from(walk)
-}
-
 impl From<Walk> for SoftwareCount {
     /// The host-side view of a walk: no array, so no readouts to bill.
     fn from(walk: Walk) -> Self {
@@ -80,7 +65,11 @@ impl From<Walk> for SoftwareCount {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{BackendDetail, ExecutionBackend, SoftwareBackend};
     use crate::baseline;
+    use crate::pipeline::{TcimConfig, TcimPipeline};
+    use crate::query::to_original_ids;
+    use tcim_arch::Attribution;
     use tcim_bitmatrix::SliceSize;
     use tcim_graph::generators::{classic, gnm};
     use tcim_graph::{CsrGraph, Orientation};
@@ -97,20 +86,27 @@ mod tests {
         assert_eq!(run.slice_pairs, 5);
     }
 
+    /// The software backend's attributed runs walk exactly what the plain
+    /// count walks, under the configured popcount.
     #[test]
     fn attributed_count_agrees_with_plain_count_and_sums_to_three() {
         let g = gnm(200, 1400, 5).unwrap();
-        let matrix = sliced(&g, SliceSize::S64, Orientation::Natural);
-        let plain = sliced_count(&matrix, PopcountMethod::Native);
-        let mut per_vertex = vec![0u64; g.vertex_count()];
-        let attributed = sliced_count_attributed(&matrix, |i, j, w| {
-            per_vertex[i as usize] += 1;
-            per_vertex[j as usize] += 1;
-            per_vertex[w as usize] += 1;
-        });
-        assert_eq!(attributed, plain);
-        assert_eq!(per_vertex.iter().sum::<u64>(), 3 * plain.triangles);
-        assert_eq!(per_vertex, baseline::local_triangles(&g));
+        let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
+        let prepared = pipeline.prepare(&g);
+        let plain = sliced_count(prepared.matrix(), PopcountMethod::Native);
+        for popcount in [PopcountMethod::Native, PopcountMethod::Lut8] {
+            let run =
+                SoftwareBackend::new(popcount).run(&prepared, Attribution::PerVertex).unwrap();
+            assert_eq!(run.triangles, plain.triangles);
+            assert_eq!(run.kernel.slice_pairs, plain.slice_pairs);
+            assert_eq!(run.kernel.kernel_invocations, plain.kernel_invocations);
+            assert!(
+                matches!(run.detail, BackendDetail::Software { popcount: p } if p == popcount)
+            );
+            let per_vertex = to_original_ids(&prepared, &run.per_vertex.unwrap());
+            assert_eq!(per_vertex.iter().sum::<u64>(), 3 * plain.triangles);
+            assert_eq!(per_vertex, baseline::local_triangles(&g));
+        }
     }
 
     #[test]

@@ -18,11 +18,10 @@ use std::time::{Duration, Instant};
 
 use tcim_graph::CsrGraph;
 
-use crate::accelerator::TcimConfig;
 use crate::backend::Backend;
 use crate::baseline;
 use crate::error::Result;
-use crate::pipeline::TcimPipeline;
+use crate::pipeline::{TcimConfig, TcimPipeline};
 
 /// One path's verdict inside a [`CrossCheckReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]

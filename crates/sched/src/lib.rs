@@ -79,4 +79,4 @@ pub use jobs::RowJob;
 pub use placement::{ArrayAssignment, Placement};
 pub use policy::{PlacementPolicy, SchedPolicy};
 pub use report::{ArrayReport, ScheduledReport};
-pub use runner::{parallel_map_indexed, AttributedScheduledRun, ScheduledRun};
+pub use runner::{parallel_map_indexed, ScheduledRun};

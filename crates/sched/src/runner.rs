@@ -20,26 +20,6 @@ use crate::placement::Placement;
 use crate::policy::SchedPolicy;
 use crate::report::ScheduledReport;
 
-/// A scheduled run executed with triangle attribution: the usual
-/// [`ScheduledReport`] plus the attributed quantities, merged
-/// deterministically from each array's partial vectors (array order, so
-/// results are independent of host-thread interleaving).
-///
-/// All ids are matrix ids; callers that relabelled vertices map them
-/// back through their orientation.
-#[derive(Debug, Clone)]
-pub struct AttributedScheduledRun {
-    /// The scheduled report (triangles, per-array statistics including
-    /// the attribution's result readouts, critical path, energy).
-    pub report: ScheduledReport,
-    /// Triangles each vertex participates in; sums to `3 × triangles`.
-    pub per_vertex: Vec<u64>,
-    /// Triangle support per arc `(i, j)`, ascending, covering every arc
-    /// that participates in at least one triangle. Present only when
-    /// support accumulation was requested.
-    pub support: Option<Vec<(u32, u32, u64)>>,
-}
-
 /// A planned scheduled run: a matrix bound to a placement, ready to
 /// execute (possibly several times).
 #[derive(Debug)]
@@ -136,30 +116,18 @@ impl<'a> ScheduledRun<'a> {
     /// threads, merges triangle counts and statistics deterministically,
     /// and aggregates inter-array timing/energy.
     pub fn execute(&self) -> ScheduledReport {
-        self.execute_mode(Attribution::Count).0
+        self.execute_with(Attribution::Count).0
     }
 
-    /// Executes the planned run with triangle attribution: every array
-    /// additionally reads non-zero AND results back out and accumulates
-    /// a partial per-vertex participation vector (and, when
-    /// `need_support` is set, partial per-arc triangle support); the
-    /// partials merge deterministically in array order.
+    /// Executes the planned run at `attribution`: above
+    /// [`Attribution::Count`] every array additionally reads non-zero AND
+    /// results back out into a partial [`TriangleTally`] (matrix ids),
+    /// and the partials merge deterministically in array order.
     ///
-    /// The extra readouts appear in the per-array statistics and are
-    /// priced into the report's critical path and energy, mirroring the
-    /// serial engine's attributed run.
-    pub fn execute_attributed(&self, need_support: bool) -> AttributedScheduledRun {
-        let (report, tally) = self.execute_mode(if need_support {
-            Attribution::PerVertexWithSupport
-        } else {
-            Attribution::PerVertex
-        });
-        let (_, per_vertex, support) =
-            tally.expect("attributed levels always tally").into_parts();
-        AttributedScheduledRun { report, per_vertex, support }
-    }
-
-    fn execute_mode(
+    /// The readouts appear in the per-array statistics and are priced
+    /// into the report's critical path and energy, mirroring the serial
+    /// engine's attributed run.
+    pub fn execute_with(
         &self,
         attribution: Attribution,
     ) -> (ScheduledReport, Option<TriangleTally>) {
@@ -332,12 +300,15 @@ mod tests {
         for arrays in [1usize, 2, 4, 8] {
             let policy =
                 SchedPolicy { arrays, host_threads: Some(2), ..SchedPolicy::default() };
-            let run = ScheduledRun::plan(&e, &m, &policy).unwrap().execute_attributed(true);
-            assert_eq!(run.report.triangles, serial.triangles, "{arrays} arrays");
-            assert_eq!(run.per_vertex, serial_per_vertex, "{arrays} arrays");
-            assert_eq!(run.report.stats.result_readouts, serial.stats.result_readouts);
+            let (report, tally) = ScheduledRun::plan(&e, &m, &policy)
+                .unwrap()
+                .execute_with(Attribution::PerVertexWithSupport);
+            let (_, per_vertex, support) = tally.unwrap().into_parts();
+            assert_eq!(report.triangles, serial.triangles, "{arrays} arrays");
+            assert_eq!(per_vertex, serial_per_vertex, "{arrays} arrays");
+            assert_eq!(report.stats.result_readouts, serial.stats.result_readouts);
             // Every triangle contributes to exactly three arcs.
-            let support = run.support.unwrap();
+            let support = support.unwrap();
             let total: u64 = support.iter().map(|&(_, _, c)| c).sum();
             assert_eq!(total, 3 * serial.triangles);
             assert!(support.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));

@@ -25,7 +25,7 @@
 //! kernels. [`compose`] is the two back to back.
 
 use tcim_arch::kernel::{self, ArcKernel};
-use tcim_arch::{SliceCostModel, TriangleTally};
+use tcim_arch::{Attribution, SliceCostModel, TriangleTally};
 use tcim_bitmatrix::popcount::PopcountMethod;
 use tcim_bitmatrix::{PairStats, SlicedRow};
 use tcim_sched::{parallel_map_indexed, plan_deltas, DeltaJob, PlacementPolicy, SchedPolicy};
@@ -241,10 +241,10 @@ impl CompositionPlan {
     /// Runs the planned pass over `boundary` — the material the plan was
     /// built from — with `host_threads` host worker threads.
     ///
-    /// With `attributed` set, every non-zero AND result is read back out
-    /// and each surviving middle vertex `w` is recorded as the triangle
-    /// `(a, w, c)`; `need_support` additionally accumulates per-arc
-    /// support.
+    /// Above [`Attribution::Count`], every non-zero AND result is read
+    /// back out and each surviving middle vertex `w` is recorded as the
+    /// triangle `(a, w, c)`, with per-arc support at
+    /// [`Attribution::PerVertexWithSupport`].
     ///
     /// # Panics
     ///
@@ -255,8 +255,7 @@ impl CompositionPlan {
         vertex_count: usize,
         boundary: &BoundarySlices,
         host_threads: usize,
-        attributed: bool,
-        need_support: bool,
+        attribution: Attribution,
     ) -> CompositionRun {
         assert_eq!(
             boundary.cross_arcs().len(),
@@ -265,7 +264,7 @@ impl CompositionPlan {
         );
         let arcs = boundary.cross_arcs();
         let costs = &self.costs;
-        let new_tally = || attributed.then(|| TriangleTally::new(vertex_count, need_support));
+        let new_tally = || attribution.tally(vertex_count);
 
         // Execute each array's arcs; merge deterministically in array
         // order afterwards.
@@ -374,10 +373,9 @@ struct ArrayPartial {
 /// [`CompositionPlan`] executed once. Callers that run many passes over
 /// one boundary keep the plan instead.
 ///
-/// With `attributed` set, every non-zero AND result is read back out
-/// and each surviving middle vertex `w` is recorded as the triangle
-/// `(a, w, c)`; `need_support` additionally accumulates per-arc
-/// support.
+/// The flags select the [`Attribution`] level: `attributed` reads
+/// triangles out per vertex, and `need_support` (with `attributed`)
+/// adds per-arc support.
 ///
 /// # Errors
 ///
@@ -391,13 +389,17 @@ pub fn compose(
     attributed: bool,
     need_support: bool,
 ) -> Result<CompositionRun> {
+    let attribution = match (attributed, need_support) {
+        (false, _) => Attribution::Count,
+        (true, false) => Attribution::PerVertex,
+        (true, true) => Attribution::PerVertexWithSupport,
+    };
     let composition = CompositionPlan::new(plan, boundary, policy, costs)?;
     Ok(composition.execute(
         vertex_count,
         boundary,
         policy.resolved_host_threads(),
-        attributed,
-        need_support,
+        attribution,
     ))
 }
 
@@ -624,12 +626,15 @@ mod tests {
                     BoundarySlices::extract(&oriented, &plan, SliceSize::S64, encoding);
                 let composition =
                     CompositionPlan::new(&plan, &boundary, &policy, &costs()).unwrap();
-                for (attributed, need_support) in [(false, false), (true, false), (true, true)]
-                {
-                    let ctx = format!("{} {encoding} {attributed}/{need_support}", spec.mode);
-                    let run = |threads| {
-                        composition.execute(n, &boundary, threads, attributed, need_support)
-                    };
+                // `compose`'s flags map onto the three levels.
+                for (attribution, attributed, need_support) in [
+                    (Attribution::Count, false, false),
+                    (Attribution::PerVertex, true, false),
+                    (Attribution::PerVertexWithSupport, true, true),
+                ] {
+                    let ctx = format!("{} {encoding} {attribution:?}", spec.mode);
+                    let run =
+                        |threads| composition.execute(n, &boundary, threads, attribution);
                     let (first, again) = (run(1), run(2));
                     let free = compose(
                         n,

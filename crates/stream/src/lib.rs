@@ -21,7 +21,7 @@
 //!   through `TcimPipeline`/`PreparedCache`.
 //! * [`StreamReport`] — deltas applied, kernel invocations, rebuilds
 //!   and amortized per-update cost, alongside the static pipeline's
-//!   `CountReport`.
+//!   `ExecutionReport`.
 //!
 //! # Example
 //!

@@ -1,6 +1,6 @@
 //! Streaming accounting: per-update deltas, per-batch outcomes and the
 //! cumulative [`StreamReport`] — the dynamic-workload counterpart of
-//! `tcim-core`'s per-execution `CountReport`.
+//! `tcim-core`'s per-execution `ExecutionReport`.
 
 use std::fmt;
 use std::time::Duration;

@@ -8,11 +8,13 @@
 //! ```
 
 use tcim_repro::graph::generators::{barabasi_albert, road_grid};
-use tcim_repro::sched::{PlacementPolicy, SchedPolicy, ScheduledRun};
-use tcim_repro::tcim::{baseline, TcimAccelerator, TcimConfig};
+use tcim_repro::sched::{PlacementPolicy, SchedPolicy, ScheduledReport, ScheduledRun};
+use tcim_repro::tcim::{
+    baseline, Backend, BackendDetail, CoreError, TcimConfig, TcimPipeline,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let accelerator = TcimAccelerator::new(&TcimConfig::default())?;
+    let pipeline = TcimPipeline::new(&TcimConfig::default())?;
 
     // --- Part 1: one skewed graph, three placement policies ----------
     let graph = barabasi_albert(3000, 8, 7)?;
@@ -23,10 +25,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         graph.edge_count(),
         expected
     );
+    let prepared = pipeline.prepare(&graph);
+    // The scheduled backend's full multi-array report.
+    let scheduled = |policy: SchedPolicy| -> Result<ScheduledReport, CoreError> {
+        let run = pipeline.execute(&prepared, &Backend::ScheduledPim(policy))?;
+        let BackendDetail::ScheduledPim(report) = run.detail else {
+            unreachable!("the scheduled backend returns a scheduled detail")
+        };
+        Ok(*report)
+    };
 
     for placement in PlacementPolicy::ALL {
         let policy = SchedPolicy::with_arrays(8).placement(placement);
-        let report = accelerator.count_triangles_scheduled(&graph, &policy)?;
+        let report = scheduled(policy)?;
         assert_eq!(report.triangles, expected, "scheduling never changes counts");
         println!(
             "  {placement:>13} x8: critical path {:.3e} s, imbalance {:.3}, \
@@ -39,8 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Part 2: per-array utilization under the default policy ------
-    let report =
-        accelerator.count_triangles_scheduled(&graph, &SchedPolicy::with_arrays(8))?;
+    let report = scheduled(SchedPolicy::with_arrays(8))?;
     println!("\n== per-array utilization (load-balanced, 8 arrays) ==");
     for array in &report.per_array {
         println!(
@@ -55,14 +65,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Part 3: a batch of independent jobs --------------------------
     println!("\n== batch: three graphs, one planned run each ==");
-    let matrices = [
-        accelerator.compress(&barabasi_albert(1500, 6, 1)?),
-        accelerator.compress(&road_grid(25, 25, 0.9, 0.3, 2)?),
-        accelerator.compress(&barabasi_albert(800, 4, 3)?),
+    let jobs = [
+        pipeline.prepare(&barabasi_albert(1500, 6, 1)?),
+        pipeline.prepare(&road_grid(25, 25, 0.9, 0.3, 2)?),
+        pipeline.prepare(&barabasi_albert(800, 4, 3)?),
     ];
     let policy = SchedPolicy::with_arrays(4);
-    for (i, matrix) in matrices.iter().enumerate() {
-        let job = ScheduledRun::plan(accelerator.engine(), matrix, &policy)?.execute();
+    for (i, prepared) in jobs.iter().enumerate() {
+        let job = ScheduledRun::plan(pipeline.engine(), prepared.matrix(), &policy)?.execute();
         println!(
             "  job {i}: {} triangles, critical path {:.3e} s, imbalance {:.3}",
             job.triangles, job.critical_path_s, job.imbalance

@@ -10,7 +10,7 @@
 
 use tcim_repro::arch::{PimConfig, ReplacementPolicy};
 use tcim_repro::graph::datasets::Dataset;
-use tcim_repro::tcim::{baseline, TcimAccelerator, TcimConfig};
+use tcim_repro::tcim::{baseline, Backend, TcimConfig, TcimPipeline};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A roadNet-PA-style stand-in at 2 % published size.
@@ -43,10 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 },
                 ..TcimConfig::default()
             };
-            let accelerator = TcimAccelerator::new(&config)?;
-            let report = accelerator.count_triangles(&graph);
+            let report = TcimPipeline::new(&config)?.count(&graph, &Backend::SerialPim)?;
             assert_eq!(report.triangles, expected, "policy must not change the count");
-            let s = report.sim.stats;
+            let s = report.stats.expect("serial PIM simulates the data buffer");
             println!(
                 "{:<10} {:>12} {:>8.1} {:>8.1} {:>10.1} {:>12}",
                 format!("{policy:?}"),

@@ -20,7 +20,7 @@ use tcim_repro::graph::datasets::Dataset;
 use tcim_repro::graph::io::{read_matrix_market, read_snap_edges};
 use tcim_repro::graph::CsrGraph;
 use tcim_repro::tcim::verify::cross_check;
-use tcim_repro::tcim::{TcimAccelerator, TcimConfig};
+use tcim_repro::tcim::{Backend, TcimConfig, TcimPipeline};
 
 fn load(path: &str) -> Result<CsrGraph, Box<dyn std::error::Error>> {
     let file = File::open(path)?;
@@ -61,19 +61,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(report.consistent());
 
     // And the full accelerator report.
-    let acc = TcimAccelerator::new(&TcimConfig::default())?;
-    let r = acc.count_triangles(&graph);
+    let pipeline = TcimPipeline::new(&TcimConfig::default())?;
+    let prepared = pipeline.prepare(&graph);
+    let r = pipeline.execute(&prepared, &Backend::SerialPim)?;
+    let (slices, stats) = (prepared.slice_stats(), r.stats.expect("serial PIM has stats"));
     println!("\nTCIM simulation:");
     println!("  triangles        = {}", r.triangles);
-    println!("  compressed size  = {:.3} MiB", r.slice_stats.compressed_mib());
-    println!("  valid slices     = {:.4} %", 100.0 * r.slice_stats.valid_fraction());
-    println!("  simulated time   = {:.3} ms", r.sim.total_time_s() * 1e3);
-    println!("  simulated energy = {:.3} mJ", r.sim.total_energy_j() * 1e3);
+    println!("  compressed size  = {:.3} MiB", slices.compressed_mib());
+    println!("  valid slices     = {:.4} %", 100.0 * slices.valid_fraction());
+    println!("  simulated time   = {:.3} ms", r.modelled_time_s.unwrap() * 1e3);
+    println!("  simulated energy = {:.3} mJ", r.modelled_energy_j.unwrap() * 1e3);
     println!(
         "  col traffic      = {:.1}% hit / {:.1}% miss / {:.1}% exchange",
-        100.0 * r.sim.stats.hit_rate(),
-        100.0 * r.sim.stats.miss_rate(),
-        100.0 * r.sim.stats.exchange_rate()
+        100.0 * stats.hit_rate(),
+        100.0 * stats.miss_rate(),
+        100.0 * stats.exchange_rate()
     );
     Ok(())
 }

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use tcim_repro::bitmatrix::popcount::PopcountMethod;
 use tcim_repro::graph::datasets::Dataset;
-use tcim_repro::tcim::{baseline, metrics, Backend, TcimAccelerator, TcimConfig};
+use tcim_repro::tcim::{baseline, metrics, Backend, Query, TcimConfig, TcimPipeline};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An ego-facebook-style stand-in at 50 % published size.
@@ -29,13 +29,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cpu = baseline::hash_intersect(&graph);
     let cpu_time = t.elapsed();
 
-    let accelerator = TcimAccelerator::new(&TcimConfig::default())?;
-    let prepared = accelerator.pipeline().prepare(&graph);
-    let sw = accelerator
-        .pipeline()
-        .execute(&prepared, &Backend::Software(PopcountMethod::Native))?;
+    let pipeline = TcimPipeline::new(&TcimConfig::default())?;
+    let prepared = pipeline.prepare(&graph);
+    let sw = pipeline.execute(&prepared, &Backend::Software(PopcountMethod::Native))?;
 
-    let report = accelerator.count_triangles(&graph);
+    let report = pipeline.execute(&prepared, &Backend::SerialPim)?;
 
     assert_eq!(cpu, sw.triangles);
     assert_eq!(cpu, report.triangles);
@@ -47,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  TCIM                 : {:>10.3} ms (simulated)",
-        report.sim.total_time_s() * 1e3
+        report.modelled_time_s.unwrap() * 1e3
     );
 
     // --- The metrics the paper says TC unlocks -----------------------
@@ -58,16 +56,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Per-vertex counts straight from the accelerator (extra AND-result
     // readouts), cross-checked against the CPU path.
-    let local_report = accelerator.count_local_triangles(&graph);
-    assert_eq!(local_report.per_vertex, baseline::local_triangles(&graph));
+    let local_report =
+        pipeline.query(&prepared, &Backend::SerialPim, &Query::PerVertexTriangles)?;
+    let local = local_report.value.per_vertex().expect("a per-vertex answer");
+    assert_eq!(local, baseline::local_triangles(&graph));
     println!(
         "  per-vertex counts from PIM   : {} result readouts, {:.3} ms simulated",
-        local_report.sim.stats.result_readouts,
-        local_report.sim.latency.total_s() * 1e3,
+        local_report.kernel.result_readouts,
+        local_report.modelled_time_s.unwrap() * 1e3,
     );
 
     // Top-5 most clustered hubs: candidate community centres.
-    let local = local_report.per_vertex;
     let mut hubs: Vec<(u32, u64)> = graph.vertices().map(|v| (v, local[v as usize])).collect();
     hubs.sort_by_key(|&(_, t)| std::cmp::Reverse(t));
     println!("\n  top-5 triangle-dense vertices (community centres):");

@@ -9,7 +9,7 @@ use tcim_repro::graph::generators::{
 };
 use tcim_repro::graph::{CsrGraph, Orientation};
 use tcim_repro::tcim::software::sliced_count;
-use tcim_repro::tcim::{baseline, TcimAccelerator, TcimConfig};
+use tcim_repro::tcim::{baseline, Backend, TcimConfig, TcimPipeline};
 
 /// Counts with every implemented method and asserts unanimity.
 fn assert_all_paths_agree(g: &CsrGraph, label: &str) -> u64 {
@@ -26,9 +26,10 @@ fn assert_all_paths_agree(g: &CsrGraph, label: &str) -> u64 {
         assert_eq!(run.triangles, reference, "{label}: software {orientation:?}");
     }
 
-    let acc =
-        TcimAccelerator::new(&TcimConfig::default()).expect("default config characterizes");
-    assert_eq!(acc.count_triangles(g).triangles, reference, "{label}: tcim");
+    let pipeline =
+        TcimPipeline::new(&TcimConfig::default()).expect("default config characterizes");
+    let tcim = pipeline.count(g, &Backend::SerialPim).expect("pipeline artifacts match");
+    assert_eq!(tcim.triangles, reference, "{label}: tcim");
 
     // Dense verification is only affordable on small graphs.
     if g.vertex_count() <= 400 {

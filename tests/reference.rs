@@ -10,6 +10,8 @@
 //! rows. Any divergence anywhere in the grid is a bug in exactly one
 //! of them, which is the point of keeping both.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use tcim_repro::bitmatrix::popcount::PopcountMethod;
 use tcim_repro::bitmatrix::EncodingPolicy;
 use tcim_repro::graph::generators::{
@@ -20,6 +22,16 @@ use tcim_repro::shard::{ShardMode, ShardSpec};
 use tcim_repro::tcim::{
     Backend, EdgeTruss, Query, QueryValue, SchedPolicy, ShardPolicy, TcimConfig, TcimPipeline,
 };
+
+/// `matrices_built()` counts every matrix the process builds, and the
+/// harness runs this binary's tests on parallel threads: each test holds
+/// this lock throughout, so no test builds matrices while another reads
+/// the counter.
+static MATRIX_COUNTER: Mutex<()> = Mutex::new(());
+
+fn exclusive_matrix_counter() -> MutexGuard<'static, ()> {
+    MATRIX_COUNTER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The generator grid the satellite task names.
 fn generator_grid() -> Vec<(&'static str, CsrGraph)> {
@@ -98,6 +110,7 @@ fn assert_motifs_match_oracle(
 /// Fig. 2 graph, a wheel, and the complete graphs K5/K6.
 #[test]
 fn golden_fixtures_match_hand_derived_values() {
+    let _counter = exclusive_matrix_counter();
     let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
 
     // Fig. 2: triangles {0,1,2}, {1,2,3}; edge (1,2) closes both, the
@@ -149,6 +162,7 @@ fn golden_fixtures_match_hand_derived_values() {
 /// time — peeling mutates rows in place, it never re-slices.
 #[test]
 fn motif_answers_match_the_oracle_across_the_grid() {
+    let _counter = exclusive_matrix_counter();
     for (name, g) in generator_grid() {
         for orientation in [Orientation::Natural, Orientation::Degree] {
             for encoding in [EncodingPolicy::ForceDense, EncodingPolicy::ForceSparse] {
@@ -186,6 +200,7 @@ fn motif_answers_match_the_oracle_across_the_grid() {
 /// the motif rounds run over the merged input-id adjacency.
 #[test]
 fn sharded_motifs_are_shard_count_invariant() {
+    let _counter = exclusive_matrix_counter();
     let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
     let graphs =
         vec![("ba", barabasi_albert(150, 5, 3).unwrap()), ("er", gnm(140, 900, 7).unwrap())];

@@ -3,10 +3,22 @@
 //! provenance, live (incrementally maintained) graphs that survive
 //! randomized churn, and registry lifecycle.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use tcim_repro::graph::generators::{barabasi_albert, classic, gnm};
 use tcim_repro::service::{QueryRequest, ServiceConfig, ServiceError, TcimService};
 use tcim_repro::stream::UpdateBatch;
 use tcim_repro::tcim::{baseline, Backend, Query, QueryValue};
+
+/// `matrices_built()` counts every matrix the process builds, and the
+/// harness runs this binary's tests on parallel threads: each test holds
+/// this lock throughout, so no test builds matrices while another reads
+/// the counter.
+static MATRIX_COUNTER: Mutex<()> = Mutex::new(());
+
+fn exclusive_matrix_counter() -> MutexGuard<'static, ()> {
+    MATRIX_COUNTER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn service() -> TcimService {
     TcimService::new(&ServiceConfig::default()).unwrap()
@@ -17,6 +29,7 @@ fn service() -> TcimService {
 /// provenance (graph, fingerprint, backend, cache hit, wall time).
 #[test]
 fn serves_concurrent_mixed_queries_across_graphs_with_provenance() {
+    let _counter = exclusive_matrix_counter();
     let service = service();
     let ba = barabasi_albert(300, 5, 21).unwrap();
     let er = gnm(250, 1700, 4).unwrap();
@@ -84,6 +97,7 @@ fn serves_concurrent_mixed_queries_across_graphs_with_provenance() {
 /// global matrix-build counter.
 #[test]
 fn serving_never_reslices() {
+    let _counter = exclusive_matrix_counter();
     let service = service();
     service.register("a", &classic::wheel(60)).unwrap();
     service.register("b", &gnm(150, 900, 8).unwrap()).unwrap();
@@ -109,6 +123,7 @@ fn serving_never_reslices() {
 #[test]
 fn live_graphs_serve_motif_queries_from_maintained_rows() {
     use tcim_repro::graph::oracle;
+    let _counter = exclusive_matrix_counter();
     let service = service();
     let g = gnm(90, 450, 5).unwrap();
     service.register_live("feed", &g).unwrap();
@@ -158,6 +173,7 @@ fn live_graphs_serve_motif_queries_from_maintained_rows() {
 /// from-scratch recount of the materialised snapshot.
 #[test]
 fn live_graph_answers_match_recount_after_randomized_churn() {
+    let _counter = exclusive_matrix_counter();
     let service = service();
     let g = gnm(120, 700, 33).unwrap();
     let info = service.register_live("feed", &g).unwrap();
@@ -236,6 +252,7 @@ fn live_graph_answers_match_recount_after_randomized_churn() {
 /// name.
 #[test]
 fn registry_lifecycle_and_name_conflicts() {
+    let _counter = exclusive_matrix_counter();
     let service = service();
     service.register("g", &classic::wheel(12)).unwrap();
     assert!(matches!(
@@ -276,6 +293,7 @@ fn registry_lifecycle_and_name_conflicts() {
 /// static and live graphs alike.
 #[test]
 fn invalid_query_parameters_fail_cleanly() {
+    let _counter = exclusive_matrix_counter();
     let service = service();
     service.register("s", &classic::wheel(10)).unwrap();
     service.register_live("l", &classic::wheel(10)).unwrap();
