@@ -27,7 +27,6 @@ use crate::motifs::{self, MotifFlavor, MotifPricing};
 use crate::pipeline::PreparedGraph;
 use crate::query::{self, KernelStats, Query, QueryReport};
 use crate::sharded::{ShardPolicy, ShardProvenance, ShardedBackend};
-use crate::software::SoftwareCount;
 
 /// A query engine that executes prepared graphs.
 ///
@@ -115,17 +114,25 @@ pub trait ExecutionBackend {
     /// invalid query parameters (e.g. out-of-bounds vertices).
     fn query(&self, prepared: &PreparedGraph, query: &Query) -> Result<QueryReport> {
         let run = self.run(prepared, query.attribution())?;
-        let (flavor, pricing) = (self.motif_flavor(), self.motif_pricing());
         match query {
             // The k-truss peel seeds from the anchor run's edge supports.
-            Query::KTruss { k } => {
-                motifs::ktruss_report(prepared, query, run, flavor, pricing, *k)
-            }
+            Query::KTruss { k } => motifs::ktruss_report(
+                prepared,
+                query,
+                run,
+                self.motif_flavor(),
+                self.motif_pricing(),
+                *k,
+            ),
             // The 4-clique witness pass re-derives the triangle census
             // as a built-in cross-check against the anchor run.
-            Query::FourCliques => {
-                motifs::four_clique_report(prepared, query, run, flavor, pricing)
-            }
+            Query::FourCliques => motifs::four_clique_report(
+                prepared,
+                query,
+                run,
+                self.motif_flavor(),
+                self.motif_pricing(),
+            ),
             _ => {
                 let value = query::shape(std::slice::from_ref(query), prepared, &run)
                     .pop()
@@ -193,7 +200,7 @@ pub struct ExecutionReport {
 
 impl ExecutionReport {
     /// Shard-level provenance, carried only by sharded executions.
-    pub fn sharding(&self) -> Option<&ShardProvenance> {
+    pub(crate) fn sharding(&self) -> Option<&ShardProvenance> {
         match &self.detail {
             BackendDetail::Sharded(provenance) => Some(provenance),
             _ => None,
@@ -504,15 +511,9 @@ impl ExecutionBackend for SoftwareBackend {
         let walk =
             kernel::walk(matrix, matrix.edges(), self.popcount, &mut (), tally.as_mut());
         // Host-side: no array, so no readouts to bill.
-        let run = SoftwareCount::from(walk);
-        let kernel = KernelStats {
-            kernel_invocations: run.kernel_invocations,
-            slice_pairs: run.slice_pairs,
-            result_readouts: 0,
-            blocks_skipped: run.blocks_skipped,
-        };
+        let kernel = KernelStats { result_readouts: 0, ..kernel_from_stats(&walk.stats) };
         let detail = BackendDetail::Software { popcount: self.popcount };
-        Ok(host_report(self.name(), run.triangles, start, kernel, detail).with_tally(tally))
+        Ok(host_report(self.name(), walk.triangles, start, kernel, detail).with_tally(tally))
     }
 }
 

@@ -636,8 +636,9 @@ pub(crate) fn shape(
     queries
         .iter()
         .map(|query| {
-            let support = matches!(query, Query::EdgeSupport).then(|| edge_support.clone());
-            shape_value(query, run.triangles, &per_vertex, &degrees, support.flatten())
+            let support =
+                if matches!(query, Query::EdgeSupport) { edge_support.clone() } else { None };
+            shape_value(query, run.triangles, &per_vertex, &degrees, support)
         })
         .collect()
 }
