@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn local_counts_sum_to_three_per_triangle() {
-        let mut tally = crate::TriangleTally::new(4, false);
+        let mut tally = crate::TriangleTally::new(4, None);
         let run = engine().run_attributed(&fig2_matrix(), &mut tally);
         assert_eq!(run.triangles, 2);
         // Fig. 2: triangles 0-1-2 and 1-2-3 → participation 1,2,2,1.
@@ -251,7 +251,7 @@ mod tests {
         let m = b.build();
         let e = engine();
         let global = e.run(&m);
-        let mut tally = crate::TriangleTally::new(m.dim(), false);
+        let mut tally = crate::TriangleTally::new(m.dim(), None);
         let local = e.run_attributed(&m, &mut tally);
         assert_eq!(local.triangles, global.triangles);
         assert_eq!(tally.into_parts().1.iter().sum::<u64>(), 3 * global.triangles);
@@ -309,8 +309,7 @@ mod tests {
         let facade = PimEngine::from_characterization(chr.clone()).run(&m);
         assert_eq!(direct.triangles, facade.triangles);
         assert_eq!(direct.stats, facade.stats);
-        let local =
-            runtime::run_attributed(&chr, &m, &mut crate::TriangleTally::new(4, false));
+        let local = runtime::run_attributed(&chr, &m, &mut crate::TriangleTally::new(4, None));
         assert_eq!(local.triangles, direct.triangles);
     }
 }

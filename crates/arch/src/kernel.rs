@@ -13,8 +13,13 @@
 //! [`Residency`] model the operands are charged to (`()` for none, an
 //! [`ArrayBuffer`] for the computational array) and over the sink that
 //! carries the [`Attribution`] level (`None` counts only).
+//!
+//! Per-arc quantities are indexed by an arc's *position* in the
+//! matrix's row-major arc list ([`ArcIndex`]): the walker knows the
+//! position of the arc it is reading out, and a [`TriangleTally`] finds
+//! the triangle's other two arcs by binary search in their sorted rows.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use tcim_bitmatrix::popcount::{popcount_word, visit_set_bits, PopcountMethod};
 use tcim_bitmatrix::{PairStats, RowEncoding, SlicedMatrix, SlicedRow};
@@ -39,13 +44,69 @@ pub enum Attribution {
 
 impl Attribution {
     /// The sink this level accumulates into over `dim` vertices: `None`
-    /// for [`Attribution::Count`].
-    pub fn tally(self, dim: usize) -> Option<TriangleTally> {
+    /// for [`Attribution::Count`]. `arcs` is asked for the arc index of
+    /// the walked matrix only at [`Attribution::PerVertexWithSupport`].
+    pub fn tally<'a>(
+        self,
+        dim: usize,
+        arcs: impl FnOnce() -> &'a ArcIndex,
+    ) -> Option<TriangleTally<'a>> {
         match self {
             Attribution::Count => None,
-            Attribution::PerVertex => Some(TriangleTally::new(dim, false)),
-            Attribution::PerVertexWithSupport => Some(TriangleTally::new(dim, true)),
+            Attribution::PerVertex => Some(TriangleTally::new(dim, None)),
+            Attribution::PerVertexWithSupport => Some(TriangleTally::new(dim, Some(arcs()))),
         }
+    }
+}
+
+/// The position of every arc of a row-major arc list — the order
+/// [`SlicedMatrix::edges`] and an oriented graph's arcs are listed in:
+/// row offsets over the list plus the sorted heads of each row, so arc
+/// `(i, j)` sits at row `i`'s offset plus `j`'s rank among its heads.
+/// Per-arc quantities (triangle support) live in a `Vec` indexed by
+/// position.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArcIndex {
+    offsets: Vec<usize>,
+    heads: Vec<u32>,
+}
+
+impl ArcIndex {
+    /// Indexes `arcs` over `dim` vertices.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the arcs are not row-major (tails ascending, heads
+    /// strictly ascending within a row) or a tail is out of bounds.
+    pub fn new(dim: usize, arcs: impl IntoIterator<Item = (u32, u32)>) -> Self {
+        let mut offsets = vec![0usize; dim + 1];
+        let mut heads = Vec::new();
+        let mut last: Option<(u32, u32)> = None;
+        for (i, j) in arcs {
+            assert!(last < Some((i, j)), "arcs are listed row-major");
+            last = Some((i, j));
+            offsets[i as usize + 1] += 1;
+            heads.push(j);
+        }
+        for v in 0..dim {
+            offsets[v + 1] += offsets[v];
+        }
+        ArcIndex { offsets, heads }
+    }
+
+    /// Number of arcs indexed.
+    pub fn arc_count(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// The position of arc `(i, j)`, or `None` when it is not an arc.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of bounds.
+    pub fn position(&self, i: u32, j: u32) -> Option<usize> {
+        let (start, end) = (self.offsets[i as usize], self.offsets[i as usize + 1]);
+        self.heads[start..end].binary_search(&j).ok().map(|rank| start + rank)
     }
 }
 
@@ -58,17 +119,24 @@ impl Attribution {
 /// out of the array; a surviving bit `w` is set in both row `i` and
 /// column `j`, so over an oriented matrix `i < w < j` and the triangle
 /// is reported as `triangle(i, w, j)`. The contract: `triangle(a, b,
-/// c)` is called with `a < b < c` in matrix id order, so the triangle's
-/// three edges are exactly the DAG arcs `(a, b)`, `(a, c)` and `(b, c)`
-/// and a sink can attribute per-vertex or per-edge quantities without
-/// any further graph lookups. Kernels over full-neighbourhood rows
-/// (streaming deltas, motif rounds) only collect the witness `b`.
+/// c)` is called with `a < b < c` in matrix id order while arc `(a, c)`
+/// is read out, so the triangle's three edges are exactly the DAG arcs
+/// `(a, b)`, `(a, c)` and `(b, c)` and a sink can attribute per-vertex
+/// or per-edge quantities without any further graph lookups. Kernels
+/// over full-neighbourhood rows (streaming deltas, motif rounds) only
+/// collect the witness `b`.
 ///
 /// Closures `FnMut(u32, u32, u32)` implement the trait, so ad-hoc
 /// sinks need no named type; a `Vec<u32>` collects the witnesses.
 pub trait TriangleSink {
+    /// The next triangles are read out of the arc at `position` in the
+    /// walked matrix's row-major arc list ([`ArcIndex`]). Sinks that
+    /// keep nothing per arc ignore it.
+    fn enter_arc(&mut self, _position: usize) {}
+
     /// Called once per triangle `{a, b, c}`, `a < b < c` in matrix id
-    /// order (arcs `(a, b)`, `(a, c)`, `(b, c)`).
+    /// order (arcs `(a, b)`, `(a, c)`, `(b, c)`), while arc `(a, c)` is
+    /// read out.
     fn triangle(&mut self, a: u32, b: u32, c: u32);
 }
 
@@ -89,22 +157,49 @@ impl TriangleSink for Vec<u32> {
 /// participation and (optionally) per-arc triangle support, shared by
 /// every attributed execution path in the repository so the attribution
 /// bookkeeping has exactly one implementation.
+///
+/// Support is one counter per arc of an [`ArcIndex`], at the arc's
+/// position: the arc being read out is the position the walker entered
+/// ([`TriangleSink::enter_arc`]), and the triangle's other two arcs are
+/// found by binary search in their rows. Callers that already know all
+/// three positions (the CPU forward baseline) use
+/// [`TriangleTally::triangle_at`].
 #[derive(Debug, Clone)]
-pub struct TriangleTally {
+pub struct TriangleTally<'a> {
     per_vertex: Vec<u64>,
-    support: Option<BTreeMap<(u32, u32), u64>>,
+    support: Option<ArcSupport<'a>>,
     triangles: u64,
 }
 
-impl TriangleTally {
+/// Per-arc support counters over one arc index.
+#[derive(Debug, Clone)]
+struct ArcSupport<'a> {
+    arcs: &'a ArcIndex,
+    counts: Vec<u64>,
+    /// Position of the arc being read out.
+    current: usize,
+}
+
+impl<'a> TriangleTally<'a> {
     /// An empty tally over `dim` vertices; accumulates per-arc support
-    /// only when `need_support` is set.
-    pub fn new(dim: usize, need_support: bool) -> Self {
+    /// over the arcs of `support` when one is given.
+    pub fn new(dim: usize, support: Option<&'a ArcIndex>) -> Self {
         TriangleTally {
             per_vertex: vec![0u64; dim],
-            support: need_support.then(BTreeMap::new),
+            support: support.map(|arcs| ArcSupport {
+                arcs,
+                counts: vec![0u64; arcs.arc_count()],
+                current: 0,
+            }),
             triangles: 0,
         }
+    }
+
+    /// An empty tally of the same shape: same vertex count, support
+    /// over the same arc index if this one keeps it (one array's partial,
+    /// say).
+    pub fn empty_like(&self) -> Self {
+        TriangleTally::new(self.per_vertex.len(), self.support.as_ref().map(|s| s.arcs))
     }
 
     /// Triangles recorded so far.
@@ -112,45 +207,76 @@ impl TriangleTally {
         self.triangles
     }
 
-    /// Adds a partial tally (one array's, say) into this one. Sums are
-    /// order-independent, so merging partials in any fixed order gives
-    /// identical results.
-    pub fn merge(&mut self, other: TriangleTally) {
-        self.triangles += other.triangles;
-        for (total, part) in self.per_vertex.iter_mut().zip(&other.per_vertex) {
-            *total += part;
-        }
-        if let (Some(map), Some(part)) = (self.support.as_mut(), other.support) {
-            for (arc, count) in part {
-                *map.entry(arc).or_insert(0) += count;
+    /// Records triangle `{a, b, c}`, `a < b < c`, whose arcs `(a, b)`,
+    /// `(a, c)` and `(b, c)` sit at `arcs` (in any order) — for callers
+    /// that know every position, so no arc is looked up. A tally without
+    /// support ignores the positions.
+    pub fn triangle_at(&mut self, [a, b, c]: [u32; 3], arcs: [usize; 3]) {
+        self.count_vertices(a, b, c);
+        if let Some(support) = self.support.as_mut() {
+            for position in arcs {
+                support.counts[position] += 1;
             }
         }
     }
 
-    /// Consumes the tally: `(triangles, per-vertex counts, per-arc
-    /// support)`. The support triples `(i, j, count)` are ascending and
-    /// cover every arc in at least one triangle; `None` unless
-    /// requested at construction.
-    #[allow(clippy::type_complexity)]
-    pub fn into_parts(self) -> (u64, Vec<u64>, Option<Vec<(u32, u32, u64)>>) {
-        (
-            self.triangles,
-            self.per_vertex,
-            self.support.map(|map| map.into_iter().map(|((i, j), c)| (i, j, c)).collect()),
-        )
-    }
-}
-
-impl TriangleSink for TriangleTally {
-    fn triangle(&mut self, a: u32, b: u32, c: u32) {
+    fn count_vertices(&mut self, a: u32, b: u32, c: u32) {
         self.triangles += 1;
         self.per_vertex[a as usize] += 1;
         self.per_vertex[b as usize] += 1;
         self.per_vertex[c as usize] += 1;
-        if let Some(map) = self.support.as_mut() {
-            for arc in [(a, b), (a, c), (b, c)] {
-                *map.entry(arc).or_insert(0) += 1;
-            }
+    }
+
+    /// Adds a partial tally of the same shape (one array's, say) into
+    /// this one: element-wise vector adds. Sums are order-independent,
+    /// so merging partials in any fixed order gives identical results.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the tallies differ in shape.
+    pub fn merge(&mut self, other: TriangleTally<'_>) {
+        self.triangles += other.triangles;
+        add_into(&mut self.per_vertex, &other.per_vertex);
+        match (self.support.as_mut(), other.support) {
+            (Some(total), Some(part)) => add_into(&mut total.counts, &part.counts),
+            (None, None) => {}
+            _ => panic!("tallies differ in shape"),
+        }
+    }
+
+    /// Consumes the tally: `(triangles, per-vertex counts, per-arc
+    /// support)`. Support is one count per arc of the index, in
+    /// position order; `None` unless requested at construction.
+    pub fn into_parts(self) -> (u64, Vec<u64>, Option<Vec<u64>>) {
+        (self.triangles, self.per_vertex, self.support.map(|s| s.counts))
+    }
+}
+
+/// `total[k] += part[k]` for every `k` of two tallies' vectors.
+fn add_into(total: &mut [u64], part: &[u64]) {
+    assert_eq!(total.len(), part.len(), "tallies differ in shape");
+    for (sum, add) in total.iter_mut().zip(part) {
+        *sum += add;
+    }
+}
+
+impl TriangleSink for TriangleTally<'_> {
+    fn enter_arc(&mut self, position: usize) {
+        if let Some(support) = self.support.as_mut() {
+            support.current = position;
+        }
+    }
+
+    fn triangle(&mut self, a: u32, b: u32, c: u32) {
+        self.count_vertices(a, b, c);
+        if let Some(support) = self.support.as_mut() {
+            let lookup = |i, j| {
+                support.arcs.position(i, j).expect("a triangle's arcs are arcs of the index")
+            };
+            let (ab, bc) = (lookup(a, b), lookup(b, c));
+            support.counts[support.current] += 1;
+            support.counts[ab] += 1;
+            support.counts[bc] += 1;
         }
     }
 }
@@ -314,10 +440,11 @@ pub struct Walk {
     pub stats: AccessStats,
 }
 
-/// Algorithm 1 over `arcs` of `matrix` (row-major, as
-/// [`SlicedMatrix::edges`] yields them): one [`and_bitcount`] per arc,
-/// with the operands charged to `residency` and non-zero results read
-/// out into `sink` (`None` counts only).
+/// Algorithm 1 over `arcs` of `matrix`, each with its position in the
+/// matrix's row-major arc list (`matrix.edges().enumerate()` for the
+/// whole matrix): one [`and_bitcount`] per arc, with the operands
+/// charged to `residency` and non-zero results read out into `sink`
+/// (`None` counts only), which is told each arc's position first.
 ///
 /// # Panics
 ///
@@ -325,7 +452,7 @@ pub struct Walk {
 /// `matrix`).
 pub fn walk<R: Residency, S: TriangleSink + ?Sized>(
     matrix: &SlicedMatrix,
-    arcs: impl IntoIterator<Item = (u32, u32)>,
+    arcs: impl IntoIterator<Item = (usize, (u32, u32))>,
     popcount: PopcountMethod,
     residency: &mut R,
     mut sink: Option<&mut S>,
@@ -333,10 +460,13 @@ pub fn walk<R: Residency, S: TriangleSink + ?Sized>(
     let mut stats = AccessStats::default();
     let mut triangles = 0u64;
     let mut current_row = None;
-    for (i, j) in arcs {
+    for (position, (i, j)) in arcs {
         if current_row != Some(i) {
             current_row = Some(i);
             residency.begin_row();
+        }
+        if let Some(sink) = sink.as_deref_mut() {
+            sink.enter_arc(position);
         }
         let arc = and_bitcount(
             (i, j),
@@ -443,9 +573,10 @@ mod tests {
     fn host_and_array_walks_agree_on_every_shared_counter() {
         for encoding in [RowEncoding::Dense, RowEncoding::Sparse] {
             let m = fig2(encoding);
+            let arcs = ArcIndex::new(m.dim(), m.edges());
             let host = walk(
                 &m,
-                m.edges(),
+                m.edges().enumerate(),
                 PopcountMethod::Native,
                 &mut (),
                 None::<&mut TriangleTally>,
@@ -454,9 +585,14 @@ mod tests {
                 SliceCache::new(8, ReplacementPolicy::Lru, 0),
                 EventTrace::new(64),
             );
-            let mut tally = TriangleTally::new(4, true);
-            let array =
-                walk(&m, m.edges(), PopcountMethod::Lut8, &mut buffer, Some(&mut tally));
+            let mut tally = TriangleTally::new(4, Some(&arcs));
+            let array = walk(
+                &m,
+                m.edges().enumerate(),
+                PopcountMethod::Lut8,
+                &mut buffer,
+                Some(&mut tally),
+            );
             assert_eq!(host.triangles, 2);
             assert_eq!(array.triangles, 2);
             assert_eq!(host.stats.edges, array.stats.edges);
@@ -468,31 +604,90 @@ mod tests {
             assert_eq!(buffer.into_trace().len(), 13);
             let (_, per_vertex, support) = tally.into_parts();
             assert_eq!(per_vertex, vec![1, 2, 2, 1]);
-            assert_eq!(support.unwrap().len(), 5);
+            // Arcs (0,1) (0,2) (1,2) (1,3) (2,3): (1,2) closes both
+            // triangles.
+            assert_eq!(support.unwrap(), vec![1, 1, 2, 1, 1]);
         }
+    }
+
+    #[test]
+    fn arc_index_positions_are_row_offsets_plus_ranks() {
+        let m = fig2(RowEncoding::Dense);
+        let arcs = ArcIndex::new(m.dim(), m.edges());
+        assert_eq!(arcs.arc_count(), 5);
+        for (position, (i, j)) in m.edges().enumerate() {
+            assert_eq!(arcs.position(i, j), Some(position));
+        }
+        assert_eq!(arcs.position(0, 3), None);
+        assert_eq!(arcs.position(3, 0), None, "arcs point upward only");
+        assert_eq!(ArcIndex::new(0, []).arc_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "row-major")]
+    fn arc_index_rejects_arcs_out_of_order() {
+        ArcIndex::new(3, [(1, 2), (0, 1)]);
     }
 
     #[test]
     fn merged_tallies_equal_one_tally() {
-        let mut whole = TriangleTally::new(4, true);
-        let mut parts = [TriangleTally::new(4, true), TriangleTally::new(4, true)];
-        for (n, (a, b, c)) in [(0, 1, 2), (1, 2, 3)].into_iter().enumerate() {
-            whole.triangle(a, b, c);
-            parts[n].triangle(a, b, c);
+        // K4 over 0..4: arcs (0,1) (0,2) (0,3) (1,2) (1,3) (2,3) at
+        // positions 0..6, four triangles.
+        let adjacency = vec![vec![1, 2, 3], vec![2, 3], vec![3], vec![]];
+        let m = SlicedMatrix::from_adjacency(&adjacency, SliceSize::S64).unwrap();
+        let arcs = ArcIndex::new(m.dim(), m.edges());
+        let mut whole = TriangleTally::new(4, Some(&arcs));
+        walk(&m, m.edges().enumerate(), PopcountMethod::Native, &mut (), Some(&mut whole));
+        // Partial walks over disjoint arc sets — the rows an array runs,
+        // and a strided subset — merge to the single-tally result.
+        let splits: [fn(usize) -> bool; 2] = [|p| p < 3, |p| p % 2 == 0];
+        for in_first in splits {
+            let mut parts = [whole.empty_like(), whole.empty_like()];
+            for (position, arc) in m.edges().enumerate() {
+                let part = &mut parts[usize::from(!in_first(position))];
+                walk(&m, [(position, arc)], PopcountMethod::Native, &mut (), Some(part));
+            }
+            let [mut merged, second] = parts;
+            merged.merge(second);
+            assert_eq!(merged.into_parts(), whole.clone().into_parts());
         }
-        let [mut merged, second] = parts;
-        merged.merge(second);
-        assert_eq!(merged.into_parts(), whole.into_parts());
+        let (triangles, per_vertex, support) = whole.into_parts();
+        assert_eq!(triangles, 4);
+        assert_eq!(per_vertex, vec![3; 4]);
+        assert_eq!(support.unwrap(), vec![2; 6], "every K4 edge is in two triangles");
+    }
+
+    #[test]
+    fn known_positions_skip_the_lookups() {
+        let m = fig2(RowEncoding::Dense);
+        let arcs = ArcIndex::new(m.dim(), m.edges());
+        let mut looked_up = TriangleTally::new(4, Some(&arcs));
+        looked_up.enter_arc(1);
+        looked_up.triangle(0, 1, 2);
+        let mut given = TriangleTally::new(4, Some(&arcs));
+        given.triangle_at([0, 1, 2], [0, 1, 2]);
+        assert_eq!(looked_up.into_parts(), given.into_parts());
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in shape")]
+    fn tallies_of_different_shapes_do_not_merge() {
+        let arcs = ArcIndex::new(4, [(0, 1)]);
+        let mut with_support = TriangleTally::new(4, Some(&arcs));
+        with_support.merge(TriangleTally::new(4, None));
     }
 
     #[test]
     fn attribution_levels_pick_their_tally() {
-        assert!(Attribution::Count.tally(4).is_none());
-        let mut tally = Attribution::PerVertex.tally(4).unwrap();
+        let arcs = ArcIndex::new(3, [(0, 1), (0, 2), (1, 2)]);
+        let unused = || -> &ArcIndex { panic!("only support needs the arc index") };
+        assert!(Attribution::Count.tally(3, unused).is_none());
+        let mut tally = Attribution::PerVertex.tally(3, unused).unwrap();
         tally.triangle(0, 1, 2);
         assert!(tally.into_parts().2.is_none());
-        let mut tally = Attribution::PerVertexWithSupport.tally(4).unwrap();
+        let mut tally = Attribution::PerVertexWithSupport.tally(3, || &arcs).unwrap();
+        tally.enter_arc(1);
         tally.triangle(0, 1, 2);
-        assert_eq!(tally.into_parts().2.unwrap().len(), 3);
+        assert_eq!(tally.into_parts().2.unwrap(), vec![1, 1, 1]);
     }
 }

@@ -154,7 +154,8 @@ fn execute<S: TriangleSink + ?Sized>(
     );
     let mut buffer = ArrayBuffer::new(cache, EventTrace::new(config.trace_capacity));
     // The bit counter is the 8→256 LUT of §V-A.
-    let walk = kernel::walk(matrix, matrix.edges(), PopcountMethod::Lut8, &mut buffer, sink);
+    let arcs = matrix.edges().enumerate();
+    let walk = kernel::walk(matrix, arcs, PopcountMethod::Lut8, &mut buffer, sink);
     let (latency, energy) = chr.roll_up(&walk.stats);
     PimRunResult {
         triangles: walk.triangles,

@@ -20,6 +20,7 @@ use tcim_arch::{
     TriangleTally,
 };
 use tcim_bitmatrix::popcount::PopcountMethod;
+use tcim_graph::OrientedGraph;
 use tcim_sched::{SchedPolicy, ScheduledReport, ScheduledRun};
 
 use crate::error::{CoreError, Result};
@@ -113,7 +114,9 @@ pub trait ExecutionBackend {
     /// As [`ExecutionBackend::run`], plus [`CoreError::Query`] for
     /// invalid query parameters (e.g. out-of-bounds vertices).
     fn query(&self, prepared: &PreparedGraph, query: &Query) -> Result<QueryReport> {
+        let anchor_span = query.is_motif().then(|| tcim_telemetry::span("motif.anchor"));
         let run = self.run(prepared, query.attribution())?;
+        drop(anchor_span);
         match query {
             // The k-truss peel seeds from the anchor run's edge supports.
             Query::KTruss { k } => motifs::ktruss_report(
@@ -190,10 +193,11 @@ pub struct ExecutionReport {
     /// Triangles each matrix vertex participates in, summing to
     /// `3 × triangles`; present above [`Attribution::Count`].
     pub per_vertex: Option<Vec<u64>>,
-    /// Triangle support per DAG arc `(i, j)`, ascending, covering every
-    /// arc in at least one triangle; present at
-    /// [`Attribution::PerVertexWithSupport`].
-    pub support: Option<Vec<(u32, u32, u64)>>,
+    /// Triangle support per DAG arc, one count per arc in
+    /// [`OrientedGraph::arcs`] order (row-major; zero for arcs in no
+    /// triangle), as [`PreparedGraph::arc_index`] positions them;
+    /// present at [`Attribution::PerVertexWithSupport`].
+    pub support: Option<Vec<u64>>,
     /// Backend-specific payload.
     pub detail: BackendDetail,
 }
@@ -209,7 +213,7 @@ impl ExecutionReport {
 
     /// Moves an attributed run's tally into the report (a no-op at
     /// [`Attribution::Count`], which has none).
-    fn with_tally(mut self, tally: Option<TriangleTally>) -> Self {
+    fn with_tally(mut self, tally: Option<TriangleTally<'_>>) -> Self {
         if let Some(tally) = tally {
             let (_, per_vertex, support) = tally.into_parts();
             self.per_vertex = Some(per_vertex);
@@ -391,7 +395,7 @@ impl ExecutionBackend for SerialPimBackend<'_> {
     ) -> Result<ExecutionReport> {
         check_slice_size(&self.name(), self.engine, prepared)?;
         let start = Instant::now();
-        let mut tally = attribution.tally(prepared.matrix().dim());
+        let mut tally = attribution.tally(prepared.matrix().dim(), || prepared.arc_index());
         let sim = match tally.as_mut() {
             Some(tally) => self.engine.run_attributed(prepared.matrix(), tally),
             None => self.engine.run(prepared.matrix()),
@@ -452,13 +456,14 @@ impl ExecutionBackend for ScheduledPimBackend<'_> {
         attribution: Attribution,
     ) -> Result<ExecutionReport> {
         let start = Instant::now();
-        let (report, tally) = ScheduledRun::plan_with_costs(
+        let planned = ScheduledRun::plan_with_costs(
             self.engine,
             prepared.matrix(),
             &self.policy,
             self.costs,
-        )?
-        .execute_with(attribution);
+        )?;
+        let mut tally = attribution.tally(prepared.matrix().dim(), || prepared.arc_index());
+        let report = planned.execute_into(tally.as_mut());
         let report = ExecutionReport {
             backend: self.name(),
             triangles: report.triangles,
@@ -507,9 +512,9 @@ impl ExecutionBackend for SoftwareBackend {
     ) -> Result<ExecutionReport> {
         let start = Instant::now();
         let matrix = prepared.matrix();
-        let mut tally = attribution.tally(matrix.dim());
-        let walk =
-            kernel::walk(matrix, matrix.edges(), self.popcount, &mut (), tally.as_mut());
+        let mut tally = attribution.tally(matrix.dim(), || prepared.arc_index());
+        let arcs = matrix.edges().enumerate();
+        let walk = kernel::walk(matrix, arcs, self.popcount, &mut (), tally.as_mut());
         // Host-side: no array, so no readouts to bill.
         let kernel = KernelStats { result_readouts: 0, ..kernel_from_stats(&walk.stats) };
         let detail = BackendDetail::Software { popcount: self.popcount };
@@ -566,16 +571,22 @@ impl ExecutionBackend for CpuMergeBackend {
     ) -> Result<ExecutionReport> {
         let start = Instant::now();
         let dag = prepared.oriented();
-        let mut tally = attribution.tally(dag.vertex_count());
+        let mut tally = attribution.tally(dag.vertex_count(), || prepared.arc_index());
         let mut sink = tally.as_mut();
         let mut triangles = 0u64;
-        for (i, j) in dag.arcs() {
+        // A per-vertex tally ignores arc positions, so they are looked up
+        // only when support is kept.
+        let arcs =
+            (attribution == Attribution::PerVertexWithSupport).then(|| prepared.arc_index());
+        let at =
+            |a, b| arcs.map_or(0, |arcs| arcs.position(a, b).expect("DAG arcs are indexed"));
+        for (position, (i, j)) in dag.arcs().enumerate() {
             // A common out-neighbour w closes the triangle {i, j, w},
             // whose arcs are (i, j), (i, w) and (j, w).
             merge_intersect_visit(dag.row(i), dag.row(j), |w| {
                 triangles += 1;
                 if let Some(sink) = sink.as_deref_mut() {
-                    sink.triangle(i, j, w);
+                    sink.triangle_at([i, j, w], [position, at(i, w), at(j, w)]);
                 }
             });
         }
@@ -615,7 +626,19 @@ impl ExecutionBackend for CpuForwardBackend {
         let start = Instant::now();
         let dag = prepared.oriented();
         let n = dag.vertex_count();
-        let mut tally = attribution.tally(n);
+        if attribution == Attribution::PerVertexWithSupport {
+            let mut tally = TriangleTally::new(n, Some(prepared.arc_index()));
+            forward_with_support(dag, &mut tally);
+            let report = host_report(
+                self.name(),
+                tally.triangles(),
+                start,
+                cpu_kernel(prepared),
+                BackendDetail::Cpu,
+            );
+            return Ok(report.with_tally(Some(tally)));
+        }
+        let mut tally = attribution.tally(n, || prepared.arc_index());
         let mut sink = tally.as_mut();
         let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut triangles = 0u64;
@@ -645,6 +668,38 @@ impl ExecutionBackend for CpuForwardBackend {
 
     fn motif_flavor(&self) -> MotifFlavor {
         MotifFlavor::Adjacency
+    }
+}
+
+/// The forward algorithm at [`Attribution::PerVertexWithSupport`]:
+/// every predecessor entry carries the position of its arc (arcs are
+/// visited row-major, so a running counter is the position), and a
+/// common predecessor's two entries name the triangle's other two arcs —
+/// no arc is ever looked up.
+fn forward_with_support(dag: &OrientedGraph, tally: &mut TriangleTally<'_>) {
+    let mut preds: Vec<Vec<(u32, u32)>> = vec![Vec::new(); dag.vertex_count()];
+    let mut position = 0usize;
+    for i in 0..dag.vertex_count() as u32 {
+        for &j in dag.row(i) {
+            let (into_i, into_j) = (&preds[i as usize], &preds[j as usize]);
+            let (mut x, mut y) = (0usize, 0usize);
+            while x < into_i.len() && y < into_j.len() {
+                let ((w, wi), (v, wj)) = (into_i[x], into_j[y]);
+                match w.cmp(&v) {
+                    std::cmp::Ordering::Less => x += 1,
+                    std::cmp::Ordering::Greater => y += 1,
+                    std::cmp::Ordering::Equal => {
+                        // Triangle {w, i, j}: arcs (w, i), (w, j), (i, j).
+                        tally.triangle_at([w, i, j], [wi as usize, wj as usize, position]);
+                        x += 1;
+                        y += 1;
+                    }
+                }
+            }
+            let stored = u32::try_from(position).expect("arc positions fit in u32");
+            preds[j as usize].push((i, stored));
+            position += 1;
+        }
     }
 }
 
@@ -787,7 +842,7 @@ mod tests {
                     }
                     let per_vertex = run.per_vertex.unwrap();
                     assert_eq!(per_vertex.iter().sum::<u64>(), 3 * run.triangles, "{ctx}");
-                    let support = run.support.map(|s| s.iter().map(|&(_, _, c)| c).sum());
+                    let support = run.support.map(|s| s.iter().sum());
                     let expected = (level == Attribution::PerVertexWithSupport)
                         .then_some(3 * run.triangles);
                     assert_eq!(support, expected, "{ctx}");

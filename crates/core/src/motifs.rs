@@ -6,7 +6,10 @@
 //! to bulk bitwise AND plus BitCount. This module implements the next
 //! two members over the *full-neighbourhood* rows of the input graph
 //! (in input-id space, so answers are orientation-invariant by
-//! construction):
+//! construction). Both number the graph's edges once, in ascending
+//! input-id order (`u < v`); per-edge state — support, trussness, a
+//! live flag — is a `Vec` indexed by edge number, and each vertex lists
+//! its neighbours with the numbers of the edges to them.
 //!
 //! * **k-truss** ([`Query::KTruss`]): the full trussness decomposition
 //!   by iterated support peeling. Each peeled edge costs exactly one
@@ -14,9 +17,12 @@
 //!   find the triangles the removal destroys — and edges are cleared
 //!   with in-place bit patches, exactly like `tcim-stream` deletion
 //!   deltas: **no re-slice between rounds**, ever. The initial per-edge
-//!   supports are seeded from the anchoring attributed execution
-//!   (`EdgeSupport` is already computed on every backend), so peeling
-//!   starts from the kernels the backend already ran.
+//!   supports are seeded from the anchoring attributed execution (its
+//!   per-arc support, mapped through each edge's arc position), so
+//!   peeling starts from the kernels the backend already ran. Supports
+//!   are scanned once per level; every later peel pass is the worklist
+//!   of edges whose support crossed below the level's floor during the
+//!   pass before.
 //! * **4-clique** ([`Query::FourCliques`]): for every edge, the first
 //!   AND yields the triangle witness row; its above-the-edge witnesses
 //!   flow through the existing [`TriangleSink`] attribution hook (a
@@ -28,15 +34,18 @@
 //! Kernel accounting is honest per flavor: PIM/software backends run
 //! [`MotifFlavor::Sliced`] (real sliced rows, pair/readout/skip
 //! accounting identical in meaning to the triangle kernels), CPU
-//! baselines run [`MotifFlavor::Adjacency`] (sorted-list merges, one
-//! kernel invocation per intersection and zero slice pairs — the same
-//! invariant the triangle path keeps). Backends with a hardware cost
-//! model attach a [`MotifPricing`]: every peel pass / chained-AND wave
-//! becomes a round of [`DeltaJob`]s placed by [`plan_deltas`] under
-//! the backend's own scheduling policy, and the modelled time/energy
-//! land on top of the anchor run's.
+//! baselines run [`MotifFlavor::Adjacency`] (sorted-list intersections,
+//! one kernel invocation per intersection and zero slice pairs — the
+//! same invariant the triangle path keeps). Backends with a hardware
+//! cost model attach a [`MotifPricing`]: every peel pass / chained-AND
+//! wave becomes a round of [`DeltaJob`]s placed by [`plan_deltas`]
+//! under the backend's own scheduling policy, and the modelled
+//! time/energy land on top of the anchor run's.
+//!
+//! The engine's work shows as the `motif.peel` (k-truss) and
+//! `motif.chain` (4-clique) spans, next to the backend's
+//! `motif.anchor` span around the anchoring run.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use tcim_arch::{kernel, SliceCostModel, TriangleSink, TriangleTally};
@@ -60,8 +69,8 @@ pub enum MotifFlavor {
     /// rows (PIM and software-sliced backends). Pair, readout and
     /// skip accounting mean exactly what they mean for triangles.
     Sliced,
-    /// Sorted adjacency-list merges (the CPU baselines): one kernel
-    /// invocation per intersection, zero slice pairs — the same
+    /// Sorted adjacency-list intersections (the CPU baselines): one
+    /// kernel invocation per intersection, zero slice pairs — the same
     /// "CPU baselines intersect adjacency lists" invariant the
     /// triangle path keeps.
     Adjacency,
@@ -143,35 +152,118 @@ impl<'p> PricedRounds<'p> {
     }
 }
 
-/// The live motif state: full-neighbourhood adjacency (input ids,
-/// sorted) plus, for the sliced flavor, one [`SlicedRow`] per vertex.
-/// Rows are built with [`SlicedRow::from_sorted_indices`] and patched
-/// in place with `clear_bit` — never via a matrix build, so
+/// Full-neighbourhood adjacency over numbered edges: every neighbour of
+/// each vertex, ascending, with the number of the edge to it.
+struct Adjacency {
+    /// `offsets[x]..offsets[x + 1]` indexes vertex `x`'s entries.
+    offsets: Vec<usize>,
+    neighbours: Vec<u32>,
+    /// `edge_ids[k]` numbers the edge to `neighbours[k]`.
+    edge_ids: Vec<u32>,
+}
+
+impl Adjacency {
+    /// The adjacency of `edges` (`u < v`, ascending) over `n` vertices.
+    /// Ascending edges list each vertex's smaller neighbours first and
+    /// its larger ones after, both ascending, so no list needs sorting.
+    fn new(n: usize, edges: &[(u32, u32)]) -> Self {
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
+        for x in 0..n {
+            offsets[x + 1] += offsets[x];
+        }
+        let mut fill = offsets.clone();
+        let mut neighbours = vec![0u32; 2 * edges.len()];
+        let mut edge_ids = vec![0u32; 2 * edges.len()];
+        let count = u32::try_from(edges.len()).expect("edge numbers fit in u32");
+        for (e, &(u, v)) in (0..count).zip(edges) {
+            for (x, y) in [(u, v), (v, u)] {
+                let slot = &mut fill[x as usize];
+                neighbours[*slot] = y;
+                edge_ids[*slot] = e;
+                *slot += 1;
+            }
+        }
+        Adjacency { offsets, neighbours, edge_ids }
+    }
+
+    fn vertex_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Vertex `x`'s neighbours and the numbers of the edges to them.
+    fn of(&self, x: u32) -> (&[u32], &[u32]) {
+        let range = self.offsets[x as usize]..self.offsets[x as usize + 1];
+        (&self.neighbours[range.clone()], &self.edge_ids[range])
+    }
+
+    /// The number of edge `{x, y}`.
+    fn edge_between(&self, x: u32, y: u32) -> u32 {
+        let (neighbours, edge_ids) = self.of(x);
+        let rank = neighbours.binary_search(&y).expect("witnesses are neighbours");
+        edge_ids[rank]
+    }
+
+    /// Visits every common neighbour `w` of `u` and `v` over live edges,
+    /// ascending, with the numbers of edges `{u, w}` and `{v, w}`: the
+    /// smaller list is walked and each entry probed in the larger one.
+    fn probe(&self, live: &[bool], u: u32, v: u32, mut visit: impl FnMut(u32, u32, u32)) {
+        let (small, large) =
+            if self.of(u).0.len() <= self.of(v).0.len() { (u, v) } else { (v, u) };
+        let ((walked, walked_ids), (probed, probed_ids)) = (self.of(small), self.of(large));
+        for (&w, &near) in walked.iter().zip(walked_ids) {
+            if !live[near as usize] {
+                continue;
+            }
+            let Ok(rank) = probed.binary_search(&w) else { continue };
+            let far = probed_ids[rank];
+            if live[far as usize] {
+                let (via_u, via_v) = if small == u { (near, far) } else { (far, near) };
+                visit(w, via_u, via_v);
+            }
+        }
+    }
+}
+
+/// The live motif state: the graph's edges numbered once, in ascending
+/// input-id order (`u < v`), their [`Adjacency`], one live flag per
+/// edge, and, for the sliced flavor, one [`SlicedRow`] per vertex. Rows
+/// are built with [`SlicedRow::from_sorted_indices`] and patched in
+/// place with `clear_bit` — never via a matrix build, so
 /// `matrices_built()` provably stays flat across peeling.
 struct MotifState {
-    adjacency: Vec<Vec<u32>>,
+    /// Edge `e`'s endpoints `(u, v)`, `u < v`, ascending in `e`.
+    edges: Vec<(u32, u32)>,
+    adjacency: Adjacency,
+    live: Vec<bool>,
     rows: Option<Vec<SlicedRow>>,
     slice_size: SliceSize,
     kernel: KernelStats,
+    /// The peel kernel's witness buffer, reused across peels.
+    witnesses: Vec<u32>,
 }
 
 impl MotifState {
+    /// The state of `edges` (`u < v`, ascending) over `n` vertices.
     fn new(
-        adjacency: Vec<Vec<u32>>,
+        n: usize,
+        edges: Vec<(u32, u32)>,
         flavor: MotifFlavor,
         slice_size: SliceSize,
         encoding: RowEncoding,
     ) -> Self {
-        let n = adjacency.len();
+        let adjacency = Adjacency::new(n, &edges);
         let rows = match flavor {
             MotifFlavor::Adjacency => None,
             MotifFlavor::Sliced => Some(
-                adjacency
-                    .iter()
-                    .map(|list| {
+                (0..n as u32)
+                    .map(|x| {
                         SlicedRow::from_sorted_indices(
                             n,
-                            list.iter().map(|&v| v as usize),
+                            adjacency.of(x).0.iter().map(|&y| y as usize),
                             slice_size,
                             encoding,
                         )
@@ -179,65 +271,107 @@ impl MotifState {
                     .collect(),
             ),
         };
-        MotifState { adjacency, rows, slice_size, kernel: KernelStats::default() }
+        MotifState {
+            live: vec![true; edges.len()],
+            edges,
+            adjacency,
+            rows,
+            slice_size,
+            kernel: KernelStats::default(),
+            witnesses: Vec::new(),
+        }
     }
 
-    /// `N(u) ∩ N(v)` over the live state: one AND+BitCount kernel
-    /// (sliced flavor) or one sorted merge (adjacency flavor), with
-    /// the flavor's honest accounting.
+    /// `N(u) ∩ N(v)` over the live state, ascending: one AND+BitCount
+    /// kernel (sliced flavor) or one probe of the larger live list from
+    /// the smaller (adjacency flavor), with the flavor's honest
+    /// accounting.
     fn intersect(&mut self, u: u32, v: u32) -> (Vec<u32>, KernelSample) {
-        match &self.rows {
-            Some(rows) => {
-                sliced_kernel((u, v), &rows[u as usize], &rows[v as usize], &mut self.kernel)
-            }
-            None => merged_kernel(
-                &self.adjacency[u as usize],
-                &self.adjacency[v as usize],
+        let mut witnesses = Vec::new();
+        let sample = match &self.rows {
+            Some(rows) => sliced_kernel(
+                (u, v),
+                &rows[u as usize],
+                &rows[v as usize],
                 &mut self.kernel,
+                &mut witnesses,
             ),
-        }
+            None => {
+                self.adjacency.probe(&self.live, u, v, |w, _, _| witnesses.push(w));
+                probed_kernel(&mut self.kernel)
+            }
+        };
+        (witnesses, sample)
     }
 
     /// As [`MotifState::intersect`], against an ad-hoc operand row
-    /// (the chained second AND over a re-materialized witness row).
+    /// (the chained second AND over a re-materialized witness row). The
+    /// 4-clique engine removes no edge, so every listed neighbour is live.
     fn intersect_row(&mut self, c: u32, witness_row: &WitnessRow) -> (Vec<u32>, KernelSample) {
-        match (&self.rows, witness_row) {
+        let mut witnesses = Vec::new();
+        let sample = match (&self.rows, witness_row) {
             // The witness row has no vertex of its own; the witness
             // sink reads only the surviving bits.
             (Some(rows), WitnessRow::Sliced(row)) => {
-                sliced_kernel((c, c), &rows[c as usize], row, &mut self.kernel)
+                sliced_kernel((c, c), &rows[c as usize], row, &mut self.kernel, &mut witnesses)
             }
             (None, WitnessRow::List(list)) => {
-                merged_kernel(&self.adjacency[c as usize], list, &mut self.kernel)
+                merge_intersect_visit(self.adjacency.of(c).0, list, |w| witnesses.push(w));
+                probed_kernel(&mut self.kernel)
             }
             _ => unreachable!("witness rows are built by the same state"),
-        }
+        };
+        (witnesses, sample)
     }
 
-    /// Removes edge `{u, v}` from the live state: list removal plus an
-    /// in-place `clear_bit` patch on both rows (a deletion delta).
-    fn remove_edge(&mut self, u: u32, v: u32) {
-        for (x, y) in [(u, v), (v, u)] {
-            let list = &mut self.adjacency[x as usize];
-            if let Ok(pos) = list.binary_search(&y) {
-                list.remove(pos);
+    /// Peels live edge `e`: one kernel over the live state finds the
+    /// triangles its removal destroys, and `destroyed` gets the numbers
+    /// of each one's other two edges. The edge is then removed: its live
+    /// flag cleared and, for the sliced flavor, both rows patched in
+    /// place with `clear_bit` (a deletion delta).
+    fn peel(&mut self, e: u32, mut destroyed: impl FnMut(u32, u32)) -> KernelSample {
+        let (u, v) = self.edges[e as usize];
+        let sample = match &mut self.rows {
+            Some(rows) => {
+                self.witnesses.clear();
+                let sample = sliced_kernel(
+                    (u, v),
+                    &rows[u as usize],
+                    &rows[v as usize],
+                    &mut self.kernel,
+                    &mut self.witnesses,
+                );
+                for &w in &self.witnesses {
+                    destroyed(
+                        self.adjacency.edge_between(u, w),
+                        self.adjacency.edge_between(v, w),
+                    );
+                }
+                for (x, y) in [(u, v), (v, u)] {
+                    rows[x as usize]
+                        .clear_bit(y as usize)
+                        .expect("edge endpoints are within the row universe");
+                }
+                sample
             }
-            if let Some(rows) = &mut self.rows {
-                rows[x as usize]
-                    .clear_bit(y as usize)
-                    .expect("edge endpoints are within the row universe");
+            None => {
+                self.adjacency
+                    .probe(&self.live, u, v, |_, via_u, via_v| destroyed(via_u, via_v));
+                probed_kernel(&mut self.kernel)
             }
-        }
+        };
+        self.live[e as usize] = false;
+        sample
     }
 
     /// Materializes a witness set as a kernel operand for the chained
     /// second AND.
-    fn witness_row(&self, n: usize, witnesses: &[u32]) -> WitnessRow {
+    fn witness_row(&self, witnesses: &[u32]) -> WitnessRow {
         match &self.rows {
             Some(rows) => {
                 let encoding = rows.first().map_or(RowEncoding::Dense, SlicedRow::encoding);
                 let row = SlicedRow::from_sorted_indices(
-                    n,
+                    self.adjacency.vertex_count(),
                     witnesses.iter().map(|&w| w as usize),
                     self.slice_size,
                     encoding,
@@ -250,35 +384,28 @@ impl MotifState {
 }
 
 /// The sliced kernel over `arc`: AND matching valid pairs, read each
-/// non-zero result back out for its witnesses. Sparse operands whose
-/// byte masks prove every pair disjoint are never dispatched — the
-/// kernel's one dispatch rule.
+/// non-zero result back out, appending its witnesses to `witnesses`.
+/// Sparse operands whose byte masks prove every pair disjoint are never
+/// dispatched — the kernel's one dispatch rule.
 fn sliced_kernel(
     arc: (u32, u32),
     a: &SlicedRow,
     b: &SlicedRow,
     stats: &mut KernelStats,
-) -> (Vec<u32>, KernelSample) {
-    let mut witnesses = Vec::new();
-    let run = kernel::and_bitcount(
-        arc,
-        a,
-        b,
-        PopcountMethod::Native,
-        Some(&mut witnesses),
-        |_, _| {},
-    );
+    witnesses: &mut Vec<u32>,
+) -> KernelSample {
+    let run =
+        kernel::and_bitcount(arc, a, b, PopcountMethod::Native, Some(witnesses), |_, _| {});
     stats.kernel_invocations += u64::from(run.dispatched);
     stats.slice_pairs += run.pairs.visited;
     stats.blocks_skipped += run.pairs.skipped;
     stats.result_readouts += run.readouts;
-    let sample = KernelSample {
+    KernelSample {
         valid_a: a.valid_slice_count() as u64,
         valid_b: b.valid_slice_count() as u64,
         pairs: run.pairs.visited,
         readouts: run.readouts,
-    };
-    (witnesses, sample)
+    }
 }
 
 /// A re-materialized witness set, in the state's operand form.
@@ -287,109 +414,138 @@ enum WitnessRow {
     List(Vec<u32>),
 }
 
-/// The adjacency flavor's kernel: one sorted-list merge, counted as one
+/// The adjacency flavor's accounting: one list intersection is one
 /// invocation with no slice pairs.
-fn merged_kernel(a: &[u32], b: &[u32], stats: &mut KernelStats) -> (Vec<u32>, KernelSample) {
-    let mut witnesses = Vec::new();
-    merge_intersect_visit(a, b, |w| witnesses.push(w));
+fn probed_kernel(stats: &mut KernelStats) -> KernelSample {
     stats.kernel_invocations += 1;
-    (witnesses, KernelSample::default())
+    KernelSample::default()
 }
 
-/// Full-neighbourhood adjacency of the prepared graph in *input-id*
-/// space (the orientation's relabelling undone), sorted ascending.
-fn full_adjacency(prepared: &PreparedGraph) -> Vec<Vec<u32>> {
+/// The prepared graph's edges, numbered once in ascending input-id
+/// order (`u < v`, the orientation's relabelling undone), with the
+/// position of each one's arc in the prepared DAG
+/// ([`PreparedGraph::arc_index`]).
+fn numbered_edges(prepared: &PreparedGraph) -> (Vec<(u32, u32)>, Vec<u32>) {
     let oriented = prepared.oriented();
-    let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); oriented.vertex_count()];
-    for (i, j) in oriented.arcs() {
-        let a = oriented.original_id(i);
-        let b = oriented.original_id(j);
-        adjacency[a as usize].push(b);
-        adjacency[b as usize].push(a);
-    }
-    for list in &mut adjacency {
-        list.sort_unstable();
-    }
+    let positions = 0..u32::try_from(oriented.arc_count()).expect("arc positions fit in u32");
+    let mut by_edge: Vec<(u32, u32, u32)> = oriented
+        .arcs()
+        .zip(positions)
+        .map(|((i, j), position)| {
+            let (a, b) = (oriented.original_id(i), oriented.original_id(j));
+            (a.min(b), a.max(b), position)
+        })
+        .collect();
+    by_edge.sort_unstable();
+    by_edge.into_iter().map(|(u, v, position)| ((u, v), position)).unzip()
+}
+
+/// The edges of a maintained adjacency (sorted neighbour lists, input
+/// ids), `u < v`, ascending.
+fn edges_of(adjacency: &[Vec<u32>]) -> Vec<(u32, u32)> {
     adjacency
+        .iter()
+        .enumerate()
+        .flat_map(|(u, list)| {
+            let u = u as u32;
+            list.iter().copied().filter(move |&v| v > u).map(move |v| (u, v))
+        })
+        .collect()
 }
 
-/// Seeds the per-edge support map (every edge, input ids, `u < v`)
-/// from the anchor run's arc-support list — zero-filled for edges in
-/// no triangle, which the attributed run omits.
-fn seeded_support(
-    prepared: &PreparedGraph,
-    adjacency: &[Vec<u32>],
-    support: Option<&[(u32, u32, u64)]>,
-) -> BTreeMap<(u32, u32), u64> {
-    let mut map = BTreeMap::new();
-    for (u, list) in adjacency.iter().enumerate() {
-        let u = u as u32;
-        for &v in list.iter().filter(|&&v| v > u) {
-            map.insert((u, v), 0u64);
-        }
-    }
-    let oriented = prepared.oriented();
-    for &(i, j, s) in support.into_iter().flatten() {
-        let a = oriented.original_id(i);
-        let b = oriented.original_id(j);
-        map.insert((a.min(b), a.max(b)), s);
-    }
-    map
+/// Seeds every edge's support from the anchor run's per-arc support,
+/// through each edge's arc position.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Pipeline`] when the anchor run carries no
+/// support for every arc: peeling from made-up supports would silently
+/// give wrong trussness.
+fn seeded_support(anchor: &ExecutionReport, arc_positions: &[u32]) -> Result<Vec<u64>> {
+    let Some(support) = anchor.support.as_deref().filter(|s| s.len() == arc_positions.len())
+    else {
+        return Err(CoreError::Pipeline {
+            reason: format!(
+                "the k-truss anchor run of {} carries no support for the {} arcs of the \
+                 prepared graph",
+                anchor.backend,
+                arc_positions.len()
+            ),
+        });
+    };
+    Ok(arc_positions.iter().map(|&position| support[position as usize]).collect())
 }
 
 /// The peeling engine: full trussness decomposition by iterated
 /// support peeling. At level `k = 3, 4, …`, edges with support below
-/// `k − 2` are peeled to a fixpoint (each peel is one deletion-delta
-/// kernel over the live rows; the destroyed triangles' other two edges
-/// are decremented in place) and assigned trussness `k − 1`. Each peel
-/// pass is priced as one delta-job round. The decomposition computes
-/// *every* edge's trussness regardless of the queried level, so one
-/// run answers any `k` (and cross-`k` batches coalesce for free).
+/// the floor `k − 2` are peeled to a fixpoint (each peel is one
+/// deletion-delta kernel over the live rows; the destroyed triangles'
+/// other two edges are decremented in place) and assigned trussness
+/// `k − 1`. Each peel pass is priced as one delta-job round and shown
+/// to `on_pass` as `(k, edges)`. The decomposition computes *every*
+/// edge's trussness regardless of the queried level, so one run answers
+/// any `k` (and cross-`k` batches coalesce for free).
+///
+/// Supports are scanned once per level, for the level's first pass.
+/// Each later pass is exactly the live edges whose support crossed
+/// below the floor during the pass before, ascending: supports only
+/// ever decrease by one, so an edge crosses once, and that is the set,
+/// in the order, a rescan of every support would select.
 fn truss_decompose(
     mut state: MotifState,
-    mut support: BTreeMap<(u32, u32), u64>,
+    mut support: Vec<u64>,
     pricing: Option<&MotifPricing>,
+    mut on_pass: impl FnMut(u32, &[u32]),
 ) -> MotifOutcome<Vec<EdgeTruss>> {
     let mut priced = PricedRounds::new(pricing);
-    let mut truss: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+    let edge_count = state.edges.len();
+    let mut truss = vec![0u32; edge_count];
+    let mut remaining = edge_count;
+    let mut pass: Vec<u32> = Vec::new();
+    let mut crossed: Vec<u32> = Vec::new();
     let mut level = 3u32;
-    while !support.is_empty() {
-        loop {
-            // The peel set is re-read from the live supports each pass
-            // (deterministic ascending edge order); supports only ever
-            // decrease, so every selected edge still qualifies when
-            // its turn comes, whatever its batch-mates destroyed.
-            let peel: Vec<(u32, u32)> = support
-                .iter()
-                .filter(|&(_, &s)| s < u64::from(level - 2))
-                .map(|(&e, _)| e)
-                .collect();
-            if peel.is_empty() {
-                break;
-            }
-            for (u, v) in peel {
-                let (witnesses, sample) = state.intersect(u, v);
-                priced.push(sample);
-                for w in witnesses {
-                    // Removing {u, v} destroys triangle {u, v, w}: its
-                    // other two edges each lose one support.
-                    for e in [(u.min(w), u.max(w)), (v.min(w), v.max(w))] {
-                        let s = support
-                            .get_mut(&e)
-                            .expect("witnesses come from live rows, so both edges are live");
+    while remaining > 0 {
+        let floor = u64::from(level - 2);
+        let live_supports = state.live.iter().zip(&support);
+        pass.extend(
+            (0u32..)
+                .zip(live_supports)
+                .filter(|&(_, (&live, &s))| live && s < floor)
+                .map(|(e, _)| e),
+        );
+        while !pass.is_empty() {
+            on_pass(level, &pass);
+            // Every selected edge still qualifies when its turn comes,
+            // whatever its batch-mates destroyed.
+            for &e in &pass {
+                let sample = state.peel(e, |via_u, via_v| {
+                    // Removing the edge destroys a triangle: its other
+                    // two edges each lose one support.
+                    for f in [via_u, via_v] {
+                        let s = &mut support[f as usize];
+                        if *s == floor {
+                            crossed.push(f);
+                        }
                         *s = s.saturating_sub(1);
                     }
-                }
-                state.remove_edge(u, v);
-                support.remove(&(u, v));
-                truss.insert((u, v), level - 1);
+                });
+                priced.push(sample);
+                truss[e as usize] = level - 1;
             }
+            remaining -= pass.len();
             priced.close_round()?;
+            crossed.sort_unstable();
+            std::mem::swap(&mut pass, &mut crossed);
+            crossed.clear();
         }
         level += 1;
     }
-    let edges =
-        truss.into_iter().map(|((u, v), trussness)| EdgeTruss { u, v, trussness }).collect();
+    let edges = state
+        .edges
+        .iter()
+        .zip(truss)
+        .map(|(&(u, v), trussness)| EdgeTruss { u, v, trussness })
+        .collect();
     let (time_s, energy_j) = priced.modelled();
     Ok((edges, state.kernel, time_s, energy_j))
 }
@@ -408,24 +564,16 @@ fn four_clique_engine(
     pricing: Option<&MotifPricing>,
     expected_triangles: Option<u64>,
 ) -> MotifOutcome<(u64, Vec<u64>)> {
-    let n = state.adjacency.len();
+    let n = state.adjacency.vertex_count();
     let mut priced = PricedRounds::new(pricing);
-    let mut tally = TriangleTally::new(n, false);
+    let mut tally = TriangleTally::new(n, None);
     let mut per_vertex = vec![0u64; n];
     let mut total = 0u64;
-    let edges: Vec<(u32, u32)> = state
-        .adjacency
-        .iter()
-        .enumerate()
-        .flat_map(|(u, list)| {
-            let u = u as u32;
-            list.iter().copied().filter(move |&v| v > u).map(move |v| (u, v))
-        })
-        .collect();
     // Pass 1: per-edge triangle witness rows (the kernels the triangle
     // count already runs, re-driven here over full-neighbourhood rows).
     let mut chained: Vec<((u32, u32), Vec<u32>)> = Vec::new();
-    for (u, v) in edges {
+    for e in 0..state.edges.len() {
+        let (u, v) = state.edges[e];
         let (witnesses, sample) = state.intersect(u, v);
         priced.push(sample);
         let above: Vec<u32> = witnesses.into_iter().filter(|&w| w > v).collect();
@@ -438,7 +586,7 @@ fn four_clique_engine(
     }
     priced.close_round()?;
     if let Some(expected) = expected_triangles {
-        let (found, _, _) = tally.into_parts();
+        let found = tally.triangles();
         if found != expected {
             return Err(CoreError::Pipeline {
                 reason: format!(
@@ -452,7 +600,7 @@ fn four_clique_engine(
     // valid slices are billed as the second operand's write cost in
     // each chained job — the array must hold W to AND against it.
     for ((u, v), above) in chained {
-        let witness_row = state.witness_row(n, &above);
+        let witness_row = state.witness_row(&above);
         for &c in &above[..above.len() - 1] {
             let (xs, sample) = state.intersect_row(c, &witness_row);
             priced.push(sample);
@@ -496,7 +644,12 @@ fn assemble(
 }
 
 /// Answers [`Query::KTruss`] over a prepared graph, anchored on the
-/// backend's own attributed run (`base` must carry the support list).
+/// backend's own attributed run.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Pipeline`] when `base` carries no per-arc
+/// support.
 pub(crate) fn ktruss_report(
     prepared: &PreparedGraph,
     query: &Query,
@@ -506,10 +659,14 @@ pub(crate) fn ktruss_report(
     k: u32,
 ) -> Result<QueryReport> {
     let started = Instant::now();
-    let adjacency = full_adjacency(prepared);
-    let support = seeded_support(prepared, &adjacency, base.support.as_deref());
-    let state = MotifState::new(adjacency, flavor, prepared.slice_size(), prepared.encoding());
-    let (edges, kernel, time_s, energy_j) = truss_decompose(state, support, pricing.as_ref())?;
+    let peel_span = tcim_telemetry::span("motif.peel");
+    let (edges, arc_positions) = numbered_edges(prepared);
+    let support = seeded_support(&base, &arc_positions)?;
+    let n = prepared.oriented().vertex_count();
+    let state = MotifState::new(n, edges, flavor, prepared.slice_size(), prepared.encoding());
+    let (edges, kernel, time_s, energy_j) =
+        truss_decompose(state, support, pricing.as_ref(), |_, _| {})?;
+    drop(peel_span);
     let value = QueryValue::KTruss { k, edges };
     Ok(assemble(prepared, query, base, value, kernel, time_s, energy_j, started))
 }
@@ -525,10 +682,13 @@ pub(crate) fn four_clique_report(
     pricing: Option<MotifPricing>,
 ) -> Result<QueryReport> {
     let started = Instant::now();
-    let adjacency = full_adjacency(prepared);
-    let state = MotifState::new(adjacency, flavor, prepared.slice_size(), prepared.encoding());
+    let chain_span = tcim_telemetry::span("motif.chain");
+    let (edges, _) = numbered_edges(prepared);
+    let n = prepared.oriented().vertex_count();
+    let state = MotifState::new(n, edges, flavor, prepared.slice_size(), prepared.encoding());
     let ((total, per_vertex), kernel, time_s, energy_j) =
         four_clique_engine(state, pricing.as_ref(), Some(base.triangles))?;
+    drop(chain_span);
     let value = QueryValue::FourCliques { total, per_vertex };
     Ok(assemble(prepared, query, base, value, kernel, time_s, energy_j, started))
 }
@@ -545,18 +705,21 @@ pub fn ktruss_value_from_adjacency(
     encoding: RowEncoding,
     k: u32,
 ) -> (QueryValue, KernelStats) {
-    let mut state =
-        MotifState::new(adjacency.to_vec(), MotifFlavor::Sliced, slice_size, encoding);
-    let mut support = BTreeMap::new();
-    for (u, list) in adjacency.iter().enumerate() {
-        let u = u as u32;
-        for &v in list.iter().filter(|&&v| v > u) {
-            let (witnesses, _) = state.intersect(u, v);
-            support.insert((u, v), witnesses.len() as u64);
-        }
-    }
-    let (edges, kernel, _, _) =
-        truss_decompose(state, support, None).expect("unpriced peeling cannot fail");
+    let mut state = MotifState::new(
+        adjacency.len(),
+        edges_of(adjacency),
+        MotifFlavor::Sliced,
+        slice_size,
+        encoding,
+    );
+    let support: Vec<u64> = (0..state.edges.len())
+        .map(|e| {
+            let (u, v) = state.edges[e];
+            state.intersect(u, v).0.len() as u64
+        })
+        .collect();
+    let (edges, kernel, _, _) = truss_decompose(state, support, None, |_, _| {})
+        .expect("unpriced peeling cannot fail");
     (QueryValue::KTruss { k, edges }, kernel)
 }
 
@@ -568,7 +731,13 @@ pub fn four_cliques_from_adjacency(
     slice_size: SliceSize,
     encoding: RowEncoding,
 ) -> (QueryValue, KernelStats) {
-    let state = MotifState::new(adjacency.to_vec(), MotifFlavor::Sliced, slice_size, encoding);
+    let state = MotifState::new(
+        adjacency.len(),
+        edges_of(adjacency),
+        MotifFlavor::Sliced,
+        slice_size,
+        encoding,
+    );
     let ((total, per_vertex), kernel, _, _) =
         four_clique_engine(state, None, None).expect("unpriced clique chaining cannot fail");
     (QueryValue::FourCliques { total, per_vertex }, kernel)
@@ -577,10 +746,13 @@ pub fn four_cliques_from_adjacency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcim_graph::generators::classic;
-    use tcim_graph::oracle;
+    use crate::backend::{CpuForwardBackend, ExecutionBackend};
+    use crate::pipeline::{TcimConfig, TcimPipeline};
+    use tcim_arch::Attribution;
+    use tcim_graph::generators::{barabasi_albert, classic, rmat, RmatParams};
+    use tcim_graph::{oracle, CsrGraph};
 
-    fn adjacency_of(g: &tcim_graph::CsrGraph) -> Vec<Vec<u32>> {
+    fn adjacency_of(g: &CsrGraph) -> Vec<Vec<u32>> {
         g.vertices().map(|v| g.neighbors(v).to_vec()).collect()
     }
 
@@ -631,5 +803,137 @@ mod tests {
         let (_, kernel) =
             ktruss_value_from_adjacency(&adjacency, slice16(), RowEncoding::Dense, 3);
         assert_eq!(kernel.kernel_invocations, 2 * g.edge_count() as u64);
+    }
+
+    /// The peel passes of one decomposition: `(level, edges)` in order.
+    type Passes = Vec<(u32, Vec<(u32, u32)>)>;
+
+    /// The peel loop as it stood before the worklist, kept as the
+    /// reference: every pass re-reads every live support, and edges
+    /// leave sorted neighbour lists that sorted merges intersect.
+    /// Returns the passes, every edge's trussness and the initial
+    /// supports.
+    fn rescan_peel(g: &CsrGraph) -> (Passes, Vec<EdgeTruss>, Vec<u64>) {
+        let mut adjacency = adjacency_of(g);
+        let edges = edges_of(&adjacency);
+        let number = |u: u32, v: u32| {
+            edges.binary_search(&(u.min(v), u.max(v))).expect("witness pairs are edges")
+        };
+        let common = |adjacency: &[Vec<u32>], u: u32, v: u32| {
+            let mut witnesses = Vec::new();
+            merge_intersect_visit(&adjacency[u as usize], &adjacency[v as usize], |w| {
+                witnesses.push(w)
+            });
+            witnesses
+        };
+        let initial: Vec<u64> =
+            edges.iter().map(|&(u, v)| common(&adjacency, u, v).len() as u64).collect();
+        // `None` once peeled.
+        let mut support: Vec<Option<u64>> = initial.iter().copied().map(Some).collect();
+        let mut truss = vec![0u32; edges.len()];
+        let mut passes = Vec::new();
+        let mut level = 3u32;
+        while support.iter().any(Option::is_some) {
+            loop {
+                let floor = u64::from(level - 2);
+                let peel: Vec<usize> = (0..edges.len())
+                    .filter(|&e| support[e].is_some_and(|s| s < floor))
+                    .collect();
+                if peel.is_empty() {
+                    break;
+                }
+                passes.push((level, peel.iter().map(|&e| edges[e]).collect()));
+                for e in peel {
+                    let (u, v) = edges[e];
+                    for w in common(&adjacency, u, v) {
+                        for f in [number(u, w), number(v, w)] {
+                            let s = support[f].as_mut().expect("both edges are live");
+                            *s = s.saturating_sub(1);
+                        }
+                    }
+                    for (x, y) in [(u, v), (v, u)] {
+                        let list = &mut adjacency[x as usize];
+                        list.remove(list.binary_search(&y).expect("a live neighbour"));
+                    }
+                    support[e] = None;
+                    truss[e] = level - 1;
+                }
+            }
+            level += 1;
+        }
+        let truss = edges
+            .iter()
+            .zip(truss)
+            .map(|(&(u, v), trussness)| EdgeTruss { u, v, trussness })
+            .collect();
+        (passes, truss, initial)
+    }
+
+    #[test]
+    fn worklist_peel_equals_the_rescan_peel_pass_by_pass() {
+        let graphs = [
+            ("rmat", rmat(10, 6000, RmatParams::default(), 7).unwrap()),
+            ("ba", barabasi_albert(800, 6, 5).unwrap()),
+            ("wheel", classic::wheel(12)),
+            ("k7", classic::complete(7)),
+        ];
+        for (name, g) in graphs {
+            let (expected_passes, expected_truss, initial) = rescan_peel(&g);
+            assert!(!expected_passes.is_empty(), "{name}");
+            let edges = edges_of(&adjacency_of(&g));
+            for flavor in [MotifFlavor::Sliced, MotifFlavor::Adjacency] {
+                for encoding in [RowEncoding::Dense, RowEncoding::Sparse] {
+                    let ctx = format!("{name} {flavor:?} {encoding:?}");
+                    let state = MotifState::new(
+                        g.vertex_count(),
+                        edges.clone(),
+                        flavor,
+                        slice16(),
+                        encoding,
+                    );
+                    let mut passes = Passes::new();
+                    let (truss, ..) =
+                        truss_decompose(state, initial.clone(), None, |level, pass| {
+                            passes.push((
+                                level,
+                                pass.iter().map(|&e| edges[e as usize]).collect(),
+                            ))
+                        })
+                        .unwrap();
+                    assert_eq!(passes, expected_passes, "{ctx}");
+                    assert_eq!(truss, expected_truss, "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// A backend whose runs lose their per-arc support list.
+    struct SupportDropping;
+
+    impl ExecutionBackend for SupportDropping {
+        fn name(&self) -> String {
+            "support-dropping".to_string()
+        }
+
+        fn run(
+            &self,
+            prepared: &PreparedGraph,
+            attribution: Attribution,
+        ) -> Result<ExecutionReport> {
+            let run = CpuForwardBackend.run(prepared, attribution)?;
+            Ok(ExecutionReport { support: None, ..run })
+        }
+    }
+
+    #[test]
+    fn an_anchor_run_without_support_is_a_pipeline_error() {
+        let p = TcimPipeline::new(&TcimConfig::default()).unwrap();
+        let prepared = p.prepare(&classic::wheel(12));
+        let err = SupportDropping.query(&prepared, &Query::KTruss { k: 3 }).unwrap_err();
+        assert!(matches!(err, CoreError::Pipeline { .. }), "{err}");
+        assert!(err.to_string().contains("no support"), "{err}");
+        // Queries that read no support still answer.
+        let total = SupportDropping.query(&prepared, &Query::TotalTriangles).unwrap();
+        assert_eq!(total.value, QueryValue::Total(11));
     }
 }

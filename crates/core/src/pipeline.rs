@@ -11,10 +11,10 @@
 //! artifact and keys it by graph fingerprint + orientation + slice size.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use tcim_arch::{kernel, PimConfig, PimEngine};
+use tcim_arch::{kernel, ArcIndex, PimConfig, PimEngine};
 use tcim_bitmatrix::{EncodingPolicy, RowEncoding, SliceSize, SliceStats, SlicedMatrix};
 use tcim_graph::{CsrGraph, Orientation, OrientedGraph};
 
@@ -114,6 +114,9 @@ pub struct PreparedGraph {
     stats: SliceStats,
     pricing: PreparedPricing,
     prepare_time: Duration,
+    /// Built on first support-level use: count-only traffic never pays
+    /// for it.
+    arcs: OnceLock<ArcIndex>,
 }
 
 impl PreparedGraph {
@@ -160,7 +163,15 @@ impl PreparedGraph {
         };
 
         drop(prepare_span);
-        PreparedGraph { key, oriented, matrix, stats, pricing, prepare_time: start.elapsed() }
+        PreparedGraph {
+            key,
+            oriented,
+            matrix,
+            stats,
+            pricing,
+            prepare_time: start.elapsed(),
+            arcs: OnceLock::new(),
+        }
     }
 
     /// The cache key this artifact was built under.
@@ -176,6 +187,16 @@ impl PreparedGraph {
     /// The sliced matrix — what PIM and software backends execute over.
     pub fn matrix(&self) -> &SlicedMatrix {
         &self.matrix
+    }
+
+    /// The index of the DAG's arcs in row-major order — the order of
+    /// [`OrientedGraph::arcs`] and [`SlicedMatrix::edges`] alike, and of
+    /// [`ExecutionReport::support`](crate::ExecutionReport::support).
+    /// Built the first time a support-level run asks for it, then
+    /// memoized on the artifact.
+    pub fn arc_index(&self) -> &ArcIndex {
+        self.arcs
+            .get_or_init(|| ArcIndex::new(self.oriented.vertex_count(), self.oriented.arcs()))
     }
 
     /// Slicing statistics (Table III/IV quantities), measured once at

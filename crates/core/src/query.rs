@@ -31,7 +31,6 @@
 //! # Ok::<(), tcim_core::CoreError>(())
 //! ```
 
-use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
 
@@ -598,6 +597,7 @@ pub(crate) fn shape(
     prepared: &PreparedGraph,
     run: &ExecutionReport,
 ) -> Vec<Result<QueryValue>> {
+    let _span = tcim_telemetry::span("query.shape");
     let any = |wanted: fn(&Query) -> bool| queries.iter().any(wanted);
     let per_vertex = match &run.per_vertex {
         Some(by_matrix_id) => to_original_ids(prepared, by_matrix_id),
@@ -610,27 +610,18 @@ pub(crate) fn shape(
             Vec::new()
         };
     let edge_support = any(|q| matches!(q, Query::EdgeSupport)).then(|| {
-        let by_arc: HashMap<(u32, u32), u64> = run
-            .support
-            .as_ref()
-            .expect("edge-support queries run with support accumulation")
-            .iter()
-            .map(|&(i, j, c)| ((i, j), c))
-            .collect();
+        let support = run.support.as_ref().expect("edge-support queries run with support");
         let oriented = prepared.oriented();
         let mut edges: Vec<EdgeSupport> = oriented
             .arcs()
-            .map(|(i, j)| {
+            .zip(support)
+            .map(|((i, j), &support)| {
                 let a = oriented.original_id(i);
                 let b = oriented.original_id(j);
-                EdgeSupport {
-                    u: a.min(b),
-                    v: a.max(b),
-                    support: by_arc.get(&(i, j)).copied().unwrap_or(0),
-                }
+                EdgeSupport { u: a.min(b), v: a.max(b), support }
             })
             .collect();
-        edges.sort_by_key(|e| (e.u, e.v));
+        edges.sort_unstable_by_key(|e| (e.u, e.v));
         edges
     });
     queries

@@ -36,11 +36,11 @@
 //! bit-exactly with every other backend on every query shape
 //! (`tests/sharding.rs`).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use tcim_arch::{AccessStats, Attribution, PimEngine, SliceCostModel};
+use tcim_arch::{AccessStats, ArcIndex, Attribution, PimEngine, SliceCostModel};
 use tcim_bitmatrix::EncodingPolicy;
 use tcim_graph::CsrGraph;
 use tcim_sched::{parallel_map_indexed, SchedPolicy};
@@ -510,8 +510,8 @@ struct IntraPartial {
     /// Per-vertex counts indexed by *local input* id (dense over the
     /// shard's range); present above [`Attribution::Count`].
     per_vertex: Option<Vec<u64>>,
-    /// Support over *global oriented* arcs.
-    support: Option<Vec<(u32, u32, u64)>>,
+    /// Support per local arc, each with its *global* arc position.
+    support: Option<Vec<(usize, u64)>>,
 }
 
 /// Sharded execution over a prepared graph: intra-shard scheduled runs
@@ -563,11 +563,13 @@ impl<'e> ShardedBackend<'e> {
 
 /// Runs one shard piece through the scheduled backend and normalizes
 /// the partial: per-vertex counts mapped to local *input* ids (dense
-/// over the range), support mapped to global oriented arcs. A piece
-/// without arcs contributes nothing and runs nothing.
+/// over the range), each local arc's support mapped to its position in
+/// the global `arcs`. A piece without arcs contributes nothing and runs
+/// nothing.
 fn intra_partial(
     backend: &ScheduledPimBackend<'_>,
     piece: &ShardPiece,
+    arcs: &ArcIndex,
     attribution: Attribution,
 ) -> Result<IntraPartial> {
     let oriented = piece.prepared().oriented();
@@ -585,13 +587,18 @@ fn intra_partial(
         }
         per_vertex
     });
-    let support = run.support.map(|triples| {
-        triples
-            .into_iter()
-            .map(|(i, j, c)| {
+    // Local arc → global oriented arc: shard ranges hold global
+    // oriented ids `lo..hi` as local input ids, and global arcs point
+    // upward.
+    let support = run.support.map(|counts| {
+        oriented
+            .arcs()
+            .zip(counts)
+            .map(|((i, j), count)| {
                 let x = lo + oriented.original_id(i);
                 let y = lo + oriented.original_id(j);
-                (x.min(y), x.max(y), c)
+                let global = arcs.position(x.min(y), x.max(y));
+                (global.expect("intra-shard arcs are arcs of the global DAG"), count)
             })
             .collect()
     });
@@ -627,9 +634,10 @@ impl ExecutionBackend for ShardedBackend<'_> {
         let backend = ScheduledPimBackend::new(self.engine, inner);
         let threads = self.policy.inner.resolved_host_threads();
         let shard_span = tcim_telemetry::span("shard");
+        let arcs = sharded.plan().arcs();
         let partials: Vec<Result<IntraPartial>> =
             parallel_map_indexed(pieces.len(), threads, |s| {
-                intra_partial(&backend, &pieces[s], attribution)
+                intra_partial(&backend, &pieces[s], arcs, attribution)
             });
         drop(shard_span);
 
@@ -640,8 +648,8 @@ impl ExecutionBackend for ShardedBackend<'_> {
         let mut intra_critical = 0.0f64;
         let mut energy = 0.0f64;
         let mut per_vertex = (attribution > Attribution::Count).then(|| vec![0u64; n]);
-        let mut support: Option<BTreeMap<(u32, u32), u64>> =
-            (attribution == Attribution::PerVertexWithSupport).then(BTreeMap::new);
+        let mut support = (attribution == Attribution::PerVertexWithSupport)
+            .then(|| vec![0u64; arcs.arc_count()]);
         let mut per_shard = Vec::with_capacity(pieces.len());
         for (s, partial) in partials.into_iter().enumerate() {
             let partial = partial?;
@@ -665,9 +673,9 @@ impl ExecutionBackend for ShardedBackend<'_> {
                     total[lo as usize + offset] += count;
                 }
             }
-            if let (Some(map), Some(partial_support)) = (support.as_mut(), partial.support) {
-                for (i, j, c) in partial_support {
-                    *map.entry((i, j)).or_insert(0) += c;
+            if let (Some(total), Some(local)) = (support.as_mut(), partial.support) {
+                for (position, count) in local {
+                    total[position] += count;
                 }
             }
         }
@@ -706,9 +714,9 @@ impl ExecutionBackend for ShardedBackend<'_> {
                 total[v] += count;
             }
         }
-        if let (Some(map), Some(cross_support)) = (support.as_mut(), comp.support) {
-            for (i, j, c) in cross_support {
-                *map.entry((i, j)).or_insert(0) += c;
+        if let (Some(total), Some(cross)) = (support.as_mut(), comp.support) {
+            for (sum, count) in total.iter_mut().zip(cross) {
+                *sum += count;
             }
         }
 
@@ -724,8 +732,6 @@ impl ExecutionBackend for ShardedBackend<'_> {
             composition_units: comp.placement_units,
             per_shard,
         };
-        let support =
-            support.map(|map| map.into_iter().map(|((i, j), c)| (i, j, c)).collect());
         Ok(ExecutionReport {
             backend: self.name(),
             triangles,

@@ -45,8 +45,8 @@ pub struct SoftwareCount {
 /// # Ok::<(), tcim_bitmatrix::BitMatrixError>(())
 /// ```
 pub fn sliced_count(matrix: &SlicedMatrix, popcount: PopcountMethod) -> SoftwareCount {
-    let walk =
-        kernel::walk(matrix, matrix.edges(), popcount, &mut (), None::<&mut TriangleTally>);
+    let arcs = matrix.edges().enumerate();
+    let walk = kernel::walk(matrix, arcs, popcount, &mut (), None::<&mut TriangleTally>);
     SoftwareCount::from(walk)
 }
 

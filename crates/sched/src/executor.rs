@@ -9,30 +9,30 @@
 //! *when* each edge executes moves.
 
 use tcim_arch::kernel::{self, ArrayBuffer, Walk};
-use tcim_arch::{Attribution, EventTrace, ReplacementPolicy, SliceCache, TriangleTally};
+use tcim_arch::{EventTrace, ReplacementPolicy, SliceCache, TriangleTally};
 use tcim_bitmatrix::popcount::PopcountMethod;
 use tcim_bitmatrix::SlicedMatrix;
 
 use crate::jobs::RowJob;
 
 /// Executes the assigned `jobs` (ascending row order) on one array,
-/// returning the walk and, unless `attribution` is
-/// [`Attribution::Count`], the array's partial tally (matrix ids).
+/// reading non-zero results out into the array's partial `tally`
+/// (matrix ids, arcs at their matrix positions) when one is given.
 pub(crate) fn run_array(
     matrix: &SlicedMatrix,
     jobs: &[&RowJob],
     column_capacity: usize,
     replacement: ReplacementPolicy,
     replacement_seed: u64,
-    attribution: Attribution,
-) -> (Walk, Option<TriangleTally>) {
+    tally: Option<&mut TriangleTally<'_>>,
+) -> Walk {
     let cache = SliceCache::new(column_capacity.max(1), replacement, replacement_seed);
     let mut buffer = ArrayBuffer::new(cache, EventTrace::new(0));
-    let mut tally = attribution.tally(matrix.dim());
-    let arcs = jobs.iter().flat_map(|job| job.cols.iter().map(|&j| (job.row, j)));
+    let arcs = jobs.iter().flat_map(|job| {
+        job.cols.iter().enumerate().map(|(rank, &j)| (job.first_arc + rank, (job.row, j)))
+    });
     // The bit counter is the 8→256 LUT of §V-A, as in the serial engine.
-    let walk = kernel::walk(matrix, arcs, PopcountMethod::Lut8, &mut buffer, tally.as_mut());
-    (walk, tally)
+    kernel::walk(matrix, arcs, PopcountMethod::Lut8, &mut buffer, tally)
 }
 
 #[cfg(test)]
@@ -56,10 +56,8 @@ mod tests {
         let engine = PimEngine::new(&PimConfig::default()).unwrap();
         let jobs = decompose(&m, &engine.cost_model());
         let refs: Vec<&RowJob> = jobs.iter().collect();
-        let (run, tally) =
-            run_array(&m, &refs, 1024, ReplacementPolicy::Lru, 0, Attribution::Count);
+        let run = run_array(&m, &refs, 1024, ReplacementPolicy::Lru, 0, None);
         let serial = engine.run(&m);
-        assert!(tally.is_none());
         assert_eq!(run.triangles, serial.triangles);
         assert_eq!(run.stats, serial.stats);
     }
@@ -72,8 +70,8 @@ mod tests {
         let serial = engine.run(&m).triangles;
         let first: Vec<&RowJob> = jobs.iter().take(1).collect();
         let rest: Vec<&RowJob> = jobs.iter().skip(1).collect();
-        let (a, _) = run_array(&m, &first, 64, ReplacementPolicy::Lru, 0, Attribution::Count);
-        let (b, _) = run_array(&m, &rest, 64, ReplacementPolicy::Lru, 1, Attribution::Count);
+        let a = run_array(&m, &first, 64, ReplacementPolicy::Lru, 0, None);
+        let b = run_array(&m, &rest, 64, ReplacementPolicy::Lru, 1, None);
         assert_eq!(a.triangles + b.triangles, serial);
         assert_eq!(a.stats.edges + b.stats.edges, 5);
     }
@@ -91,10 +89,8 @@ mod tests {
         let engine = PimEngine::new(&PimConfig::default()).unwrap();
         let jobs = decompose(&m, &engine.cost_model());
         let refs: Vec<&RowJob> = jobs.iter().collect();
-        let (roomy, _) =
-            run_array(&m, &refs, 4096, ReplacementPolicy::Lru, 0, Attribution::Count);
-        let (tight, _) =
-            run_array(&m, &refs, 1, ReplacementPolicy::Lru, 0, Attribution::Count);
+        let roomy = run_array(&m, &refs, 4096, ReplacementPolicy::Lru, 0, None);
+        let tight = run_array(&m, &refs, 1, ReplacementPolicy::Lru, 0, None);
         assert_eq!(roomy.triangles, tight.triangles);
         assert!(tight.stats.col_exchanges > roomy.stats.col_exchanges);
     }

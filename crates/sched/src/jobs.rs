@@ -16,6 +16,9 @@ use tcim_bitmatrix::SlicedMatrix;
 pub struct RowJob {
     /// The row index `i`.
     pub row: u32,
+    /// Position of the row's first arc in the matrix's row-major arc
+    /// list: arc `(i, cols[r])` sits at `first_arc + r`.
+    pub first_arc: usize,
     /// Column indices `j` of the row's edges `(i, j)`, ascending.
     pub cols: Vec<u32>,
     /// Valid slice pairs across all of the row's edges — the number of
@@ -41,11 +44,12 @@ pub struct RowJob {
 /// pair count, not a heuristic.
 pub fn decompose(matrix: &SlicedMatrix, costs: &SliceCostModel) -> Vec<RowJob> {
     let mut jobs: Vec<RowJob> = Vec::new();
-    for (i, j) in matrix.edges() {
+    for (position, (i, j)) in matrix.edges().enumerate() {
         if jobs.last().map(|job| job.row) != Some(i) {
             let row = matrix.row(i);
             jobs.push(RowJob {
                 row: i,
+                first_arc: position,
                 cols: Vec::new(),
                 pairs: 0,
                 row_slices: row.valid_slice_count() as u64,

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use tcim_arch::{Attribution, PimEngine, SliceCostModel, TriangleTally};
+use tcim_arch::{PimEngine, SliceCostModel, TriangleTally};
 use tcim_bitmatrix::SlicedMatrix;
 
 use crate::error::{Result, SchedError};
@@ -116,21 +116,19 @@ impl<'a> ScheduledRun<'a> {
     /// threads, merges triangle counts and statistics deterministically,
     /// and aggregates inter-array timing/energy.
     pub fn execute(&self) -> ScheduledReport {
-        self.execute_with(Attribution::Count).0
+        self.execute_into(None)
     }
 
-    /// Executes the planned run at `attribution`: above
-    /// [`Attribution::Count`] every array additionally reads non-zero AND
-    /// results back out into a partial [`TriangleTally`] (matrix ids),
-    /// and the partials merge deterministically in array order.
+    /// Executes the planned run, reading non-zero AND results out into
+    /// `tally` when one is given: every array fills an empty partial of
+    /// the tally's shape ([`TriangleTally::empty_like`]; matrix ids,
+    /// arcs at their matrix positions), and the partials merge into
+    /// `tally` deterministically in array order.
     ///
     /// The readouts appear in the per-array statistics and are priced
     /// into the report's critical path and energy, mirroring the serial
     /// engine's attributed run.
-    pub fn execute_with(
-        &self,
-        attribution: Attribution,
-    ) -> (ScheduledReport, Option<TriangleTally>) {
+    pub fn execute_into(&self, mut tally: Option<&mut TriangleTally<'_>>) -> ScheduledReport {
         let arrays = self.policy.arrays;
         let per_array_jobs: Vec<Vec<&RowJob>> = (0..arrays)
             .map(|a| {
@@ -150,20 +148,23 @@ impl<'a> ScheduledRun<'a> {
         // worker threads, which the calling thread's profiler cannot
         // observe, so the array phase is timed as a unit here.
         let array_span = tcim_telemetry::span("array");
+        let shape = tally.as_deref();
         let runs = parallel_map_indexed(arrays, self.host_threads(), |a| {
             let jobs = &per_array_jobs[a];
             // Reserve the widest assigned row inside this array's
             // share of the buffer, exactly like the serial engine
             // reserves its widest row.
             let row_reserve = jobs.iter().map(|j| j.row_slices as usize).max().unwrap_or(0);
-            run_array(
+            let mut partial = shape.map(TriangleTally::empty_like);
+            let walk = run_array(
                 self.matrix,
                 jobs,
                 capacity.saturating_sub(row_reserve).max(1),
                 replacement,
                 base_seed.wrapping_add(a as u64),
-                attribution,
-            )
+                partial.as_mut(),
+            );
+            (walk, partial)
         });
         drop(array_span);
         let host_sim_time = start.elapsed();
@@ -172,15 +173,14 @@ impl<'a> ScheduledRun<'a> {
         let triangles = runs.iter().map(|(walk, _)| walk.triangles).sum();
         let rows_per_array: Vec<usize> =
             per_array_jobs.iter().map(std::vec::Vec::len).collect();
-        let mut tally = attribution.tally(self.matrix.dim());
         let mut stats_per_array = Vec::with_capacity(runs.len());
         for (walk, partial) in runs {
             stats_per_array.push(walk.stats);
-            if let (Some(total), Some(partial)) = (tally.as_mut(), partial) {
+            if let (Some(total), Some(partial)) = (tally.as_deref_mut(), partial) {
                 total.merge(partial);
             }
         }
-        let report = ScheduledReport::assemble(
+        ScheduledReport::assemble(
             triangles,
             self.policy.clone(),
             &rows_per_array,
@@ -188,8 +188,7 @@ impl<'a> ScheduledRun<'a> {
             &self.costs,
             self.placement_time,
             host_sim_time,
-        );
-        (report, tally)
+        )
     }
 
     fn host_threads(&self) -> usize {
@@ -294,25 +293,25 @@ mod tests {
     fn attributed_run_matches_serial_local_counts() {
         let e = engine();
         let m = wheel_matrix(120);
-        let mut tally = TriangleTally::new(m.dim(), false);
+        let arcs = tcim_arch::ArcIndex::new(m.dim(), m.edges());
+        let mut tally = TriangleTally::new(m.dim(), Some(&arcs));
         let serial = e.run_attributed(&m, &mut tally);
-        let (_, serial_per_vertex, _) = tally.into_parts();
+        let (_, serial_per_vertex, serial_support) = tally.into_parts();
         for arrays in [1usize, 2, 4, 8] {
             let policy =
                 SchedPolicy { arrays, host_threads: Some(2), ..SchedPolicy::default() };
-            let (report, tally) = ScheduledRun::plan(&e, &m, &policy)
-                .unwrap()
-                .execute_with(Attribution::PerVertexWithSupport);
-            let (_, per_vertex, support) = tally.unwrap().into_parts();
+            let mut tally = TriangleTally::new(m.dim(), Some(&arcs));
+            let report =
+                ScheduledRun::plan(&e, &m, &policy).unwrap().execute_into(Some(&mut tally));
+            let (_, per_vertex, support) = tally.into_parts();
             assert_eq!(report.triangles, serial.triangles, "{arrays} arrays");
             assert_eq!(per_vertex, serial_per_vertex, "{arrays} arrays");
+            assert_eq!(support, serial_support, "{arrays} arrays");
             assert_eq!(report.stats.result_readouts, serial.stats.result_readouts);
-            // Every triangle contributes to exactly three arcs.
-            let support = support.unwrap();
-            let total: u64 = support.iter().map(|&(_, _, c)| c).sum();
-            assert_eq!(total, 3 * serial.triangles);
-            assert!(support.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
         }
+        // Every triangle contributes to exactly three arcs.
+        let total: u64 = serial_support.unwrap().iter().sum();
+        assert_eq!(total, 3 * serial.triangles);
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //! the host — followed by [`CompositionPlan::execute`], which runs the
 //! kernels. [`compose`] is the two back to back.
 
+use std::sync::Arc;
+
 use tcim_arch::kernel::{self, ArcKernel};
-use tcim_arch::{Attribution, SliceCostModel, TriangleTally};
+use tcim_arch::{ArcIndex, Attribution, SliceCostModel, TriangleSink, TriangleTally};
 use tcim_bitmatrix::popcount::PopcountMethod;
 use tcim_bitmatrix::{PairStats, SlicedRow};
 use tcim_sched::{parallel_map_indexed, plan_deltas, DeltaJob, PlacementPolicy, SchedPolicy};
@@ -43,9 +45,10 @@ pub struct CompositionRun {
     /// Per-vertex participation over the *global oriented* id space;
     /// present only for attributed runs.
     pub per_vertex: Option<Vec<u64>>,
-    /// Per-arc triangle support `(i, j, count)` over global oriented
-    /// arcs, ascending; present only when support was requested.
-    pub support: Option<Vec<(u32, u32, u64)>>,
+    /// Triangle support per global oriented arc, in the partitioned
+    /// DAG's row-major arc order ([`ShardPlan::arcs`]); present only
+    /// when support was requested.
+    pub support: Option<Vec<u64>>,
     /// Kernel dispatches: one per cross-shard arc on dense operands;
     /// sparse operands skip arcs whose summary walk visits nothing.
     pub kernel_invocations: u64,
@@ -137,7 +140,8 @@ fn sub_passes<'a>(
 /// A plan depends only on the boundary, the shard mode, the policy's
 /// array count and placement, and the cost model — not on host threads,
 /// attribution or the query — so a sharded artifact builds one per
-/// policy and every query reuses it.
+/// policy and every query reuses it. It shares the partition's arc
+/// index, where support-level runs accumulate.
 #[derive(Debug, Clone)]
 pub struct CompositionPlan {
     placement: PlacementPolicy,
@@ -145,6 +149,7 @@ pub struct CompositionPlan {
     per_array: Vec<ArrayWork>,
     cross_arcs: usize,
     placement_units: usize,
+    arcs: Arc<ArcIndex>,
 }
 
 /// One array's share of a plan.
@@ -226,6 +231,7 @@ impl CompositionPlan {
             per_array,
             cross_arcs: arcs.len(),
             placement_units: units.len(),
+            arcs: Arc::clone(&plan.arcs),
         })
     }
 
@@ -243,8 +249,8 @@ impl CompositionPlan {
     ///
     /// Above [`Attribution::Count`], every non-zero AND result is read
     /// back out and each surviving middle vertex `w` is recorded as the
-    /// triangle `(a, w, c)`, with per-arc support at
-    /// [`Attribution::PerVertexWithSupport`].
+    /// triangle `(a, w, c)`, with per-arc support over the partition's
+    /// arc index at [`Attribution::PerVertexWithSupport`].
     ///
     /// # Panics
     ///
@@ -264,7 +270,8 @@ impl CompositionPlan {
         );
         let arcs = boundary.cross_arcs();
         let costs = &self.costs;
-        let new_tally = || attribution.tally(vertex_count);
+        let new_tally = || attribution.tally(vertex_count, || &self.arcs);
+        let need_support = attribution == Attribution::PerVertexWithSupport;
 
         // Execute each array's arcs; merge deterministically in array
         // order afterwards.
@@ -277,6 +284,12 @@ impl CompositionPlan {
                     ..Default::default()
                 };
                 for &k in &work.arcs {
+                    // Support accrues at the cross arc's global position.
+                    if let Some(tally) = partial.tally.as_mut().filter(|_| need_support) {
+                        let (a, c) = arcs[k];
+                        let position = self.arcs.position(a, c);
+                        tally.enter_arc(position.expect("cross arcs are arcs of the DAG"));
+                    }
                     let (row, col) = boundary.operands(k);
                     // A sparse arc whose three sub-passes all filter to
                     // nothing is never dispatched; dense arcs always are.
@@ -357,7 +370,7 @@ impl CompositionPlan {
 
 /// One worker array's partial results.
 #[derive(Default)]
-struct ArrayPartial {
+struct ArrayPartial<'a> {
     triangles: u64,
     invocations: u64,
     pairs: u64,
@@ -365,7 +378,7 @@ struct ArrayPartial {
     readouts: u64,
     writes: u64,
     busy_s: f64,
-    tally: Option<TriangleTally>,
+    tally: Option<TriangleTally<'a>>,
 }
 
 /// Runs the composition pass for `plan` over the extracted `boundary`
@@ -485,7 +498,7 @@ mod tests {
         let pv = run.per_vertex.as_ref().unwrap();
         assert_eq!(pv.iter().sum::<u64>(), 3 * run.triangles);
         let support = run.support.as_ref().unwrap();
-        assert_eq!(support.iter().map(|&(_, _, c)| c).sum::<u64>(), 3 * run.triangles);
+        assert_eq!(support.iter().sum::<u64>(), 3 * run.triangles);
         assert!(run.result_readouts > 0);
         assert!(run.critical_path_s > 0.0);
         assert!(run.modelled_energy_j > 0.0);
@@ -583,20 +596,8 @@ mod tests {
     #[allow(clippy::type_complexity)]
     fn fields(
         run: &CompositionRun,
-    ) -> (
-        u64,
-        Option<Vec<u64>>,
-        Option<Vec<(u32, u32, u64)>>,
-        u64,
-        u64,
-        u64,
-        u64,
-        u64,
-        u64,
-        u64,
-        u64,
-        usize,
-    ) {
+    ) -> (u64, Option<Vec<u64>>, Option<Vec<u64>>, u64, u64, u64, u64, u64, u64, u64, u64, usize)
+    {
         (
             run.triangles,
             run.per_vertex.clone(),

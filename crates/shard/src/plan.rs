@@ -10,6 +10,9 @@
 //! degree-aware balancing the UPMEM triangle-counting study found
 //! necessary for real PIM fleets.
 
+use std::sync::Arc;
+
+use tcim_arch::ArcIndex;
 use tcim_bitmatrix::SliceSize;
 use tcim_graph::OrientedGraph;
 
@@ -38,6 +41,10 @@ pub struct ShardPlan {
     /// Per shard, the arcs whose tail it owns and whose head another
     /// shard owns.
     cross_arcs_by_tail: Vec<u64>,
+    /// The global oriented DAG's arcs, row-major: where per-arc support
+    /// accumulates, shared with every composition plan built over this
+    /// partition.
+    pub(crate) arcs: Arc<ArcIndex>,
 }
 
 impl ShardPlan {
@@ -143,6 +150,13 @@ impl ShardPlan {
     pub fn occupied_shards(&self) -> usize {
         self.ranges.iter().filter(|&&(lo, hi)| hi > lo).count()
     }
+
+    /// The partitioned DAG's arc index: the global arc positions
+    /// per-arc support is reported at, whichever shard or composition
+    /// kernel counted the triangle.
+    pub fn arcs(&self) -> &ArcIndex {
+        &self.arcs
+    }
 }
 
 /// Partitions `oriented` into `spec.shards` contiguous, slice-aligned
@@ -213,6 +227,7 @@ pub fn plan_shards(
         align_bits: align,
         intra_arcs: 0,
         cross_arcs_by_tail: vec![0; k],
+        arcs: Arc::new(ArcIndex::new(n, oriented.arcs())),
     };
     for (a, c) in oriented.arcs() {
         let tail = plan.shard_of(a);

@@ -276,7 +276,10 @@ fn golden_census() -> String {
             .unwrap();
             let traced_prepared = traced.prepare(g);
             let run = traced.engine().run(traced_prepared.matrix());
-            let mut tally = TriangleTally::new(traced_prepared.matrix().dim(), true);
+            let mut tally = TriangleTally::new(
+                traced_prepared.matrix().dim(),
+                Some(traced_prepared.arc_index()),
+            );
             let attributed =
                 traced.engine().run_attributed(traced_prepared.matrix(), &mut tally);
             writeln!(

@@ -156,7 +156,7 @@ fn golden_fixtures_match_hand_derived_values() {
     }
 }
 
-/// The tentpole grid: six backends × four generators × both
+/// The tentpole grid: six backends × four generators × all three
 /// orientations × forced dense and sparse encodings, every motif
 /// answer bit-identical to the oracle, and zero matrix builds at query
 /// time — peeling mutates rows in place, it never re-slices.
@@ -164,7 +164,8 @@ fn golden_fixtures_match_hand_derived_values() {
 fn motif_answers_match_the_oracle_across_the_grid() {
     let _counter = exclusive_matrix_counter();
     for (name, g) in generator_grid() {
-        for orientation in [Orientation::Natural, Orientation::Degree] {
+        for orientation in [Orientation::Natural, Orientation::Degree, Orientation::Degeneracy]
+        {
             for encoding in [EncodingPolicy::ForceDense, EncodingPolicy::ForceSparse] {
                 let pipeline = TcimPipeline::new(&TcimConfig {
                     orientation,

@@ -222,3 +222,36 @@ fn scheduled_path_profiles_without_drift() {
     assert!(names.contains(&"schedule"), "{names:?}");
     assert!(names.contains(&"array"), "{names:?}");
 }
+
+/// The motif layer profiles on every backend: a k-truss query splits
+/// into its anchoring run and the peel, a 4-clique query into the
+/// anchor and the chained ANDs, and a classic query shows its shaping.
+/// The top-level phases cover the profiled wall.
+#[test]
+fn motif_queries_profile_their_anchor_and_peel() {
+    let g = barabasi_albert(300, 5, 3).unwrap();
+    let p = TcimPipeline::new(&TcimConfig::default()).unwrap();
+    let prepared = p.prepare(&g);
+    let cases = [
+        (Query::KTruss { k: 4 }, ["motif.anchor", "motif.peel"]),
+        (Query::FourCliques, ["motif.anchor", "motif.chain"]),
+    ];
+    for backend in suite() {
+        // Build lazy artifacts (shards, composition plans) first.
+        p.query(&prepared, &backend, &Query::KTruss { k: 4 }).unwrap();
+        for (query, expected) in &cases {
+            let (answer, report) = profile("query", || p.query(&prepared, &backend, query));
+            answer.unwrap();
+            let phases = report.expect("top-level profile").breakdown();
+            let names: Vec<&str> = phases.phases.iter().map(|p| p.name).collect();
+            let ctx = format!("{} {query}", backend.label());
+            assert!(expected.iter().all(|name| names.contains(name)), "{ctx}: {names:?}");
+            let covered = phases.phase_sum().as_secs_f64() / phases.total.as_secs_f64();
+            assert!(covered >= 0.9, "{ctx}: phases cover {:.1}%", covered * 100.0);
+        }
+        let (_, report) =
+            profile("query", || p.query(&prepared, &backend, &Query::EdgeSupport).unwrap());
+        let names: Vec<&str> = report.unwrap().spans.iter().map(|s| s.name).collect();
+        assert!(names.contains(&"query.shape"), "{}: {names:?}", backend.label());
+    }
+}
