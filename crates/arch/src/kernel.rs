@@ -49,7 +49,7 @@ impl Attribution {
     pub fn tally<'a>(
         self,
         dim: usize,
-        arcs: impl FnOnce() -> &'a ArcIndex,
+        arcs: impl FnOnce() -> ArcIndex<'a>,
     ) -> Option<TriangleTally<'a>> {
         match self {
             Attribution::Count => None,
@@ -59,44 +59,54 @@ impl Attribution {
     }
 }
 
-/// The position of every arc of a row-major arc list — the order
-/// [`SlicedMatrix::edges`] and an oriented graph's arcs are listed in:
-/// row offsets over the list plus the sorted heads of each row, so arc
-/// `(i, j)` sits at row `i`'s offset plus `j`'s rank among its heads.
+/// Where each arc of a row-major arc list sits — the order
+/// [`SlicedMatrix::arcs`] and an oriented graph's arcs are listed in:
+/// the list plus row offsets over it, so arc `(i, j)` sits at row `i`'s
+/// offset plus `j`'s rank among the row's heads. The index borrows both;
+/// the offsets are all an owner keeps ([`ArcIndex::row_offsets`]).
 /// Per-arc quantities (triangle support) live in a `Vec` indexed by
 /// position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArcIndex {
-    offsets: Vec<usize>,
-    heads: Vec<u32>,
+#[derive(Debug, Clone, Copy)]
+pub struct ArcIndex<'a> {
+    arcs: &'a [(u32, u32)],
+    offsets: &'a [u32],
 }
 
-impl ArcIndex {
-    /// Indexes `arcs` over `dim` vertices.
+impl<'a> ArcIndex<'a> {
+    /// The row offsets of `arcs` over `dim` vertices: row `i`'s arcs are
+    /// `arcs[offsets[i]..offsets[i + 1]]`.
     ///
     /// # Panics
     ///
     /// Panics when the arcs are not row-major (tails ascending, heads
-    /// strictly ascending within a row) or a tail is out of bounds.
-    pub fn new(dim: usize, arcs: impl IntoIterator<Item = (u32, u32)>) -> Self {
-        let mut offsets = vec![0usize; dim + 1];
-        let mut heads = Vec::new();
-        let mut last: Option<(u32, u32)> = None;
-        for (i, j) in arcs {
-            assert!(last < Some((i, j)), "arcs are listed row-major");
-            last = Some((i, j));
+    /// strictly ascending within a row), a tail is out of bounds, or
+    /// there are more than `u32::MAX` arcs.
+    pub fn row_offsets(dim: usize, arcs: &[(u32, u32)]) -> Vec<u32> {
+        assert!(u32::try_from(arcs.len()).is_ok(), "arc positions fit in u32");
+        assert!(arcs.windows(2).all(|w| w[0] < w[1]), "arcs are listed row-major");
+        let mut offsets = vec![0u32; dim + 1];
+        for &(i, _) in arcs {
             offsets[i as usize + 1] += 1;
-            heads.push(j);
         }
         for v in 0..dim {
             offsets[v + 1] += offsets[v];
         }
-        ArcIndex { offsets, heads }
+        offsets
+    }
+
+    /// Indexes `arcs` with their [`row_offsets`](ArcIndex::row_offsets).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the offsets do not span the arcs.
+    pub fn new(arcs: &'a [(u32, u32)], offsets: &'a [u32]) -> Self {
+        assert_eq!(offsets.last().map(|&end| end as usize), Some(arcs.len()));
+        ArcIndex { arcs, offsets }
     }
 
     /// Number of arcs indexed.
     pub fn arc_count(&self) -> usize {
-        self.heads.len()
+        self.arcs.len()
     }
 
     /// The position of arc `(i, j)`, or `None` when it is not an arc.
@@ -105,8 +115,9 @@ impl ArcIndex {
     ///
     /// Panics when `i` is out of bounds.
     pub fn position(&self, i: u32, j: u32) -> Option<usize> {
-        let (start, end) = (self.offsets[i as usize], self.offsets[i as usize + 1]);
-        self.heads[start..end].binary_search(&j).ok().map(|rank| start + rank)
+        let start = self.offsets[i as usize] as usize;
+        let row = &self.arcs[start..self.offsets[i as usize + 1] as usize];
+        row.binary_search_by_key(&j, |&(_, head)| head).ok().map(|rank| start + rank)
     }
 }
 
@@ -174,7 +185,7 @@ pub struct TriangleTally<'a> {
 /// Per-arc support counters over one arc index.
 #[derive(Debug, Clone)]
 struct ArcSupport<'a> {
-    arcs: &'a ArcIndex,
+    arcs: ArcIndex<'a>,
     counts: Vec<u64>,
     /// Position of the arc being read out.
     current: usize,
@@ -183,7 +194,7 @@ struct ArcSupport<'a> {
 impl<'a> TriangleTally<'a> {
     /// An empty tally over `dim` vertices; accumulates per-arc support
     /// over the arcs of `support` when one is given.
-    pub fn new(dim: usize, support: Option<&'a ArcIndex>) -> Self {
+    pub fn new(dim: usize, support: Option<ArcIndex<'a>>) -> Self {
         TriangleTally {
             per_vertex: vec![0u64; dim],
             support: support.map(|arcs| ArcSupport {
@@ -573,7 +584,8 @@ mod tests {
     fn host_and_array_walks_agree_on_every_shared_counter() {
         for encoding in [RowEncoding::Dense, RowEncoding::Sparse] {
             let m = fig2(encoding);
-            let arcs = ArcIndex::new(m.dim(), m.edges());
+            let offsets = ArcIndex::row_offsets(m.dim(), m.arcs());
+            let arcs = ArcIndex::new(m.arcs(), &offsets);
             let host = walk(
                 &m,
                 m.edges().enumerate(),
@@ -585,7 +597,7 @@ mod tests {
                 SliceCache::new(8, ReplacementPolicy::Lru, 0),
                 EventTrace::new(64),
             );
-            let mut tally = TriangleTally::new(4, Some(&arcs));
+            let mut tally = TriangleTally::new(4, Some(arcs));
             let array = walk(
                 &m,
                 m.edges().enumerate(),
@@ -613,20 +625,22 @@ mod tests {
     #[test]
     fn arc_index_positions_are_row_offsets_plus_ranks() {
         let m = fig2(RowEncoding::Dense);
-        let arcs = ArcIndex::new(m.dim(), m.edges());
+        let offsets = ArcIndex::row_offsets(m.dim(), m.arcs());
+        assert_eq!(offsets, vec![0, 2, 4, 5, 5]);
+        let arcs = ArcIndex::new(m.arcs(), &offsets);
         assert_eq!(arcs.arc_count(), 5);
         for (position, (i, j)) in m.edges().enumerate() {
             assert_eq!(arcs.position(i, j), Some(position));
         }
         assert_eq!(arcs.position(0, 3), None);
         assert_eq!(arcs.position(3, 0), None, "arcs point upward only");
-        assert_eq!(ArcIndex::new(0, []).arc_count(), 0);
+        assert_eq!(ArcIndex::new(&[], &ArcIndex::row_offsets(0, &[])).arc_count(), 0);
     }
 
     #[test]
     #[should_panic(expected = "row-major")]
     fn arc_index_rejects_arcs_out_of_order() {
-        ArcIndex::new(3, [(1, 2), (0, 1)]);
+        ArcIndex::row_offsets(3, &[(1, 2), (0, 1)]);
     }
 
     #[test]
@@ -635,8 +649,8 @@ mod tests {
         // positions 0..6, four triangles.
         let adjacency = vec![vec![1, 2, 3], vec![2, 3], vec![3], vec![]];
         let m = SlicedMatrix::from_adjacency(&adjacency, SliceSize::S64).unwrap();
-        let arcs = ArcIndex::new(m.dim(), m.edges());
-        let mut whole = TriangleTally::new(4, Some(&arcs));
+        let offsets = ArcIndex::row_offsets(m.dim(), m.arcs());
+        let mut whole = TriangleTally::new(4, Some(ArcIndex::new(m.arcs(), &offsets)));
         walk(&m, m.edges().enumerate(), PopcountMethod::Native, &mut (), Some(&mut whole));
         // Partial walks over disjoint arc sets — the rows an array runs,
         // and a strided subset — merge to the single-tally result.
@@ -660,11 +674,12 @@ mod tests {
     #[test]
     fn known_positions_skip_the_lookups() {
         let m = fig2(RowEncoding::Dense);
-        let arcs = ArcIndex::new(m.dim(), m.edges());
-        let mut looked_up = TriangleTally::new(4, Some(&arcs));
+        let offsets = ArcIndex::row_offsets(m.dim(), m.arcs());
+        let arcs = ArcIndex::new(m.arcs(), &offsets);
+        let mut looked_up = TriangleTally::new(4, Some(arcs));
         looked_up.enter_arc(1);
         looked_up.triangle(0, 1, 2);
-        let mut given = TriangleTally::new(4, Some(&arcs));
+        let mut given = TriangleTally::new(4, Some(arcs));
         given.triangle_at([0, 1, 2], [0, 1, 2]);
         assert_eq!(looked_up.into_parts(), given.into_parts());
     }
@@ -672,20 +687,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "differ in shape")]
     fn tallies_of_different_shapes_do_not_merge() {
-        let arcs = ArcIndex::new(4, [(0, 1)]);
-        let mut with_support = TriangleTally::new(4, Some(&arcs));
+        let offsets = ArcIndex::row_offsets(4, &[(0, 1)]);
+        let mut with_support = TriangleTally::new(4, Some(ArcIndex::new(&[(0, 1)], &offsets)));
         with_support.merge(TriangleTally::new(4, None));
     }
 
     #[test]
     fn attribution_levels_pick_their_tally() {
-        let arcs = ArcIndex::new(3, [(0, 1), (0, 2), (1, 2)]);
-        let unused = || -> &ArcIndex { panic!("only support needs the arc index") };
+        let list = [(0, 1), (0, 2), (1, 2)];
+        let offsets = ArcIndex::row_offsets(3, &list);
+        let unused = || -> ArcIndex { panic!("only support needs the arc index") };
         assert!(Attribution::Count.tally(3, unused).is_none());
         let mut tally = Attribution::PerVertex.tally(3, unused).unwrap();
         tally.triangle(0, 1, 2);
         assert!(tally.into_parts().2.is_none());
-        let mut tally = Attribution::PerVertexWithSupport.tally(3, || &arcs).unwrap();
+        let arcs = || ArcIndex::new(&list, &offsets);
+        let mut tally = Attribution::PerVertexWithSupport.tally(3, arcs).unwrap();
         tally.enter_arc(1);
         tally.triangle(0, 1, 2);
         assert_eq!(tally.into_parts().2.unwrap(), vec![1, 1, 1]);

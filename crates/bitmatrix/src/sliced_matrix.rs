@@ -229,6 +229,12 @@ impl SlicedMatrix {
         self.edges.iter().copied()
     }
 
+    /// The same row-major edge list as a slice, for indexing arcs by
+    /// position.
+    pub fn arcs(&self) -> &[(u32, u32)] {
+        &self.edges
+    }
+
     /// Number of oriented edges (non-zero entries).
     pub fn edge_count(&self) -> usize {
         self.edges.len()

@@ -298,7 +298,7 @@ impl MotifState {
             ),
             None => {
                 self.adjacency.probe(&self.live, u, v, |w, _, _| witnesses.push(w));
-                probed_kernel(&mut self.kernel)
+                list_kernel(&mut self.kernel)
             }
         };
         (witnesses, sample)
@@ -317,7 +317,7 @@ impl MotifState {
             }
             (None, WitnessRow::List(list)) => {
                 merge_intersect_visit(self.adjacency.of(c).0, list, |w| witnesses.push(w));
-                probed_kernel(&mut self.kernel)
+                list_kernel(&mut self.kernel)
             }
             _ => unreachable!("witness rows are built by the same state"),
         };
@@ -357,7 +357,7 @@ impl MotifState {
             None => {
                 self.adjacency
                     .probe(&self.live, u, v, |_, via_u, via_v| destroyed(via_u, via_v));
-                probed_kernel(&mut self.kernel)
+                list_kernel(&mut self.kernel)
             }
         };
         self.live[e as usize] = false;
@@ -416,7 +416,7 @@ enum WitnessRow {
 
 /// The adjacency flavor's accounting: one list intersection is one
 /// invocation with no slice pairs.
-fn probed_kernel(stats: &mut KernelStats) -> KernelSample {
+fn list_kernel(stats: &mut KernelStats) -> KernelSample {
     stats.kernel_invocations += 1;
     KernelSample::default()
 }
@@ -428,14 +428,11 @@ fn probed_kernel(stats: &mut KernelStats) -> KernelSample {
 fn numbered_edges(prepared: &PreparedGraph) -> (Vec<(u32, u32)>, Vec<u32>) {
     let oriented = prepared.oriented();
     let positions = 0..u32::try_from(oriented.arc_count()).expect("arc positions fit in u32");
-    let mut by_edge: Vec<(u32, u32, u32)> = oriented
-        .arcs()
-        .zip(positions)
-        .map(|((i, j), position)| {
-            let (a, b) = (oriented.original_id(i), oriented.original_id(j));
-            (a.min(b), a.max(b), position)
-        })
-        .collect();
+    let mut by_edge = Vec::with_capacity(positions.len());
+    by_edge.extend(oriented.arcs().zip(positions).map(|((i, j), position)| {
+        let (a, b) = (oriented.original_id(i), oriented.original_id(j));
+        (a.min(b), a.max(b), position)
+    }));
     by_edge.sort_unstable();
     by_edge.into_iter().map(|(u, v, position)| ((u, v), position)).unzip()
 }

@@ -114,9 +114,9 @@ pub struct PreparedGraph {
     stats: SliceStats,
     pricing: PreparedPricing,
     prepare_time: Duration,
-    /// Built on first support-level use: count-only traffic never pays
-    /// for it.
-    arcs: OnceLock<ArcIndex>,
+    /// Row offsets over the matrix's arc list, built on first
+    /// support-level use: count-only traffic never pays for them.
+    arc_offsets: OnceLock<Vec<u32>>,
 }
 
 impl PreparedGraph {
@@ -170,7 +170,7 @@ impl PreparedGraph {
             stats,
             pricing,
             prepare_time: start.elapsed(),
-            arcs: OnceLock::new(),
+            arc_offsets: OnceLock::new(),
         }
     }
 
@@ -190,13 +190,16 @@ impl PreparedGraph {
     }
 
     /// The index of the DAG's arcs in row-major order — the order of
-    /// [`OrientedGraph::arcs`] and [`SlicedMatrix::edges`] alike, and of
-    /// [`ExecutionReport::support`](crate::ExecutionReport::support).
-    /// Built the first time a support-level run asks for it, then
-    /// memoized on the artifact.
-    pub fn arc_index(&self) -> &ArcIndex {
-        self.arcs
-            .get_or_init(|| ArcIndex::new(self.oriented.vertex_count(), self.oriented.arcs()))
+    /// [`OrientedGraph::arcs`] and [`SlicedMatrix::arcs`] alike, and of
+    /// [`ExecutionReport::support`](crate::ExecutionReport::support). It
+    /// indexes the matrix's own arc list; the row offsets over it are
+    /// built the first time a support-level run asks, then memoized on
+    /// the artifact.
+    pub fn arc_index(&self) -> ArcIndex<'_> {
+        let arcs = self.matrix.arcs();
+        let offsets =
+            self.arc_offsets.get_or_init(|| ArcIndex::row_offsets(self.matrix.dim(), arcs));
+        ArcIndex::new(arcs, offsets)
     }
 
     /// Slicing statistics (Table III/IV quantities), measured once at

@@ -612,15 +612,12 @@ pub(crate) fn shape(
     let edge_support = any(|q| matches!(q, Query::EdgeSupport)).then(|| {
         let support = run.support.as_ref().expect("edge-support queries run with support");
         let oriented = prepared.oriented();
-        let mut edges: Vec<EdgeSupport> = oriented
-            .arcs()
-            .zip(support)
-            .map(|((i, j), &support)| {
-                let a = oriented.original_id(i);
-                let b = oriented.original_id(j);
-                EdgeSupport { u: a.min(b), v: a.max(b), support }
-            })
-            .collect();
+        let mut edges = Vec::with_capacity(support.len());
+        edges.extend(oriented.arcs().zip(support).map(|((i, j), &support)| {
+            let a = oriented.original_id(i);
+            let b = oriented.original_id(j);
+            EdgeSupport { u: a.min(b), v: a.max(b), support }
+        }));
         edges.sort_unstable_by_key(|e| (e.u, e.v));
         edges
     });

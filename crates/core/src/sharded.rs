@@ -569,7 +569,7 @@ impl<'e> ShardedBackend<'e> {
 fn intra_partial(
     backend: &ScheduledPimBackend<'_>,
     piece: &ShardPiece,
-    arcs: &ArcIndex,
+    arcs: ArcIndex<'_>,
     attribution: Attribution,
 ) -> Result<IntraPartial> {
     let oriented = piece.prepared().oriented();
@@ -688,6 +688,7 @@ impl ExecutionBackend for ShardedBackend<'_> {
             sharded.compose_plan(&self.policy.inner, &self.engine.cost_model())?;
         let comp = composition.execute(
             n,
+            arcs,
             sharded.boundary(),
             self.policy.inner.resolved_host_threads(),
             attribution,

@@ -293,14 +293,15 @@ mod tests {
     fn attributed_run_matches_serial_local_counts() {
         let e = engine();
         let m = wheel_matrix(120);
-        let arcs = tcim_arch::ArcIndex::new(m.dim(), m.edges());
-        let mut tally = TriangleTally::new(m.dim(), Some(&arcs));
+        let offsets = tcim_arch::ArcIndex::row_offsets(m.dim(), m.arcs());
+        let arcs = tcim_arch::ArcIndex::new(m.arcs(), &offsets);
+        let mut tally = TriangleTally::new(m.dim(), Some(arcs));
         let serial = e.run_attributed(&m, &mut tally);
         let (_, serial_per_vertex, serial_support) = tally.into_parts();
         for arrays in [1usize, 2, 4, 8] {
             let policy =
                 SchedPolicy { arrays, host_threads: Some(2), ..SchedPolicy::default() };
-            let mut tally = TriangleTally::new(m.dim(), Some(&arcs));
+            let mut tally = TriangleTally::new(m.dim(), Some(arcs));
             let report =
                 ScheduledRun::plan(&e, &m, &policy).unwrap().execute_into(Some(&mut tally));
             let (_, per_vertex, support) = tally.into_parts();

@@ -24,8 +24,6 @@
 //! the host — followed by [`CompositionPlan::execute`], which runs the
 //! kernels. [`compose`] is the two back to back.
 
-use std::sync::Arc;
-
 use tcim_arch::kernel::{self, ArcKernel};
 use tcim_arch::{ArcIndex, Attribution, SliceCostModel, TriangleSink, TriangleTally};
 use tcim_bitmatrix::popcount::PopcountMethod;
@@ -140,8 +138,7 @@ fn sub_passes<'a>(
 /// A plan depends only on the boundary, the shard mode, the policy's
 /// array count and placement, and the cost model — not on host threads,
 /// attribution or the query — so a sharded artifact builds one per
-/// policy and every query reuses it. It shares the partition's arc
-/// index, where support-level runs accumulate.
+/// policy and every query reuses it.
 #[derive(Debug, Clone)]
 pub struct CompositionPlan {
     placement: PlacementPolicy,
@@ -149,7 +146,6 @@ pub struct CompositionPlan {
     per_array: Vec<ArrayWork>,
     cross_arcs: usize,
     placement_units: usize,
-    arcs: Arc<ArcIndex>,
 }
 
 /// One array's share of a plan.
@@ -231,7 +227,6 @@ impl CompositionPlan {
             per_array,
             cross_arcs: arcs.len(),
             placement_units: units.len(),
-            arcs: Arc::clone(&plan.arcs),
         })
     }
 
@@ -249,8 +244,9 @@ impl CompositionPlan {
     ///
     /// Above [`Attribution::Count`], every non-zero AND result is read
     /// back out and each surviving middle vertex `w` is recorded as the
-    /// triangle `(a, w, c)`, with per-arc support over the partition's
-    /// arc index at [`Attribution::PerVertexWithSupport`].
+    /// triangle `(a, w, c)`, with per-arc support at
+    /// [`Attribution::PerVertexWithSupport`] over `arcs`, the partitioned
+    /// DAG's arc index ([`ShardPlan::arcs`]).
     ///
     /// # Panics
     ///
@@ -259,6 +255,7 @@ impl CompositionPlan {
     pub fn execute(
         &self,
         vertex_count: usize,
+        arcs: ArcIndex<'_>,
         boundary: &BoundarySlices,
         host_threads: usize,
         attribution: Attribution,
@@ -268,9 +265,9 @@ impl CompositionPlan {
             self.cross_arcs,
             "a composition plan runs over the boundary it was built from"
         );
-        let arcs = boundary.cross_arcs();
+        let cross_arcs = boundary.cross_arcs();
         let costs = &self.costs;
-        let new_tally = || attribution.tally(vertex_count, || &self.arcs);
+        let new_tally = || attribution.tally(vertex_count, || arcs);
         let need_support = attribution == Attribution::PerVertexWithSupport;
 
         // Execute each array's arcs; merge deterministically in array
@@ -286,8 +283,8 @@ impl CompositionPlan {
                 for &k in &work.arcs {
                     // Support accrues at the cross arc's global position.
                     if let Some(tally) = partial.tally.as_mut().filter(|_| need_support) {
-                        let (a, c) = arcs[k];
-                        let position = self.arcs.position(a, c);
+                        let (a, c) = cross_arcs[k];
+                        let position = arcs.position(a, c);
                         tally.enter_arc(position.expect("cross arcs are arcs of the DAG"));
                     }
                     let (row, col) = boundary.operands(k);
@@ -296,7 +293,7 @@ impl CompositionPlan {
                     let mut arc = ArcKernel::default();
                     for (left, right) in sub_passes(row, col) {
                         arc.absorb(kernel::and_bitcount(
-                            arcs[k],
+                            cross_arcs[k],
                             left,
                             right,
                             PopcountMethod::Native,
@@ -343,7 +340,7 @@ impl CompositionPlan {
 
         // Host dispatch stays serial (one controller), array work runs on
         // the busiest array's clock.
-        let host_s = arcs.len() as f64 * costs.controller_overhead_s;
+        let host_s = cross_arcs.len() as f64 * costs.controller_overhead_s;
         let max_busy = busy.iter().copied().fold(0.0, f64::max);
         let mean_busy =
             if busy.is_empty() { 0.0 } else { busy.iter().sum::<f64>() / busy.len() as f64 };
@@ -410,6 +407,7 @@ pub fn compose(
     let composition = CompositionPlan::new(plan, boundary, policy, costs)?;
     Ok(composition.execute(
         vertex_count,
+        plan.arcs(),
         boundary,
         policy.resolved_host_threads(),
         attribution,
@@ -634,8 +632,9 @@ mod tests {
                     (Attribution::PerVertexWithSupport, true, true),
                 ] {
                     let ctx = format!("{} {encoding} {attribution:?}", spec.mode);
-                    let run =
-                        |threads| composition.execute(n, &boundary, threads, attribution);
+                    let run = |threads| {
+                        composition.execute(n, plan.arcs(), &boundary, threads, attribution)
+                    };
                     let (first, again) = (run(1), run(2));
                     let free = compose(
                         n,

@@ -10,8 +10,6 @@
 //! degree-aware balancing the UPMEM triangle-counting study found
 //! necessary for real PIM fleets.
 
-use std::sync::Arc;
-
 use tcim_arch::ArcIndex;
 use tcim_bitmatrix::SliceSize;
 use tcim_graph::OrientedGraph;
@@ -41,10 +39,10 @@ pub struct ShardPlan {
     /// Per shard, the arcs whose tail it owns and whose head another
     /// shard owns.
     cross_arcs_by_tail: Vec<u64>,
-    /// The global oriented DAG's arcs, row-major: where per-arc support
-    /// accumulates, shared with every composition plan built over this
-    /// partition.
-    pub(crate) arcs: Arc<ArcIndex>,
+    /// The global oriented DAG's arcs, row-major, and their row offsets:
+    /// where per-arc support accumulates ([`ShardPlan::arcs`]).
+    arcs: Vec<(u32, u32)>,
+    arc_offsets: Vec<u32>,
 }
 
 impl ShardPlan {
@@ -154,8 +152,8 @@ impl ShardPlan {
     /// The partitioned DAG's arc index: the global arc positions
     /// per-arc support is reported at, whichever shard or composition
     /// kernel counted the triangle.
-    pub fn arcs(&self) -> &ArcIndex {
-        &self.arcs
+    pub fn arcs(&self) -> ArcIndex<'_> {
+        ArcIndex::new(&self.arcs, &self.arc_offsets)
     }
 }
 
@@ -217,6 +215,8 @@ pub fn plan_shards(
     cuts.push(n as u32);
 
     let ranges: Vec<(u32, u32)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
+    let mut arcs = Vec::with_capacity(oriented.arc_count());
+    arcs.extend(oriented.arcs());
     let weights: Vec<u64> =
         ranges.iter().map(|&(lo, hi)| prefix[hi as usize] - prefix[lo as usize]).collect();
 
@@ -227,7 +227,8 @@ pub fn plan_shards(
         align_bits: align,
         intra_arcs: 0,
         cross_arcs_by_tail: vec![0; k],
-        arcs: Arc::new(ArcIndex::new(n, oriented.arcs())),
+        arc_offsets: ArcIndex::row_offsets(n, &arcs),
+        arcs,
     };
     for (a, c) in oriented.arcs() {
         let tail = plan.shard_of(a);
