@@ -100,7 +100,8 @@ impl<'a> ArcIndex<'a> {
     ///
     /// Panics when the offsets do not span the arcs.
     pub fn new(arcs: &'a [(u32, u32)], offsets: &'a [u32]) -> Self {
-        assert_eq!(offsets.last().map(|&end| end as usize), Some(arcs.len()));
+        let end = offsets.last().map(|&end| end as usize);
+        assert_eq!(end, Some(arcs.len()), "row offsets span the arcs");
         ArcIndex { arcs, offsets }
     }
 
