@@ -29,7 +29,8 @@ pub(crate) fn run_array(
     let cache = SliceCache::new(column_capacity.max(1), replacement, replacement_seed);
     let mut buffer = ArrayBuffer::new(cache, EventTrace::new(0));
     let arcs = jobs.iter().flat_map(|job| {
-        job.cols.iter().enumerate().map(|(rank, &j)| (job.first_arc + rank, (job.row, j)))
+        let first = job.first_arc as usize;
+        job.cols.iter().enumerate().map(move |(rank, &j)| (first + rank, (job.row, j)))
     });
     // The bit counter is the 8→256 LUT of §V-A, as in the serial engine.
     kernel::walk(matrix, arcs, PopcountMethod::Lut8, &mut buffer, tally)

@@ -18,7 +18,7 @@ pub struct RowJob {
     pub row: u32,
     /// Position of the row's first arc in the matrix's row-major arc
     /// list: arc `(i, cols[r])` sits at `first_arc + r`.
-    pub first_arc: usize,
+    pub first_arc: u32,
     /// Column indices `j` of the row's edges `(i, j)`, ascending.
     pub cols: Vec<u32>,
     /// Valid slice pairs across all of the row's edges — the number of
@@ -49,7 +49,7 @@ pub fn decompose(matrix: &SlicedMatrix, costs: &SliceCostModel) -> Vec<RowJob> {
             let row = matrix.row(i);
             jobs.push(RowJob {
                 row: i,
-                first_arc: position,
+                first_arc: u32::try_from(position).expect("arc positions fit in u32"),
                 cols: Vec::new(),
                 pairs: 0,
                 row_slices: row.valid_slice_count() as u64,
