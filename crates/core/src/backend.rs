@@ -16,8 +16,7 @@ use std::time::{Duration, Instant};
 
 use tcim_arch::kernel;
 use tcim_arch::{
-    AccessStats, Attribution, PimEngine, PimRunResult, SliceCostModel, TriangleSink,
-    TriangleTally,
+    AccessStats, Attribution, PimEngine, PimRunResult, SliceCostModel, TriangleTally,
 };
 use tcim_bitmatrix::popcount::PopcountMethod;
 use tcim_graph::OrientedGraph;
@@ -522,19 +521,25 @@ impl ExecutionBackend for SoftwareBackend {
     }
 }
 
-/// Visits each common element of two sorted slices — the one
-/// implementation of the two-pointer walk the CPU baselines and the
-/// motif engine's adjacency flavor build on.
+/// Visits each common element of two sorted slices — the two-pointer
+/// walk the CPU merge baseline and the motif engine's adjacency flavor
+/// build on.
 pub(crate) fn merge_intersect_visit(a: &[u32], b: &[u32], mut visit: impl FnMut(u32)) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
+    merge_intersect_ranks(a, b, |x, _| visit(a[x]));
+}
+
+/// Visits each common element of two sorted slices by its ranks `(x,
+/// y)` in `a` and `b` — the one implementation of the two-pointer walk.
+fn merge_intersect_ranks(a: &[u32], b: &[u32], mut visit: impl FnMut(usize, usize)) {
+    let (mut x, mut y) = (0usize, 0usize);
+    while x < a.len() && y < b.len() {
+        match a[x].cmp(&b[y]) {
+            std::cmp::Ordering::Less => x += 1,
+            std::cmp::Ordering::Greater => y += 1,
             std::cmp::Ordering::Equal => {
-                visit(a[i]);
-                i += 1;
-                j += 1;
+                visit(x, y);
+                x += 1;
+                y += 1;
             }
         }
     }
@@ -625,37 +630,8 @@ impl ExecutionBackend for CpuForwardBackend {
     ) -> Result<ExecutionReport> {
         let start = Instant::now();
         let dag = prepared.oriented();
-        let n = dag.vertex_count();
-        if attribution == Attribution::PerVertexWithSupport {
-            let mut tally = TriangleTally::new(n, Some(prepared.arc_index()));
-            forward_with_support(dag, &mut tally);
-            let report = host_report(
-                self.name(),
-                tally.triangles(),
-                start,
-                cpu_kernel(prepared),
-                BackendDetail::Cpu,
-            );
-            return Ok(report.with_tally(Some(tally)));
-        }
-        let mut tally = attribution.tally(n, || prepared.arc_index());
-        let mut sink = tally.as_mut();
-        let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut triangles = 0u64;
-        for i in 0..n as u32 {
-            for &j in dag.row(i) {
-                // A common predecessor w closes the triangle {w, i, j},
-                // whose arcs are (w, i), (w, j) and (i, j).
-                merge_intersect_visit(&preds[i as usize], &preds[j as usize], |w| {
-                    triangles += 1;
-                    if let Some(sink) = sink.as_deref_mut() {
-                        sink.triangle(w, i, j);
-                    }
-                });
-                // Predecessors arrive in ascending i, so lists stay sorted.
-                preds[j as usize].push(i);
-            }
-        }
+        let mut tally = attribution.tally(dag.vertex_count(), || prepared.arc_index());
+        let triangles = forward(dag, tally.as_mut());
         let report = host_report(
             self.name(),
             triangles,
@@ -671,36 +647,54 @@ impl ExecutionBackend for CpuForwardBackend {
     }
 }
 
-/// The forward algorithm at [`Attribution::PerVertexWithSupport`]:
-/// every predecessor entry carries the position of its arc (arcs are
-/// visited row-major, so a running counter is the position), and a
-/// common predecessor's two entries name the triangle's other two arcs —
-/// no arc is ever looked up.
-fn forward_with_support(dag: &OrientedGraph, tally: &mut TriangleTally<'_>) {
-    let mut preds: Vec<Vec<(u32, u32)>> = vec![Vec::new(); dag.vertex_count()];
-    let mut position = 0usize;
-    for i in 0..dag.vertex_count() as u32 {
+/// The forward algorithm's one loop, at every attribution level. The
+/// predecessor sets live in one flat array, vertex `v`'s in a block
+/// sized by its in-degree, and every entry carries the position of its
+/// arc (arcs are visited row-major, so a running counter is the
+/// position): a common predecessor's two entries name the triangle's
+/// other two arcs, so no arc is ever looked up. Returns the triangle
+/// count.
+fn forward(dag: &OrientedGraph, mut tally: Option<&mut TriangleTally<'_>>) -> u64 {
+    let n = dag.vertex_count();
+    let arc_count = u32::try_from(dag.arc_count()).expect("arc positions fit in u32");
+    // `starts[v]..ends[v]` holds the predecessors of `v` seen so far:
+    // tails ascending, each beside its arc's position.
+    let mut starts = vec![0u32; n + 1];
+    for (_, j) in dag.arcs() {
+        starts[j as usize + 1] += 1;
+    }
+    for v in 0..n {
+        starts[v + 1] += starts[v];
+    }
+    let mut ends = starts[..n].to_vec();
+    let mut tails = vec![0u32; arc_count as usize];
+    let mut positions = vec![0u32; arc_count as usize];
+    let mut triangles = 0u64;
+    let mut position = 0u32;
+    for i in 0..n as u32 {
+        let into_i = starts[i as usize] as usize..ends[i as usize] as usize;
         for &j in dag.row(i) {
-            let (into_i, into_j) = (&preds[i as usize], &preds[j as usize]);
-            let (mut x, mut y) = (0usize, 0usize);
-            while x < into_i.len() && y < into_j.len() {
-                let ((w, wi), (v, wj)) = (into_i[x], into_j[y]);
-                match w.cmp(&v) {
-                    std::cmp::Ordering::Less => x += 1,
-                    std::cmp::Ordering::Greater => y += 1,
-                    std::cmp::Ordering::Equal => {
-                        // Triangle {w, i, j}: arcs (w, i), (w, j), (i, j).
-                        tally.triangle_at([w, i, j], [wi as usize, wj as usize, position]);
-                        x += 1;
-                        y += 1;
-                    }
+            let into_j = starts[j as usize] as usize..ends[j as usize] as usize;
+            let (from_i, from_j) = (&tails[into_i.clone()], &tails[into_j.clone()]);
+            merge_intersect_ranks(from_i, from_j, |x, y| {
+                // A common predecessor w closes the triangle {w, i, j},
+                // whose arcs are (w, i), (w, j) and (i, j).
+                triangles += 1;
+                if let Some(tally) = tally.as_deref_mut() {
+                    let (wi, wj) = (positions[into_i.start + x], positions[into_j.start + y]);
+                    let arcs = [wi as usize, wj as usize, position as usize];
+                    tally.triangle_at([from_i[x], i, j], arcs);
                 }
-            }
-            let stored = u32::try_from(position).expect("arc positions fit in u32");
-            preds[j as usize].push((i, stored));
+            });
+            // Predecessors arrive in ascending i, so blocks stay sorted.
+            let slot = &mut ends[j as usize];
+            tails[*slot as usize] = i;
+            positions[*slot as usize] = position;
+            *slot += 1;
             position += 1;
         }
     }
+    triangles
 }
 
 #[cfg(test)]
