@@ -40,7 +40,9 @@ pub struct ShardPlan {
     /// shard owns.
     cross_arcs_by_tail: Vec<u64>,
     /// The global oriented DAG's arcs, row-major, and their row offsets:
-    /// where per-arc support accumulates ([`ShardPlan::arcs`]).
+    /// where per-arc support accumulates ([`ShardPlan::arcs`]). A copy
+    /// made at planning, at every level, because [`compose`](fn@crate::compose)
+    /// gets only the plan and still reports support at global positions.
     arcs: Vec<(u32, u32)>,
     arc_offsets: Vec<u32>,
 }
