@@ -511,7 +511,8 @@ impl TcimPipeline {
     /// The cost model's cheap pre-execution estimate of the modelled
     /// latency `spec` will report for `prepared` — `None` for host
     /// backends (no modelled time) and for sharded plans whose artifact
-    /// cannot be built. This is the prediction the
+    /// is not in the pipeline's sharded cache (pricing never counts a
+    /// cache lookup or builds an artifact). This is the prediction the
     /// `tcim_model_error_permille` calibration histograms score against
     /// the executed run.
     pub fn predicted_modelled_s(
@@ -538,10 +539,7 @@ impl TcimPipeline {
                     + pricing.kernel_dispatches as f64 * costs.controller_overhead_s,
             ),
             Backend::Sharded(policy) => {
-                let artifact = self
-                    .sharded_cache()
-                    .get_or_build(prepared, &policy.spec, self.engine())
-                    .ok()?;
+                let artifact = self.sharded_cache().peek(prepared, &policy.spec)?;
                 let arrays = policy.inner.arrays as f64;
                 // Shards run concurrently: the intra phase finishes on
                 // the slowest shard's clock.
