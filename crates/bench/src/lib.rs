@@ -2,11 +2,10 @@
 //!
 //! The `benches/` directory holds Criterion micro/mesobenchmarks of the
 //! software kernels; the `src/bin/` binaries regenerate every table and
-//! figure of the paper (see EXPERIMENTS.md). Both consume the experiment
-//! drivers in `tcim_core::experiments`.
-
-pub mod compare;
-pub mod json;
+//! figure of the paper (see README "Benchmarks and experiments"). Both
+//! consume the experiment drivers in `tcim_core::experiments`. The
+//! repository benchmark, whose runs the `BENCH_<n>.json` records hold,
+//! is the separate `e2e-bench` package.
 
 use tcim_core::experiments::ExperimentScale;
 

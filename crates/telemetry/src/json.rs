@@ -3,11 +3,9 @@
 //!
 //! The build environment is offline (no serde), so the subset needed
 //! by the observability surfaces — objects, arrays, strings, numbers,
-//! booleans, null — is implemented directly. It started life inside
-//! `tcim-bench` for the `BENCH_*.json` perf artifacts and moved here
-//! once the chrome-trace exporter ([`crate::chrome_trace`]) needed the
-//! same writer below the bench layer; `tcim-bench` re-exports it and
-//! keeps only the bench-schema validator.
+//! booleans, null — is implemented directly. The chrome-trace exporter
+//! ([`crate::chrome_trace`]) writes with it, and its tests and
+//! `examples/explain.rs` read the export back with the parser.
 //!
 //! Numbers parse as `f64`, which is exact for every counter this stack
 //! emits (all below 2^53).
