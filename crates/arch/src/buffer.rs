@@ -4,7 +4,7 @@
 //! The paper uses LRU ("we choose the least recently used (LRU) column for
 //! replacement, and more optimized replacement strategy could be
 //! possible"); FIFO and Random are provided for the replacement-policy
-//! ablation of DESIGN.md §5.
+//! ablation (`tcim_core::ablations::replacement_ablation`).
 
 use std::collections::{HashMap, VecDeque};
 

@@ -93,7 +93,7 @@ impl PimCharacterization {
     /// the host. Host controller energy is the single-core host burning
     /// its active package power for as long as it dispatches edges — the
     /// term that dominates end-to-end TCIM energy, exactly as in the
-    /// paper's Fig. 6 arithmetic (see EXPERIMENTS.md).
+    /// paper's Fig. 6 arithmetic (`tcim_core::experiments::fig6`).
     pub(crate) fn roll_up(&self, stats: &AccessStats) -> (LatencyBreakdown, EnergyBreakdown) {
         let parallel = self.array.organization.parallel_subarrays() as f64;
         self.cost_model().roll_up(stats, parallel)

@@ -47,7 +47,8 @@ pub struct PimConfig {
     /// Active package power of the single-core host driving the
     /// controller (W). 25 W matches the Intel E5430-class machine of
     /// §V-A; used to convert controller time into energy, which is what
-    /// makes the paper's Fig. 6 arithmetic work out (see EXPERIMENTS.md).
+    /// makes the paper's Fig. 6 arithmetic work out
+    /// (`tcim_core::experiments::fig6`).
     pub host_power_w: f64,
     /// Event-trace capacity (0 disables tracing).
     pub trace_capacity: usize,

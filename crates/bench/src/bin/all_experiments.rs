@@ -1,4 +1,5 @@
-//! Runs every table and figure back to back — the EXPERIMENTS.md driver.
+//! Runs every table and figure back to back (README "Benchmarks and
+//! experiments" lists the single-experiment binaries).
 //!
 //! ```text
 //! TCIM_SCALE=0.05 cargo run --release -p tcim-bench --bin all_experiments

@@ -1,6 +1,7 @@
 //! Spot-check: simulated TCIM runtime on *full-size* stand-ins of the
 //! two smallest Table V datasets, next to the paper's published TCIM
-//! column. Documents the calibration claim made in EXPERIMENTS.md.
+//! column. Documents the calibration of the per-edge host dispatch cost
+//! (`tcim_arch::PimConfig::controller_overhead_s`).
 
 fn main() {
     use tcim_core::{Backend, TcimConfig, TcimPipeline};

@@ -10,7 +10,7 @@ use crate::error::{BitMatrixError, Result};
 /// `⌈|V| / |S|⌉` slices; a slice is *valid* iff it contains at least one set
 /// bit, and only valid slices are stored or computed on. The paper evaluates
 /// with `|S| = 64`; the other variants exist for the slice-size ablation
-/// called out in DESIGN.md.
+/// (`tcim_core::ablations::slice_size_ablation`).
 ///
 /// # Example
 ///

@@ -1,5 +1,5 @@
-//! Structured ablation drivers for the design choices DESIGN.md §5
-//! calls out.
+//! Structured ablation drivers for the design choices the paper fixes:
+//! orientation, slice size, buffer replacement policy and capacity.
 //!
 //! The `tcim-bench` ablation binaries print these results; keeping the
 //! logic here means the *findings* (e.g. "degree ordering raises the
@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn degree_order_beats_natural_hit_rate_on_collaboration_graphs() {
-        // The finding recorded in EXPERIMENTS.md: degree ordering lifts
+        // The finding this test pins: degree ordering lifts
         // the column-slice hit rate substantially on community graphs.
         let points = orientation_ablation(&dblp_standin()).unwrap();
         let natural = points.iter().find(|p| p.orientation == Orientation::Natural).unwrap();

@@ -22,8 +22,9 @@
 //! * scheduling — [`Backend::ScheduledPim`] runs the dataflow on the
 //!   `tcim-sched` multi-array runtime ([`SchedPolicy`],
 //!   [`ScheduledReport`] are re-exported here).
-//! * [`ablations`] — structured drivers for the DESIGN.md §5 ablations,
-//!   with their findings pinned by tests.
+//! * [`ablations`] — structured drivers for the design-choice ablations
+//!   (orientation, slice size, buffer replacement and capacity), with
+//!   their findings pinned by tests.
 //!
 //! The counting path itself is a **staged pipeline**: graphs are
 //! *prepared* once (orient → slice → price, [`PreparedGraph`], cached by

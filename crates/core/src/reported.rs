@@ -137,7 +137,7 @@ pub const TABLE_V: [PaperRow; 9] = [
 /// Board power assumed for the FPGA of \[3\] when converting its published
 /// runtimes into energies for Fig. 6 (W). Huang et al. report a
 /// Xilinx-VCU-class board; 20 W is the conventional figure for that
-/// design point and is documented in DESIGN.md as a calibration constant.
+/// design point, used here as a calibration constant.
 pub const FPGA_POWER_W: f64 = 20.0;
 
 /// Looks up the paper row for a dataset (case-insensitive).

@@ -1,6 +1,6 @@
 //! Self-verification: run every counting path in the repository on one
 //! graph and cross-check them — the one-call version of the repository's
-//! verification strategy (DESIGN.md §7).
+//! verification strategy (ARCHITECTURE.md §5).
 //!
 //! Since the staged-pipeline refactor this is backend-driven: one
 //! [`PreparedGraph`](crate::PreparedGraph) is built and every

@@ -5,7 +5,7 @@
 //! count *and* carries a family-matched synthetic recipe
 //! ([`Dataset::synthesize`]). The recipes match the quantities that drive
 //! TCIM's behaviour — size, degree distribution, and triangle density
-//! regime — as argued in DESIGN.md §2:
+//! regime:
 //!
 //! * **Social/web-like graphs** (`ego-facebook`, `email-enron`,
 //!   `com-youtube`, `com-lj`): Barabási–Albert preferential attachment for

@@ -1,6 +1,6 @@
 //! Closed-form reference graphs with known triangle counts.
 //!
-//! These anchor the verification strategy of DESIGN.md §6: every counting
+//! These anchor the repository's verification strategy: every counting
 //! path (dense, sliced, simulated) must reproduce the closed-form counts.
 
 use crate::csr::CsrGraph;

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on real SNAP datasets which are not redistributable
 //! inside this repository; the generators here produce family-matched
-//! synthetic stand-ins (see `datasets` and DESIGN.md §2). All generators
+//! synthetic stand-ins (see `datasets` for the rationale). All generators
 //! take an explicit `seed` and use a counter-based RNG so results are
 //! stable across platforms and runs.
 

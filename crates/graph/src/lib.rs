@@ -12,7 +12,7 @@
 //!   (Erdős–Rényi, Barabási–Albert, R-MAT, Watts–Strogatz, road-style grid
 //!   lattices, and closed-form reference graphs).
 //! * [`datasets`] — the Table II catalog with family-matched synthetic
-//!   stand-ins at configurable scale (see DESIGN.md §2 for the
+//!   stand-ins at configurable scale (its module docs give the
 //!   substitution rationale).
 //! * [`Orientation`] — the edge orientations used to make the paper's
 //!   Equation (5) count each triangle exactly once.

@@ -10,7 +10,8 @@
 //! [`Orientation::Degree`] additionally relabels vertices by ascending
 //! degree first — the classical trick that bounds the out-degree of the
 //! oriented DAG and balances row/column density. The paper uses the natural
-//! order; the degree order is one of the DESIGN.md ablations.
+//! order; the degree order is one of the ablations
+//! (`tcim_core::ablations::orientation_ablation`).
 
 use crate::csr::CsrGraph;
 

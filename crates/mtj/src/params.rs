@@ -4,7 +4,7 @@ use crate::error::{MtjError, Result};
 
 /// MTJ device parameters, reproducing the paper's Table I plus the two
 /// standard quantities the table leaves implicit (free-layer thickness and
-/// the read voltage), with conventional values noted in DESIGN.md.
+/// the read voltage), with the conventional values noted on each field.
 ///
 /// All fields are public because this is passive configuration data; use
 /// [`MtjParams::validate`] (or any consumer constructor, which validates
