@@ -20,7 +20,7 @@ use tcim_arch::{
 };
 use tcim_bitmatrix::popcount::PopcountMethod;
 use tcim_graph::OrientedGraph;
-use tcim_sched::{SchedPolicy, ScheduledReport, ScheduledRun};
+use tcim_sched::{SchedPolicy, ScheduledReport};
 
 use crate::error::{CoreError, Result};
 use crate::motifs::{self, MotifFlavor, MotifPricing};
@@ -422,8 +422,10 @@ impl ExecutionBackend for SerialPimBackend<'_> {
 
 /// Scheduled multi-array PIM execution over the prepared sliced matrix.
 ///
-/// The cost model is resolved once at construction and shared by every
-/// plan/execute cycle ([`ScheduledRun::plan_with_costs`]).
+/// The cost model is resolved once at construction. A run executes the
+/// artifact's memoized plan for this backend's policy
+/// ([`PreparedGraph::schedule_plan`]), so only the first run on an
+/// artifact decomposes and places.
 #[derive(Debug, Clone)]
 pub struct ScheduledPimBackend<'e> {
     engine: &'e PimEngine,
@@ -455,14 +457,11 @@ impl ExecutionBackend for ScheduledPimBackend<'_> {
         attribution: Attribution,
     ) -> Result<ExecutionReport> {
         let start = Instant::now();
-        let planned = ScheduledRun::plan_with_costs(
-            self.engine,
-            prepared.matrix(),
-            &self.policy,
-            self.costs,
-        )?;
+        let (plan, built) = prepared.schedule_plan(self.engine, &self.policy, &self.costs)?;
+        // The report bills the planning this run paid: none on a reuse.
+        let paid = if built { plan.plan_time() } else { Duration::ZERO };
         let mut tally = attribution.tally(prepared.matrix().dim(), || prepared.arc_index());
-        let report = planned.execute_into(tally.as_mut());
+        let report = plan.execute_into(prepared.matrix(), &self.policy, tally.as_mut(), paid);
         let report = ExecutionReport {
             backend: self.name(),
             triangles: report.triangles,

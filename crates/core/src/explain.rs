@@ -27,7 +27,7 @@ use std::time::Duration;
 use tcim_arch::Attribution;
 use tcim_bitmatrix::{EncodingPolicy, RowEncoding};
 use tcim_graph::CsrGraph;
-use tcim_sched::{ArrayAssignment, PlacementPolicy, ScheduledRun};
+use tcim_sched::{ArrayAssignment, PlacementPolicy};
 use tcim_shard::ShardSpec;
 
 use crate::backend::Backend;
@@ -429,15 +429,11 @@ impl TcimPipeline {
             },
             Backend::SerialPim | Backend::Software(_) => KernelCensus::from(pricing),
             Backend::ScheduledPim(policy) => {
-                // The same plan the executor runs; summarizing it here
-                // re-derives nothing.
-                let run = ScheduledRun::plan_with_costs(
-                    self.engine(),
-                    prepared.matrix(),
-                    policy,
-                    costs,
-                )?;
-                let per_array = run.placement().per_array_summary();
+                // The artifact's memoized plan, the one the executor
+                // runs: summarizing it plans nothing once a query (or an
+                // earlier EXPLAIN) has built it.
+                let (plan, _) = prepared.schedule_plan(self.engine(), policy, &costs)?;
+                let per_array = plan.per_array_summary();
                 let busiest = per_array.iter().map(|a| a.est_busy_s).fold(0.0f64, f64::max);
                 sched = Some(SchedPlanSummary {
                     arrays: policy.arrays,

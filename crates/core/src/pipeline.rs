@@ -11,12 +11,13 @@
 //! artifact and keys it by graph fingerprint + orientation + slice size.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use tcim_arch::{kernel, ArcIndex, PimConfig, PimEngine};
+use tcim_arch::{kernel, ArcIndex, PimConfig, PimEngine, SliceCostModel};
 use tcim_bitmatrix::{EncodingPolicy, RowEncoding, SliceSize, SliceStats, SlicedMatrix};
 use tcim_graph::{CsrGraph, Orientation, OrientedGraph};
+use tcim_sched::{SchedPolicy, SchedulePlan, ScheduledRun};
 
 use crate::backend::{Backend, ExecutionBackend, ExecutionReport};
 use crate::error::Result;
@@ -106,7 +107,7 @@ pub struct PreparedPricing {
 /// A graph prepared for execution: oriented, sliced, measured and
 /// priced. Built once per [`PreparedKey`] and shared (via `Arc`) by
 /// every backend execution — backends never re-orient or re-slice.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PreparedGraph {
     key: PreparedKey,
     oriented: OrientedGraph,
@@ -117,6 +118,9 @@ pub struct PreparedGraph {
     /// Row offsets over the matrix's arc list, built on first
     /// support-level use: count-only traffic never pays for them.
     arc_offsets: OnceLock<Vec<u32>>,
+    /// Scheduled plans built so far, at most one per array count ×
+    /// placement × cost model × per-array residency buffer.
+    schedule_plans: Mutex<Vec<Arc<SchedulePlan>>>,
 }
 
 impl PreparedGraph {
@@ -171,6 +175,7 @@ impl PreparedGraph {
             pricing,
             prepare_time: start.elapsed(),
             arc_offsets: OnceLock::new(),
+            schedule_plans: Mutex::default(),
         }
     }
 
@@ -200,6 +205,50 @@ impl PreparedGraph {
         let offsets =
             self.arc_offsets.get_or_init(|| ArcIndex::row_offsets(self.matrix.dim(), arcs));
         ArcIndex::new(arcs, offsets)
+    }
+
+    /// The scheduled plan for `policy` on `engine` under `costs`, and
+    /// whether this call built it: built the first time an array count ×
+    /// placement × cost model × per-array residency buffer asks for it,
+    /// then memoized on the artifact, so later queries — whatever their
+    /// host threads or attribution — only execute it. The plan is
+    /// compact ([`SchedulePlan`]): the placement's row jobs are dropped
+    /// once it is frozen.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError::InvalidPolicy`](tcim_sched::SchedError) for
+    /// a malformed policy and a slice-size mismatch when the matrix was
+    /// sliced for another engine, as [`ScheduledRun::plan_with_costs`]
+    /// does, whether or not a plan is memoized.
+    pub fn schedule_plan(
+        &self,
+        engine: &PimEngine,
+        policy: &SchedPolicy,
+        costs: &SliceCostModel,
+    ) -> Result<(Arc<SchedulePlan>, bool)> {
+        policy.validate()?;
+        let mut plans = self.schedule_plans();
+        if let Some(plan) = plans.iter().find(|plan| plan.is_for(engine, policy, costs)) {
+            return Ok((Arc::clone(plan), false));
+        }
+        let plan = Arc::new(
+            ScheduledRun::plan_with_costs(engine, &self.matrix, policy, *costs)?.into_plan(),
+        );
+        plans.push(Arc::clone(&plan));
+        Ok((plan, true))
+    }
+
+    /// Scheduled plans this artifact has built so far.
+    pub fn schedule_plans_built(&self) -> usize {
+        self.schedule_plans().len()
+    }
+
+    /// The plan memo. A plan is a pure function of the matrix and its
+    /// key and is pushed only once complete, so a lock poisoned by a
+    /// panicking builder is recovered, not propagated.
+    fn schedule_plans(&self) -> MutexGuard<'_, Vec<Arc<SchedulePlan>>> {
+        self.schedule_plans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Slicing statistics (Table III/IV quantities), measured once at
@@ -284,10 +333,18 @@ impl PreparedCache {
         }
     }
 
+    /// The cache state. No critical section can panic between its
+    /// updates of the map, the LRU order and the counters, and every
+    /// cached artifact can be rebuilt, so a lock poisoned by a panicking
+    /// holder is recovered, not propagated.
+    fn inner(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The cached artifact for `key`, or `None` (recording a hit/miss
     /// either way).
     pub fn get(&self, key: &PreparedKey) -> Option<Arc<PreparedGraph>> {
-        let mut inner = self.inner.lock().expect("cache mutex is never poisoned");
+        let mut inner = self.inner();
         match inner.map.get(key).cloned() {
             Some(found) => {
                 inner.hits += 1;
@@ -308,7 +365,7 @@ impl PreparedCache {
     /// inserted the same key first).
     pub fn insert(&self, prepared: PreparedGraph) -> Arc<PreparedGraph> {
         let key = *prepared.key();
-        let mut inner = self.inner.lock().expect("cache mutex is never poisoned");
+        let mut inner = self.inner();
         if let Some(existing) = inner.map.get(&key).cloned() {
             return existing;
         }
@@ -324,7 +381,7 @@ impl PreparedCache {
 
     /// Number of cached artifacts.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache mutex is never poisoned").map.len()
+        self.inner().map.len()
     }
 
     /// Maximum number of artifacts the cache holds before evicting.
@@ -335,7 +392,7 @@ impl PreparedCache {
     /// The cached keys in least-recently-used-first order (for eviction
     /// inspection; does not touch hit/miss counters or recency).
     pub fn keys_lru_first(&self) -> Vec<PreparedKey> {
-        self.inner.lock().expect("cache mutex is never poisoned").order.clone()
+        self.inner().order.clone()
     }
 
     /// Whether the cache is empty.
@@ -345,17 +402,17 @@ impl PreparedCache {
 
     /// Lookups that found a cached artifact.
     pub fn hits(&self) -> u64 {
-        self.inner.lock().expect("cache mutex is never poisoned").hits
+        self.inner().hits
     }
 
     /// Lookups that missed.
     pub fn misses(&self) -> u64 {
-        self.inner.lock().expect("cache mutex is never poisoned").misses
+        self.inner().misses
     }
 
     /// Drops every cached artifact (hit/miss counters are preserved).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("cache mutex is never poisoned");
+        let mut inner = self.inner();
         inner.map.clear();
         inner.order.clear();
     }
@@ -771,6 +828,89 @@ mod tests {
         p.cache().clear();
         assert!(p.cache().is_empty());
         assert_eq!(p.cache().hits(), 1);
+    }
+
+    #[test]
+    fn schedule_plan_lookup_reuses_the_memoized_plan() {
+        use crate::query::Query;
+        use tcim_sched::PlacementPolicy;
+
+        let p = pipeline();
+        let g = gnm(256, 1800, 5).unwrap();
+        let prepared = p.prepare(&g);
+        let scheduled = |policy: SchedPolicy| {
+            p.execute(&prepared, &Backend::ScheduledPim(policy)).unwrap();
+            prepared.schedule_plans_built()
+        };
+        assert_eq!(prepared.schedule_plans_built(), 0, "preparing plans nothing");
+        assert_eq!(scheduled(SchedPolicy::with_arrays(4)), 1);
+        assert_eq!(
+            scheduled(SchedPolicy::with_arrays(4)),
+            1,
+            "a repeated policy builds no plan"
+        );
+        assert_eq!(scheduled(SchedPolicy::with_arrays(8)), 2, "new arrays build exactly one");
+        let round_robin = SchedPolicy::with_arrays(8).placement(PlacementPolicy::RoundRobin);
+        assert_eq!(scheduled(round_robin.clone()), 3, "a new placement builds exactly one");
+        let threads = SchedPolicy { host_threads: Some(1), ..round_robin };
+        assert_eq!(scheduled(threads), 3, "host threads alone build no plan");
+
+        // EXPLAIN summarizes the memoized plan and builds none.
+        let spec = Backend::ScheduledPim(SchedPolicy::with_arrays(4));
+        let plan = p.explain_prepared(&prepared, true, &spec, &Query::TotalTriangles).unwrap();
+        assert_eq!(plan.sched.expect("scheduled plans summarize placement").arrays, 4);
+        assert_eq!(prepared.schedule_plans_built(), 3, "EXPLAIN plans nothing");
+
+        // Another engine's residency buffer is another key.
+        let costs = p.engine().cost_model();
+        let policy = SchedPolicy::with_arrays(4);
+        let (first, built) = prepared.schedule_plan(p.engine(), &policy, &costs).unwrap();
+        assert!(!built);
+        for pim in [
+            PimConfig { capacity_slices_override: Some(512), ..PimConfig::default() },
+            PimConfig { replacement_seed: 99, ..PimConfig::default() },
+        ] {
+            let other = PimEngine::new(&pim).unwrap();
+            let before = prepared.schedule_plans_built();
+            let (own, built) = prepared.schedule_plan(&other, &policy, &costs).unwrap();
+            assert!(built && !Arc::ptr_eq(&first, &own), "{pim:?}");
+            let (again, built) = prepared.schedule_plan(&other, &policy, &costs).unwrap();
+            assert!(!built && Arc::ptr_eq(&own, &again));
+            assert_eq!(prepared.schedule_plans_built(), before + 1);
+        }
+
+        // An invalid policy is rejected even when its key would hit.
+        let zero_threads = SchedPolicy { host_threads: Some(0), ..policy.clone() };
+        assert!(prepared.schedule_plan(p.engine(), &zero_threads, &costs).is_err());
+        // A panic while the memo is locked poisons it; lookups recover.
+        let built = prepared.schedule_plans_built();
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _plans = prepared.schedule_plans();
+            panic!("poison the plan memo");
+        }));
+        assert!(poisoned.is_err());
+        let (again, built_now) = prepared.schedule_plan(p.engine(), &policy, &costs).unwrap();
+        assert!(!built_now && Arc::ptr_eq(&first, &again));
+        assert_eq!(prepared.schedule_plans_built(), built);
+    }
+
+    #[test]
+    fn a_poisoned_prepared_cache_keeps_answering() {
+        let p = pipeline();
+        let cache = PreparedCache::new(2);
+        let first = cache.insert(p.prepare_uncached(&classic::wheel(10)));
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _inner = cache.inner();
+            panic!("poison the cache");
+        }));
+        assert!(poisoned.is_err());
+        assert!(Arc::ptr_eq(&first, &cache.get(first.key()).unwrap()));
+        cache.insert(p.prepare_uncached(&classic::wheel(11)));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.keys_lru_first().len(), 2);
+        assert_eq!((cache.hits(), cache.misses()), (1, 0));
+        cache.clear();
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -45,8 +45,8 @@ use tcim_bitmatrix::EncodingPolicy;
 use tcim_graph::CsrGraph;
 use tcim_sched::{parallel_map_indexed, SchedPolicy};
 use tcim_shard::{
-    compose_census, plan_shards, BoundarySlices, ComposeCensus, CompositionPlan, ShardError,
-    ShardMode, ShardPlan, ShardSpec,
+    plan_shards, BoundarySlices, ComposeCensus, CompositionPartial, CompositionPlan,
+    ShardError, ShardMode, ShardPlan, ShardSpec,
 };
 
 use crate::backend::{
@@ -113,7 +113,7 @@ impl ShardPolicy {
 
 /// One shard of a [`ShardedPreparedGraph`]: its oriented-id range and
 /// the prepared artifact of the subgraph induced on it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ShardPiece {
     range: (u32, u32),
     prepared: PreparedGraph,
@@ -157,7 +157,6 @@ pub struct ShardedPreparedGraph {
     spec: ShardSpec,
     plan: ShardPlan,
     boundary: BoundarySlices,
-    compose_census: ComposeCensus,
     /// Composition plans built so far, at most one per array count ×
     /// placement × cost model.
     compose_plans: Mutex<Vec<Arc<CompositionPlan>>>,
@@ -195,13 +194,13 @@ impl ShardedPreparedGraph {
         let oriented = prepared.oriented();
         let slice_size = prepared.slice_size();
         let plan = plan_shards(oriented, spec, slice_size).map_err(CoreError::Shard)?;
+        // Extraction also takes the composition pass's kernel census.
+        // It is structural (it depends only on the boundary operands,
+        // not on placement), so that one dry walk at preparation time
+        // makes every later EXPLAIN plan and calibration prediction
+        // O(shards) instead of O(cross arcs).
         let boundary =
             BoundarySlices::extract(oriented, &plan, slice_size, prepared.encoding());
-        // The composition pass's kernel census is structural (it depends
-        // only on the boundary operands, not on placement), so one dry
-        // walk at preparation time makes every later EXPLAIN plan and
-        // calibration prediction O(shards) instead of O(cross arcs).
-        let compose_census = compose_census(&boundary);
 
         let pieces = plan
             .ranges()
@@ -238,7 +237,6 @@ impl ShardedPreparedGraph {
             spec: *spec,
             plan,
             boundary,
-            compose_census,
             compose_plans: Mutex::default(),
             pieces,
             prepare_time: start.elapsed(),
@@ -273,7 +271,7 @@ impl ShardedPreparedGraph {
     /// pairs, skipped blocks), measured structurally at preparation
     /// time — what the pass *will* execute, before it runs.
     pub fn compose_census(&self) -> ComposeCensus {
-        self.compose_census
+        self.boundary.census()
     }
 
     /// The composition plan for `policy` under `costs`: built the first
@@ -418,6 +416,14 @@ impl ShardedCache {
         }
     }
 
+    /// The cache state. No critical section can panic between its
+    /// updates of the map, the LRU order and the counters, and every
+    /// cached artifact can be rebuilt, so a lock poisoned by a panicking
+    /// holder is recovered, not propagated.
+    fn inner(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The cached artifact for `prepared` under `spec`, building and
     /// inserting it (with LRU eviction) on a miss.
     ///
@@ -448,7 +454,7 @@ impl ShardedCache {
     ) -> Result<(Arc<ShardedPreparedGraph>, bool)> {
         let key = (*prepared.key(), *spec);
         {
-            let mut inner = self.inner.lock().expect("cache mutex is never poisoned");
+            let mut inner = self.inner();
             if let Some(found) = inner.map.get(&key).cloned() {
                 inner.hits += 1;
                 inner.order.retain(|k| k != &key);
@@ -458,11 +464,12 @@ impl ShardedCache {
             inner.misses += 1;
         }
         // Build outside the lock (slow); racing builders agree on the
-        // first inserted value.
+        // first inserted value. A builder that lost the race still paid
+        // for its build, so it reports a miss either way.
         let built = Arc::new(ShardedPreparedGraph::build(prepared, spec, engine)?);
-        let mut inner = self.inner.lock().expect("cache mutex is never poisoned");
+        let mut inner = self.inner();
         if let Some(existing) = inner.map.get(&key).cloned() {
-            return Ok((existing, true));
+            return Ok((existing, false));
         }
         inner.map.insert(key, Arc::clone(&built));
         inner.order.push(key);
@@ -481,13 +488,12 @@ impl ShardedCache {
         prepared: &PreparedGraph,
         spec: &ShardSpec,
     ) -> Option<Arc<ShardedPreparedGraph>> {
-        let inner = self.inner.lock().expect("cache mutex is never poisoned");
-        inner.map.get(&(*prepared.key(), *spec)).cloned()
+        self.inner().map.get(&(*prepared.key(), *spec)).cloned()
     }
 
     /// Number of cached artifacts.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache mutex is never poisoned").map.len()
+        self.inner().map.len()
     }
 
     /// Whether the cache is empty.
@@ -497,12 +503,12 @@ impl ShardedCache {
 
     /// Lookups that found a cached artifact.
     pub fn hits(&self) -> u64 {
-        self.inner.lock().expect("cache mutex is never poisoned").hits
+        self.inner().hits
     }
 
     /// Lookups that missed.
     pub fn misses(&self) -> u64 {
-        self.inner.lock().expect("cache mutex is never poisoned").misses
+        self.inner().misses
     }
 
     /// Maximum number of artifacts held before evicting.
@@ -625,6 +631,35 @@ fn intra_partial(
     })
 }
 
+/// One task of a sharded query's fan-out.
+#[derive(Debug, Clone, Copy)]
+enum Task {
+    /// The intra run of the piece at this shard index.
+    Piece(usize),
+    /// The composition kernels placed on this array.
+    Array(usize),
+}
+
+/// A finished [`Task`], tagged with its shard or array index.
+enum Partial<'a> {
+    Intra(usize, Result<IntraPartial>),
+    Cross(usize, CompositionPartial<'a>),
+}
+
+/// Every piece and every composition array, ordered by the slice pairs
+/// it will AND (largest first; pieces before arrays on ties), so the
+/// fan-out's dynamic claiming starts the long tasks first.
+fn largest_first(pieces: &[ShardPiece], composition: &CompositionPlan) -> Vec<Task> {
+    let mut sized: Vec<(u64, Task)> = pieces
+        .iter()
+        .enumerate()
+        .map(|(s, piece)| (piece.prepared().pricing().slice_pairs, Task::Piece(s)))
+        .chain((0..composition.arrays()).map(|a| (composition.array_pairs(a), Task::Array(a))))
+        .collect();
+    sized.sort_by_key(|&(pairs, _)| std::cmp::Reverse(pairs));
+    sized.into_iter().map(|(_, task)| task).collect()
+}
+
 impl ExecutionBackend for ShardedBackend<'_> {
     fn name(&self) -> String {
         Backend::Sharded(self.policy.clone()).label()
@@ -638,22 +673,51 @@ impl ExecutionBackend for ShardedBackend<'_> {
         let start = Instant::now();
         let sharded = self.artifact(prepared)?;
         let pieces = sharded.pieces();
+        let n = prepared.oriented().vertex_count();
+        let arcs = sharded.plan().arcs();
 
-        // Intra-shard runs: every piece through the tcim-sched executor,
-        // pieces fanned over host threads, arrays simulated serially
-        // inside each piece so the host is never oversubscribed.
+        // The cross-shard composition pass, planned once per artifact and
+        // policy.
+        let compose_span = tcim_telemetry::span("compose");
+        let composition =
+            sharded.compose_plan(&self.policy.inner, &self.engine.cost_model())?;
+        drop(compose_span);
+
+        // One fan-out runs every piece's intra run (through the tcim-sched
+        // executor, its arrays simulated serially so the host is never
+        // oversubscribed) and every composition array. Workers claim the
+        // tasks largest first, so the composition never waits for the
+        // slowest piece to finish first.
         let inner = SchedPolicy { host_threads: Some(1), ..self.policy.inner.clone() };
         let backend = ScheduledPimBackend::new(self.engine, inner);
-        let threads = self.policy.inner.resolved_host_threads();
+        let tasks = largest_first(pieces, &composition);
         let shard_span = tcim_telemetry::span("shard");
-        let arcs = sharded.plan().arcs();
-        let partials: Vec<Result<IntraPartial>> =
-            parallel_map_indexed(pieces.len(), threads, |s| {
-                intra_partial(&backend, &pieces[s], arcs, attribution)
-            });
+        let done = parallel_map_indexed(
+            tasks.len(),
+            self.policy.inner.resolved_host_threads(),
+            |t| match tasks[t] {
+                Task::Piece(s) => {
+                    Partial::Intra(s, intra_partial(&backend, &pieces[s], arcs, attribution))
+                }
+                Task::Array(a) => Partial::Cross(
+                    a,
+                    composition.run_array(a, n, arcs, sharded.boundary(), attribution),
+                ),
+            },
+        );
         drop(shard_span);
+        let mut intra: Vec<Option<Result<IntraPartial>>> =
+            pieces.iter().map(|_| None).collect();
+        let mut cross: Vec<Option<CompositionPartial<'_>>> =
+            (0..composition.arrays()).map(|_| None).collect();
+        for partial in done {
+            match partial {
+                Partial::Intra(s, partial) => intra[s] = Some(partial),
+                Partial::Cross(a, partial) => cross[a] = Some(partial),
+            }
+        }
 
-        let n = prepared.oriented().vertex_count();
+        // Partials merge in shard order, then in array order.
         let mut triangles = 0u64;
         let mut kernel = KernelStats::default();
         let mut stats = AccessStats::default();
@@ -663,8 +727,8 @@ impl ExecutionBackend for ShardedBackend<'_> {
         let mut support = (attribution == Attribution::PerVertexWithSupport)
             .then(|| vec![0u64; arcs.arc_count()]);
         let mut per_shard = Vec::with_capacity(pieces.len());
-        for (s, partial) in partials.into_iter().enumerate() {
-            let partial = partial?;
+        for (s, partial) in intra.into_iter().enumerate() {
+            let partial = partial.expect("every piece ran")?;
             triangles += partial.triangles;
             kernel.merge(&partial.kernel);
             stats.merge(&partial.stats);
@@ -693,18 +757,8 @@ impl ExecutionBackend for ShardedBackend<'_> {
         }
         let intra_triangles = triangles;
 
-        // Cross-shard composition pass, planned once per artifact and
-        // policy.
         let compose_span = tcim_telemetry::span("compose");
-        let composition =
-            sharded.compose_plan(&self.policy.inner, &self.engine.cost_model())?;
-        let comp = composition.execute(
-            n,
-            arcs,
-            sharded.boundary(),
-            self.policy.inner.resolved_host_threads(),
-            attribution,
-        );
+        let comp = composition.merge(cross.into_iter().map(|p| p.expect("every array ran")));
         drop(compose_span);
         triangles += comp.triangles;
         kernel.merge(&KernelStats {
@@ -877,6 +931,77 @@ mod tests {
         }));
         assert!(poisoned.is_err());
         assert!(Arc::ptr_eq(&first, &sharded.compose_plan(&policy, &costs).unwrap()));
+    }
+
+    #[test]
+    fn warm_sharded_queries_plan_nothing() {
+        let p = pipeline();
+        let prepared = p.prepare(&gnm(512, 3600, 21).unwrap());
+        let spec = Backend::Sharded(ShardPolicy::with_shards(4));
+        p.execute(&prepared, &spec).unwrap();
+        let artifact = p.prepare_sharded(&prepared, &ShardSpec::one_d(4)).unwrap();
+        let built = || -> Vec<usize> {
+            artifact
+                .pieces()
+                .iter()
+                .map(|piece| piece.prepared().schedule_plans_built())
+                .collect()
+        };
+        let warm = built();
+        assert!(warm.contains(&1), "{warm:?}");
+        for query in [Query::TotalTriangles, Query::PerVertexTriangles, Query::EdgeSupport] {
+            p.query(&prepared, &spec, &query).unwrap();
+        }
+        p.explain_prepared(&prepared, true, &spec, &Query::TotalTriangles).unwrap();
+        assert_eq!(built(), warm, "no piece plans again");
+        assert_eq!(artifact.compose_plans_built(), 1, "composition planned once");
+    }
+
+    #[test]
+    fn a_builder_that_loses_the_race_reports_a_miss() {
+        let p = pipeline();
+        let prepared = p.prepare(&gnm(256, 1800, 5).unwrap());
+        let cache = ShardedCache::new(4);
+        let spec = ShardSpec::one_d(2);
+        let barrier = std::sync::Barrier::new(8);
+        let served: Vec<(Arc<ShardedPreparedGraph>, bool)> = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cache.get_or_build_reporting(&prepared, &spec, p.engine()).unwrap()
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|caller| caller.join().unwrap()).collect()
+        });
+        let built = served.iter().filter(|(_, hit)| !hit).count() as u64;
+        assert_eq!(built, cache.misses(), "every call that built reports a miss");
+        assert_eq!(cache.hits() + cache.misses(), 8);
+        assert_eq!(cache.len(), 1);
+        assert!(served.iter().all(|(artifact, _)| Arc::ptr_eq(artifact, &served[0].0)));
+    }
+
+    #[test]
+    fn a_poisoned_sharded_cache_keeps_answering() {
+        let p = pipeline();
+        let prepared = p.prepare(&gnm(256, 1800, 5).unwrap());
+        let cache = ShardedCache::new(2);
+        let spec = ShardSpec::one_d(2);
+        let first = cache.get_or_build(&prepared, &spec, p.engine()).unwrap();
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _inner = cache.inner();
+            panic!("poison the cache");
+        }));
+        assert!(poisoned.is_err());
+        assert!(Arc::ptr_eq(
+            &first,
+            &cache.get_or_build(&prepared, &spec, p.engine()).unwrap()
+        ));
+        assert!(cache.peek(&prepared, &spec).is_some());
+        cache.get_or_build(&prepared, &ShardSpec::one_d(4), p.engine()).unwrap();
+        assert_eq!(cache.len(), 2);
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
     #[test]

@@ -15,12 +15,28 @@ use tcim_bitmatrix::SlicedMatrix;
 
 use crate::jobs::RowJob;
 
-/// Executes the assigned `jobs` (ascending row order) on one array,
-/// reading non-zero results out into the array's partial `tally`
-/// (matrix ids, arcs at their matrix positions) when one is given.
+/// One assigned row: its arcs are `arcs` consecutive entries of the
+/// matrix's row-major arc list, starting at position `first_arc`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RowSpan {
+    first_arc: u32,
+    arcs: u32,
+}
+
+impl RowSpan {
+    /// The span of `job`'s arcs.
+    pub(crate) fn of(job: &RowJob) -> RowSpan {
+        let arcs = u32::try_from(job.cols.len()).expect("arc positions fit in u32");
+        RowSpan { first_arc: job.first_arc, arcs }
+    }
+}
+
+/// Executes the assigned `rows` (ascending) on one array, reading
+/// non-zero results out into the array's partial `tally` (matrix ids,
+/// arcs at their matrix positions) when one is given.
 pub(crate) fn run_array(
     matrix: &SlicedMatrix,
-    jobs: &[&RowJob],
+    rows: &[RowSpan],
     column_capacity: usize,
     replacement: ReplacementPolicy,
     replacement_seed: u64,
@@ -28,9 +44,11 @@ pub(crate) fn run_array(
 ) -> Walk {
     let cache = SliceCache::new(column_capacity.max(1), replacement, replacement_seed);
     let mut buffer = ArrayBuffer::new(cache, EventTrace::new(0));
-    let arcs = jobs.iter().flat_map(|job| {
-        let first = job.first_arc as usize;
-        job.cols.iter().enumerate().map(move |(rank, &j)| (first + rank, (job.row, j)))
+    let all = matrix.arcs();
+    let arcs = rows.iter().flat_map(|span| {
+        let first = span.first_arc as usize;
+        let row = &all[first..first + span.arcs as usize];
+        row.iter().enumerate().map(move |(rank, &arc)| (first + rank, arc))
     });
     // The bit counter is the 8→256 LUT of §V-A, as in the serial engine.
     kernel::walk(matrix, arcs, PopcountMethod::Lut8, &mut buffer, tally)
@@ -42,6 +60,10 @@ mod tests {
     use crate::jobs::decompose;
     use tcim_arch::{PimConfig, PimEngine};
     use tcim_bitmatrix::{SliceSize, SlicedMatrixBuilder};
+
+    fn spans(m: &SlicedMatrix, engine: &PimEngine) -> Vec<RowSpan> {
+        decompose(m, &engine.cost_model()).iter().map(RowSpan::of).collect()
+    }
 
     fn fig2() -> SlicedMatrix {
         let mut b = SlicedMatrixBuilder::new(4, SliceSize::S64);
@@ -55,9 +77,8 @@ mod tests {
     fn one_array_reproduces_the_serial_engine() {
         let m = fig2();
         let engine = PimEngine::new(&PimConfig::default()).unwrap();
-        let jobs = decompose(&m, &engine.cost_model());
-        let refs: Vec<&RowJob> = jobs.iter().collect();
-        let run = run_array(&m, &refs, 1024, ReplacementPolicy::Lru, 0, None);
+        let rows = spans(&m, &engine);
+        let run = run_array(&m, &rows, 1024, ReplacementPolicy::Lru, 0, None);
         let serial = engine.run(&m);
         assert_eq!(run.triangles, serial.triangles);
         assert_eq!(run.stats, serial.stats);
@@ -67,12 +88,11 @@ mod tests {
     fn disjoint_partitions_sum_to_the_whole() {
         let m = fig2();
         let engine = PimEngine::new(&PimConfig::default()).unwrap();
-        let jobs = decompose(&m, &engine.cost_model());
+        let rows = spans(&m, &engine);
         let serial = engine.run(&m).triangles;
-        let first: Vec<&RowJob> = jobs.iter().take(1).collect();
-        let rest: Vec<&RowJob> = jobs.iter().skip(1).collect();
-        let a = run_array(&m, &first, 64, ReplacementPolicy::Lru, 0, None);
-        let b = run_array(&m, &rest, 64, ReplacementPolicy::Lru, 1, None);
+        let (first, rest) = rows.split_at(1);
+        let a = run_array(&m, first, 64, ReplacementPolicy::Lru, 0, None);
+        let b = run_array(&m, rest, 64, ReplacementPolicy::Lru, 1, None);
         assert_eq!(a.triangles + b.triangles, serial);
         assert_eq!(a.stats.edges + b.stats.edges, 5);
     }
@@ -88,10 +108,9 @@ mod tests {
         }
         let m = b.build();
         let engine = PimEngine::new(&PimConfig::default()).unwrap();
-        let jobs = decompose(&m, &engine.cost_model());
-        let refs: Vec<&RowJob> = jobs.iter().collect();
-        let roomy = run_array(&m, &refs, 4096, ReplacementPolicy::Lru, 0, None);
-        let tight = run_array(&m, &refs, 1, ReplacementPolicy::Lru, 0, None);
+        let rows = spans(&m, &engine);
+        let roomy = run_array(&m, &rows, 4096, ReplacementPolicy::Lru, 0, None);
+        let tight = run_array(&m, &rows, 1, ReplacementPolicy::Lru, 0, None);
         assert_eq!(roomy.triangles, tight.triangles);
         assert!(tight.stats.col_exchanges > roomy.stats.col_exchanges);
     }

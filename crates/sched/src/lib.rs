@@ -28,10 +28,12 @@
 //!   AND + BitCount kernels a dynamic-graph batch (`tcim-stream`)
 //!   produces: tiny, independent, residency-free jobs priced by the
 //!   same cost model and balanced by the same policies.
-//! * **Execution** ([`ScheduledRun`]) — each array runs the serial
-//!   engine's kernel walker over its own rows, fanned out over scoped
-//!   host threads; partial counts merge deterministically in array
-//!   order.
+//! * **Execution** ([`ScheduledRun`], [`SchedulePlan`]) — each array
+//!   runs the serial engine's kernel walker over its own rows, fanned
+//!   out over scoped host threads; partial counts merge
+//!   deterministically in array order. The frozen [`SchedulePlan`]
+//!   keeps only the rows each array runs, so a prepared artifact plans
+//!   once per policy and executes the same plan on every query.
 //!
 //! Functional correctness is independent of scheduling by construction:
 //! every policy executes the identical AND + BitCount dataflow per edge,
@@ -79,4 +81,4 @@ pub use jobs::RowJob;
 pub use placement::{ArrayAssignment, Placement};
 pub use policy::{PlacementPolicy, SchedPolicy};
 pub use report::{ArrayReport, ScheduledReport};
-pub use runner::{parallel_map_indexed, ScheduledRun};
+pub use runner::{parallel_map_indexed, SchedulePlan, ScheduledRun};

@@ -13,11 +13,51 @@
 //! base artifact keeps its skip-empty walk across shard cuts, and each
 //! cross arc's two operands are resolved to indices once, at
 //! extraction, so the composition pass looks nothing up per arc.
+//!
+//! Extraction also makes the composition pass's one dry walk: the
+//! slice pairs each cross arc's sub-passes visit and skip, without
+//! ANDing anything. It yields the pass's exact kernel census
+//! ([`ComposeCensus`]) and lets a composition plan leave out the arcs
+//! that visit no pair.
 
-use tcim_bitmatrix::{RowEncoding, SliceSize, SlicedRow};
+use tcim_arch::kernel;
+use tcim_bitmatrix::{PairStats, RowEncoding, SliceSize, SlicedRow};
 use tcim_graph::OrientedGraph;
 
 use crate::plan::ShardPlan;
+
+/// The structural kernel census of a composition pass, computed
+/// without executing any kernels.
+///
+/// The composition's dispatch accounting is *structural*: whether an
+/// arc dispatches and how many slice pairs it visits depend only on
+/// the boundary operands' valid-slice structure (and the sparse
+/// byte-mask filter), never on placement or AND results. The dry walk
+/// over the same [`BoundarySlices`] therefore predicts the executed
+/// [`CompositionRun`](crate::CompositionRun)'s `kernel_invocations` /
+/// `slice_pairs` / `blocks_skipped` bit-exactly — which is what query
+/// EXPLAIN plans rely on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ComposeCensus {
+    /// Kernel dispatches the pass will make (one per cross arc on
+    /// dense operands; sparse arcs whose sub-passes all filter to
+    /// nothing are skipped).
+    pub kernel_invocations: u64,
+    /// Valid slice pairs the pass will AND + BitCount.
+    pub slice_pairs: u64,
+    /// Mutually valid pairs the sparse byte-mask filter will skip.
+    pub blocks_skipped: u64,
+}
+
+/// The dry walk's outcome for one cross arc: the slice pairs its three
+/// sub-passes visit and skip.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ArcPairs {
+    /// Pairs ANDed and counted; zero for an arc that visits no pair.
+    pub(crate) visited: u32,
+    /// Mutually valid pairs the sparse filter proves zero.
+    pub(crate) skipped: u32,
+}
 
 /// One operand of a composition kernel, split at its owning shard's
 /// slice range.
@@ -60,6 +100,11 @@ pub struct BoundarySlices {
     /// `(row index, column index)` of each cross arc, aligned with
     /// `cross_arcs`.
     arc_operands: Vec<(usize, usize)>,
+    /// The dry walk's pair census of each cross arc, aligned with
+    /// `cross_arcs`.
+    arc_pairs: Vec<ArcPairs>,
+    encoding: RowEncoding,
+    census: ComposeCensus,
     boundary_valid_slices: u64,
 }
 
@@ -71,7 +116,9 @@ impl BoundarySlices {
     /// head vertices get their in-neighbour column sliced and split at
     /// their shard's lower cut. Every operand is compressed under
     /// `encoding` — pass the base artifact's resolved encoding so the
-    /// composition pass runs the same kernel walk the shards do.
+    /// composition pass runs the same kernel walk the shards do. A
+    /// final index-only walk over the cross arcs takes the pass's
+    /// kernel census ([`BoundarySlices::census`]).
     pub fn extract(
         oriented: &OrientedGraph,
         plan: &ShardPlan,
@@ -91,7 +138,7 @@ impl BoundarySlices {
         let index = |ids: &[u32], v: u32| {
             ids.binary_search(&v).expect("every cross-arc endpoint has an operand")
         };
-        let arc_operands = cross_arcs
+        let arc_operands: Vec<(usize, usize)> = cross_arcs
             .iter()
             .map(|&(a, c)| (index(&row_ids, a), index(&col_ids, c)))
             .collect();
@@ -144,6 +191,29 @@ impl BoundarySlices {
 
         let boundary_valid_slices =
             rows.iter().chain(&cols).map(|s| s.boundary.valid_slice_count() as u64).sum();
+
+        // The dry walk: the same per-arc rule as the composition
+        // kernels, minus the ANDs.
+        let mut census = ComposeCensus::default();
+        let arc_pairs = arc_operands
+            .iter()
+            .map(|&(r, h)| {
+                let mut pairs = PairStats::default();
+                for (left, right) in sub_passes(&rows[r], &cols[h]) {
+                    let sub = left
+                        .matching_stats(right)
+                        .expect("boundary operands share slice size and universe");
+                    pairs.visited += sub.visited;
+                    pairs.skipped += sub.skipped;
+                }
+                census.slice_pairs += pairs.visited;
+                census.blocks_skipped += pairs.skipped;
+                census.kernel_invocations += u64::from(kernel::dispatches(encoding, pairs));
+                let narrow =
+                    |count: u64| u32::try_from(count).expect("pairs per arc fit in u32");
+                ArcPairs { visited: narrow(pairs.visited), skipped: narrow(pairs.skipped) }
+            })
+            .collect();
         BoundarySlices {
             row_ids,
             rows,
@@ -151,6 +221,9 @@ impl BoundarySlices {
             cols,
             cross_arcs,
             arc_operands,
+            arc_pairs,
+            encoding,
+            census,
             boundary_valid_slices,
         }
     }
@@ -183,6 +256,23 @@ impl BoundarySlices {
         (&self.rows[r], &self.cols[h])
     }
 
+    /// The dry walk's pair census of cross arc `k`.
+    pub(crate) fn arc_pairs(&self, k: usize) -> ArcPairs {
+        self.arc_pairs[k]
+    }
+
+    /// The row encoding every operand was compressed under.
+    pub(crate) fn encoding(&self) -> RowEncoding {
+        self.encoding
+    }
+
+    /// The composition pass's exact kernel census, taken by the dry
+    /// walk at extraction — what the pass *will* execute, before it
+    /// runs.
+    pub fn census(&self) -> ComposeCensus {
+        self.census
+    }
+
     /// Valid slices in the *boundary* parts across all extracted
     /// operands — the material that crosses shard cuts.
     pub fn boundary_valid_slices(&self) -> u64 {
@@ -198,6 +288,14 @@ impl BoundarySlices {
     pub fn col_count(&self) -> usize {
         self.cols.len()
     }
+}
+
+/// The three region-disjoint sub-passes of cross arc `row → col`.
+pub(crate) fn sub_passes<'a>(
+    row: &'a SplitOperand,
+    col: &'a SplitOperand,
+) -> [(&'a SlicedRow, &'a SlicedRow); 3] {
+    [(&row.local, &col.boundary), (&row.boundary, &col.boundary), (&row.boundary, &col.local)]
 }
 
 #[cfg(test)]

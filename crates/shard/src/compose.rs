@@ -21,16 +21,27 @@
 //!
 //! The pass is a [`CompositionPlan`] — placement units priced as delta
 //! jobs and placed onto arrays, which depends on neither the query nor
-//! the host — followed by [`CompositionPlan::execute`], which runs the
-//! kernels. [`compose`] is the two back to back.
+//! the host — followed by one [`CompositionPlan::run_array`] per array
+//! and one [`CompositionPlan::merge`]. [`CompositionPlan::execute`] fans
+//! the arrays out itself; the sharded backend folds them into its own
+//! fan-out. [`compose`] plans and executes in one call.
+//!
+//! A plan lists, per array, only the cross arcs whose walk visits at
+//! least one slice pair (the dry walk at extraction knows which,
+//! [`BoundarySlices::census`]). An arc that visits no pair ANDs
+//! nothing, reads nothing out and closes no triangle; what it does
+//! contribute — one dispatch on dense operands, and the pairs the
+//! sparse filter skips — is added to its array's totals up front, and
+//! its operand writes stay in its unit's price. Every
+//! [`CompositionRun`] field is the same as walking every arc.
 
 use tcim_arch::kernel::{self, ArcKernel};
 use tcim_arch::{ArcIndex, Attribution, SliceCostModel, TriangleSink, TriangleTally};
 use tcim_bitmatrix::popcount::PopcountMethod;
-use tcim_bitmatrix::{PairStats, SlicedRow};
+use tcim_bitmatrix::PairStats;
 use tcim_sched::{parallel_map_indexed, plan_deltas, DeltaJob, PlacementPolicy, SchedPolicy};
 
-use crate::boundary::{BoundarySlices, SplitOperand};
+use crate::boundary::{sub_passes, BoundarySlices};
 use crate::error::{Result, ShardError};
 use crate::plan::ShardPlan;
 use crate::spec::ShardMode;
@@ -74,61 +85,6 @@ pub struct CompositionRun {
     pub placement_units: usize,
 }
 
-/// The structural kernel census of a composition pass, computed
-/// without executing any kernels.
-///
-/// The composition's dispatch accounting is *structural*: whether an
-/// arc dispatches and how many slice pairs it visits depend only on
-/// the boundary operands' valid-slice structure (and the sparse
-/// byte-mask filter), never on placement or AND results. A dry run
-/// over the same [`BoundarySlices`] therefore predicts the executed
-/// [`CompositionRun`]'s `kernel_invocations` / `slice_pairs` /
-/// `blocks_skipped` bit-exactly — which is what query EXPLAIN plans
-/// rely on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ComposeCensus {
-    /// Kernel dispatches the pass will make (one per cross arc on
-    /// dense operands; sparse arcs whose sub-passes all filter to
-    /// nothing are skipped).
-    pub kernel_invocations: u64,
-    /// Valid slice pairs the pass will AND + BitCount.
-    pub slice_pairs: u64,
-    /// Mutually valid pairs the sparse byte-mask filter will skip.
-    pub blocks_skipped: u64,
-}
-
-/// Walks the composition pass's arcs without executing kernels and
-/// returns the exact dispatch census the pass will produce (the same
-/// per-arc rule as [`CompositionPlan::execute`]'s inner loop, minus the
-/// ANDs).
-pub fn compose_census(boundary: &BoundarySlices) -> ComposeCensus {
-    let mut census = ComposeCensus::default();
-    for k in 0..boundary.cross_arcs().len() {
-        let (row, col) = boundary.operands(k);
-        let mut pairs = PairStats::default();
-        for (left, right) in sub_passes(row, col) {
-            let sub = left
-                .matching_stats(right)
-                .expect("boundary operands share slice size and universe");
-            pairs.visited += sub.visited;
-            pairs.skipped += sub.skipped;
-        }
-        census.slice_pairs += pairs.visited;
-        census.blocks_skipped += pairs.skipped;
-        census.kernel_invocations +=
-            u64::from(kernel::dispatches(row.local.encoding(), pairs));
-    }
-    census
-}
-
-/// The three region-disjoint sub-passes of cross arc `row → col`.
-fn sub_passes<'a>(
-    row: &'a SplitOperand,
-    col: &'a SplitOperand,
-) -> [(&'a SlicedRow, &'a SlicedRow); 3] {
-    [(&row.local, &col.boundary), (&row.boundary, &col.boundary), (&row.boundary, &col.local)]
-}
-
 /// The placement half of a composition pass: the cross arcs grouped
 /// into placement units (single arcs in [`ShardMode::OneD`],
 /// `(tail shard, head shard)` edge blocks in [`ShardMode::TwoD`]),
@@ -151,10 +107,115 @@ pub struct CompositionPlan {
 /// One array's share of a plan.
 #[derive(Debug, Clone)]
 struct ArrayWork {
-    /// Positions in [`BoundarySlices::cross_arcs`], unit by unit.
-    arcs: Vec<usize>,
-    /// Operand slices the array's units write.
+    /// Positions in [`BoundarySlices::cross_arcs`] of the array's arcs
+    /// that visit at least one slice pair, unit by unit.
+    arcs: Vec<u32>,
+    /// Operand slices the array's units write (every arc's operands).
     writes: u64,
+    /// Dispatches of the array's arcs that visit no pair: one each on
+    /// dense operands, none on sparse ones.
+    idle_dispatches: u64,
+    /// Pairs the sparse filter skips on those arcs.
+    idle_skipped: u64,
+    /// Slice pairs the listed arcs visit.
+    pairs: u64,
+}
+
+impl ArrayWork {
+    /// The work of an array placed `arcs` (every arc, unit by unit)
+    /// writing `writes` operand slices: the arcs that visit a pair are
+    /// listed, the others folded into the totals.
+    fn keep_visiting(boundary: &BoundarySlices, arcs: &[usize], writes: u64) -> ArrayWork {
+        let mut work = ArrayWork {
+            arcs: Vec::new(),
+            writes,
+            idle_dispatches: 0,
+            idle_skipped: 0,
+            pairs: 0,
+        };
+        for &k in arcs {
+            let pairs = boundary.arc_pairs(k);
+            if pairs.visited > 0 {
+                work.arcs.push(u32::try_from(k).expect("cross-arc positions fit in u32"));
+                work.pairs += u64::from(pairs.visited);
+            } else {
+                let idle = PairStats { visited: 0, skipped: u64::from(pairs.skipped) };
+                work.idle_dispatches +=
+                    u64::from(kernel::dispatches(boundary.encoding(), idle));
+                work.idle_skipped += idle.skipped;
+            }
+        }
+        work
+    }
+}
+
+/// One array's share of a placement: every arc it runs, unit by unit,
+/// and the operand slices its units write.
+struct Placed {
+    arcs: Vec<usize>,
+    writes: u64,
+}
+
+/// Groups the cross arcs of `boundary` into placement units, prices
+/// each as a delta job and places them onto `policy.arrays` arrays:
+/// each array's share, plus the number of units.
+fn place_units(
+    plan: &ShardPlan,
+    boundary: &BoundarySlices,
+    policy: &SchedPolicy,
+    costs: &SliceCostModel,
+) -> Result<(Vec<Placed>, usize)> {
+    let arcs = boundary.cross_arcs();
+    let positions: Vec<usize> = (0..arcs.len()).collect();
+    let blocks: Vec<Vec<usize>>;
+    let units: Vec<&[usize]> = match plan.mode() {
+        ShardMode::OneD => positions.iter().map(std::slice::from_ref).collect(),
+        ShardMode::TwoD => {
+            let mut grouped: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
+                std::collections::BTreeMap::new();
+            for (k, &(a, c)) in arcs.iter().enumerate() {
+                grouped.entry((plan.shard_of(a), plan.shard_of(c))).or_default().push(k);
+            }
+            blocks = grouped.into_values().collect();
+            blocks.iter().map(Vec::as_slice).collect()
+        }
+    };
+
+    // Price each unit: every distinct operand is written once per unit
+    // (the 2D mode's reuse), plus a pair upper bound for load
+    // balancing. `last_unit_*` remember which unit last wrote each
+    // operand.
+    let mut last_unit_row = vec![usize::MAX; boundary.row_count()];
+    let mut last_unit_col = vec![usize::MAX; boundary.col_count()];
+    let jobs: Vec<DeltaJob> = units
+        .iter()
+        .enumerate()
+        .map(|(id, unit)| {
+            let (mut row_writes, mut col_writes, mut est_pairs) = (0u64, 0u64, 0u64);
+            for &k in *unit {
+                let (r, h) = boundary.arc_operands(k);
+                let (row, col) = boundary.operands(k);
+                if std::mem::replace(&mut last_unit_row[r], id) != id {
+                    row_writes += row.valid_slices();
+                }
+                if std::mem::replace(&mut last_unit_col[h], id) != id {
+                    col_writes += col.valid_slices();
+                }
+                est_pairs += row.valid_slices().min(col.valid_slices());
+            }
+            DeltaJob::price(id, row_writes, col_writes, est_pairs, costs)
+        })
+        .collect();
+    let placed = plan_deltas(&jobs, policy)
+        .map_err(ShardError::Sched)?
+        .per_array_jobs()
+        .into_iter()
+        .map(|placed| Placed {
+            arcs: placed.iter().flat_map(|&u| units[u].iter().copied()).collect(),
+            writes: placed.iter().map(|&u| jobs[u].write_slices).sum(),
+        })
+        .collect();
+    Ok((placed, units.len()))
 }
 
 impl CompositionPlan {
@@ -171,62 +232,17 @@ impl CompositionPlan {
         costs: &SliceCostModel,
     ) -> Result<CompositionPlan> {
         policy.validate().map_err(ShardError::Sched)?;
-        let arcs = boundary.cross_arcs();
-        let positions: Vec<usize> = (0..arcs.len()).collect();
-        let blocks: Vec<Vec<usize>>;
-        let units: Vec<&[usize]> = match plan.mode() {
-            ShardMode::OneD => positions.iter().map(std::slice::from_ref).collect(),
-            ShardMode::TwoD => {
-                let mut grouped: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
-                    std::collections::BTreeMap::new();
-                for (k, &(a, c)) in arcs.iter().enumerate() {
-                    grouped.entry((plan.shard_of(a), plan.shard_of(c))).or_default().push(k);
-                }
-                blocks = grouped.into_values().collect();
-                blocks.iter().map(Vec::as_slice).collect()
-            }
-        };
-
-        // Price each unit: every distinct operand is written once per
-        // unit (the 2D mode's reuse), plus a pair upper bound for load
-        // balancing. `last_unit_*` remember which unit last wrote each
-        // operand.
-        let mut last_unit_row = vec![usize::MAX; boundary.row_count()];
-        let mut last_unit_col = vec![usize::MAX; boundary.col_count()];
-        let jobs: Vec<DeltaJob> = units
+        let (placed, placement_units) = place_units(plan, boundary, policy, costs)?;
+        let per_array = placed
             .iter()
-            .enumerate()
-            .map(|(id, unit)| {
-                let (mut row_writes, mut col_writes, mut est_pairs) = (0u64, 0u64, 0u64);
-                for &k in *unit {
-                    let (r, h) = boundary.arc_operands(k);
-                    let (row, col) = boundary.operands(k);
-                    if std::mem::replace(&mut last_unit_row[r], id) != id {
-                        row_writes += row.valid_slices();
-                    }
-                    if std::mem::replace(&mut last_unit_col[h], id) != id {
-                        col_writes += col.valid_slices();
-                    }
-                    est_pairs += row.valid_slices().min(col.valid_slices());
-                }
-                DeltaJob::price(id, row_writes, col_writes, est_pairs, costs)
-            })
-            .collect();
-        let per_array = plan_deltas(&jobs, policy)
-            .map_err(ShardError::Sched)?
-            .per_array_jobs()
-            .into_iter()
-            .map(|placed| ArrayWork {
-                arcs: placed.iter().flat_map(|&u| units[u].iter().copied()).collect(),
-                writes: placed.iter().map(|&u| jobs[u].write_slices).sum(),
-            })
+            .map(|placed| ArrayWork::keep_visiting(boundary, &placed.arcs, placed.writes))
             .collect();
         Ok(CompositionPlan {
             placement: policy.placement,
             costs: *costs,
             per_array,
-            cross_arcs: arcs.len(),
-            placement_units: units.len(),
+            cross_arcs: boundary.cross_arcs().len(),
+            placement_units,
         })
     }
 
@@ -239,19 +255,25 @@ impl CompositionPlan {
             && self.costs == *costs
     }
 
-    /// Runs the planned pass over `boundary` — the material the plan was
-    /// built from — with `host_threads` host worker threads.
-    ///
-    /// Above [`Attribution::Count`], every non-zero AND result is read
-    /// back out and each surviving middle vertex `w` is recorded as the
-    /// triangle `(a, w, c)`, with per-arc support at
-    /// [`Attribution::PerVertexWithSupport`] over `arcs`, the partitioned
-    /// DAG's arc index ([`ShardPlan::arcs`]).
+    /// Number of arrays the plan places onto.
+    pub fn arrays(&self) -> usize {
+        self.per_array.len()
+    }
+
+    /// Slice pairs `array`'s kernels visit — the size a fan-out orders
+    /// the array's run by.
+    pub fn array_pairs(&self, array: usize) -> u64 {
+        self.per_array[array].pairs
+    }
+
+    /// Runs the pass over `boundary` — the material the plan was built
+    /// from — with `host_threads` host worker threads: one
+    /// [`CompositionPlan::run_array`] per array, then
+    /// [`CompositionPlan::merge`].
     ///
     /// # Panics
     ///
-    /// Panics when `boundary` holds a different number of cross arcs
-    /// than the one the plan was built over.
+    /// As [`CompositionPlan::run_array`].
     pub fn execute(
         &self,
         vertex_count: usize,
@@ -260,6 +282,34 @@ impl CompositionPlan {
         host_threads: usize,
         attribution: Attribution,
     ) -> CompositionRun {
+        let partials = parallel_map_indexed(self.arrays(), host_threads, |array| {
+            self.run_array(array, vertex_count, arcs, boundary, attribution)
+        });
+        self.merge(partials)
+    }
+
+    /// Runs `array`'s kernels over `boundary`, the material the plan was
+    /// built from.
+    ///
+    /// Above [`Attribution::Count`], every non-zero AND result is read
+    /// back out and each surviving middle vertex `w` is recorded as the
+    /// triangle `(a, w, c)` over `vertex_count` global oriented ids,
+    /// with per-arc support at [`Attribution::PerVertexWithSupport`]
+    /// over `arcs`, the partitioned DAG's arc index
+    /// ([`ShardPlan::arcs`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `boundary` holds a different number of cross arcs
+    /// than the one the plan was built over, or `array` is out of range.
+    pub fn run_array<'a>(
+        &self,
+        array: usize,
+        vertex_count: usize,
+        arcs: ArcIndex<'a>,
+        boundary: &BoundarySlices,
+        attribution: Attribution,
+    ) -> CompositionPartial<'a> {
         assert_eq!(
             boundary.cross_arcs().len(),
             self.cross_arcs,
@@ -267,60 +317,68 @@ impl CompositionPlan {
         );
         let cross_arcs = boundary.cross_arcs();
         let costs = &self.costs;
-        let new_tally = || attribution.tally(vertex_count, || arcs);
         let need_support = attribution == Attribution::PerVertexWithSupport;
+        let work = &self.per_array[array];
+        let mut partial = CompositionPartial {
+            invocations: work.idle_dispatches,
+            skipped: work.idle_skipped,
+            writes: work.writes,
+            tally: attribution.tally(vertex_count, || arcs),
+            ..CompositionPartial::default()
+        };
+        for &k in &work.arcs {
+            let k = k as usize;
+            // Support accrues at the cross arc's global position.
+            if let Some(tally) = partial.tally.as_mut().filter(|_| need_support) {
+                let (a, c) = cross_arcs[k];
+                let position = arcs.position(a, c);
+                tally.enter_arc(position.expect("cross arcs are arcs of the DAG"));
+            }
+            let (row, col) = boundary.operands(k);
+            // A sparse arc whose three sub-passes all filter to nothing
+            // is never dispatched; dense arcs always are.
+            let mut arc = ArcKernel::default();
+            for (left, right) in sub_passes(row, col) {
+                arc.absorb(kernel::and_bitcount(
+                    cross_arcs[k],
+                    left,
+                    right,
+                    PopcountMethod::Native,
+                    partial.tally.as_mut(),
+                    |_, _| {},
+                ));
+            }
+            partial.triangles += arc.count;
+            partial.invocations += u64::from(arc.dispatched);
+            partial.pairs += arc.pairs.visited;
+            partial.skipped += arc.pairs.skipped;
+            partial.readouts += arc.readouts;
+        }
+        partial.busy_s = costs.write_latency_s * partial.writes as f64
+            + (costs.and_latency_s + costs.bitcount_latency_s) * partial.pairs as f64
+            + costs.readout_latency_s * partial.readouts as f64;
+        partial
+    }
 
-        // Execute each array's arcs; merge deterministically in array
-        // order afterwards.
-        let partials: Vec<ArrayPartial> =
-            parallel_map_indexed(self.per_array.len(), host_threads, |array| {
-                let work = &self.per_array[array];
-                let mut partial = ArrayPartial {
-                    writes: work.writes,
-                    tally: new_tally(),
-                    ..Default::default()
-                };
-                for &k in &work.arcs {
-                    // Support accrues at the cross arc's global position.
-                    if let Some(tally) = partial.tally.as_mut().filter(|_| need_support) {
-                        let (a, c) = cross_arcs[k];
-                        let position = arcs.position(a, c);
-                        tally.enter_arc(position.expect("cross arcs are arcs of the DAG"));
-                    }
-                    let (row, col) = boundary.operands(k);
-                    // A sparse arc whose three sub-passes all filter to
-                    // nothing is never dispatched; dense arcs always are.
-                    let mut arc = ArcKernel::default();
-                    for (left, right) in sub_passes(row, col) {
-                        arc.absorb(kernel::and_bitcount(
-                            cross_arcs[k],
-                            left,
-                            right,
-                            PopcountMethod::Native,
-                            partial.tally.as_mut(),
-                            |_, _| {},
-                        ));
-                    }
-                    partial.triangles += arc.count;
-                    partial.invocations += u64::from(arc.dispatched);
-                    partial.pairs += arc.pairs.visited;
-                    partial.skipped += arc.pairs.skipped;
-                    partial.readouts += arc.readouts;
-                }
-                partial.busy_s = costs.write_latency_s * partial.writes as f64
-                    + (costs.and_latency_s + costs.bitcount_latency_s) * partial.pairs as f64
-                    + costs.readout_latency_s * partial.readouts as f64;
-                partial
-            });
-
+    /// Merges every array's partial, in array order, into the pass's
+    /// run: counts and tallies add up, the host dispatches every cross
+    /// arc serially, and the busiest array sets the clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the partials' tallies differ in shape.
+    pub fn merge<'a>(
+        &self,
+        partials: impl IntoIterator<Item = CompositionPartial<'a>>,
+    ) -> CompositionRun {
         let mut triangles = 0u64;
         let mut invocations = 0u64;
         let mut pairs = 0u64;
         let mut skipped = 0u64;
         let mut readouts = 0u64;
         let mut writes = 0u64;
-        let mut busy: Vec<f64> = Vec::with_capacity(partials.len());
-        let mut tally = new_tally();
+        let mut busy: Vec<f64> = Vec::with_capacity(self.per_array.len());
+        let mut tally: Option<TriangleTally<'a>> = None;
         for partial in partials {
             triangles += partial.triangles;
             invocations += partial.invocations;
@@ -329,8 +387,10 @@ impl CompositionPlan {
             readouts += partial.readouts;
             writes += partial.writes;
             busy.push(partial.busy_s);
-            if let (Some(total), Some(partial)) = (tally.as_mut(), partial.tally) {
-                total.merge(partial);
+            match (tally.as_mut(), partial.tally) {
+                (Some(total), Some(part)) => total.merge(part),
+                (None, part) => tally = part,
+                (Some(_), None) => panic!("partials differ in shape"),
             }
         }
         let (per_vertex, support) = match tally.map(TriangleTally::into_parts) {
@@ -340,7 +400,8 @@ impl CompositionPlan {
 
         // Host dispatch stays serial (one controller), array work runs on
         // the busiest array's clock.
-        let host_s = cross_arcs.len() as f64 * costs.controller_overhead_s;
+        let costs = &self.costs;
+        let host_s = self.cross_arcs as f64 * costs.controller_overhead_s;
         let max_busy = busy.iter().copied().fold(0.0, f64::max);
         let mean_busy =
             if busy.is_empty() { 0.0 } else { busy.iter().sum::<f64>() / busy.len() as f64 };
@@ -365,9 +426,11 @@ impl CompositionPlan {
     }
 }
 
-/// One worker array's partial results.
-#[derive(Default)]
-struct ArrayPartial<'a> {
+/// One array's share of a composition pass, produced by
+/// [`CompositionPlan::run_array`] and consumed by
+/// [`CompositionPlan::merge`].
+#[derive(Debug, Default)]
+pub struct CompositionPartial<'a> {
     triangles: u64,
     invocations: u64,
     pairs: u64,
@@ -421,7 +484,7 @@ mod tests {
     use crate::spec::ShardSpec;
     use tcim_arch::{PimConfig, PimEngine};
     use tcim_bitmatrix::{RowEncoding, SliceSize};
-    use tcim_graph::generators::gnm;
+    use tcim_graph::generators::{barabasi_albert, gnm};
     use tcim_graph::{CsrGraph, Orientation, OrientedGraph};
 
     fn costs() -> SliceCostModel {
@@ -573,7 +636,7 @@ mod tests {
             let oriented = Orientation::Natural.orient(&g);
             let plan = plan_shards(&oriented, &ShardSpec::one_d(4), SliceSize::S64).unwrap();
             let boundary = BoundarySlices::extract(&oriented, &plan, SliceSize::S64, encoding);
-            let census = compose_census(&boundary);
+            let census = boundary.census();
             let run = compose(
                 oriented.vertex_count(),
                 &plan,
@@ -681,6 +744,123 @@ mod tests {
             .is_for(&policy.clone().placement(PlacementPolicy::RoundRobin), &costs()));
         let cheaper = SliceCostModel { write_latency_s: 0.0, ..costs() };
         assert!(!composition.is_for(&policy, &cheaper));
+    }
+
+    /// The pass walking every placed cross arc, idle or not — the
+    /// reference a plan that lists only the arcs visiting a pair must
+    /// reproduce field for field.
+    fn walk_every_arc(
+        n: usize,
+        plan: &ShardPlan,
+        boundary: &BoundarySlices,
+        policy: &SchedPolicy,
+        attribution: Attribution,
+    ) -> CompositionRun {
+        let c = costs();
+        let (placed, placement_units) = place_units(plan, boundary, policy, &c).unwrap();
+        let arcs = plan.arcs();
+        let cross_arcs = boundary.cross_arcs();
+        let (mut triangles, mut invocations, mut skipped) = (0u64, 0u64, 0u64);
+        let (mut all_pairs, mut all_readouts, mut all_writes) = (0u64, 0u64, 0u64);
+        let mut busy = Vec::new();
+        let mut tally = attribution.tally(n, || arcs);
+        for Placed { arcs: list, writes } in &placed {
+            let mut part = attribution.tally(n, || arcs);
+            let (mut pairs, mut readouts) = (0u64, 0u64);
+            for &k in list {
+                if attribution == Attribution::PerVertexWithSupport {
+                    let (a, head) = cross_arcs[k];
+                    part.as_mut().unwrap().enter_arc(arcs.position(a, head).unwrap());
+                }
+                let (row, col) = boundary.operands(k);
+                let mut arc = ArcKernel::default();
+                for (left, right) in sub_passes(row, col) {
+                    arc.absorb(kernel::and_bitcount(
+                        cross_arcs[k],
+                        left,
+                        right,
+                        PopcountMethod::Native,
+                        part.as_mut(),
+                        |_, _| {},
+                    ));
+                }
+                triangles += arc.count;
+                invocations += u64::from(arc.dispatched);
+                pairs += arc.pairs.visited;
+                skipped += arc.pairs.skipped;
+                readouts += arc.readouts;
+            }
+            busy.push(
+                c.write_latency_s * *writes as f64
+                    + (c.and_latency_s + c.bitcount_latency_s) * pairs as f64
+                    + c.readout_latency_s * readouts as f64,
+            );
+            all_pairs += pairs;
+            all_readouts += readouts;
+            all_writes += writes;
+            if let (Some(total), Some(part)) = (tally.as_mut(), part) {
+                total.merge(part);
+            }
+        }
+        let max_busy = busy.iter().copied().fold(0.0, f64::max);
+        let mean_busy = busy.iter().sum::<f64>() / busy.len() as f64;
+        let (per_vertex, support) = match tally.map(TriangleTally::into_parts) {
+            Some((_, per_vertex, support)) => (Some(per_vertex), support),
+            None => (None, None),
+        };
+        CompositionRun {
+            triangles,
+            per_vertex,
+            support,
+            kernel_invocations: invocations,
+            slice_pairs: all_pairs,
+            blocks_skipped: skipped,
+            result_readouts: all_readouts,
+            write_slices: all_writes,
+            critical_path_s: cross_arcs.len() as f64 * c.controller_overhead_s + max_busy,
+            modelled_energy_j: c.write_energy_j * all_writes as f64
+                + (c.and_energy_j + c.bitcount_energy_j) * all_pairs as f64
+                + c.readout_energy_j * all_readouts as f64,
+            imbalance: if mean_busy > 0.0 { max_busy / mean_busy } else { 1.0 },
+            placement_units,
+        }
+    }
+
+    #[test]
+    fn leaving_out_arcs_that_visit_no_pair_changes_no_field() {
+        // A power-law graph over 32 slices: most cross arcs share no
+        // valid slice pair between their operands.
+        let g = barabasi_albert(2000, 4, 5).unwrap();
+        let oriented = Orientation::Natural.orient(&g);
+        let n = oriented.vertex_count();
+        for spec in [ShardSpec::one_d(4), ShardSpec::two_d(4)] {
+            let plan = plan_shards(&oriented, &spec, SliceSize::S64).unwrap();
+            for encoding in [RowEncoding::Dense, RowEncoding::Sparse] {
+                let boundary =
+                    BoundarySlices::extract(&oriented, &plan, SliceSize::S64, encoding);
+                for arrays in [1usize, 3] {
+                    let policy = SchedPolicy::with_arrays(arrays);
+                    let composition =
+                        CompositionPlan::new(&plan, &boundary, &policy, &costs()).unwrap();
+                    let listed: usize =
+                        composition.per_array.iter().map(|w| w.arcs.len()).sum();
+                    let ctx = format!("{} {encoding} x{arrays}", spec.mode);
+                    assert!(listed < boundary.cross_arcs().len(), "{ctx}: no arc left out");
+                    assert!(listed > 0, "{ctx}");
+                    for attribution in [
+                        Attribution::Count,
+                        Attribution::PerVertex,
+                        Attribution::PerVertexWithSupport,
+                    ] {
+                        let got =
+                            composition.execute(n, plan.arcs(), &boundary, 2, attribution);
+                        let want = walk_every_arc(n, &plan, &boundary, &policy, attribution);
+                        assert_eq!(fields(&got), fields(&want), "{ctx} {attribution:?}");
+                        assert!(got.triangles > 0, "{ctx}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -84,8 +84,8 @@ mod error;
 mod plan;
 mod spec;
 
-pub use boundary::{BoundarySlices, SplitOperand};
-pub use compose::{compose, compose_census, ComposeCensus, CompositionPlan, CompositionRun};
+pub use boundary::{BoundarySlices, ComposeCensus, SplitOperand};
+pub use compose::{compose, CompositionPartial, CompositionPlan, CompositionRun};
 pub use error::{Result, ShardError};
 pub use plan::{plan_shards, ShardPlan};
 pub use spec::{ShardMode, ShardSpec};

@@ -2,6 +2,7 @@
 //! acceptance criteria of the `tcim-sched` subsystem, checked through
 //! the public `TcimPipeline` API against the software baselines.
 
+use tcim_repro::arch::{Attribution, TriangleTally};
 use tcim_repro::graph::generators::{barabasi_albert, classic, gnm};
 use tcim_repro::graph::CsrGraph;
 use tcim_repro::sched::{PlacementPolicy, SchedPolicy, ScheduledReport, ScheduledRun};
@@ -104,4 +105,55 @@ fn scheduled_runs_are_deterministic_end_to_end() {
         assert_eq!(first.triangles, second.triangles, "execution must be deterministic");
         assert_eq!(first.stats, second.stats);
     }
+}
+
+/// The plan a prepared artifact memoizes executes exactly like a fresh
+/// `plan_with_costs(..).execute_into`: every per-array statistic, the
+/// critical-path and energy bits, per-vertex counts and support, for
+/// every placement, array count and attribution level.
+#[test]
+fn the_memoized_plan_matches_a_fresh_plan() {
+    let p = pipeline();
+    let prepared = p.prepare(&barabasi_albert(400, 6, 11).unwrap());
+    let costs = p.engine().cost_model();
+    for placement in PlacementPolicy::ALL {
+        for arrays in [1usize, 2, 4, 8] {
+            let policy = SchedPolicy::with_arrays(arrays).placement(placement);
+            let backend = p.backend(&Backend::ScheduledPim(policy.clone()));
+            for attribution in
+                [Attribution::Count, Attribution::PerVertex, Attribution::PerVertexWithSupport]
+            {
+                let ctx = format!("{placement} x{arrays} {attribution:?}");
+                let memoized = backend.run(&prepared, attribution).unwrap();
+                let BackendDetail::ScheduledPim(report) = &memoized.detail else {
+                    unreachable!("the scheduled backend returns a scheduled detail")
+                };
+                let fresh = ScheduledRun::plan_with_costs(
+                    p.engine(),
+                    prepared.matrix(),
+                    &policy,
+                    costs,
+                )
+                .unwrap();
+                let mut tally =
+                    attribution.tally(prepared.matrix().dim(), || prepared.arc_index());
+                let want = fresh.execute_into(tally.as_mut());
+                assert_eq!(report.triangles, want.triangles, "{ctx}");
+                let stats = |r: &ScheduledReport| -> Vec<_> {
+                    r.per_array.iter().map(|a| (a.rows, a.stats, a.busy_s.to_bits())).collect()
+                };
+                assert_eq!(stats(report), stats(&want), "{ctx}");
+                assert_eq!(report.critical_path_s.to_bits(), want.critical_path_s.to_bits());
+                assert_eq!(report.total_energy_j.to_bits(), want.total_energy_j.to_bits());
+                let (per_vertex, support) = match tally.map(TriangleTally::into_parts) {
+                    Some((_, per_vertex, support)) => (Some(per_vertex), support),
+                    None => (None, None),
+                };
+                assert_eq!(memoized.per_vertex, per_vertex, "{ctx}");
+                assert_eq!(memoized.support, support, "{ctx}");
+            }
+        }
+    }
+    // One plan per placement × array count, whatever the level.
+    assert_eq!(prepared.schedule_plans_built(), PlacementPolicy::ALL.len() * 4);
 }

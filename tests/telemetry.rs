@@ -203,24 +203,32 @@ proptest! {
     }
 }
 
-/// Scheduled-PIM backends answer identically under profiling too (the
+/// Scheduled-PIM backends answer identically under profiling too. The
 /// scheduled path runs its own spans around planning and the array
-/// fan-out).
+/// fan-out; planning happens once per artifact and policy, so only the
+/// first query on a fresh artifact shows a `schedule` span.
 #[test]
 fn scheduled_path_profiles_without_drift() {
     let g = gnm(300, 2000, 9).unwrap();
     let p = TcimPipeline::new(&TcimConfig::default()).unwrap();
     let prepared = p.prepare(&g);
     let backend = Backend::ScheduledPim(SchedPolicy::with_arrays(4));
+    let profiled_query = || {
+        let (answer, report) =
+            profile("query", || p.query(&prepared, &backend, &Query::TotalTriangles).unwrap());
+        let names: Vec<&str> =
+            report.expect("top-level profile").spans.iter().map(|s| s.name).collect();
+        (answer, names)
+    };
 
-    let bare = p.query(&prepared, &backend, &Query::TotalTriangles).unwrap();
-    let (profiled, report) =
-        profile("query", || p.query(&prepared, &backend, &Query::TotalTriangles).unwrap());
-    let report = report.expect("top-level profile");
-    assert_eq!(bare.triangles, profiled.triangles);
-    let names: Vec<&str> = report.spans.iter().map(|s| s.name).collect();
-    assert!(names.contains(&"schedule"), "{names:?}");
+    let (first, names) = profiled_query();
+    assert!(names.contains(&"schedule"), "first query plans: {names:?}");
     assert!(names.contains(&"array"), "{names:?}");
+    let (again, names) = profiled_query();
+    assert!(!names.contains(&"schedule"), "a repeat reuses the plan: {names:?}");
+    assert!(names.contains(&"array"), "{names:?}");
+    assert_eq!(first.triangles, again.triangles);
+    assert_eq!(first.kernel, again.kernel);
 }
 
 /// The motif layer profiles on every backend: a k-truss query splits
