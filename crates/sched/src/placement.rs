@@ -57,19 +57,6 @@ impl Placement {
         Placement { arrays, policy, jobs, assignment, est_busy_per_array }
     }
 
-    /// Row indices assigned to `array`, ascending (the execution order
-    /// within the array).
-    pub fn rows_of(&self, array: usize) -> Vec<usize> {
-        // Jobs are stored in row order, so filtering preserves ascending
-        // rows.
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|&(_, &a)| a as usize == array)
-            .map(|(j, _)| j)
-            .collect()
-    }
-
     /// Checks the fundamental invariant: every job is placed exactly once
     /// onto a valid array. Returns the per-array job counts.
     ///

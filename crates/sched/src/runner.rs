@@ -128,9 +128,9 @@ impl<'a> ScheduledRun<'a> {
 }
 
 /// Everything a placement reads besides the matrix: the array count
-/// and placement policy, the cost model, and each array's residency
-/// buffer (capacity, replacement policy and seed). Host threads are not
-/// part of it.
+/// and placement policy, the cost model, the engine's slice size and
+/// each array's residency buffer (capacity, replacement policy and
+/// seed). Host threads are not part of it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct PlanKey {
     arrays: usize,
@@ -158,8 +158,9 @@ impl PlanKey {
 }
 
 /// A placement frozen for execution: per array, each assigned row's
-/// `(row, first arc position, arc count)` and the [`ArrayAssignment`]
-/// summary, plus the residency buffer the arrays run with. It holds no
+/// span of the matrix's arc list (first arc position, arc count) and
+/// the [`ArrayAssignment`] summary, plus the residency buffer the arrays
+/// run with. It holds no
 /// row job's columns or column keys — only placement reads those — so
 /// it stays small enough to memoize on a prepared artifact
 /// ([`ScheduledRun::into_plan`]).
