@@ -7,6 +7,7 @@
 //! ablation (`tcim_core::ablations::replacement_ablation`).
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -66,13 +67,13 @@ pub struct SliceCache {
     capacity: usize,
     policy: ReplacementPolicy,
     /// Key → recency stamp (LRU) or insertion stamp (FIFO).
-    resident: HashMap<u64, u64>,
+    resident: HashMap<u64, u64, SliceKeys>,
     /// LRU/FIFO order queue (lazily pruned of stale entries).
     order: VecDeque<(u64, u64)>,
     /// Random-policy key list for O(1) victim sampling.
     keys: Vec<u64>,
     /// Key → index into `keys` (Random policy).
-    key_pos: HashMap<u64, usize>,
+    key_pos: HashMap<u64, usize, SliceKeys>,
     clock: u64,
     rng: ChaCha12Rng,
 }
@@ -89,10 +90,10 @@ impl SliceCache {
         SliceCache {
             capacity,
             policy,
-            resident: HashMap::new(),
+            resident: HashMap::default(),
             order: VecDeque::new(),
             keys: Vec::new(),
-            key_pos: HashMap::new(),
+            key_pos: HashMap::default(),
             clock: 0,
             rng: ChaCha12Rng::seed_from_u64(seed),
         }
@@ -189,9 +190,55 @@ impl SliceCache {
     }
 }
 
+/// The slice cache's maps hash with [`SliceKeyHasher`].
+type SliceKeys = BuildHasherDefault<SliceKeyHasher>;
+
+/// A small fixed hasher for slice keys: the splitmix64 finalizer. A
+/// key's column sits in its high half (`j << 32`), and the finalizer
+/// mixes it into the low bits a hash table indexes by (a bare multiply
+/// leaves keys that differ only in the column colliding). Keys come from
+/// the simulator itself, never from outside the program, so the maps
+/// need no defence against crafted collisions, and nothing iterates
+/// them, so no outcome depends on the hasher.
+#[derive(Debug, Clone, Copy, Default)]
+struct SliceKeyHasher(u64);
+
+impl Hasher for SliceKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let mut z = (self.0 ^ key).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.0 = z ^ (z >> 31);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn keys_that_differ_only_in_the_column_spread_over_the_low_bits() {
+        let low_bits: std::collections::HashSet<u64> = (0..1024u64)
+            .map(|column| {
+                let mut hasher = SliceKeyHasher::default();
+                hasher.write_u64(column << 32 | 7);
+                hasher.finish() & 1023
+            })
+            .collect();
+        // 1024 keys over 1024 buckets fill about 647 when hashed
+        // uniformly; a hash that ignores the high half fills one.
+        assert!(low_bits.len() > 512, "{} low-bit buckets", low_bits.len());
+    }
 
     #[test]
     fn first_touch_is_always_a_miss() {

@@ -12,14 +12,20 @@
 //! [`walk`] is Algorithm 1 over a prepared matrix, generic over the
 //! [`Residency`] model the operands are charged to (`()` for none, an
 //! [`ArrayBuffer`] for the computational array) and over the sink that
-//! carries the [`Attribution`] level (`None` counts only).
+//! carries the [`Attribution`] level (`None` counts only). It runs the
+//! kernel only on the arcs that visit at least one slice pair, which the
+//! matrix's [`KernelCensus`](tcim_bitmatrix::KernelCensus) lists; an arc
+//! that visits none ANDs nothing, reads nothing out, closes no triangle
+//! and touches no residency, so the walk bills what it does contribute
+//! — a dispatch on dense rows ([`idle_dispatches`]) and its skipped
+//! pairs — from the census instead.
 //!
 //! Per-arc quantities are indexed by an arc's *position* in the
 //! matrix's row-major arc list ([`ArcIndex`]): the walker knows the
 //! position of the arc it is reading out, and a [`TriangleTally`] finds
 //! the triangle's other two arcs by binary search in their sorted rows.
 
-use std::collections::HashSet;
+use std::ops::Range;
 
 use tcim_bitmatrix::popcount::{popcount_word, visit_set_bits, PopcountMethod};
 use tcim_bitmatrix::{PairStats, RowEncoding, SlicedMatrix, SlicedRow};
@@ -300,6 +306,13 @@ pub fn dispatches(encoding: RowEncoding, pairs: PairStats) -> bool {
     encoding == RowEncoding::Dense || pairs.visited > 0
 }
 
+/// The dispatches of `idle` arcs that visit no slice pair under
+/// `encoding` ([`dispatches`]): one each on dense rows, none on sparse
+/// ones.
+pub fn idle_dispatches(encoding: RowEncoding, idle: u64) -> u64 {
+    idle * u64::from(dispatches(encoding, PairStats::default()))
+}
+
 /// One arc's kernel outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArcKernel {
@@ -390,7 +403,11 @@ impl Residency for () {
 /// cache, and the kernel-event trace (capacity 0 records nothing).
 #[derive(Debug, Clone)]
 pub struct ArrayBuffer {
-    row_region: HashSet<u32>,
+    /// The row region: slice `k` of the current row is resident when
+    /// `row_stamps[k] == row_epoch`, so a new row clears it by moving to
+    /// the next epoch.
+    row_stamps: Vec<u32>,
+    row_epoch: u32,
     cache: SliceCache,
     trace: EventTrace,
 }
@@ -398,7 +415,7 @@ pub struct ArrayBuffer {
 impl ArrayBuffer {
     /// An empty buffer over `cache`, recording into `trace`.
     pub fn new(cache: SliceCache, trace: EventTrace) -> Self {
-        ArrayBuffer { row_region: HashSet::new(), cache, trace }
+        ArrayBuffer { row_stamps: Vec::new(), row_epoch: 1, cache, trace }
     }
 
     /// The recorded kernel events.
@@ -410,11 +427,19 @@ impl ArrayBuffer {
 impl Residency for ArrayBuffer {
     fn begin_row(&mut self) {
         // The new row overwrites the reserved row region (§IV-A).
-        self.row_region.clear();
+        self.row_epoch = self.row_epoch.wrapping_add(1);
+        if self.row_epoch == 0 {
+            self.row_stamps.fill(0);
+            self.row_epoch = 1;
+        }
     }
 
     fn pair(&mut self, i: u32, j: u32, k: u32, count: u64, stats: &mut AccessStats) {
-        if self.row_region.insert(k) {
+        let slice = k as usize;
+        if slice >= self.row_stamps.len() {
+            self.row_stamps.resize(slice + 1, 0);
+        }
+        if std::mem::replace(&mut self.row_stamps[slice], self.row_epoch) != self.row_epoch {
             stats.row_slice_writes += 1;
             self.trace.push(KernelEvent::RowSliceWrite { row: i, slice: k });
         }
@@ -452,49 +477,76 @@ pub struct Walk {
     pub stats: AccessStats,
 }
 
-/// Algorithm 1 over `arcs` of `matrix`, each with its position in the
-/// matrix's row-major arc list (`matrix.edges().enumerate()` for the
-/// whole matrix): one [`and_bitcount`] per arc, with the operands
-/// charged to `residency` and non-zero results read out into `sink`
-/// (`None` counts only), which is told each arc's position first.
+/// Algorithm 1 over `rows` of `matrix`: each is a span of positions in
+/// the matrix's row-major arc list that covers whole rows
+/// (`0..matrix.edge_count()` for the whole matrix). One
+/// [`and_bitcount`] per arc that visits a slice pair, in arc order, with
+/// the operands charged to `residency` and non-zero results read out
+/// into `sink` (`None` counts only), which is told each arc's position
+/// first. The arcs that visit no pair are not walked: the matrix's
+/// [`KernelCensus`](tcim_bitmatrix::KernelCensus) adds their dispatches
+/// ([`idle_dispatches`]) and skipped pairs, so every count equals a walk
+/// over every arc.
 ///
 /// # Panics
 ///
-/// Panics when an arc's row and column disagree (never for arcs of
-/// `matrix`).
+/// Panics when a span splits a row or reaches past the arc list.
 pub fn walk<R: Residency, S: TriangleSink + ?Sized>(
     matrix: &SlicedMatrix,
-    arcs: impl IntoIterator<Item = (usize, (u32, u32))>,
+    rows: impl IntoIterator<Item = Range<usize>>,
     popcount: PopcountMethod,
     residency: &mut R,
     mut sink: Option<&mut S>,
 ) -> Walk {
+    let census = matrix.census();
+    let arcs = matrix.arcs();
     let mut stats = AccessStats::default();
     let mut triangles = 0u64;
-    let mut current_row = None;
-    for (position, (i, j)) in arcs {
-        if current_row != Some(i) {
-            current_row = Some(i);
-            residency.begin_row();
+    let mut idle = 0u64;
+    for span in rows {
+        if span.is_empty() {
+            continue;
         }
-        if let Some(sink) = sink.as_deref_mut() {
-            sink.enter_arc(position);
-        }
-        let arc = and_bitcount(
-            (i, j),
-            matrix.row(i),
-            matrix.col(j),
-            popcount,
-            sink.as_deref_mut(),
-            |k, count| residency.pair(i, j, k, count, &mut stats),
+        let (first_row, last_row) = (arcs[span.start].0, arcs[span.end - 1].0);
+        assert!(
+            span.start == 0 || arcs[span.start - 1].0 != first_row,
+            "a walked span starts at a row's first arc"
         );
-        triangles += arc.count;
-        stats.edges += u64::from(arc.dispatched);
-        stats.and_ops += arc.pairs.visited;
-        stats.bitcount_ops += arc.pairs.visited;
-        stats.blocks_skipped += arc.pairs.skipped;
-        stats.result_readouts += arc.readouts;
+        assert!(
+            arcs.get(span.end).is_none_or(|&(i, _)| i != last_row),
+            "a walked span ends at a row's last arc"
+        );
+        let mut current_row = None;
+        let mut visiting = 0u64;
+        for position in census.visiting(span.clone()) {
+            let (i, j) = arcs[position];
+            if current_row != Some(i) {
+                current_row = Some(i);
+                residency.begin_row();
+            }
+            if let Some(sink) = sink.as_deref_mut() {
+                sink.enter_arc(position);
+            }
+            let arc = and_bitcount(
+                (i, j),
+                matrix.row(i),
+                matrix.col(j),
+                popcount,
+                sink.as_deref_mut(),
+                |k, count| residency.pair(i, j, k, count, &mut stats),
+            );
+            triangles += arc.count;
+            stats.edges += u64::from(arc.dispatched);
+            stats.and_ops += arc.pairs.visited;
+            stats.bitcount_ops += arc.pairs.visited;
+            stats.blocks_skipped += arc.pairs.skipped;
+            stats.result_readouts += arc.readouts;
+            visiting += 1;
+        }
+        idle += span.len() as u64 - visiting;
+        stats.blocks_skipped += census.idle_skipped(first_row as usize..last_row as usize + 1);
     }
+    stats.edges += idle_dispatches(matrix.encoding(), idle);
     Walk { triangles, stats }
 }
 
@@ -589,7 +641,7 @@ mod tests {
             let arcs = ArcIndex::new(m.arcs(), &offsets);
             let host = walk(
                 &m,
-                m.edges().enumerate(),
+                std::iter::once(0..m.edge_count()),
                 PopcountMethod::Native,
                 &mut (),
                 None::<&mut TriangleTally>,
@@ -601,7 +653,7 @@ mod tests {
             let mut tally = TriangleTally::new(4, Some(arcs));
             let array = walk(
                 &m,
-                m.edges().enumerate(),
+                std::iter::once(0..m.edge_count()),
                 PopcountMethod::Lut8,
                 &mut buffer,
                 Some(&mut tally),
@@ -652,15 +704,22 @@ mod tests {
         let m = SlicedMatrix::from_adjacency(&adjacency, SliceSize::S64).unwrap();
         let offsets = ArcIndex::row_offsets(m.dim(), m.arcs());
         let mut whole = TriangleTally::new(4, Some(ArcIndex::new(m.arcs(), &offsets)));
-        walk(&m, m.edges().enumerate(), PopcountMethod::Native, &mut (), Some(&mut whole));
-        // Partial walks over disjoint arc sets — the rows an array runs,
-        // and a strided subset — merge to the single-tally result.
-        let splits: [fn(usize) -> bool; 2] = [|p| p < 3, |p| p % 2 == 0];
+        walk(
+            &m,
+            std::iter::once(0..m.edge_count()),
+            PopcountMethod::Native,
+            &mut (),
+            Some(&mut whole),
+        );
+        // Partial walks over disjoint row sets — a leading block of rows,
+        // and every other row — merge to the single-tally result.
+        let rows = [0..3, 3..5, 5..6];
+        let splits: [fn(usize) -> bool; 2] = [|r| r < 1, |r| r % 2 == 0];
         for in_first in splits {
             let mut parts = [whole.empty_like(), whole.empty_like()];
-            for (position, arc) in m.edges().enumerate() {
-                let part = &mut parts[usize::from(!in_first(position))];
-                walk(&m, [(position, arc)], PopcountMethod::Native, &mut (), Some(part));
+            for (r, span) in rows.iter().enumerate() {
+                let part = &mut parts[usize::from(!in_first(r))];
+                walk(&m, [span.clone()], PopcountMethod::Native, &mut (), Some(part));
             }
             let [mut merged, second] = parts;
             merged.merge(second);

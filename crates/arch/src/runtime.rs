@@ -1,6 +1,9 @@
 //! Run-time execution of Algorithm 1 over a prepared [`SlicedMatrix`]:
 //! the [`kernel`] walker charged to the computational array, with
-//! latency and energy accounted from its operation counts.
+//! latency and energy accounted from its operation counts. The walk
+//! covers every row but runs the kernel only on the arcs the matrix's
+//! kernel census lists as visiting a slice pair; the census bills the
+//! others, so every count and modelled bit is that of walking every arc.
 //!
 //! These functions take a [`PimCharacterization`] (built once per
 //! configuration) and a matrix that is already oriented and sliced — the
@@ -154,8 +157,8 @@ fn execute<S: TriangleSink + ?Sized>(
     );
     let mut buffer = ArrayBuffer::new(cache, EventTrace::new(config.trace_capacity));
     // The bit counter is the 8→256 LUT of §V-A.
-    let arcs = matrix.edges().enumerate();
-    let walk = kernel::walk(matrix, arcs, PopcountMethod::Lut8, &mut buffer, sink);
+    let rows = std::iter::once(0..matrix.edge_count());
+    let walk = kernel::walk(matrix, rows, PopcountMethod::Lut8, &mut buffer, sink);
     let (latency, energy) = chr.roll_up(&walk.stats);
     PimRunResult {
         triangles: walk.triangles,

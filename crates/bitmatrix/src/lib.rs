@@ -21,7 +21,8 @@
 //!   density-adaptive abstraction over both encodings; prepared graphs
 //!   pick one per matrix from the measured valid-slice fraction.
 //! * [`SlicedMatrix`] — every row and column of an adjacency matrix in sliced
-//!   form, the input to the architecture simulator.
+//!   form, the input to the architecture simulator, with its
+//!   [`KernelCensus`]: which arcs visit at least one slice pair.
 //! * [`BitMatrix`] — a small dense bit matrix used to verify the identity
 //!   `TC(G) = trace(A³)/6` on reference graphs.
 //! * [`popcount`] — bit-count implementations, including the hardware-faithful
@@ -48,6 +49,7 @@
 #![warn(missing_docs)]
 
 mod bitvec;
+mod census;
 mod error;
 mod matrix;
 pub mod popcount;
@@ -58,6 +60,7 @@ mod sliced_matrix;
 mod sparse;
 
 pub use bitvec::BitVec;
+pub use census::KernelCensus;
 pub use error::{BitMatrixError, Result};
 pub use matrix::BitMatrix;
 pub use popcount::PopcountMethod;

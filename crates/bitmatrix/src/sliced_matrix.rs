@@ -3,7 +3,9 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
+use crate::census::KernelCensus;
 use crate::error::{BitMatrixError, Result};
 use crate::row::{EncodingPolicy, RowEncoding, SlicedRow};
 use crate::slice::SliceSize;
@@ -87,7 +89,7 @@ impl SliceStats {
 /// assert_eq!(tc, 2);
 /// # Ok::<(), tcim_bitmatrix::BitMatrixError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct SlicedMatrix {
     n: usize,
     slice_size: SliceSize,
@@ -97,7 +99,23 @@ pub struct SlicedMatrix {
     /// Oriented edges (i, j) in row-major order — the iteration order of
     /// Algorithm 1.
     edges: Vec<(u32, u32)>,
+    /// Taken on first use ([`SlicedMatrix::census`]). It is a function
+    /// of the fields above, so equality ignores it.
+    census: OnceLock<KernelCensus>,
 }
+
+impl PartialEq for SlicedMatrix {
+    fn eq(&self, other: &SlicedMatrix) -> bool {
+        self.n == other.n
+            && self.slice_size == other.slice_size
+            && self.encoding == other.encoding
+            && self.rows == other.rows
+            && self.cols == other.cols
+            && self.edges == other.edges
+    }
+}
+
+impl Eq for SlicedMatrix {}
 
 impl SlicedMatrix {
     /// Builds the matrix from per-row neighbour lists that are already
@@ -187,7 +205,15 @@ impl SlicedMatrix {
         let (rows, cols) = (wrap(dense_rows), wrap(dense_cols));
 
         MATRICES_BUILT.fetch_add(1, Ordering::Relaxed);
-        Ok(SlicedMatrix { n, slice_size, encoding, rows, cols, edges })
+        Ok(SlicedMatrix {
+            n,
+            slice_size,
+            encoding,
+            rows,
+            cols,
+            edges,
+            census: OnceLock::new(),
+        })
     }
 
     /// Matrix dimension `n` (number of vertices).
@@ -240,60 +266,11 @@ impl SlicedMatrix {
         self.edges.len()
     }
 
-    /// Sets entry `A[i][j] = 1` in place — the row-patch primitive of
-    /// the dynamic-graph layer: row `i`, column `j` and the oriented edge
-    /// list are all updated without rebuilding (or re-slicing) the
-    /// matrix. Returns `true` when the entry was newly set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitMatrixError::DimensionOutOfBounds`] when `i` or `j`
-    /// is at or beyond the matrix dimension.
-    pub fn set_entry(&mut self, i: u32, j: u32) -> Result<bool> {
-        self.check_entry(i, j)?;
-        let newly = self.rows[i as usize].set_bit(j as usize)?;
-        if newly {
-            self.cols[j as usize].set_bit(i as usize)?;
-            let pos = self
-                .edges
-                .binary_search(&(i, j))
-                .expect_err("row bit was clear, so the edge cannot be listed");
-            self.edges.insert(pos, (i, j));
-        }
-        Ok(newly)
-    }
-
-    /// Clears entry `A[i][j]` in place (row, column and edge list).
-    /// Returns `true` when the entry was previously set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitMatrixError::DimensionOutOfBounds`] when `i` or `j`
-    /// is at or beyond the matrix dimension.
-    pub fn clear_entry(&mut self, i: u32, j: u32) -> Result<bool> {
-        self.check_entry(i, j)?;
-        let was_set = self.rows[i as usize].clear_bit(j as usize)?;
-        if was_set {
-            self.cols[j as usize].clear_bit(i as usize)?;
-            let pos = self
-                .edges
-                .binary_search(&(i, j))
-                .expect("row bit was set, so the edge must be listed");
-            self.edges.remove(pos);
-        }
-        Ok(was_set)
-    }
-
-    fn check_entry(&self, i: u32, j: u32) -> Result<()> {
-        for idx in [i, j] {
-            if idx as usize >= self.n {
-                return Err(BitMatrixError::DimensionOutOfBounds {
-                    index: idx as usize,
-                    dim: self.n,
-                });
-            }
-        }
-        Ok(())
+    /// The kernel census ([`KernelCensus`]): which arcs visit at least
+    /// one slice pair. Taken by one index-only pass over every arc the
+    /// first time it is asked for, then kept with the matrix.
+    pub fn census(&self) -> &KernelCensus {
+        self.census.get_or_init(|| KernelCensus::take(self))
     }
 
     /// Aggregate slicing statistics over all rows *and* columns.
@@ -487,67 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn entry_patches_update_rows_columns_and_edges() {
-        let mut m = fig2();
-        // (0, 3) closes two more triangles in Fig. 2.
-        assert!(m.set_entry(0, 3).unwrap());
-        assert!(!m.set_entry(0, 3).unwrap(), "already set");
-        let edges: Vec<(u32, u32)> = m.edges().collect();
-        assert_eq!(edges, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
-        assert!(m.row(0).to_bitvec().get(3));
-        assert!(m.col(3).to_bitvec().get(0));
-        let tc: u64 = m.edges().map(|(i, j)| m.row(i).and_popcount(m.col(j))).sum();
-        assert_eq!(tc, 4);
-
-        // Clearing restores the original matrix exactly.
-        assert!(m.clear_entry(0, 3).unwrap());
-        assert!(!m.clear_entry(0, 3).unwrap(), "already clear");
-        assert_eq!(m, fig2());
-    }
-
-    #[test]
-    fn patched_matrix_equals_from_scratch_build() {
-        let mut m = fig2();
-        m.clear_entry(1, 2).unwrap();
-        m.set_entry(0, 3).unwrap();
-        let mut b = SlicedMatrixBuilder::new(4, SliceSize::S64);
-        for (u, v) in [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)] {
-            b.add_edge(u, v).unwrap();
-        }
-        assert_eq!(m, b.build());
-        assert_eq!(m.stats(), {
-            let mut b2 = SlicedMatrixBuilder::new(4, SliceSize::S64);
-            for (u, v) in [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)] {
-                b2.add_edge(u, v).unwrap();
-            }
-            b2.build().stats()
-        });
-    }
-
-    #[test]
-    fn entry_patch_bounds_are_checked() {
-        let mut m = fig2();
-        assert_eq!(
-            m.set_entry(0, 4).unwrap_err(),
-            BitMatrixError::DimensionOutOfBounds { index: 4, dim: 4 }
-        );
-        assert_eq!(
-            m.clear_entry(9, 0).unwrap_err(),
-            BitMatrixError::DimensionOutOfBounds { index: 9, dim: 4 }
-        );
-        assert_eq!(m, fig2());
-    }
-
-    #[test]
-    fn entry_patches_do_not_bump_the_build_counter() {
-        let mut m = fig2();
-        let before = matrices_built();
-        m.set_entry(0, 3).unwrap();
-        m.clear_entry(0, 1).unwrap();
-        assert_eq!(matrices_built(), before);
-    }
-
-    #[test]
     fn from_adjacency_rejects_out_of_bounds() {
         let err = SlicedMatrix::from_adjacency(&[vec![5]], SliceSize::S64).unwrap_err();
         assert_eq!(err, BitMatrixError::DimensionOutOfBounds { index: 5, dim: 1 });
@@ -613,37 +529,6 @@ mod tests {
             ss.compressed_bytes,
             ds.compressed_bytes
         );
-    }
-
-    #[test]
-    fn entry_patches_work_on_sparse_matrices() {
-        let mut adj = vec![Vec::new(); 512];
-        adj[0] = vec![100, 300];
-        adj[100] = vec![300];
-        let mut m = SlicedMatrix::from_adjacency_with(
-            &adj,
-            SliceSize::S64,
-            EncodingPolicy::ForceSparse,
-        )
-        .unwrap();
-        assert_eq!(m.encoding(), RowEncoding::Sparse);
-        let tc = |m: &SlicedMatrix| -> u64 {
-            m.edges().map(|(i, j)| m.row(i).and_popcount(m.col(j))).sum()
-        };
-        assert_eq!(tc(&m), 1);
-        assert!(m.clear_entry(100, 300).unwrap());
-        assert_eq!(tc(&m), 0);
-        assert!(m.set_entry(100, 300).unwrap());
-        adj[0].push(400);
-        adj[0].sort_unstable();
-        assert!(m.set_entry(0, 400).unwrap());
-        let rebuilt = SlicedMatrix::from_adjacency_with(
-            &adj,
-            SliceSize::S64,
-            EncodingPolicy::ForceSparse,
-        )
-        .unwrap();
-        assert_eq!(m, rebuilt, "patched sparse matrix stays canonical");
     }
 
     #[test]

@@ -511,8 +511,8 @@ impl ExecutionBackend for SoftwareBackend {
         let start = Instant::now();
         let matrix = prepared.matrix();
         let mut tally = attribution.tally(matrix.dim(), || prepared.arc_index());
-        let arcs = matrix.edges().enumerate();
-        let walk = kernel::walk(matrix, arcs, self.popcount, &mut (), tally.as_mut());
+        let rows = std::iter::once(0..matrix.edge_count());
+        let walk = kernel::walk(matrix, rows, self.popcount, &mut (), tally.as_mut());
         // Host-side: no array, so no readouts to bill.
         let kernel = KernelStats { result_readouts: 0, ..kernel_from_stats(&walk.stats) };
         let detail = BackendDetail::Software { popcount: self.popcount };

@@ -83,7 +83,8 @@ impl PreparedKey {
 /// Cost-model pricing of a prepared graph: the work Algorithm 1 will
 /// perform, priced at preparation time against the engine's
 /// characterization so schedulers and capacity planners can reason about
-/// a query before running it.
+/// a query before running it. The counts are read from the matrix's
+/// kernel census ([`SlicedMatrix::census`]), which preparation takes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreparedPricing {
     /// Valid slice pairs across all edges — the exact number of AND +
@@ -143,27 +144,22 @@ impl PreparedGraph {
         let stats = matrix.stats();
         drop(slice_span);
 
-        // Price the run: the visited-pair population is exact (the same
-        // walk the controller performs, skipping what the sparse
-        // encoding proves zero, under the kernel's own dispatch rule),
-        // the busy time optimistic.
-        let mut slice_pairs = 0u64;
-        let mut kernel_dispatches = 0u64;
-        let mut blocks_skipped = 0u64;
-        for (i, j) in matrix.edges() {
-            let pairs = matrix
-                .row(i)
-                .matching_stats(matrix.col(j))
-                .expect("rows and columns of one matrix always align");
-            slice_pairs += pairs.visited;
-            blocks_skipped += pairs.skipped;
-            kernel_dispatches += u64::from(kernel::dispatches(matrix.encoding(), pairs));
-        }
+        // Price the run from the matrix's kernel census: the
+        // visited-pair population is exact (the same index-only merge the
+        // controller performs, skipping what the sparse encoding proves
+        // zero, under the kernel's own dispatch rule), the busy time
+        // optimistic. Taking the census here also readies it for every
+        // walk over the artifact.
+        let census = matrix.census();
+        let idle = matrix.edge_count() as u64 - census.visiting_arcs();
         let pricing = PreparedPricing {
-            slice_pairs,
-            kernel_dispatches,
-            blocks_skipped,
-            est_busy_s: engine.cost_model().estimate_busy_s(stats.valid_slices, slice_pairs),
+            slice_pairs: census.slice_pairs(),
+            kernel_dispatches: census.visiting_arcs()
+                + kernel::idle_dispatches(matrix.encoding(), idle),
+            blocks_skipped: census.blocks_skipped(),
+            est_busy_s: engine
+                .cost_model()
+                .estimate_busy_s(stats.valid_slices, census.slice_pairs()),
         };
 
         drop(prepare_span);

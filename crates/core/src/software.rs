@@ -45,8 +45,8 @@ pub struct SoftwareCount {
 /// # Ok::<(), tcim_bitmatrix::BitMatrixError>(())
 /// ```
 pub fn sliced_count(matrix: &SlicedMatrix, popcount: PopcountMethod) -> SoftwareCount {
-    let arcs = matrix.edges().enumerate();
-    let walk = kernel::walk(matrix, arcs, popcount, &mut (), None::<&mut TriangleTally>);
+    let rows = std::iter::once(0..matrix.edge_count());
+    let walk = kernel::walk(matrix, rows, popcount, &mut (), None::<&mut TriangleTally>);
     SoftwareCount::from(walk)
 }
 

@@ -86,16 +86,6 @@ impl DeltaPlan {
         }
         per
     }
-
-    /// Job positions (input order) assigned to `array`.
-    pub fn jobs_of(&self, array: usize) -> Vec<usize> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|&(_, &a)| a == array)
-            .map(|(k, _)| k)
-            .collect()
-    }
 }
 
 /// Places `jobs` onto `policy.arrays` arrays.
@@ -179,7 +169,7 @@ mod tests {
         let policy = SchedPolicy::with_arrays(3).placement(PlacementPolicy::RoundRobin);
         let plan = plan_deltas(&jobs(&[1, 1, 1, 1, 1]), &policy).unwrap();
         assert_eq!(plan.assignment, vec![0, 1, 2, 0, 1]);
-        assert_eq!(plan.jobs_of(0), vec![0, 3]);
+        assert_eq!(plan.per_array_jobs()[0], vec![0, 3]);
     }
 
     #[test]
@@ -201,7 +191,7 @@ mod tests {
         // Every job was placed exactly once.
         assert_eq!(lpt.assignment.len(), skew.len());
         assert!(lpt.assignment.iter().all(|&a| a < 4));
-        let placed: usize = (0..4).map(|a| lpt.jobs_of(a).len()).sum();
+        let placed: usize = lpt.per_array_jobs().iter().map(Vec::len).sum();
         assert_eq!(placed, skew.len());
     }
 

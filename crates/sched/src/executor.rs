@@ -6,7 +6,11 @@
 //! manages an independent (partitioned) data buffer, which is exactly
 //! what makes the scheduled counts bit-identical to the serial engine:
 //! the AND + BitCount dataflow per edge is unchanged, only *where* and
-//! *when* each edge executes moves.
+//! *when* each edge executes moves. Each assigned row is one span of
+//! the walk, so within it only the arcs the matrix's kernel census lists
+//! as visiting a slice pair run, as in the serial engine.
+
+use std::ops::Range;
 
 use tcim_arch::kernel::{self, ArrayBuffer, Walk};
 use tcim_arch::{EventTrace, ReplacementPolicy, SliceCache, TriangleTally};
@@ -29,6 +33,12 @@ impl RowSpan {
         let arcs = u32::try_from(job.cols.len()).expect("arc positions fit in u32");
         RowSpan { first_arc: job.first_arc, arcs }
     }
+
+    /// The row's positions in the matrix's arc list.
+    fn positions(self) -> Range<usize> {
+        let first = self.first_arc as usize;
+        first..first + self.arcs as usize
+    }
 }
 
 /// Executes the assigned `rows` (ascending) on one array, reading
@@ -44,14 +54,9 @@ pub(crate) fn run_array(
 ) -> Walk {
     let cache = SliceCache::new(column_capacity.max(1), replacement, replacement_seed);
     let mut buffer = ArrayBuffer::new(cache, EventTrace::new(0));
-    let all = matrix.arcs();
-    let arcs = rows.iter().flat_map(|span| {
-        let first = span.first_arc as usize;
-        let row = &all[first..first + span.arcs as usize];
-        row.iter().enumerate().map(move |(rank, &arc)| (first + rank, arc))
-    });
+    let spans = rows.iter().map(|&row| row.positions());
     // The bit counter is the 8→256 LUT of §V-A, as in the serial engine.
-    kernel::walk(matrix, arcs, PopcountMethod::Lut8, &mut buffer, tally)
+    kernel::walk(matrix, spans, PopcountMethod::Lut8, &mut buffer, tally)
 }
 
 #[cfg(test)]

@@ -39,41 +39,43 @@ pub struct RowJob {
 /// Decomposes `matrix` into row jobs, pricing each with `costs`.
 ///
 /// Rows without edges produce no job. Host-side decomposition walks the
-/// valid-slice index intersection once per edge — the same merge the
+/// valid-slice index intersection of every arc that visits a slice pair
+/// (the matrix's kernel census lists them) — the same merge the
 /// controller's valid-pair lookup performs, so the estimate is exact in
-/// pair count, not a heuristic.
+/// pair count, not a heuristic. An arc that visits no pair adds no pair
+/// and no column key, but is still one of its job's `cols`.
 pub fn decompose(matrix: &SlicedMatrix, costs: &SliceCostModel) -> Vec<RowJob> {
+    let census = matrix.census();
     let mut jobs: Vec<RowJob> = Vec::new();
-    for (position, (i, j)) in matrix.edges().enumerate() {
-        if jobs.last().map(|job| job.row) != Some(i) {
-            let row = matrix.row(i);
-            jobs.push(RowJob {
-                row: i,
-                first_arc: u32::try_from(position).expect("arc positions fit in u32"),
-                cols: Vec::new(),
-                pairs: 0,
-                row_slices: row.valid_slice_count() as u64,
-                col_keys: Vec::new(),
-                est_busy_s: 0.0,
-            });
-        }
-        let job = jobs.last_mut().expect("job for current row was just pushed");
-        job.cols.push(j);
+    let mut first_arc = 0usize;
+    for row_arcs in matrix.arcs().chunk_by(|a, b| a.0 == b.0) {
+        let i = row_arcs[0].0;
+        let row = matrix.row(i);
+        let mut job = RowJob {
+            row: i,
+            first_arc: u32::try_from(first_arc).expect("arc positions fit in u32"),
+            cols: row_arcs.iter().map(|&(_, j)| j).collect(),
+            pairs: 0,
+            row_slices: row.valid_slice_count() as u64,
+            col_keys: Vec::new(),
+            est_busy_s: 0.0,
+        };
         // The index-only walk skips sparse pairs the kernel will skip
         // too, so the job's pair count and reuse footprint price exactly
         // the work the executor will dispatch.
-        matrix
-            .row(i)
-            .for_each_matching_index(matrix.col(j), |k| {
+        for position in census.visiting(first_arc..first_arc + row_arcs.len()) {
+            let j = row_arcs[position - first_arc].1;
+            row.for_each_matching_index(matrix.col(j), |k| {
                 job.pairs += 1;
                 // Edges are unique within a row, so (j, k) keys never repeat.
                 job.col_keys.push((u64::from(j) << 32) | u64::from(k));
             })
             .expect("rows and columns of one matrix always align");
-    }
-    for job in &mut jobs {
+        }
         job.est_busy_s =
             costs.estimate_busy_s(job.row_slices + job.col_keys.len() as u64, job.pairs);
+        first_arc += row_arcs.len();
+        jobs.push(job);
     }
     jobs
 }

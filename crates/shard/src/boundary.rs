@@ -15,10 +15,10 @@
 //! extraction, so the composition pass looks nothing up per arc.
 //!
 //! Extraction also makes the composition pass's one dry walk: the
-//! slice pairs each cross arc's sub-passes visit and skip, without
-//! ANDing anything. It yields the pass's exact kernel census
+//! slice pairs each of a cross arc's three sub-passes visits and skips,
+//! without ANDing anything. It yields the pass's exact kernel census
 //! ([`ComposeCensus`]) and lets a composition plan leave out the arcs
-//! that visit no pair.
+//! that visit no pair, and run only the sub-passes that visit one.
 
 use tcim_arch::kernel;
 use tcim_bitmatrix::{PairStats, RowEncoding, SliceSize, SlicedRow};
@@ -50,13 +50,17 @@ pub struct ComposeCensus {
 }
 
 /// The dry walk's outcome for one cross arc: the slice pairs its three
-/// sub-passes visit and skip.
+/// sub-passes visit, which of them visit any, and the pairs the sparse
+/// filter skips in the others.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ArcPairs {
     /// Pairs ANDed and counted; zero for an arc that visits no pair.
     pub(crate) visited: u32,
-    /// Mutually valid pairs the sparse filter proves zero.
-    pub(crate) skipped: u32,
+    /// Mutually valid pairs the sparse filter proves zero in the
+    /// sub-passes that visit no pair (every sub-pass of an idle arc).
+    pub(crate) idle_skipped: u32,
+    /// Bit `s` is set when sub-pass `s` ([`sub_passes`]) visits a pair.
+    pub(crate) passes: u8,
 }
 
 /// One operand of a composition kernel, split at its owning shard's
@@ -199,19 +203,31 @@ impl BoundarySlices {
             .iter()
             .map(|&(r, h)| {
                 let mut pairs = PairStats::default();
-                for (left, right) in sub_passes(&rows[r], &cols[h]) {
+                let (mut idle_skipped, mut passes) = (0u64, 0u8);
+                for (s, (left, right)) in
+                    sub_passes(&rows[r], &cols[h]).into_iter().enumerate()
+                {
                     let sub = left
                         .matching_stats(right)
                         .expect("boundary operands share slice size and universe");
                     pairs.visited += sub.visited;
                     pairs.skipped += sub.skipped;
+                    if sub.visited > 0 {
+                        passes |= 1 << s;
+                    } else {
+                        idle_skipped += sub.skipped;
+                    }
                 }
                 census.slice_pairs += pairs.visited;
                 census.blocks_skipped += pairs.skipped;
                 census.kernel_invocations += u64::from(kernel::dispatches(encoding, pairs));
                 let narrow =
                     |count: u64| u32::try_from(count).expect("pairs per arc fit in u32");
-                ArcPairs { visited: narrow(pairs.visited), skipped: narrow(pairs.skipped) }
+                ArcPairs {
+                    visited: narrow(pairs.visited),
+                    idle_skipped: narrow(idle_skipped),
+                    passes,
+                }
             })
             .collect();
         BoundarySlices {
@@ -290,7 +306,8 @@ impl BoundarySlices {
     }
 }
 
-/// The three region-disjoint sub-passes of cross arc `row → col`.
+/// The three region-disjoint sub-passes of cross arc `row → col`, in
+/// the order a composition kernel runs them.
 pub(crate) fn sub_passes<'a>(
     row: &'a SplitOperand,
     col: &'a SplitOperand,

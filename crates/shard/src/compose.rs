@@ -27,18 +27,20 @@
 //! fan-out. [`compose`] plans and executes in one call.
 //!
 //! A plan lists, per array, only the cross arcs whose walk visits at
-//! least one slice pair (the dry walk at extraction knows which,
-//! [`BoundarySlices::census`]). An arc that visits no pair ANDs
-//! nothing, reads nothing out and closes no triangle; what it does
-//! contribute — one dispatch on dense operands, and the pairs the
-//! sparse filter skips — is added to its array's totals up front, and
-//! its operand writes stay in its unit's price. Every
-//! [`CompositionRun`] field is the same as walking every arc.
+//! least one slice pair, and for each the sub-passes that do (the dry
+//! walk at extraction knows which, [`BoundarySlices::census`]). An arc
+//! or sub-pass that visits no pair ANDs nothing, reads nothing out and
+//! closes no triangle; what it does contribute — the pairs the sparse
+//! filter skips, and for a whole idle arc one dispatch on dense
+//! operands — is added to its array's totals up front, and an idle
+//! arc's operand writes stay in its unit's price. An arc dispatches when
+//! any of its sub-passes visits a pair, so a listed arc always does.
+//! Every [`CompositionRun`] field is the same as walking every sub-pass
+//! of every arc.
 
 use tcim_arch::kernel::{self, ArcKernel};
 use tcim_arch::{ArcIndex, Attribution, SliceCostModel, TriangleSink, TriangleTally};
 use tcim_bitmatrix::popcount::PopcountMethod;
-use tcim_bitmatrix::PairStats;
 use tcim_sched::{parallel_map_indexed, plan_deltas, DeltaJob, PlacementPolicy, SchedPolicy};
 
 use crate::boundary::{sub_passes, BoundarySlices};
@@ -110,12 +112,16 @@ struct ArrayWork {
     /// Positions in [`BoundarySlices::cross_arcs`] of the array's arcs
     /// that visit at least one slice pair, unit by unit.
     arcs: Vec<u32>,
+    /// For each listed arc, the sub-passes that visit a pair (bit `s`
+    /// for sub-pass `s`).
+    passes: Vec<u8>,
     /// Operand slices the array's units write (every arc's operands).
     writes: u64,
     /// Dispatches of the array's arcs that visit no pair: one each on
     /// dense operands, none on sparse ones.
     idle_dispatches: u64,
-    /// Pairs the sparse filter skips on those arcs.
+    /// Pairs the sparse filter skips in the sub-passes that visit no
+    /// pair, of idle and listed arcs alike.
     idle_skipped: u64,
     /// Slice pairs the listed arcs visit.
     pairs: u64,
@@ -124,27 +130,30 @@ struct ArrayWork {
 impl ArrayWork {
     /// The work of an array placed `arcs` (every arc, unit by unit)
     /// writing `writes` operand slices: the arcs that visit a pair are
-    /// listed, the others folded into the totals.
+    /// listed with the sub-passes that do, the rest folded into the
+    /// totals.
     fn keep_visiting(boundary: &BoundarySlices, arcs: &[usize], writes: u64) -> ArrayWork {
         let mut work = ArrayWork {
             arcs: Vec::new(),
+            passes: Vec::new(),
             writes,
             idle_dispatches: 0,
             idle_skipped: 0,
             pairs: 0,
         };
+        let mut idle = 0u64;
         for &k in arcs {
             let pairs = boundary.arc_pairs(k);
-            if pairs.visited > 0 {
+            work.idle_skipped += u64::from(pairs.idle_skipped);
+            if pairs.passes != 0 {
                 work.arcs.push(u32::try_from(k).expect("cross-arc positions fit in u32"));
+                work.passes.push(pairs.passes);
                 work.pairs += u64::from(pairs.visited);
             } else {
-                let idle = PairStats { visited: 0, skipped: u64::from(pairs.skipped) };
-                work.idle_dispatches +=
-                    u64::from(kernel::dispatches(boundary.encoding(), idle));
-                work.idle_skipped += idle.skipped;
+                idle += 1;
             }
         }
+        work.idle_dispatches = kernel::idle_dispatches(boundary.encoding(), idle);
         work
     }
 }
@@ -326,7 +335,7 @@ impl CompositionPlan {
             tally: attribution.tally(vertex_count, || arcs),
             ..CompositionPartial::default()
         };
-        for &k in &work.arcs {
+        for (&k, &passes) in work.arcs.iter().zip(&work.passes) {
             let k = k as usize;
             // Support accrues at the cross arc's global position.
             if let Some(tally) = partial.tally.as_mut().filter(|_| need_support) {
@@ -335,10 +344,11 @@ impl CompositionPlan {
                 tally.enter_arc(position.expect("cross arcs are arcs of the DAG"));
             }
             let (row, col) = boundary.operands(k);
-            // A sparse arc whose three sub-passes all filter to nothing
-            // is never dispatched; dense arcs always are.
             let mut arc = ArcKernel::default();
-            for (left, right) in sub_passes(row, col) {
+            for (s, (left, right)) in sub_passes(row, col).into_iter().enumerate() {
+                if passes & (1 << s) == 0 {
+                    continue;
+                }
                 arc.absorb(kernel::and_bitcount(
                     cross_arcs[k],
                     left,
@@ -746,9 +756,9 @@ mod tests {
         assert!(!composition.is_for(&policy, &cheaper));
     }
 
-    /// The pass walking every placed cross arc, idle or not — the
-    /// reference a plan that lists only the arcs visiting a pair must
-    /// reproduce field for field.
+    /// The pass walking every sub-pass of every placed cross arc, idle
+    /// or not — the reference a plan that lists only the arcs and
+    /// sub-passes visiting a pair must reproduce field for field.
     fn walk_every_arc(
         n: usize,
         plan: &ShardPlan,
@@ -844,9 +854,19 @@ mod tests {
                         CompositionPlan::new(&plan, &boundary, &policy, &costs()).unwrap();
                     let listed: usize =
                         composition.per_array.iter().map(|w| w.arcs.len()).sum();
+                    let sub_passes: u32 = composition
+                        .per_array
+                        .iter()
+                        .flat_map(|w| &w.passes)
+                        .map(|passes| passes.count_ones())
+                        .sum();
                     let ctx = format!("{} {encoding} x{arrays}", spec.mode);
                     assert!(listed < boundary.cross_arcs().len(), "{ctx}: no arc left out");
                     assert!(listed > 0, "{ctx}");
+                    assert!(
+                        (sub_passes as usize) < 3 * listed,
+                        "{ctx}: no sub-pass left out ({sub_passes} for {listed} arcs)"
+                    );
                     for attribution in [
                         Attribution::Count,
                         Attribution::PerVertex,
