@@ -20,7 +20,7 @@
 //! ARCHITECTURE.md observability glossary.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use tcim_bitmatrix::RowEncoding;
@@ -189,7 +189,7 @@ impl PipelineMetrics {
         }
 
         let labels = Self::series_labels(sample.backend, sample.encoding);
-        let mut labelled = self.labelled.lock().expect("metrics mutex is never poisoned");
+        let mut labelled = counters(&self.labelled);
         let series = labelled.entry(labels).or_default();
         series.executions += 1;
         series.kernel_invocations += sample.kernel.kernel_invocations;
@@ -200,8 +200,7 @@ impl PipelineMetrics {
         drop(labelled);
 
         if let Some(query) = sample.query {
-            let mut variants =
-                self.query_variants.lock().expect("metrics mutex is never poisoned");
+            let mut variants = counters(&self.query_variants);
             *variants.entry(format!("query=\"{query}\"")).or_insert(0) += 1;
         }
     }
@@ -222,7 +221,7 @@ impl PipelineMetrics {
     /// `{backend, encoding}` combination observed so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snapshot = self.registry.snapshot();
-        let labelled = self.labelled.lock().expect("metrics mutex is never poisoned");
+        let labelled = counters(&self.labelled);
         for (labels, series) in labelled.iter() {
             snapshot.push_labelled_counter(
                 "tcim_executions_total",
@@ -253,7 +252,7 @@ impl PipelineMetrics {
                 );
             }
         }
-        let variants = self.query_variants.lock().expect("metrics mutex is never poisoned");
+        let variants = counters(&self.query_variants);
         for (labels, &count) in variants.iter() {
             snapshot.push_labelled_counter(
                 "tcim_query_variant_total",
@@ -264,6 +263,13 @@ impl PipelineMetrics {
         }
         snapshot
     }
+}
+
+/// Locks one of the labelled series maps. They hold only counters, each
+/// of them valid after every single add, so a lock poisoned by a
+/// panicking holder is recovered, not propagated.
+fn counters<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -412,5 +418,36 @@ mod tests {
         let m = PipelineMetrics::new();
         m.clone().record_prepared_build(RowEncoding::Dense);
         assert_eq!(m.snapshot().counter("tcim_prepared_builds_total"), Some(1));
+    }
+
+    #[test]
+    fn poisoned_series_locks_keep_answering() {
+        let m = PipelineMetrics::new();
+        let kernel = KernelStats {
+            kernel_invocations: 2,
+            slice_pairs: 3,
+            result_readouts: 0,
+            blocks_skipped: 0,
+        };
+        let with_query =
+            ExecutionSample { query: Some("count"), ..sample("a", &kernel, None, None) };
+        m.record_execution(&with_query);
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _labelled = m.labelled.lock();
+            panic!("poison the labelled series");
+        }));
+        assert!(poisoned.is_err() && m.labelled.is_poisoned());
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _variants = m.query_variants.lock();
+            panic!("poison the query variants");
+        }));
+        assert!(poisoned.is_err() && m.query_variants.is_poisoned());
+        m.record_execution(&with_query);
+        let snap = m.snapshot();
+        let labels = PipelineMetrics::series_labels("a", RowEncoding::Dense);
+        assert_eq!(snap.labelled_counter("tcim_executions_total", &labels), Some(2));
+        assert_eq!(snap.labelled_counter("tcim_slice_pairs_total", &labels), Some(6));
+        let count = "query=\"count\"";
+        assert_eq!(snap.labelled_counter("tcim_query_variant_total", count), Some(2));
     }
 }

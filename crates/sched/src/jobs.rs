@@ -84,7 +84,7 @@ pub fn decompose(matrix: &SlicedMatrix, costs: &SliceCostModel) -> Vec<RowJob> {
 mod tests {
     use super::*;
     use tcim_arch::{PimConfig, PimEngine};
-    use tcim_bitmatrix::{SliceSize, SlicedMatrixBuilder};
+    use tcim_bitmatrix::{EncodingPolicy, SliceSize, SlicedMatrixBuilder};
 
     fn fig2() -> SlicedMatrix {
         let mut b = SlicedMatrixBuilder::new(4, SliceSize::S64);
@@ -134,5 +134,62 @@ mod tests {
         let engine = PimEngine::new(&PimConfig::default()).unwrap();
         let run = engine.run(&m);
         assert_eq!(jobs.iter().map(|j| j.pairs).sum::<u64>(), run.stats.and_ops);
+    }
+
+    /// Decomposition by every arc's index-only merge, idle or not — the
+    /// reference the census-driven [`decompose`] must reproduce.
+    fn decompose_every_arc(matrix: &SlicedMatrix, costs: &SliceCostModel) -> Vec<RowJob> {
+        let mut jobs: Vec<RowJob> = Vec::new();
+        for (position, (i, j)) in matrix.edges().enumerate() {
+            if jobs.last().map(|job| job.row) != Some(i) {
+                jobs.push(RowJob {
+                    row: i,
+                    first_arc: position as u32,
+                    cols: Vec::new(),
+                    pairs: 0,
+                    row_slices: matrix.row(i).valid_slice_count() as u64,
+                    col_keys: Vec::new(),
+                    est_busy_s: 0.0,
+                });
+            }
+            let job = jobs.last_mut().unwrap();
+            job.cols.push(j);
+            matrix
+                .row(i)
+                .for_each_matching_index(matrix.col(j), |k| {
+                    job.pairs += 1;
+                    job.col_keys.push((u64::from(j) << 32) | u64::from(k));
+                })
+                .unwrap();
+        }
+        for job in &mut jobs {
+            job.est_busy_s =
+                costs.estimate_busy_s(job.row_slices + job.col_keys.len() as u64, job.pairs);
+        }
+        jobs
+    }
+
+    #[test]
+    fn the_census_decomposes_like_walking_every_arc() {
+        let g = tcim_graph::generators::barabasi_albert(1500, 4, 3).unwrap();
+        let oriented = tcim_graph::Orientation::Natural.orient(&g);
+        for policy in [EncodingPolicy::ForceDense, EncodingPolicy::ForceSparse] {
+            let m = SlicedMatrix::from_adjacency_with(oriented.rows(), SliceSize::S64, policy)
+                .unwrap();
+            let idle = m.edge_count() as u64 - m.census().visiting_arcs();
+            assert!(idle > 0, "{policy}: some arcs visit no pair");
+            let (got, want) = (decompose(&m, &costs()), decompose_every_arc(&m, &costs()));
+            assert_eq!(got.len(), want.len(), "{policy}");
+            for (a, b) in got.iter().zip(&want) {
+                let ctx = format!("{policy} row {}", b.row);
+                assert_eq!(
+                    (a.row, a.first_arc, a.row_slices),
+                    (b.row, b.first_arc, b.row_slices)
+                );
+                assert_eq!(a.cols, b.cols, "{ctx}");
+                assert_eq!((a.pairs, &a.col_keys), (b.pairs, &b.col_keys), "{ctx}");
+                assert_eq!(a.est_busy_s.to_bits(), b.est_busy_s.to_bits(), "{ctx}");
+            }
+        }
     }
 }
