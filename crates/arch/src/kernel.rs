@@ -676,6 +676,21 @@ mod tests {
     }
 
     #[test]
+    fn the_row_region_starts_empty_after_the_epoch_wraps() {
+        let cache = SliceCache::new(8, ReplacementPolicy::Lru, 0);
+        let mut buffer = ArrayBuffer::new(cache, EventTrace::new(0));
+        let mut stats = AccessStats::default();
+        buffer.begin_row();
+        buffer.pair(0, 1, 2, 1, &mut stats);
+        buffer.row_epoch = u32::MAX;
+        buffer.begin_row();
+        buffer.pair(3, 4, 2, 1, &mut stats);
+        buffer.pair(3, 5, 5, 1, &mut stats);
+        buffer.pair(3, 6, 5, 1, &mut stats);
+        assert_eq!(stats.row_slice_writes, 3, "each row writes each of its slices once");
+    }
+
+    #[test]
     fn arc_index_positions_are_row_offsets_plus_ranks() {
         let m = fig2(RowEncoding::Dense);
         let offsets = ArcIndex::row_offsets(m.dim(), m.arcs());
