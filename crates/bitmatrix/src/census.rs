@@ -118,7 +118,7 @@ impl KernelCensus {
     }
 
     /// Word `word` of the visiting bits with the positions outside
-    /// `span` cleared.
+    /// `span` cleared; the word starts at or before `span.end`.
     fn word_in(&self, word: usize, span: &Range<usize>) -> u64 {
         let base = word * 64;
         let mut bits = self.visiting.get(word).copied().unwrap_or(0);
@@ -126,7 +126,7 @@ impl KernelCensus {
             bits &= u64::MAX << (span.start - base);
         }
         if span.end < base + 64 {
-            bits &= !(u64::MAX << span.end.saturating_sub(base));
+            bits &= !(u64::MAX << (span.end - base));
         }
         bits
     }
