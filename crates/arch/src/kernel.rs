@@ -676,6 +676,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "row's first arc")]
+    fn a_walk_rejects_a_span_that_splits_a_row() {
+        // Arcs (0,1) (0,2) (1,2) (1,3) (2,3): 1..4 starts inside row 0.
+        let m = fig2(RowEncoding::Dense);
+        let split = std::iter::once(1..4);
+        walk(&m, split, PopcountMethod::Native, &mut (), None::<&mut TriangleTally>);
+    }
+
+    #[test]
     fn the_row_region_starts_empty_after_the_epoch_wraps() {
         let cache = SliceCache::new(8, ReplacementPolicy::Lru, 0);
         let mut buffer = ArrayBuffer::new(cache, EventTrace::new(0));
