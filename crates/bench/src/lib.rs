@@ -1,11 +1,11 @@
-//! Shared helpers for the TCIM benchmark harness.
+//! Shared helpers for the table, figure and ablation binaries.
 //!
-//! The `benches/` directory holds Criterion micro/mesobenchmarks of the
-//! software kernels; the `src/bin/` binaries regenerate every table and
-//! figure of the paper (see README "Benchmarks and experiments"). Both
-//! consume the experiment drivers in `tcim_core::experiments`. The
-//! repository benchmark, whose runs the `BENCH_<n>.json` records hold,
-//! is the separate `e2e-bench` package.
+//! The `src/bin/` binaries regenerate every table and figure of the
+//! paper and the design-choice ablations (see README "Benchmarks and
+//! experiments"), consuming the drivers in `tcim_core::experiments` and
+//! `tcim_core::ablations`. They print results and time nothing: the
+//! repository's one timing harness, whose runs the `BENCH_<n>.json`
+//! records hold, is the separate `e2e-bench` package.
 
 use tcim_core::experiments::ExperimentScale;
 
