@@ -70,20 +70,6 @@ impl BitCounterModel {
     pub fn count(&self, words: &[u64]) -> u64 {
         popcount_words(words, PopcountMethod::Lut8)
     }
-
-    /// Reads the surviving bits of one AND result back out of the
-    /// counter's input latch, visiting the offset of every set bit
-    /// within the slice (ascending order).
-    ///
-    /// This is the readout path attributed (per-vertex) counting uses:
-    /// the counter already latched the AND result to count it, so the
-    /// host can drain the same latch to learn *which* common
-    /// neighbours survived — one read-class array access per non-zero
-    /// result, accounted by the caller as
-    /// [`AccessStats::result_readouts`](crate::AccessStats::result_readouts).
-    pub fn read_out(&self, words: &[u64], visit: impl FnMut(u32)) {
-        tcim_bitmatrix::popcount::visit_set_bits(words.iter().copied(), visit);
-    }
 }
 
 #[cfg(test)]
@@ -96,17 +82,6 @@ mod tests {
         for w in [0u64, 1, u64::MAX, 0xDEAD_BEEF_CAFE_F00D] {
             assert_eq!(bc.count(&[w]), w.count_ones() as u64);
         }
-    }
-
-    #[test]
-    fn read_out_visits_every_set_bit_in_order() {
-        let bc = BitCounterModel::freepdk45(64);
-        let words = [0b0110u64, 1u64 << 63];
-        let mut seen = Vec::new();
-        bc.read_out(&words, |bit| seen.push(bit));
-        assert_eq!(seen, vec![1, 2, 127]);
-        assert_eq!(seen.len() as u64, bc.count(&words));
-        bc.read_out(&[0u64], |_| panic!("zero results are never read out"));
     }
 
     #[test]

@@ -40,7 +40,10 @@ impl AccessStats {
     }
 
     /// Fraction of column accesses served without a WRITE — Fig. 5's
-    /// "Data Hit" share (the paper averages 72 %).
+    /// "Data Hit" share. It is also the fraction of WRITEs that data
+    /// reuse eliminated, relative to reloading every column slice on
+    /// every access: the paper's "saves on average 72 % memory WRITE
+    /// operations".
     pub fn hit_rate(&self) -> f64 {
         ratio(self.col_hits, self.col_accesses())
     }
@@ -58,14 +61,6 @@ impl AccessStats {
     /// Total WRITE operations into the computational array.
     pub fn total_writes(&self) -> u64 {
         self.row_slice_writes + self.col_misses + self.col_exchanges
-    }
-
-    /// WRITEs that data reuse eliminated, relative to reloading every
-    /// column slice on every access: `hits / (hits + misses + exchanges)`
-    /// over column traffic — the paper's "saves on average 72 % memory
-    /// WRITE operations".
-    pub fn writes_saved_fraction(&self) -> f64 {
-        self.hit_rate()
     }
 
     /// Accumulates another run's counters into `self` — the aggregation
@@ -148,7 +143,7 @@ mod tests {
     fn write_accounting() {
         let s = sample();
         assert_eq!(s.total_writes(), 12 + 8 + 2);
-        assert!((s.writes_saved_fraction() - 0.75).abs() < 1e-12);
+        assert!((s.hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -55,26 +55,6 @@ impl BitVec {
         v
     }
 
-    /// Reconstructs a bit vector from raw little-endian words.
-    ///
-    /// Bits beyond `len` in the last word are cleared to preserve the
-    /// trailing-zeros invariant.
-    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
-        let mut v = BitVec { words, len };
-        v.words.resize(len.div_ceil(WORD_BITS), 0);
-        v.mask_tail();
-        v
-    }
-
-    fn mask_tail(&mut self) {
-        let used = self.len % WORD_BITS;
-        if used != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << used) - 1;
-            }
-        }
-    }
-
     /// Number of bits in the vector.
     pub fn len(&self) -> usize {
         self.len
@@ -134,20 +114,9 @@ impl BitVec {
         self.words[index / WORD_BITS] &= !(1u64 << (index % WORD_BITS));
     }
 
-    /// Sets every bit to zero, keeping the length.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> u64 {
         popcount_words(&self.words, PopcountMethod::Native)
-    }
-
-    /// Number of set bits using an explicit popcount strategy (used to
-    /// validate the LUT path against the native one).
-    pub fn count_ones_with(&self, method: PopcountMethod) -> u64 {
-        popcount_words(&self.words, method)
     }
 
     /// `popcount(self AND other)` without materialising the intermediate
@@ -305,8 +274,6 @@ mod tests {
         v.clear(64);
         assert!(!v.get(64));
         assert_eq!(v.count_ones(), 5);
-        v.clear_all();
-        assert_eq!(v.count_ones(), 0);
     }
 
     #[test]
@@ -320,13 +287,6 @@ mod tests {
         let v = BitVec::new(8);
         assert_eq!(v.try_get(9), Err(BitMatrixError::IndexOutOfBounds { index: 9, len: 8 }));
         assert_eq!(v.try_get(7), Ok(false));
-    }
-
-    #[test]
-    fn from_words_masks_tail() {
-        let v = BitVec::from_words(vec![u64::MAX], 10);
-        assert_eq!(v.count_ones(), 10);
-        assert_eq!(v.words()[0], 0x3FF);
     }
 
     #[test]
@@ -383,14 +343,5 @@ mod tests {
     fn debug_is_never_empty() {
         let v = BitVec::new(0);
         assert!(!format!("{v:?}").is_empty());
-    }
-
-    #[test]
-    fn count_ones_with_lut_agrees() {
-        let v = BitVec::from_indices(500, (0..500).step_by(7));
-        assert_eq!(
-            v.count_ones_with(PopcountMethod::Lut8),
-            v.count_ones_with(PopcountMethod::Native)
-        );
     }
 }

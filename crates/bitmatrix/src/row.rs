@@ -236,22 +236,6 @@ impl SlicedRow {
         }
     }
 
-    /// The dense view, when this row is dense.
-    pub fn as_dense(&self) -> Option<&SlicedBitVector> {
-        match self {
-            SlicedRow::Dense(v) => Some(v),
-            SlicedRow::Sparse(_) => None,
-        }
-    }
-
-    /// The sparse view, when this row is sparse.
-    pub fn as_sparse(&self) -> Option<&SparseSlicedRow> {
-        match self {
-            SlicedRow::Sparse(v) => Some(v),
-            SlicedRow::Dense(_) => None,
-        }
-    }
-
     /// The slice size this row was compressed with.
     pub fn slice_size(&self) -> SliceSize {
         match self {
@@ -561,7 +545,6 @@ mod tests {
         assert_eq!(sparse.valid_fraction(), dense.valid_fraction());
         assert_eq!(sparse.to_bitvec(), dense.to_bitvec());
         assert_eq!(sparse.reencoded(RowEncoding::Dense), dense, "round trip");
-        assert!(sparse.as_sparse().is_some() && sparse.as_dense().is_none());
     }
 
     #[test]

@@ -189,12 +189,6 @@ impl SlicedBitVector {
         popcount_words(&self.data, PopcountMethod::Native)
     }
 
-    /// Payload of slice `k`, or `None` when the slice is not valid.
-    pub fn slice_data(&self, k: u32) -> Option<&[u64]> {
-        let wps = self.slice_size.words_per_slice();
-        self.indices.binary_search(&k).ok().map(|pos| &self.data[pos * wps..(pos + 1) * wps])
-    }
-
     /// Iterates over the valid slices in ascending index order.
     pub fn valid_slices(&self) -> impl Iterator<Item = ValidSlice<'_>> + '_ {
         let wps = self.slice_size.words_per_slice();
@@ -552,14 +546,6 @@ mod tests {
         let v = sliced(256, &ones, SliceSize::S64);
         assert_eq!(v.valid_fraction(), 1.0);
         assert_eq!(v.valid_slice_count(), 4);
-    }
-
-    #[test]
-    fn slice_data_lookup() {
-        let v = sliced(256, &[70], SliceSize::S64);
-        assert_eq!(v.slice_data(1), Some(&[1u64 << 6][..]));
-        assert_eq!(v.slice_data(0), None);
-        assert_eq!(v.slice_data(99), None);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Structured ablation drivers for the design choices the paper fixes:
-//! orientation, slice size, buffer replacement policy and capacity.
+//! orientation, slice size and buffer replacement policy.
 //!
 //! The `tcim-bench` ablation binaries print these results; keeping the
 //! logic here means the *findings* (e.g. "degree ordering raises the
 //! column hit rate on collaboration graphs") are assertable in the test
 //! suite rather than living only in harness stdout.
 
-use tcim_arch::sweep::{capacity_sweep, policy_sweep, SweepPoint};
+use tcim_arch::sweep::{policy_sweep, SweepPoint};
 use tcim_arch::PimConfig;
 use tcim_bitmatrix::{SliceSize, SlicedMatrix};
 use tcim_graph::{CsrGraph, Orientation};
@@ -128,18 +128,6 @@ pub fn replacement_ablation(g: &CsrGraph, capacity_slices: usize) -> Result<Vec<
     Ok(policy_sweep(&PimConfig::default(), &matrix, capacity_slices)?)
 }
 
-/// Runs the buffer-capacity ablation over one graph.
-///
-/// # Errors
-///
-/// Propagates engine construction failures.
-pub fn capacity_ablation(g: &CsrGraph, capacities: &[usize]) -> Result<Vec<SweepPoint>> {
-    let oriented = Orientation::Natural.orient(g);
-    let matrix =
-        SlicedMatrix::from_adjacency(oriented.rows(), PimConfig::default().slice_size)?;
-    Ok(capacity_sweep(&PimConfig::default(), &matrix, capacities)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,12 +179,5 @@ mod tests {
             points.iter().find(|x| x.policy == p).unwrap().stats.hit_rate()
         };
         assert!(hit(ReplacementPolicy::Lru) >= hit(ReplacementPolicy::Random));
-    }
-
-    #[test]
-    fn capacity_ablation_converts_hits_to_exchanges() {
-        let points = capacity_ablation(&road_standin(), &[100_000, 100]).unwrap();
-        assert!(points[0].stats.col_exchanges <= points[1].stats.col_exchanges);
-        assert!(points[0].stats.hit_rate() >= points[1].stats.hit_rate());
     }
 }

@@ -23,8 +23,8 @@
 //!   `tcim-sched` multi-array runtime ([`SchedPolicy`],
 //!   [`ScheduledReport`] are re-exported here).
 //! * [`ablations`] — structured drivers for the design-choice ablations
-//!   (orientation, slice size, buffer replacement and capacity), with
-//!   their findings pinned by tests.
+//!   (orientation, slice size and buffer replacement), with their
+//!   findings pinned by tests.
 //!
 //! The counting path itself is a **staged pipeline**: graphs are
 //! *prepared* once (orient → slice → price, [`PreparedGraph`], cached by

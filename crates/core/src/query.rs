@@ -134,8 +134,8 @@ impl Query {
 
     /// One representative of every *triangle-quantity* query shape —
     /// the shapes a single attributed carrier execution can answer.
-    /// Test grids and benchmark workloads iterate this;
-    /// [`Query::extended_suite`] adds the motif shapes on top.
+    /// Test grids iterate this; the motif shapes ([`Query::KTruss`],
+    /// [`Query::FourCliques`]) are not in it.
     pub fn example_suite() -> Vec<Query> {
         vec![
             Query::TotalTriangles,
@@ -145,15 +145,6 @@ impl Query {
             Query::EdgeSupport,
             Query::TopKVertices { k: 5 },
         ]
-    }
-
-    /// [`Query::example_suite`] plus one representative of every motif
-    /// shape (k-truss, 4-clique) — the full query surface.
-    pub fn extended_suite() -> Vec<Query> {
-        let mut suite = Query::example_suite();
-        suite.push(Query::KTruss { k: 3 });
-        suite.push(Query::FourCliques);
-        suite
     }
 
     /// Whether this query is answered by the motif engine (iterated

@@ -153,7 +153,6 @@ impl ShardPiece {
 /// ```
 #[derive(Debug)]
 pub struct ShardedPreparedGraph {
-    base: PreparedKey,
     spec: ShardSpec,
     plan: ShardPlan,
     boundary: BoundarySlices,
@@ -233,7 +232,6 @@ impl ShardedPreparedGraph {
             .collect();
 
         Ok(ShardedPreparedGraph {
-            base: *prepared.key(),
             spec: *spec,
             plan,
             boundary,
@@ -241,11 +239,6 @@ impl ShardedPreparedGraph {
             pieces,
             prepare_time: start.elapsed(),
         })
-    }
-
-    /// The base (unsharded) artifact's cache key.
-    pub fn base_key(&self) -> &PreparedKey {
-        &self.base
     }
 
     /// The specification this artifact was partitioned under. The

@@ -15,7 +15,7 @@ struct TicketInner {
 }
 
 /// A claim check for one admitted request: block on [`Ticket::wait`]
-/// (or poll [`Ticket::try_take`]) for the response. Clones share the
+/// (or [`Ticket::wait_timeout`]) for the response. Clones share the
 /// same slot; the outcome is taken by whichever handle claims it
 /// first.
 #[derive(Clone)]
@@ -75,10 +75,5 @@ impl Ticket {
                 return slot.take();
             }
         }
-    }
-
-    /// Takes the outcome if it already arrived, without blocking.
-    pub fn try_take(&self) -> Option<Outcome> {
-        self.inner.slot.lock().expect("ticket lock is never poisoned").take()
     }
 }

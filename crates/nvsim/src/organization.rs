@@ -115,11 +115,6 @@ impl ArrayOrganization {
     pub fn parallel_subarrays(&self) -> u64 {
         (self.mats_per_bank * self.banks) as u64
     }
-
-    /// How many slices of `slice_bits` one sub-array row holds.
-    pub fn slices_per_row(&self, slice_bits: u32) -> usize {
-        self.cols_per_subarray / slice_bits as usize
-    }
 }
 
 impl Default for ArrayOrganization {
@@ -153,13 +148,6 @@ mod tests {
     fn parallelism_counts_mats_and_banks() {
         let org = ArrayOrganization::tcim_16mb();
         assert_eq!(org.parallel_subarrays(), 64);
-    }
-
-    #[test]
-    fn slices_per_row() {
-        let org = ArrayOrganization::tcim_16mb();
-        assert_eq!(org.slices_per_row(64), 8);
-        assert_eq!(org.slices_per_row(512), 1);
     }
 
     #[test]

@@ -279,15 +279,6 @@ impl DynamicGraph {
         &self.per_vertex
     }
 
-    /// Triangles vertex `v` currently participates in.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `v` is out of bounds.
-    pub fn triangles_of(&self, v: u32) -> u64 {
-        self.per_vertex[v as usize]
-    }
-
     /// Live per-edge triangle support: for every current edge `{u, v}`
     /// (ascending), `|N(u) ∩ N(v)|` computed with one delta kernel over
     /// the live sliced rows — `O(m)` kernels, no re-slicing. Returns
@@ -848,7 +839,6 @@ mod tests {
         dg.apply(Update::Insert(0, 3)).unwrap();
         // {0, 3} closes 0-1-3 and 0-2-3.
         assert_eq!(dg.per_vertex(), &[3, 3, 3, 3]);
-        assert_eq!(dg.triangles_of(0), 3);
         // Deleting {1, 2} destroys 0-1-2 and 1-2-3; 0-1-3 and 0-2-3
         // survive.
         dg.apply(Update::Delete(1, 2)).unwrap();
