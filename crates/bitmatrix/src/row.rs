@@ -38,11 +38,15 @@ impl fmt::Display for RowEncoding {
     }
 }
 
+/// Valid-slice fraction below which [`EncodingPolicy::Auto`] picks the
+/// sparse encoding. Below it, the dispatches and slice pairs the sparse
+/// walk skips make sparse the faster artifact in modelled accelerator
+/// time, although the host's payload decode keeps dense faster on the
+/// CPU at every density. The density sweep (0.1%–50%) that placed it is
+/// described in CHANGES.md, in the entry that added sparse bit-rows.
+const AUTO_SPARSE_THRESHOLD: f64 = 0.25;
+
 /// How a prepared graph chooses its [`RowEncoding`].
-///
-/// The threshold is carried in thousandths (`250` = switch to sparse
-/// below 25% valid slices) so the policy stays `Eq + Hash` and can live
-/// inside prepared-cache keys.
 ///
 /// # Example
 ///
@@ -54,26 +58,16 @@ impl fmt::Display for RowEncoding {
 /// assert_eq!(auto.resolve(0.10), RowEncoding::Sparse);
 /// assert_eq!(EncodingPolicy::ForceSparse.resolve(0.99), RowEncoding::Sparse);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EncodingPolicy {
     /// Measure the matrix's valid-slice fraction and go sparse below
-    /// `sparse_threshold_millis / 1000`.
-    Auto {
-        /// Valid-fraction threshold in thousandths; the default `250`
-        /// (25%) sits under the dense/sparse crossover measured by the
-        /// `sparse_rows` bench group.
-        sparse_threshold_millis: u32,
-    },
+    /// 25%.
+    #[default]
+    Auto,
     /// Always use the dense encoding (the paper's baseline layout).
     ForceDense,
     /// Always use the sparse encoding, regardless of density.
     ForceSparse,
-}
-
-impl Default for EncodingPolicy {
-    fn default() -> Self {
-        EncodingPolicy::Auto { sparse_threshold_millis: 250 }
-    }
 }
 
 impl EncodingPolicy {
@@ -83,8 +77,8 @@ impl EncodingPolicy {
         match *self {
             EncodingPolicy::ForceDense => RowEncoding::Dense,
             EncodingPolicy::ForceSparse => RowEncoding::Sparse,
-            EncodingPolicy::Auto { sparse_threshold_millis } => {
-                if valid_fraction < f64::from(sparse_threshold_millis) / 1000.0 {
+            EncodingPolicy::Auto => {
+                if valid_fraction < AUTO_SPARSE_THRESHOLD {
                     RowEncoding::Sparse
                 } else {
                     RowEncoding::Dense
@@ -107,9 +101,7 @@ impl EncodingPolicy {
 impl fmt::Display for EncodingPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            EncodingPolicy::Auto { sparse_threshold_millis } => {
-                write!(f, "auto<{:.3}", f64::from(sparse_threshold_millis) / 1000.0)
-            }
+            EncodingPolicy::Auto => write!(f, "auto<{AUTO_SPARSE_THRESHOLD:.3}"),
             EncodingPolicy::ForceDense => f.write_str("dense"),
             EncodingPolicy::ForceSparse => f.write_str("sparse"),
         }
@@ -519,7 +511,7 @@ mod tests {
     #[test]
     fn policy_resolution_and_threshold() {
         let auto = EncodingPolicy::default();
-        assert_eq!(auto, EncodingPolicy::Auto { sparse_threshold_millis: 250 });
+        assert_eq!(auto, EncodingPolicy::Auto);
         assert_eq!(auto.resolve(0.25), RowEncoding::Dense, "threshold is exclusive");
         assert_eq!(auto.resolve(0.2499), RowEncoding::Sparse);
         assert_eq!(EncodingPolicy::ForceDense.resolve(0.0), RowEncoding::Dense);

@@ -56,7 +56,7 @@ pub struct PreparedKey {
     /// Slice size the matrix was built with.
     pub slice_size: SliceSize,
     /// Row-encoding policy the matrix was built under. Part of the key
-    /// because the policy changes the artifact (different thresholds can
+    /// because the policy changes the artifact (different policies can
     /// resolve the same graph to different encodings).
     pub encoding: EncodingPolicy,
 }

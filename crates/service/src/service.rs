@@ -27,8 +27,8 @@ use crate::store::{GraphInfo, GraphStore};
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Pipeline configuration (orientation, PIM parameters and the
-    /// row-encoding policy with its density threshold) shared by every
-    /// registered graph, static and live.
+    /// row-encoding policy) shared by every registered graph, static
+    /// and live.
     pub tcim: TcimConfig,
     /// Capacity of the underlying `PreparedCache`.
     pub cache_capacity: usize,

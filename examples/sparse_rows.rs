@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Per-graph override when the measured default is wrong for the
-    // workload: force an encoding without touching the threshold.
+    // workload: force an encoding.
     let forced = TcimPipeline::new(&TcimConfig {
         encoding: EncodingPolicy::force(RowEncoding::Dense),
         ..TcimConfig::default()
