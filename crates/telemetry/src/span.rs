@@ -291,11 +291,22 @@ mod tests {
 
     #[test]
     fn span_without_profile_is_a_no_op() {
-        let guard = span("orphan");
-        drop(guard);
-        // Nothing to assert beyond "did not panic / did not record":
+        let no_collector = || COLLECTOR.with(|slot| slot.borrow().is_none());
+        assert!(no_collector(), "a test thread starts with no profile");
+        // A disabled guard holds no `ActiveSpan`: no clock was read and
+        // no depth was counted, so dropping it returns at once.
+        let outer = span("orphan");
+        assert!(outer.active.is_none());
+        let nested: Vec<SpanGuard> = (0..1_000).map(|_| span("orphan")).collect();
+        assert!(nested.iter().all(|guard| guard.active.is_none()));
+        drop(nested);
+        drop(outer);
+        assert!(no_collector(), "dropping disabled guards installs no collector");
+        // A later profile holds none of them, only its own root.
         let (_, report) = profile("empty", || ());
-        assert!(report.expect("outer profile").spans.len() == 1);
+        let spans = report.expect("top-level profile").spans;
+        assert_eq!(spans.len(), 1);
+        assert_eq!((spans[0].name, spans[0].depth), ("empty", 0));
     }
 
     #[test]
