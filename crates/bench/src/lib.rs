@@ -2,10 +2,11 @@
 //!
 //! The `src/bin/` binaries regenerate every table and figure of the
 //! paper and the design-choice ablations (see README "Benchmarks and
-//! experiments"), consuming the drivers in `tcim_core::experiments` and
-//! `tcim_core::ablations`. They print results and time nothing: the
-//! repository's one timing harness, whose runs the `BENCH_<n>.json`
-//! records hold, is the separate `e2e-bench` package.
+//! experiments"), mostly through `tcim_core::experiments` and
+//! `tcim_core::ablations`. Apart from Table V's two host-measured
+//! columns they report modelled quantities; the repository's timing
+//! harness, whose runs the `BENCH_<n>.json` records hold, is the
+//! separate `e2e-bench` package.
 
 use tcim_core::experiments::ExperimentScale;
 
