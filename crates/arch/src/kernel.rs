@@ -23,9 +23,12 @@
 //! Per-arc quantities are indexed by an arc's *position* in the
 //! matrix's row-major arc list ([`ArcIndex`]): the walker knows the
 //! position of the arc it is reading out, and a [`TriangleTally`] finds
-//! the triangle's other two arcs by binary search in their sorted rows.
+//! the triangle's other two arcs with forward cursors, one along the
+//! arc's row and one along its column ([`gallop`]), because one kernel
+//! pass reads an arc's witnesses out in ascending order.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use tcim_bitmatrix::popcount::{popcount_word, visit_set_bits, PopcountMethod};
 use tcim_bitmatrix::{PairStats, RowEncoding, SlicedMatrix, SlicedRow};
@@ -65,48 +68,136 @@ impl Attribution {
     }
 }
 
-/// Where each arc of a row-major arc list sits — the order
-/// [`SlicedMatrix::arcs`] and an oriented graph's arcs are listed in:
-/// the list plus row offsets over it, so arc `(i, j)` sits at row `i`'s
-/// offset plus `j`'s rank among the row's heads. The index borrows both;
-/// the offsets are all an owner keeps ([`ArcIndex::row_offsets`]).
-/// Per-arc quantities (triangle support) live in a `Vec` indexed by
-/// position.
-#[derive(Debug, Clone, Copy)]
-pub struct ArcIndex<'a> {
-    arcs: &'a [(u32, u32)],
-    offsets: &'a [u32],
+/// The first index at or after `from` whose item `below` rejects, in
+/// `items[from..]` partitioned by `below` (every item it accepts comes
+/// before every item it rejects); `items.len()` when it accepts them
+/// all. The search gallops: it probes `from`, then doubles its stride
+/// until it passes the answer, and binary-searches the last stride. So a
+/// cursor that moves forward by `d` items costs `O(log d)` probes, and
+/// one probe when it stays put.
+///
+/// ```
+/// use tcim_arch::kernel::gallop;
+///
+/// let heads = [2, 3, 5, 8, 13, 21, 34];
+/// assert_eq!(gallop(&heads, 0, |&h| h < 5), 2);
+/// assert_eq!(gallop(&heads, 2, |&h| h < 5), 2, "already there: one probe");
+/// assert_eq!(gallop(&heads, 2, |&h| h < 30), 6);
+/// assert_eq!(gallop(&heads, 3, |&h| h < 99), heads.len());
+/// ```
+///
+/// # Panics
+///
+/// Panics when `from` is past `items.len()`.
+pub fn gallop<T>(items: &[T], from: usize, mut below: impl FnMut(&T) -> bool) -> usize {
+    // Invariant: every item in `from..lo` is below.
+    let (mut lo, mut probe, mut stride) = (from, from, 1);
+    while probe < items.len() && below(&items[probe]) {
+        lo = probe + 1;
+        probe += stride;
+        stride *= 2;
+    }
+    let end = probe.min(items.len());
+    lo + items[lo..end].partition_point(below)
 }
 
-impl<'a> ArcIndex<'a> {
-    /// The row offsets of `arcs` over `dim` vertices: row `i`'s arcs are
-    /// `arcs[offsets[i]..offsets[i + 1]]`.
+/// What an owner keeps to index its row-major arc list: the row offsets,
+/// and a column index over the same arcs that is built the first time a
+/// [`TriangleTally`] keeps support over it, then memoized here. An
+/// [`ArcIndex`] borrows the list and these offsets.
+#[derive(Debug, Clone)]
+pub struct ArcOffsets {
+    /// Row `i`'s arcs sit at positions `rows[i]..rows[i + 1]`.
+    rows: Vec<u32>,
+    columns: OnceLock<ArcColumns>,
+}
+
+/// Every column's arcs: the arcs `(·, j)` sit at positions
+/// `positions[offsets[j]..offsets[j + 1]]`, ascending, so ascending by
+/// tail. One `u32` per arc plus one per vertex.
+#[derive(Debug, Clone)]
+struct ArcColumns {
+    offsets: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+impl ArcOffsets {
+    /// The row offsets of `arcs` over `dim` vertices.
     ///
     /// # Panics
     ///
     /// Panics when the arcs are not row-major (tails ascending, heads
     /// strictly ascending within a row), a tail is out of bounds, or
     /// there are more than `u32::MAX` arcs.
-    pub fn row_offsets(dim: usize, arcs: &[(u32, u32)]) -> Vec<u32> {
+    pub fn new(dim: usize, arcs: &[(u32, u32)]) -> Self {
         assert!(u32::try_from(arcs.len()).is_ok(), "arc positions fit in u32");
         assert!(arcs.windows(2).all(|w| w[0] < w[1]), "arcs are listed row-major");
-        let mut offsets = vec![0u32; dim + 1];
-        for &(i, _) in arcs {
-            offsets[i as usize + 1] += 1;
+        ArcOffsets {
+            rows: prefix_counts(dim, arcs.iter().map(|&(i, _)| i)),
+            columns: OnceLock::new(),
         }
-        for v in 0..dim {
-            offsets[v + 1] += offsets[v];
-        }
-        offsets
     }
 
-    /// Indexes `arcs` with their [`row_offsets`](ArcIndex::row_offsets).
+    /// The column index of `arcs`, which these offsets index: built on
+    /// first use.
+    fn columns(&self, arcs: &[(u32, u32)]) -> &ArcColumns {
+        self.columns.get_or_init(|| {
+            let offsets = prefix_counts(self.rows.len() - 1, arcs.iter().map(|&(_, j)| j));
+            let mut fill = offsets.clone();
+            let mut positions = vec![0u32; arcs.len()];
+            for (position, &(_, j)) in (0u32..).zip(arcs) {
+                let slot = &mut fill[j as usize];
+                positions[*slot as usize] = position;
+                *slot += 1;
+            }
+            ArcColumns { offsets, positions }
+        })
+    }
+}
+
+/// Offsets over `dim` buckets of ascending items: bucket `x`'s items sit
+/// at `offsets[x]..offsets[x + 1]`.
+fn prefix_counts(dim: usize, items: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut offsets = vec![0u32; dim + 1];
+    for x in items {
+        offsets[x as usize + 1] += 1;
+    }
+    for v in 0..dim {
+        offsets[v + 1] += offsets[v];
+    }
+    offsets
+}
+
+/// Offsets compare by the arcs they index, whether or not the column
+/// index has been built.
+impl PartialEq for ArcOffsets {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+    }
+}
+
+impl Eq for ArcOffsets {}
+
+/// Where each arc of a row-major arc list sits — the order
+/// [`SlicedMatrix::arcs`] and an oriented graph's arcs are listed in:
+/// the list plus its [`ArcOffsets`], so arc `(i, j)` sits at row `i`'s
+/// offset plus `j`'s rank among the row's heads. The index borrows both;
+/// the offsets are all an owner keeps. Per-arc quantities (triangle
+/// support) live in a `Vec` indexed by position.
+#[derive(Debug, Clone, Copy)]
+pub struct ArcIndex<'a> {
+    arcs: &'a [(u32, u32)],
+    offsets: &'a ArcOffsets,
+}
+
+impl<'a> ArcIndex<'a> {
+    /// Indexes `arcs` with their [`ArcOffsets`].
     ///
     /// # Panics
     ///
     /// Panics when the offsets do not span the arcs.
-    pub fn new(arcs: &'a [(u32, u32)], offsets: &'a [u32]) -> Self {
-        let end = offsets.last().map(|&end| end as usize);
+    pub fn new(arcs: &'a [(u32, u32)], offsets: &'a ArcOffsets) -> Self {
+        let end = offsets.rows.last().map(|&end| end as usize);
         assert_eq!(end, Some(arcs.len()), "row offsets span the arcs");
         ArcIndex { arcs, offsets }
     }
@@ -116,15 +207,20 @@ impl<'a> ArcIndex<'a> {
         self.arcs.len()
     }
 
+    /// The positions of row `i`'s arcs.
+    fn row(&self, i: u32) -> Range<usize> {
+        self.offsets.rows[i as usize] as usize..self.offsets.rows[i as usize + 1] as usize
+    }
+
     /// The position of arc `(i, j)`, or `None` when it is not an arc.
     ///
     /// # Panics
     ///
     /// Panics when `i` is out of bounds.
     pub fn position(&self, i: u32, j: u32) -> Option<usize> {
-        let start = self.offsets[i as usize] as usize;
-        let row = &self.arcs[start..self.offsets[i as usize + 1] as usize];
-        row.binary_search_by_key(&j, |&(_, head)| head).ok().map(|rank| start + rank)
+        let row = self.row(i);
+        let heads = &self.arcs[row.clone()];
+        heads.binary_search_by_key(&j, |&(_, head)| head).ok().map(|rank| row.start + rank)
     }
 }
 
@@ -177,11 +273,18 @@ impl TriangleSink for Vec<u32> {
 /// bookkeeping has exactly one implementation.
 ///
 /// Support is one counter per arc of an [`ArcIndex`], at the arc's
-/// position: the arc being read out is the position the walker entered
-/// ([`TriangleSink::enter_arc`]), and the triangle's other two arcs are
-/// found by binary search in their rows. Callers that already know all
-/// three positions (the CPU forward baseline) use
-/// [`TriangleTally::triangle_at`].
+/// position. The arc `(a, c)` being read out is the position the walker
+/// entered ([`TriangleSink::enter_arc`]). Its witnesses `b` arrive in
+/// ascending order within one kernel pass, so the triangle's other two
+/// arcs are found by forward cursors that [`gallop`]: `(a, b)` along row
+/// `a`, and `(b, c)` along column `c`'s arc positions, as the first one
+/// at or past row `b`'s offset. Entering an arc resets both cursors, and
+/// a witness below its predecessor restarts them at the row and column
+/// start, so an arc read out in several passes (a shard composition arc
+/// runs three sub-passes) is tallied exactly in any pass order. The
+/// column index is memoized on the [`ArcOffsets`] the first time a tally
+/// keeps support over them. Callers that already know all three
+/// positions (the CPU forward baseline) use [`TriangleTally::triangle_at`].
 #[derive(Debug, Clone)]
 pub struct TriangleTally<'a> {
     per_vertex: Vec<u64>,
@@ -189,25 +292,69 @@ pub struct TriangleTally<'a> {
     triangles: u64,
 }
 
-/// Per-arc support counters over one arc index.
+/// Per-arc support counters over one arc index, with the cursors that
+/// find each triangle's other two arcs.
 #[derive(Debug, Clone)]
 struct ArcSupport<'a> {
     arcs: ArcIndex<'a>,
+    columns: &'a ArcColumns,
     counts: Vec<u64>,
     /// Position of the arc being read out.
     current: usize,
+    /// The last witness, and where its arcs were found: a position on
+    /// the current arc's row, and an index into its column's positions.
+    witness: u32,
+    row_cursor: usize,
+    column_cursor: usize,
+}
+
+impl<'a> ArcSupport<'a> {
+    /// Moves both cursors to the start of the current arc's row and
+    /// column.
+    fn rewind(&mut self) {
+        let (a, c) = self.arcs.arcs[self.current];
+        self.witness = 0;
+        self.row_cursor = self.arcs.row(a).start;
+        self.column_cursor = self.columns.offsets[c as usize] as usize;
+    }
+
+    /// The positions of arcs `(a, b)` and `(b, c)` of a triangle read out
+    /// of the current arc `(a, c)`.
+    fn find(&mut self, a: u32, b: u32, c: u32) -> (usize, usize) {
+        debug_assert_eq!(self.arcs.arcs[self.current], (a, c), "triangles of the entered arc");
+        if b < self.witness {
+            self.rewind();
+        }
+        self.witness = b;
+        let row = &self.arcs.arcs[..self.arcs.row(a).end];
+        self.row_cursor = gallop(row, self.row_cursor, |&(_, head)| head < b);
+        let column = &self.columns.positions[..self.columns.offsets[c as usize + 1] as usize];
+        let row_b = self.arcs.offsets.rows[b as usize];
+        self.column_cursor = gallop(column, self.column_cursor, |&position| position < row_b);
+        let ab = Some(self.row_cursor).filter(|&ab| row.get(ab) == Some(&(a, b)));
+        let bc = column
+            .get(self.column_cursor)
+            .map(|&position| position as usize)
+            .filter(|&bc| self.arcs.arcs[bc] == (b, c));
+        ab.zip(bc).expect("a triangle's arcs are arcs of the index")
+    }
 }
 
 impl<'a> TriangleTally<'a> {
     /// An empty tally over `dim` vertices; accumulates per-arc support
-    /// over the arcs of `support` when one is given.
+    /// over the arcs of `support` when one is given, building their
+    /// column index if no tally has yet.
     pub fn new(dim: usize, support: Option<ArcIndex<'a>>) -> Self {
         TriangleTally {
             per_vertex: vec![0u64; dim],
             support: support.map(|arcs| ArcSupport {
                 arcs,
+                columns: arcs.offsets.columns(arcs.arcs),
                 counts: vec![0u64; arcs.arc_count()],
                 current: 0,
+                witness: 0,
+                row_cursor: 0,
+                column_cursor: 0,
             }),
             triangles: 0,
         }
@@ -282,16 +429,14 @@ impl TriangleSink for TriangleTally<'_> {
     fn enter_arc(&mut self, position: usize) {
         if let Some(support) = self.support.as_mut() {
             support.current = position;
+            support.rewind();
         }
     }
 
     fn triangle(&mut self, a: u32, b: u32, c: u32) {
         self.count_vertices(a, b, c);
         if let Some(support) = self.support.as_mut() {
-            let lookup = |i, j| {
-                support.arcs.position(i, j).expect("a triangle's arcs are arcs of the index")
-            };
-            let (ab, bc) = (lookup(a, b), lookup(b, c));
+            let (ab, bc) = support.find(a, b, c);
             support.counts[support.current] += 1;
             support.counts[ab] += 1;
             support.counts[bc] += 1;
@@ -637,7 +782,7 @@ mod tests {
     fn host_and_array_walks_agree_on_every_shared_counter() {
         for encoding in [RowEncoding::Dense, RowEncoding::Sparse] {
             let m = fig2(encoding);
-            let offsets = ArcIndex::row_offsets(m.dim(), m.arcs());
+            let offsets = ArcOffsets::new(m.dim(), m.arcs());
             let arcs = ArcIndex::new(m.arcs(), &offsets);
             let host = walk(
                 &m,
@@ -702,8 +847,8 @@ mod tests {
     #[test]
     fn arc_index_positions_are_row_offsets_plus_ranks() {
         let m = fig2(RowEncoding::Dense);
-        let offsets = ArcIndex::row_offsets(m.dim(), m.arcs());
-        assert_eq!(offsets, vec![0, 2, 4, 5, 5]);
+        let offsets = ArcOffsets::new(m.dim(), m.arcs());
+        assert_eq!(offsets.rows, vec![0, 2, 4, 5, 5]);
         let arcs = ArcIndex::new(m.arcs(), &offsets);
         assert_eq!(arcs.arc_count(), 5);
         for (position, (i, j)) in m.edges().enumerate() {
@@ -711,13 +856,13 @@ mod tests {
         }
         assert_eq!(arcs.position(0, 3), None);
         assert_eq!(arcs.position(3, 0), None, "arcs point upward only");
-        assert_eq!(ArcIndex::new(&[], &ArcIndex::row_offsets(0, &[])).arc_count(), 0);
+        assert_eq!(ArcIndex::new(&[], &ArcOffsets::new(0, &[])).arc_count(), 0);
     }
 
     #[test]
     #[should_panic(expected = "row-major")]
     fn arc_index_rejects_arcs_out_of_order() {
-        ArcIndex::row_offsets(3, &[(1, 2), (0, 1)]);
+        ArcOffsets::new(3, &[(1, 2), (0, 1)]);
     }
 
     #[test]
@@ -726,7 +871,7 @@ mod tests {
         // positions 0..6, four triangles.
         let adjacency = vec![vec![1, 2, 3], vec![2, 3], vec![3], vec![]];
         let m = SlicedMatrix::from_adjacency(&adjacency, SliceSize::S64).unwrap();
-        let offsets = ArcIndex::row_offsets(m.dim(), m.arcs());
+        let offsets = ArcOffsets::new(m.dim(), m.arcs());
         let mut whole = TriangleTally::new(4, Some(ArcIndex::new(m.arcs(), &offsets)));
         walk(
             &m,
@@ -758,7 +903,7 @@ mod tests {
     #[test]
     fn known_positions_skip_the_lookups() {
         let m = fig2(RowEncoding::Dense);
-        let offsets = ArcIndex::row_offsets(m.dim(), m.arcs());
+        let offsets = ArcOffsets::new(m.dim(), m.arcs());
         let arcs = ArcIndex::new(m.arcs(), &offsets);
         let mut looked_up = TriangleTally::new(4, Some(arcs));
         looked_up.enter_arc(1);
@@ -771,7 +916,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "differ in shape")]
     fn tallies_of_different_shapes_do_not_merge() {
-        let offsets = ArcIndex::row_offsets(4, &[(0, 1)]);
+        let offsets = ArcOffsets::new(4, &[(0, 1)]);
         let mut with_support = TriangleTally::new(4, Some(ArcIndex::new(&[(0, 1)], &offsets)));
         with_support.merge(TriangleTally::new(4, None));
     }
@@ -779,16 +924,97 @@ mod tests {
     #[test]
     fn attribution_levels_pick_their_tally() {
         let list = [(0, 1), (0, 2), (1, 2)];
-        let offsets = ArcIndex::row_offsets(3, &list);
+        let offsets = ArcOffsets::new(3, &list);
         let unused = || -> ArcIndex { panic!("only support needs the arc index") };
         assert!(Attribution::Count.tally(3, unused).is_none());
         let mut tally = Attribution::PerVertex.tally(3, unused).unwrap();
         tally.triangle(0, 1, 2);
         assert!(tally.into_parts().2.is_none());
+        assert!(offsets.columns.get().is_none(), "no tally kept support yet");
         let arcs = || ArcIndex::new(&list, &offsets);
         let mut tally = Attribution::PerVertexWithSupport.tally(3, arcs).unwrap();
         tally.enter_arc(1);
         tally.triangle(0, 1, 2);
         assert_eq!(tally.into_parts().2.unwrap(), vec![1, 1, 1]);
+    }
+
+    #[test]
+    fn the_column_index_is_built_once_by_the_first_support_tally() {
+        let list = [(0, 2), (0, 3), (1, 3), (2, 3)];
+        let offsets = ArcOffsets::new(4, &list);
+        let arcs = ArcIndex::new(&list, &offsets);
+        TriangleTally::new(4, None);
+        assert!(offsets.columns.get().is_none(), "a tally without support builds nothing");
+        let first = TriangleTally::new(4, Some(arcs));
+        let built = offsets.columns.get().expect("built by the support tally");
+        assert_eq!(built.offsets, vec![0, 0, 0, 1, 4]);
+        assert_eq!(built.positions, vec![0, 1, 2, 3], "column 3 lists its arcs by tail");
+        let again = first.empty_like();
+        let reused = again.support.as_ref().map(|s| s.columns as *const ArcColumns);
+        assert_eq!(reused, Some(built as *const ArcColumns), "later tallies reuse it");
+    }
+
+    /// A DAG over 40 vertices, dense enough that rows and columns hold
+    /// long runs of arcs, listed row-major.
+    fn dense_dag() -> Vec<(u32, u32)> {
+        let n = 40u32;
+        (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .filter(|&(i, j)| (i * 7 + j * 3) % 5 != 0)
+            .collect()
+    }
+
+    #[test]
+    fn cursors_restart_when_witnesses_go_backwards_across_sub_passes() {
+        let list = dense_dag();
+        let offsets = ArcOffsets::new(40, &list);
+        let arcs = ArcIndex::new(&list, &offsets);
+        let mut cursors = TriangleTally::new(40, Some(arcs));
+        let mut searched = TriangleTally::new(40, Some(arcs));
+        let mut triangles = 0;
+        for (ac, &(a, c)) in list.iter().enumerate() {
+            let witnesses: Vec<u32> = (a + 1..c)
+                .filter(|&b| arcs.position(a, b).is_some() && arcs.position(b, c).is_some())
+                .collect();
+            // Three passes over the arc, each ascending, together not:
+            // every third witness, from three offsets.
+            cursors.enter_arc(ac);
+            for pass in 0..3 {
+                for &b in witnesses.iter().skip(pass).step_by(3) {
+                    cursors.triangle(a, b, c);
+                }
+            }
+            for &b in &witnesses {
+                let ab = arcs.position(a, b).unwrap();
+                let bc = arcs.position(b, c).unwrap();
+                searched.triangle_at([a, b, c], [ab, ac, bc]);
+            }
+            triangles += witnesses.len();
+        }
+        assert!(triangles > 1000, "{triangles} triangles");
+        assert_eq!(cursors.into_parts(), searched.into_parts());
+    }
+
+    #[test]
+    #[should_panic(expected = "arcs of the index")]
+    fn a_triangle_whose_arc_is_missing_panics() {
+        // Arc (1, 2) is missing, so (0, 1, 2) is no triangle of the index.
+        let list = [(0, 1), (0, 2)];
+        let offsets = ArcOffsets::new(3, &list);
+        let mut tally = TriangleTally::new(3, Some(ArcIndex::new(&list, &offsets)));
+        tally.enter_arc(1);
+        tally.triangle(0, 1, 2);
+    }
+
+    #[test]
+    fn gallop_finds_the_partition_point_from_any_start() {
+        let items: Vec<u32> = (0..200).map(|x| x * 3).collect();
+        for from in [0, 1, 5, 64, 199, 200] {
+            for target in [0, 1, 3, 100, 299, 597, 598, 1000] {
+                let want = from + items[from..].partition_point(|&x| x < target);
+                assert_eq!(gallop(&items, from, |&x| x < target), want, "{from} {target}");
+            }
+        }
+        assert_eq!(gallop::<u32>(&[], 0, |_| true), 0);
     }
 }

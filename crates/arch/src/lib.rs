@@ -75,7 +75,7 @@ pub use config::PimConfig;
 pub use costs::SliceCostModel;
 pub use engine::PimEngine;
 pub use error::{ArchError, Result};
-pub use kernel::{ArcIndex, Attribution, TriangleSink, TriangleTally};
+pub use kernel::{ArcIndex, ArcOffsets, Attribution, TriangleSink, TriangleTally};
 pub use runtime::{EnergyBreakdown, LatencyBreakdown, PimRunResult};
 pub use stats::AccessStats;
 pub use tcim_telemetry::{EventTrace, KernelEvent};

@@ -197,8 +197,14 @@ impl SlicedRow {
     where
         I: IntoIterator<Item = usize>,
     {
-        let dense = SlicedBitVector::from_sorted_indices(len_bits, set_bits, slice_size);
-        SlicedRow::encode(dense, encoding)
+        match encoding {
+            RowEncoding::Dense => SlicedRow::Dense(SlicedBitVector::from_sorted_indices(
+                len_bits, set_bits, slice_size,
+            )),
+            RowEncoding::Sparse => SlicedRow::Sparse(SparseSlicedRow::from_sorted_indices(
+                len_bits, set_bits, slice_size,
+            )),
+        }
     }
 
     /// Wraps (or re-encodes) an already-compressed dense vector.

@@ -100,9 +100,33 @@ impl SparseSlicedRow {
     where
         I: IntoIterator<Item = usize>,
     {
-        SparseSlicedRow::from_dense(&SlicedBitVector::from_sorted_indices(
-            len_bits, set_bits, slice_size,
-        ))
+        let bits = slice_size.bits() as usize;
+        let wps = slice_size.words_per_slice();
+        let mut row = SparseSlicedRow::empty(len_bits, slice_size);
+        // The slice being filled and its payload.
+        let mut open: Option<usize> = None;
+        let mut words = [0u64; MAX_WORDS_PER_SLICE];
+        let mut last: Option<usize> = None;
+        for b in set_bits {
+            assert!(b < len_bits, "set bit {b} out of bounds for {len_bits}");
+            if let Some(prev) = last {
+                assert!(b > prev, "set-bit indices must be strictly ascending");
+            }
+            last = Some(b);
+            let slice = b / bits;
+            if open != Some(slice) {
+                if let Some(k) = open.replace(slice) {
+                    row.push_slice(k as u32, &words[..wps]);
+                    words = [0; MAX_WORDS_PER_SLICE];
+                }
+            }
+            let within = b % bits;
+            words[within / 64] |= 1u64 << (within % 64);
+        }
+        if let Some(k) = open {
+            row.push_slice(k as u32, &words[..wps]);
+        }
+        row
     }
 
     /// The all-zero row over `len_bits` bits.
@@ -318,10 +342,12 @@ impl SparseSlicedRow {
         before + (self.summary[spos] & ((1u64 << (k % 64)) - 1)).count_ones() as usize
     }
 
-    /// Byte offset into `blocks` of valid-slice ordinal `ord`.
-    fn block_offset(&self, ord: usize) -> usize {
-        let wps = self.slice_size.words_per_slice();
-        self.masks[..ord * wps].iter().map(|m| m.count_ones() as usize).sum()
+    /// Offset into `blocks` of byte `byte_in_word` of the payload word
+    /// whose mask is `masks[mask_idx]`, set or not: the set mask bits
+    /// before it.
+    fn byte_offset(&self, mask_idx: usize, byte_in_word: u32) -> usize {
+        mask_ones(&self.masks[..mask_idx])
+            + (self.masks[mask_idx] & ((1u8 << byte_in_word) - 1)).count_ones() as usize
     }
 
     /// Sets bit `bit` in place, maintaining every level of the hierarchy
@@ -354,12 +380,7 @@ impl SparseSlicedRow {
             self.masks.splice(ord * wps..ord * wps, std::iter::repeat_n(0u8, wps));
         }
         let mask_idx = ord * wps + w;
-        let boff = self.block_offset(ord)
-            + self.masks[ord * wps..mask_idx]
-                .iter()
-                .map(|m| m.count_ones() as usize)
-                .sum::<usize>()
-            + (self.masks[mask_idx] & ((1u8 << byte_in_word) - 1)).count_ones() as usize;
+        let boff = self.byte_offset(mask_idx, byte_in_word);
         if self.masks[mask_idx] & (1 << byte_in_word) != 0 {
             let byte = &mut self.blocks[boff];
             let was_set = *byte & (1 << bit_in_byte) != 0;
@@ -396,12 +417,7 @@ impl SparseSlicedRow {
         if self.masks[mask_idx] & (1 << byte_in_word) == 0 {
             return Ok(false);
         }
-        let boff = self.block_offset(ord)
-            + self.masks[ord * wps..mask_idx]
-                .iter()
-                .map(|m| m.count_ones() as usize)
-                .sum::<usize>()
-            + (self.masks[mask_idx] & ((1u8 << byte_in_word) - 1)).count_ones() as usize;
+        let boff = self.byte_offset(mask_idx, byte_in_word);
         if self.blocks[boff] & (1 << bit_in_byte) == 0 {
             return Ok(false);
         }
@@ -425,11 +441,25 @@ impl SparseSlicedRow {
     }
 }
 
+/// Set bits across `masks`, eight mask bytes per `u64::count_ones`: the
+/// number of packed payload bytes the masks stand for.
+fn mask_ones(masks: &[u8]) -> usize {
+    let mut chunks = masks.chunks_exact(8);
+    let mut ones = 0usize;
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().expect("chunks of eight bytes"));
+        ones += word.count_ones() as usize;
+    }
+    let mut tail = [0u8; 8];
+    tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+    ones + u64::from_le_bytes(tail).count_ones() as usize
+}
+
 /// Per-row forward cursor over the packed hierarchy, used by the
 /// two-level matching walk. Groups are consumed in ascending order;
 /// `base_rank` tracks the valid-slice ordinal at the current group and
 /// `(mask_ord, block_off)` lag behind, advancing only to slices the walk
-/// actually decodes.
+/// actually reads.
 struct Walk<'a> {
     row: &'a SparseSlicedRow,
     ti: usize,
@@ -479,54 +509,35 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// Advances the mask/block cursors to valid-slice ordinal `ord`
-    /// (monotone: callers request ascending ordinals).
-    fn advance_to(&mut self, ord: usize) {
+    /// The offset into `blocks` of valid-slice ordinal `ord`'s payload,
+    /// advancing the cursors to it (monotone: callers request ascending
+    /// ordinals).
+    fn block_offset(&mut self, ord: usize) -> usize {
         let wps = self.row.slice_size.words_per_slice();
-        while self.mask_ord < ord {
-            self.block_off += self.row.masks[self.mask_ord * wps..(self.mask_ord + 1) * wps]
-                .iter()
-                .map(|m| m.count_ones() as usize)
-                .sum::<usize>();
-            self.mask_ord += 1;
-        }
-    }
-
-    /// Decodes the slice at ordinal `ord` (cursors must already point at
-    /// it) into `out`.
-    fn decode(&self, ord: usize, out: &mut [u64]) {
-        let wps = self.row.slice_size.words_per_slice();
-        let mut boff = self.block_off;
-        for (w, word) in out.iter_mut().enumerate() {
-            *word = 0;
-            let mut mrem = self.row.masks[ord * wps + w];
-            while mrem != 0 {
-                let b = mrem.trailing_zeros();
-                mrem &= mrem - 1;
-                *word |= u64::from(self.row.blocks[boff]) << (8 * b);
-                boff += 1;
-            }
-        }
+        self.block_off += mask_ones(&self.row.masks[self.mask_ord * wps..ord * wps]);
+        self.mask_ord = ord;
+        self.block_off
     }
 }
 
 /// The two-level skip-empty intersection of two sparse rows: AND the
 /// summary levels, then visit only mutually valid slices whose byte
-/// masks intersect. `DECODE` controls whether visited pairs are decoded
-/// and ANDed into `f` (index-only callers skip the payload work).
+/// masks intersect. `DECODE` controls whether visited pairs are ANDed
+/// into `f` (index-only callers skip the payload work).
 ///
 /// The byte-mask test indexes the masks by rank directly, so the payload
-/// cursors advance only to pairs that are decoded: skipped pairs and
-/// index-only walks never scan masks.
+/// cursors advance only to pairs that are ANDed: skipped pairs and
+/// index-only walks never count masks. A visited pair reads only the
+/// payload bytes set in both masks, the only ones that can survive the
+/// AND; a byte's rank within its mask gives its packed offset.
 pub(crate) fn walk_matching<const DECODE: bool>(
     a: &SparseSlicedRow,
     b: &SparseSlicedRow,
     mut f: impl FnMut(u32, &[u64]),
 ) -> PairStats {
     let wps = a.slice_size.words_per_slice();
-    let mut buf_a = [0u64; MAX_WORDS_PER_SLICE];
-    let mut buf_b = [0u64; MAX_WORDS_PER_SLICE];
-    let (scratch_a, scratch_b) = (&mut buf_a[..wps], &mut buf_b[..wps]);
+    let mut buf = [0u64; MAX_WORDS_PER_SLICE];
+    let anded = &mut buf[..wps];
     let mut stats = PairStats::default();
     let mut wa = Walk::new(a);
     let mut wb = Walk::new(b);
@@ -548,25 +559,33 @@ pub(crate) fn walk_matching<const DECODE: bool>(
             let k = (g1 * 64 + kin) as u32;
             let ra = wa.base_rank + (w1 & ((1u64 << kin) - 1)).count_ones() as usize;
             let rb = wb.base_rank + (w2 & ((1u64 << kin) - 1)).count_ones() as usize;
-            let intersects =
-                (0..wps).any(|w| a.masks[ra * wps + w] & b.masks[rb * wps + w] != 0);
-            if intersects {
-                stats.visited += 1;
-                if DECODE {
-                    wa.advance_to(ra);
-                    wb.advance_to(rb);
-                    wa.decode(ra, scratch_a);
-                    wb.decode(rb, scratch_b);
-                    for (x, &y) in scratch_a.iter_mut().zip(scratch_b.iter()) {
-                        *x &= y;
-                    }
-                    f(k, scratch_a);
-                } else {
-                    f(k, &[]);
-                }
-            } else {
+            let (masks_a, masks_b) =
+                (&a.masks[ra * wps..][..wps], &b.masks[rb * wps..][..wps]);
+            if masks_a.iter().zip(masks_b).all(|(x, y)| x & y == 0) {
                 stats.skipped += 1;
+                continue;
             }
+            stats.visited += 1;
+            if !DECODE {
+                f(k, &[]);
+                continue;
+            }
+            let (mut off_a, mut off_b) = (wa.block_offset(ra), wb.block_offset(rb));
+            for ((word, &x), &y) in anded.iter_mut().zip(masks_a).zip(masks_b) {
+                *word = 0;
+                let mut both = x & y;
+                while both != 0 {
+                    let byte = both.trailing_zeros();
+                    both &= both - 1;
+                    let below = (1u8 << byte) - 1;
+                    let left = a.blocks[off_a + (x & below).count_ones() as usize];
+                    let right = b.blocks[off_b + (y & below).count_ones() as usize];
+                    *word |= u64::from(left & right) << (8 * byte);
+                }
+                off_a += x.count_ones() as usize;
+                off_b += y.count_ones() as usize;
+            }
+            f(k, anded);
         }
         ga = wa.next_group();
         gb = wb.next_group();
@@ -626,6 +645,59 @@ mod tests {
     }
 
     #[test]
+    fn direct_builder_equals_the_dense_round_trip() {
+        for s in SliceSize::ALL {
+            // A length that ends inside a slice, so the last bit sits in a
+            // partial one.
+            let len = 40 * s.bits() as usize + 7;
+            let mut cases = vec![Vec::new(), vec![0], vec![len - 1], vec![0, len - 1]];
+            for density in [1u64, 2, 3, 17, 113, 997] {
+                let mut ones = pseudo_ones(len, density, density + u64::from(s.bits()));
+                if ones.last() != Some(&(len - 1)) {
+                    ones.push(len - 1);
+                }
+                cases.push(ones);
+            }
+            for ones in cases {
+                let direct =
+                    SparseSlicedRow::from_sorted_indices(len, ones.iter().copied(), s);
+                let dense = SlicedBitVector::from_sorted_indices(len, ones.iter().copied(), s);
+                let ctx = format!("|S|={s}, {} bits", ones.len());
+                assert_eq!(direct, SparseSlicedRow::from_dense(&dense), "{ctx}");
+                assert_eq!(direct.count_ones(), ones.len() as u64, "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn direct_builder_rejects_indices_out_of_order() {
+        SparseSlicedRow::from_sorted_indices(100, [5usize, 3], SliceSize::S64);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn direct_builder_rejects_a_repeated_index() {
+        SparseSlicedRow::from_sorted_indices(100, [5usize, 5], SliceSize::S16);
+    }
+
+    #[test]
+    #[should_panic(expected = "set bit 100 out of bounds for 100")]
+    fn direct_builder_rejects_an_index_out_of_bounds() {
+        SparseSlicedRow::from_sorted_indices(100, [3usize, 100], SliceSize::S512);
+    }
+
+    #[test]
+    fn mask_ones_counts_every_byte_at_every_length() {
+        let masks: Vec<u8> =
+            (0..40u32).map(|i| (i.wrapping_mul(0x9D) ^ i >> 2) as u8).collect();
+        for len in 0..=masks.len() {
+            let naive: usize = masks[..len].iter().map(|m| m.count_ones() as usize).sum();
+            assert_eq!(mask_ones(&masks[..len]), naive, "{len} bytes");
+        }
+    }
+
+    #[test]
     fn matching_walk_agrees_with_dense_merge_join_and_never_visits_more() {
         for s in [SliceSize::S16, SliceSize::S64, SliceSize::S512] {
             let a_ones = pseudo_ones(3000, 19, 5);
@@ -658,6 +730,48 @@ mod tests {
     /// Bit `b` of the result is set ⇔ byte `b` of `word` is non-zero.
     fn byte_mask(word: u64) -> u8 {
         (0..8).filter(|b| (word >> (8 * b)) & 0xff != 0).fold(0, |m, b| m | 1 << b)
+    }
+
+    #[test]
+    fn visited_pairs_and_to_the_dense_merge_join_words_for_every_slice_size() {
+        // S128 and S512 spread a slice over several payload words, so the
+        // packed offsets run across word boundaries.
+        for s in SliceSize::ALL {
+            for (da, db) in [(3u64, 5u64), (19, 13), (2, 61)] {
+                let len = 3000;
+                let a_ones = pseudo_ones(len, da, 7 + da);
+                let b_ones = pseudo_ones(len, db, 11 + db);
+                let dense_a =
+                    SlicedBitVector::from_sorted_indices(len, a_ones.iter().copied(), s);
+                let dense_b =
+                    SlicedBitVector::from_sorted_indices(len, b_ones.iter().copied(), s);
+
+                let mut want: Vec<(u32, Vec<u64>)> = Vec::new();
+                let mut want_stats = PairStats::default();
+                for (k, left, right) in dense_a.matching_slices(&dense_b).unwrap() {
+                    let words: Vec<u64> = left.iter().zip(right).map(|(x, y)| x & y).collect();
+                    if left.iter().zip(right).any(|(&x, &y)| byte_mask(x) & byte_mask(y) != 0)
+                    {
+                        want_stats.visited += 1;
+                        want.push((k, words));
+                    } else {
+                        assert!(words.iter().all(|&w| w == 0), "a skipped pair ANDs to zero");
+                        want_stats.skipped += 1;
+                    }
+                }
+
+                let sa = SparseSlicedRow::from_sorted_indices(len, a_ones.iter().copied(), s);
+                let sb = SparseSlicedRow::from_sorted_indices(len, b_ones.iter().copied(), s);
+                let mut got: Vec<(u32, Vec<u64>)> = Vec::new();
+                let stats = walk_matching::<true>(&sa, &sb, |k, anded| {
+                    got.push((k, anded.to_vec()));
+                });
+                let ctx = format!("|S|={s}, densities 1/{da} and 1/{db}");
+                assert_eq!(got, want, "{ctx}");
+                assert_eq!(stats, want_stats, "{ctx}");
+                assert!(want_stats.visited > 0, "{ctx}: the case visits pairs");
+            }
+        }
     }
 
     #[test]

@@ -19,10 +19,13 @@
 //!   deltas: **no re-slice between rounds**, ever. The initial per-edge
 //!   supports are seeded from the anchoring attributed execution (its
 //!   per-arc support, mapped through each edge's arc position), so
-//!   peeling starts from the kernels the backend already ran. Supports
-//!   are scanned once per level; every later peel pass is the worklist
-//!   of edges whose support crossed below the level's floor during the
-//!   pass before.
+//!   peeling starts from the kernels the backend already ran. The live
+//!   edges are scanned once per level, over a list compacted at each
+//!   level; every later peel pass is the worklist of edges whose support
+//!   crossed below the level's floor during the pass before. A
+//!   destroyed triangle's two other edges are found by forward cursors
+//!   along the peeled edge's endpoints' neighbour lists, since a kernel
+//!   reads its witnesses out in ascending order.
 //! * **4-clique** ([`Query::FourCliques`]): for every edge, the first
 //!   AND yields the triangle witness row; its above-the-edge witnesses
 //!   flow through the existing [`TriangleSink`] attribution hook (a
@@ -44,11 +47,14 @@
 //!
 //! The engine's work shows as the `motif.peel` (k-truss) and
 //! `motif.chain` (4-clique) spans, next to the backend's
-//! `motif.anchor` span around the anchoring run.
+//! `motif.anchor` span around the anchoring run. Inside `motif.peel`,
+//! `motif.rows` covers numbering the edges, seeding their supports and
+//! building the rows, and `motif.rounds` the peel passes.
 
 use std::time::Instant;
 
-use tcim_arch::{kernel, SliceCostModel, TriangleSink, TriangleTally};
+use tcim_arch::kernel::{self, gallop};
+use tcim_arch::{SliceCostModel, TriangleSink, TriangleTally};
 use tcim_bitmatrix::popcount::PopcountMethod;
 use tcim_bitmatrix::{RowEncoding, SliceSize, SlicedRow};
 use tcim_sched::{plan_deltas, DeltaJob, SchedPolicy};
@@ -200,13 +206,6 @@ impl Adjacency {
         (&self.neighbours[range.clone()], &self.edge_ids[range])
     }
 
-    /// The number of edge `{x, y}`.
-    fn edge_between(&self, x: u32, y: u32) -> u32 {
-        let (neighbours, edge_ids) = self.of(x);
-        let rank = neighbours.binary_search(&y).expect("witnesses are neighbours");
-        edge_ids[rank]
-    }
-
     /// Visits every common neighbour `w` of `u` and `v` over live edges,
     /// ascending, with the numbers of edges `{u, w}` and `{v, w}`: the
     /// smaller list is walked and each entry probed in the larger one.
@@ -341,11 +340,19 @@ impl MotifState {
                     &mut self.kernel,
                     &mut self.witnesses,
                 );
+                // Witnesses come out ascending, so each endpoint's list
+                // is searched forward from the previous witness.
+                let ((near_u, ids_u), (near_v, ids_v)) =
+                    (self.adjacency.of(u), self.adjacency.of(v));
+                let (mut at_u, mut at_v) = (0, 0);
                 for &w in &self.witnesses {
-                    destroyed(
-                        self.adjacency.edge_between(u, w),
-                        self.adjacency.edge_between(v, w),
+                    at_u = gallop(near_u, at_u, |&x| x < w);
+                    at_v = gallop(near_v, at_v, |&x| x < w);
+                    assert!(
+                        near_u.get(at_u) == Some(&w) && near_v.get(at_v) == Some(&w),
+                        "witnesses are neighbours"
                     );
+                    destroyed(ids_u[at_u], ids_v[at_v]);
                 }
                 for (x, y) in [(u, v), (v, u)] {
                     rows[x as usize]
@@ -458,7 +465,7 @@ fn edges_of(adjacency: &[Vec<u32>]) -> Vec<(u32, u32)> {
 /// Returns [`CoreError::Pipeline`] when the anchor run carries no
 /// support for every arc: peeling from made-up supports would silently
 /// give wrong trussness.
-fn seeded_support(anchor: &ExecutionReport, arc_positions: &[u32]) -> Result<Vec<u64>> {
+fn seeded_support(anchor: &ExecutionReport, arc_positions: &[u32]) -> Result<Vec<u32>> {
     let Some(support) = anchor.support.as_deref().filter(|s| s.len() == arc_positions.len())
     else {
         return Err(CoreError::Pipeline {
@@ -470,7 +477,12 @@ fn seeded_support(anchor: &ExecutionReport, arc_positions: &[u32]) -> Result<Vec
             ),
         });
     };
-    Ok(arc_positions.iter().map(|&position| support[position as usize]).collect())
+    Ok(arc_positions
+        .iter()
+        .map(|&position| {
+            u32::try_from(support[position as usize]).expect("a support counts vertices")
+        })
+        .collect())
 }
 
 /// The peeling engine: full trussness decomposition by iterated
@@ -483,33 +495,33 @@ fn seeded_support(anchor: &ExecutionReport, arc_positions: &[u32]) -> Result<Vec
 /// edge's trussness regardless of the queried level, so one run answers
 /// any `k` (and cross-`k` batches coalesce for free).
 ///
-/// Supports are scanned once per level, for the level's first pass.
-/// Each later pass is exactly the live edges whose support crossed
-/// below the floor during the pass before, ascending: supports only
-/// ever decrease by one, so an edge crosses once, and that is the set,
-/// in the order, a rescan of every support would select.
+/// The live edges are scanned once per level, for the level's first
+/// pass, over a list of live edge numbers compacted at the start of each
+/// level (ascending, as the numbers are). Each later pass is exactly the
+/// live edges whose support crossed below the floor during the pass
+/// before, ascending: supports only ever decrease by one, so an edge
+/// crosses once, and that is the set, in the order, a rescan of every
+/// support would select.
 fn truss_decompose(
     mut state: MotifState,
-    mut support: Vec<u64>,
+    mut support: Vec<u32>,
     pricing: Option<&MotifPricing>,
     mut on_pass: impl FnMut(u32, &[u32]),
 ) -> MotifOutcome<Vec<EdgeTruss>> {
     let mut priced = PricedRounds::new(pricing);
-    let edge_count = state.edges.len();
-    let mut truss = vec![0u32; edge_count];
-    let mut remaining = edge_count;
+    let edge_count = u32::try_from(state.edges.len()).expect("edge numbers fit in u32");
+    let mut truss = vec![0u32; state.edges.len()];
+    let mut alive: Vec<u32> = (0..edge_count).collect();
     let mut pass: Vec<u32> = Vec::new();
     let mut crossed: Vec<u32> = Vec::new();
     let mut level = 3u32;
-    while remaining > 0 {
-        let floor = u64::from(level - 2);
-        let live_supports = state.live.iter().zip(&support);
-        pass.extend(
-            (0u32..)
-                .zip(live_supports)
-                .filter(|&(_, (&live, &s))| live && s < floor)
-                .map(|(e, _)| e),
-        );
+    loop {
+        alive.retain(|&e| state.live[e as usize]);
+        if alive.is_empty() {
+            break;
+        }
+        let floor = level - 2;
+        pass.extend(alive.iter().copied().filter(|&e| support[e as usize] < floor));
         while !pass.is_empty() {
             on_pass(level, &pass);
             // Every selected edge still qualifies when its turn comes,
@@ -523,13 +535,15 @@ fn truss_decompose(
                         if *s == floor {
                             crossed.push(f);
                         }
-                        *s = s.saturating_sub(1);
+                        *s = s.checked_sub(1).expect(
+                            "a destroyed live triangle's edge has positive support: its \
+                             support counts that triangle",
+                        );
                     }
                 });
                 priced.push(sample);
                 truss[e as usize] = level - 1;
             }
-            remaining -= pass.len();
             priced.close_round()?;
             crossed.sort_unstable();
             std::mem::swap(&mut pass, &mut crossed);
@@ -657,12 +671,16 @@ pub(crate) fn ktruss_report(
 ) -> Result<QueryReport> {
     let started = Instant::now();
     let peel_span = tcim_telemetry::span("motif.peel");
+    let rows_span = tcim_telemetry::span("motif.rows");
     let (edges, arc_positions) = numbered_edges(prepared);
     let support = seeded_support(&base, &arc_positions)?;
     let n = prepared.oriented().vertex_count();
     let state = MotifState::new(n, edges, flavor, prepared.slice_size(), prepared.encoding());
+    drop(rows_span);
+    let rounds_span = tcim_telemetry::span("motif.rounds");
     let (edges, kernel, time_s, energy_j) =
         truss_decompose(state, support, pricing.as_ref(), |_, _| {})?;
+    drop(rounds_span);
     drop(peel_span);
     let value = QueryValue::KTruss { k, edges };
     Ok(assemble(prepared, query, base, value, kernel, time_s, energy_j, started))
@@ -709,10 +727,10 @@ pub fn ktruss_value_from_adjacency(
         slice_size,
         encoding,
     );
-    let support: Vec<u64> = (0..state.edges.len())
+    let support: Vec<u32> = (0..state.edges.len())
         .map(|e| {
             let (u, v) = state.edges[e];
-            state.intersect(u, v).0.len() as u64
+            u32::try_from(state.intersect(u, v).0.len()).expect("a support counts vertices")
         })
         .collect();
     let (edges, kernel, _, _) = truss_decompose(state, support, None, |_, _| {})
@@ -810,7 +828,7 @@ mod tests {
     /// leave sorted neighbour lists that sorted merges intersect.
     /// Returns the passes, every edge's trussness and the initial
     /// supports.
-    fn rescan_peel(g: &CsrGraph) -> (Passes, Vec<EdgeTruss>, Vec<u64>) {
+    fn rescan_peel(g: &CsrGraph) -> (Passes, Vec<EdgeTruss>, Vec<u32>) {
         let mut adjacency = adjacency_of(g);
         let edges = edges_of(&adjacency);
         let number = |u: u32, v: u32| {
@@ -823,16 +841,16 @@ mod tests {
             });
             witnesses
         };
-        let initial: Vec<u64> =
-            edges.iter().map(|&(u, v)| common(&adjacency, u, v).len() as u64).collect();
+        let initial: Vec<u32> =
+            edges.iter().map(|&(u, v)| common(&adjacency, u, v).len() as u32).collect();
         // `None` once peeled.
-        let mut support: Vec<Option<u64>> = initial.iter().copied().map(Some).collect();
+        let mut support: Vec<Option<u32>> = initial.iter().copied().map(Some).collect();
         let mut truss = vec![0u32; edges.len()];
         let mut passes = Vec::new();
         let mut level = 3u32;
         while support.iter().any(Option::is_some) {
             loop {
-                let floor = u64::from(level - 2);
+                let floor = level - 2;
                 let peel: Vec<usize> = (0..edges.len())
                     .filter(|&e| support[e].is_some_and(|s| s < floor))
                     .collect();

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use tcim_arch::{kernel, ArcIndex, PimConfig, PimEngine, SliceCostModel};
+use tcim_arch::{kernel, ArcIndex, ArcOffsets, PimConfig, PimEngine, SliceCostModel};
 use tcim_bitmatrix::{EncodingPolicy, RowEncoding, SliceSize, SliceStats, SlicedMatrix};
 use tcim_graph::{CsrGraph, Orientation, OrientedGraph};
 use tcim_sched::{SchedPolicy, SchedulePlan, ScheduledRun};
@@ -116,9 +116,9 @@ pub struct PreparedGraph {
     stats: SliceStats,
     pricing: PreparedPricing,
     prepare_time: Duration,
-    /// Row offsets over the matrix's arc list, built on first
-    /// support-level use: count-only traffic never pays for them.
-    arc_offsets: OnceLock<Vec<u32>>,
+    /// Offsets over the matrix's arc list, built on first support-level
+    /// use: count-only traffic never pays for them.
+    arc_offsets: OnceLock<ArcOffsets>,
     /// Scheduled plans built so far, at most one per array count ×
     /// placement × cost model × per-array residency buffer.
     schedule_plans: Mutex<Vec<Arc<SchedulePlan>>>,
@@ -193,13 +193,14 @@ impl PreparedGraph {
     /// The index of the DAG's arcs in row-major order — the order of
     /// [`OrientedGraph::arcs`] and [`SlicedMatrix::arcs`] alike, and of
     /// [`ExecutionReport::support`](crate::ExecutionReport::support). It
-    /// indexes the matrix's own arc list; the row offsets over it are
-    /// built the first time a support-level run asks, then memoized on
-    /// the artifact.
+    /// indexes the matrix's own arc list; the offsets over it are built
+    /// the first time a support-level run asks, then memoized on the
+    /// artifact, and so is the column index the run's tally builds in
+    /// them.
     pub fn arc_index(&self) -> ArcIndex<'_> {
         let arcs = self.matrix.arcs();
         let offsets =
-            self.arc_offsets.get_or_init(|| ArcIndex::row_offsets(self.matrix.dim(), arcs));
+            self.arc_offsets.get_or_init(|| ArcOffsets::new(self.matrix.dim(), arcs));
         ArcIndex::new(arcs, offsets)
     }
 

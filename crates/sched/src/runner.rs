@@ -433,7 +433,7 @@ mod tests {
     fn attributed_run_matches_serial_local_counts() {
         let e = engine();
         let m = wheel_matrix(120);
-        let offsets = tcim_arch::ArcIndex::row_offsets(m.dim(), m.arcs());
+        let offsets = tcim_arch::ArcOffsets::new(m.dim(), m.arcs());
         let arcs = tcim_arch::ArcIndex::new(m.arcs(), &offsets);
         let mut tally = TriangleTally::new(m.dim(), Some(arcs));
         let serial = e.run_attributed(&m, &mut tally);

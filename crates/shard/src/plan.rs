@@ -10,7 +10,7 @@
 //! degree-aware balancing the UPMEM triangle-counting study found
 //! necessary for real PIM fleets.
 
-use tcim_arch::ArcIndex;
+use tcim_arch::{ArcIndex, ArcOffsets};
 use tcim_bitmatrix::SliceSize;
 use tcim_graph::OrientedGraph;
 
@@ -39,12 +39,14 @@ pub struct ShardPlan {
     /// Per shard, the arcs whose tail it owns and whose head another
     /// shard owns.
     cross_arcs_by_tail: Vec<u64>,
-    /// The global oriented DAG's arcs, row-major, and their row offsets:
+    /// The global oriented DAG's arcs, row-major, and their offsets:
     /// where per-arc support accumulates ([`ShardPlan::arcs`]). A copy
-    /// made at planning, at every level, because [`compose`](fn@crate::compose)
-    /// gets only the plan and still reports support at global positions.
+    /// made at planning, with its row offsets, at every level, because
+    /// [`compose`](fn@crate::compose) gets only the plan and still
+    /// reports support at global positions. The column index inside the
+    /// offsets is built by the first support-level run.
     arcs: Vec<(u32, u32)>,
-    arc_offsets: Vec<u32>,
+    arc_offsets: ArcOffsets,
 }
 
 impl ShardPlan {
@@ -229,7 +231,7 @@ pub fn plan_shards(
         align_bits: align,
         intra_arcs: 0,
         cross_arcs_by_tail: vec![0; k],
-        arc_offsets: ArcIndex::row_offsets(n, &arcs),
+        arc_offsets: ArcOffsets::new(n, &arcs),
         arcs,
     };
     for (a, c) in oriented.arcs() {

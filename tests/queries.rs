@@ -6,6 +6,7 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use tcim_repro::bitmatrix::EncodingPolicy;
 use tcim_repro::graph::generators::{
     barabasi_albert, classic, gnm, rmat, watts_strogatz, RmatParams,
 };
@@ -140,6 +141,46 @@ fn backend_query_agreement_grid() {
             built_after_prepare,
             "{name}: queries must never re-slice"
         );
+    }
+}
+
+/// Edge support against the naive common-neighbour count on every
+/// support path: each default-suite backend and sharded runs in both
+/// composition modes at 2 and 4 shards, under both row encodings, on a
+/// skewed R-MAT and a BA graph. Support is tallied by forward cursors
+/// along each triangle's row and column, so a cursor that missed an arc
+/// would move one edge's support here.
+#[test]
+fn edge_support_matches_the_naive_count_on_every_backend_and_encoding() {
+    let _counter = exclusive_matrix_counter();
+    let graphs = [
+        ("rmat", rmat(10, 9000, RmatParams::default(), 5).unwrap()),
+        ("barabasi-albert", barabasi_albert(900, 9, 13).unwrap()),
+    ];
+    let mut suite = Backend::default_suite();
+    for mode in [ShardMode::OneD, ShardMode::TwoD] {
+        for shards in [2, 4] {
+            suite.push(Backend::Sharded(ShardPolicy::with_shards(shards).mode(mode)));
+        }
+    }
+    for encoding in [EncodingPolicy::ForceDense, EncodingPolicy::ForceSparse] {
+        let pipeline =
+            TcimPipeline::new(&TcimConfig { encoding, ..TcimConfig::default() }).unwrap();
+        for (name, g) in &graphs {
+            let support = naive_edge_support(g);
+            assert!(support.iter().any(|&(.., s)| s > 10), "{name}: hub edges");
+            let prepared = pipeline.prepare(g);
+            for spec in &suite {
+                let ctx = format!("{name} {encoding} on {}", spec.label());
+                let report = pipeline.query(&prepared, spec, &Query::EdgeSupport).unwrap();
+                let QueryValue::EdgeSupport(entries) = report.value else {
+                    panic!("{ctx}: not an edge-support value");
+                };
+                let got: Vec<(u32, u32, u64)> =
+                    entries.iter().map(|e| (e.u, e.v, e.support)).collect();
+                assert_eq!(got, support, "{ctx}");
+            }
+        }
     }
 }
 

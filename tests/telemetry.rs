@@ -263,3 +263,38 @@ fn motif_queries_profile_their_anchor_and_peel() {
         assert!(names.contains(&"query.shape"), "{}: {names:?}", backend.label());
     }
 }
+
+/// The peel splits into building its rows and running its passes: a
+/// profiled k-truss query records `motif.rows` and then `motif.rounds`
+/// one level below `motif.peel`, within its interval.
+#[test]
+fn the_peel_records_its_rows_and_rounds_inside_it() {
+    let g = rmat(9, 3000, RmatParams::default(), 3).unwrap();
+    let p = TcimPipeline::new(&TcimConfig::default()).unwrap();
+    let prepared = p.prepare(&g);
+    for backend in suite() {
+        let (answer, report) =
+            profile("query", || p.query(&prepared, &backend, &Query::KTruss { k: 4 }));
+        answer.unwrap();
+        let spans = report.expect("top-level profile").spans;
+        let ctx = backend.label();
+        let find = |name: &str| {
+            let found: Vec<_> = spans.iter().filter(|s| s.name == name).collect();
+            assert_eq!(found.len(), 1, "{ctx}: one {name} span in {spans:?}");
+            *found[0]
+        };
+        let (peel, rows, rounds) =
+            (find("motif.peel"), find("motif.rows"), find("motif.rounds"));
+        assert_eq!(peel.depth, 1, "{ctx}");
+        for child in [rows, rounds] {
+            assert_eq!(child.depth, 2, "{ctx}: {}", child.name);
+            assert!(child.start >= peel.start, "{ctx}: {} starts inside the peel", child.name);
+            assert!(
+                child.start + child.elapsed <= peel.start + peel.elapsed,
+                "{ctx}: {} ends inside the peel",
+                child.name
+            );
+        }
+        assert!(rows.start + rows.elapsed <= rounds.start, "{ctx}: rows before rounds");
+    }
+}
