@@ -463,8 +463,9 @@ fn edges_of(adjacency: &[Vec<u32>]) -> Vec<(u32, u32)> {
 /// # Errors
 ///
 /// Returns [`CoreError::Pipeline`] when the anchor run carries no
-/// support for every arc: peeling from made-up supports would silently
-/// give wrong trussness.
+/// support for every arc, or a support no graph with `u32` vertex ids
+/// can have: peeling from made-up supports would silently give wrong
+/// trussness.
 fn seeded_support(anchor: &ExecutionReport, arc_positions: &[u32]) -> Result<Vec<u32>> {
     let Some(support) = anchor.support.as_deref().filter(|s| s.len() == arc_positions.len())
     else {
@@ -477,12 +478,17 @@ fn seeded_support(anchor: &ExecutionReport, arc_positions: &[u32]) -> Result<Vec
             ),
         });
     };
-    Ok(arc_positions
+    arc_positions
         .iter()
         .map(|&position| {
-            u32::try_from(support[position as usize]).expect("a support counts vertices")
+            u32::try_from(support[position as usize]).map_err(|_| CoreError::Pipeline {
+                reason: format!(
+                    "the k-truss anchor run of {} reports a support beyond any vertex count",
+                    anchor.backend
+                ),
+            })
         })
-        .collect())
+        .collect()
 }
 
 /// The peeling engine: full trussness decomposition by iterated
@@ -922,12 +928,13 @@ mod tests {
         }
     }
 
-    /// A backend whose runs lose their per-arc support list.
-    struct SupportDropping;
+    /// A backend whose runs carry a broken per-arc support list: the
+    /// CPU forward run's, passed through the function.
+    struct SupportBreaking(fn(Option<Vec<u64>>) -> Option<Vec<u64>>);
 
-    impl ExecutionBackend for SupportDropping {
+    impl ExecutionBackend for SupportBreaking {
         fn name(&self) -> String {
-            "support-dropping".to_string()
+            "support-breaking".to_string()
         }
 
         fn run(
@@ -936,7 +943,7 @@ mod tests {
             attribution: Attribution,
         ) -> Result<ExecutionReport> {
             let run = CpuForwardBackend.run(prepared, attribution)?;
-            Ok(ExecutionReport { support: None, ..run })
+            Ok(ExecutionReport { support: (self.0)(run.support.clone()), ..run })
         }
     }
 
@@ -944,11 +951,20 @@ mod tests {
     fn an_anchor_run_without_support_is_a_pipeline_error() {
         let p = TcimPipeline::new(&TcimConfig::default()).unwrap();
         let prepared = p.prepare(&classic::wheel(12));
-        let err = SupportDropping.query(&prepared, &Query::KTruss { k: 3 }).unwrap_err();
-        assert!(matches!(err, CoreError::Pipeline { .. }), "{err}");
-        assert!(err.to_string().contains("no support"), "{err}");
-        // Queries that read no support still answer.
-        let total = SupportDropping.query(&prepared, &Query::TotalTriangles).unwrap();
-        assert_eq!(total.value, QueryValue::Total(11));
+        let cases: [(SupportBreaking, &str); 2] = [
+            (SupportBreaking(|_| None), "no support"),
+            (
+                SupportBreaking(|s| s.map(|s| s.into_iter().map(|c| c + (1 << 32)).collect())),
+                "beyond any vertex count",
+            ),
+        ];
+        for (backend, message) in cases {
+            let err = backend.query(&prepared, &Query::KTruss { k: 3 }).unwrap_err();
+            assert!(matches!(err, CoreError::Pipeline { .. }), "{err}");
+            assert!(err.to_string().contains(message), "{err}");
+            // Queries that read no support still answer.
+            let total = backend.query(&prepared, &Query::TotalTriangles).unwrap();
+            assert_eq!(total.value, QueryValue::Total(11));
+        }
     }
 }
