@@ -13,10 +13,15 @@
 //!
 //! * [`TcimService`] — the facade: register/evict/list graphs, answer
 //!   [`Query`](tcim_core::Query)s one at a time or in concurrent
-//!   batches ([`TcimService::serve`]).
-//! * [`GraphStore`] — the named registry of prepared artifacts, keyed
-//!   by name + structural fingerprint and backed by the pipeline's
-//!   `PreparedCache`.
+//!   waves ([`TcimService::serve`], [`TcimService::serve_with`]).
+//!   Static and live graphs share one name table under one lock, so a
+//!   name always resolves to exactly one graph.
+//! * One answer path — every request is a member of a group (a direct
+//!   request is a group of one; a coalescing wave groups requests by
+//!   graph × backend override), and every group over a prepared
+//!   artifact, static or a live graph's pinned epoch, is answered by
+//!   one [`query_coalesced`](tcim_core::TcimPipeline::query_coalesced)
+//!   run, so direct and coalesced answers carry the same provenance.
 //! * [`QueryRequest`] / [`QueryResponse`] — the request/response pair;
 //!   responses carry provenance (backend, prepared-cache hit, modelled
 //!   cost, wall time) so callers can audit how every answer was made.
@@ -24,10 +29,10 @@
 //!   core/stream failures.
 //! * Observability — [`TcimService::explain`] plans a request (backend
 //!   auto-selection included) without executing it; with
-//!   `explain_queries` on, every response carries its
-//!   [`ExplainReport`](tcim_core::ExplainReport) with measured
-//!   accounting attached; [`SlowQueryLog`] retains full forensic
-//!   records of requests over the `slow_query_threshold`; and
+//!   `explain_queries` on, every static answer, direct or coalesced,
+//!   carries its [`ExplainReport`](tcim_core::ExplainReport) with
+//!   measured accounting attached; [`SlowQueryLog`] retains full
+//!   forensic records of requests over the `slow_query_threshold`; and
 //!   [`TcimService::render_prometheus`] exposes the lot, flight-recorder
 //!   health included.
 //!
@@ -69,5 +74,5 @@ pub use batch::{BatchOptions, BatchProvenance, LiveReadMode};
 pub use error::{Result, ServiceError};
 pub use service::{QueryRequest, QueryResponse, ServiceConfig, TcimService};
 pub use slow_query::{SlowQueryLog, SlowQueryRecord};
-pub use store::{GraphInfo, GraphStore};
+pub use store::GraphInfo;
 pub use tcim_stream::EpochSnapshot;

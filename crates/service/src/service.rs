@@ -1,16 +1,14 @@
 //! The serving facade: concurrent typed queries over many registered
 //! graphs, from one engine and one prepared-artifact pool.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
+use std::time::Duration;
 
-use tcim_core::query::shape_value;
 use tcim_core::{
-    Backend, EdgeSupport, ExplainReport, KernelStats, PreparedGraph, Query, QueryValue,
-    ShardPolicy, ShardProvenance, ShardSpec, TcimConfig, TcimPipeline,
+    Backend, ExplainReport, KernelStats, PreparedGraph, Query, QueryValue, ShardPolicy,
+    ShardProvenance, ShardSpec, TcimConfig, TcimPipeline,
 };
 use tcim_graph::CsrGraph;
 use tcim_stream::{BatchReport, DynamicGraph, EpochSnapshot, StreamConfig, UpdateBatch};
@@ -18,10 +16,10 @@ use tcim_telemetry::{
     Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, PhaseBreakdown,
 };
 
-use crate::batch::{BatchOptions, BatchProvenance, LiveReadMode};
+use crate::batch::{BatchOptions, BatchProvenance, Group, LiveReadMode};
 use crate::error::{Result, ServiceError};
 use crate::slow_query::{SlowQueryLog, SlowQueryRecord};
-use crate::store::{GraphInfo, GraphStore};
+use crate::store::{Graph, GraphInfo, GraphStore, LiveGraph};
 
 /// Configuration of a [`TcimService`].
 #[derive(Debug, Clone)]
@@ -72,12 +70,6 @@ pub struct ServiceConfig {
     /// Capacity of the slow-query flight recorder (drop-oldest; 0
     /// counts offenders without retaining records).
     pub slow_query_capacity: usize,
-    /// When set, [`TcimService::serve`] coalesces compatible requests
-    /// (same graph, same resolved backend) into one attributed
-    /// execution each, exactly as the gateway's batch path does.
-    /// Off by default: direct `serve` callers keep per-request
-    /// execution provenance unless they opt in.
-    pub coalesce: bool,
 }
 
 impl Default for ServiceConfig {
@@ -94,7 +86,6 @@ impl Default for ServiceConfig {
             explain_queries: false,
             slow_query_threshold: None,
             slow_query_capacity: 32,
-            coalesce: false,
         }
     }
 }
@@ -178,13 +169,13 @@ pub struct QueryResponse {
     pub phases: Option<PhaseBreakdown>,
     /// The full explain plan of this execution — routing, predicted
     /// kernel census, scheduler/shard summaries — with the measured
-    /// accounting attached, present for static-graph answers when
-    /// [`ServiceConfig::explain_queries`] is set.
+    /// accounting attached, present for static-graph answers (direct
+    /// or coalesced) when [`ServiceConfig::explain_queries`] is set.
     pub explain: Option<ExplainReport>,
     /// Coalescing provenance: which batch answered this request and
     /// how many requests shared its one execution. Present only when
-    /// the request went through a coalescing batch path (the gateway,
-    /// or [`TcimService::serve`] with [`ServiceConfig::coalesce`]).
+    /// the request went through a coalescing wave
+    /// ([`BatchOptions::coalesce`], as the gateway sets it).
     pub batch: Option<BatchProvenance>,
     /// The fold epoch that answered, for snapshot-isolated reads over
     /// a live graph ([`LiveReadMode::Pinned`]). `None` for static
@@ -205,18 +196,6 @@ impl fmt::Display for QueryResponse {
             if self.live { "live" } else { "prepared" }
         )
     }
-}
-
-pub(crate) struct LiveGraph {
-    pub(crate) dynamic: Mutex<DynamicGraph>,
-    /// The latest published epoch snapshot, refreshed whenever the
-    /// dynamic graph folds. Readers clone it out from under the
-    /// `RwLock` without ever touching the `dynamic` mutex, so update
-    /// batches never block snapshot-isolated reads. Lock order on
-    /// writer paths is `dynamic` → `published`; readers take only
-    /// `published`.
-    pub(crate) published: RwLock<EpochSnapshot>,
-    pub(crate) served: AtomicU64,
 }
 
 /// Service-level instruments, registered once per service.
@@ -330,7 +309,6 @@ pub struct TcimService {
     pub(crate) config: ServiceConfig,
     pub(crate) pipeline: TcimPipeline,
     pub(crate) store: GraphStore,
-    pub(crate) live: RwLock<HashMap<String, Arc<LiveGraph>>>,
     pub(crate) metrics: ServiceMetrics,
     pub(crate) slow_queries: SlowQueryLog,
     /// Monotonic batch-id source for coalescing provenance.
@@ -339,11 +317,10 @@ pub struct TcimService {
 
 impl fmt::Debug for TcimService {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (static_graphs, live_graphs) = self.store.counts();
         write!(
             f,
-            "TcimService(static={}, live={}, cache={:?})",
-            self.store.len(),
-            self.live.read().expect("live lock is never poisoned").len(),
+            "TcimService(static={static_graphs}, live={live_graphs}, cache={:?})",
             self.pipeline.cache()
         )
     }
@@ -361,8 +338,7 @@ impl TcimService {
         Ok(TcimService {
             config: config.clone(),
             pipeline,
-            store: GraphStore::new(),
-            live: RwLock::new(HashMap::new()),
+            store: GraphStore::default(),
             metrics: ServiceMetrics::new(),
             slow_queries: SlowQueryLog::new(config.slow_query_capacity),
             batch_ids: AtomicU64::new(0),
@@ -373,11 +349,6 @@ impl TcimService {
     /// `PreparedCache` for hit/miss inspection).
     pub fn pipeline(&self) -> &TcimPipeline {
         &self.pipeline
-    }
-
-    /// The static-graph registry.
-    pub fn store(&self) -> &GraphStore {
-        &self.store
     }
 
     /// The backend answering requests that do not select one.
@@ -396,16 +367,8 @@ impl TcimService {
     /// Returns [`ServiceError::NameInUse`] when `name` is bound to a
     /// live graph.
     pub fn register(&self, name: &str, g: &CsrGraph) -> Result<GraphInfo> {
-        // Hold the live-registry lock across the whole registration.
-        // Both registration paths acquire `live` before touching the
-        // store, so a concurrent `register_live` can never slip the
-        // same name in between this check and the store insert.
-        let live = self.live.read().expect("live lock is never poisoned");
-        if live.contains_key(name) {
-            return Err(ServiceError::NameInUse { name: name.to_string() });
-        }
         let (prepared, hit) = self.pipeline.prepare_reporting(g);
-        Ok(self.store.insert(name, prepared, hit))
+        self.store.insert(name, prepared, hit)
     }
 
     /// Registers `g` under `name` as a *live* graph: a dynamic graph
@@ -417,29 +380,9 @@ impl TcimService {
     /// Returns [`ServiceError::NameInUse`] when `name` is already
     /// bound, and propagates dynamic-graph construction failures.
     pub fn register_live(&self, name: &str, g: &CsrGraph) -> Result<GraphInfo> {
-        // Build the dynamic state before locking anything (slow), then
-        // check *both* namespaces under the live write lock: `register`
-        // holds the live lock while it inserts into the store, so this
-        // store check cannot race it (lock order is live → store on
-        // every path).
         let stream_config =
             StreamConfig { tcim: self.config.tcim.clone(), ..self.config.stream.clone() };
-        let dynamic = DynamicGraph::new(g, stream_config)?;
-        let mut live = self.live.write().expect("live lock is never poisoned");
-        if live.contains_key(name) || self.store.contains(name) {
-            return Err(ServiceError::NameInUse { name: name.to_string() });
-        }
-        let info = live_info(name, &dynamic, 0);
-        let published = RwLock::new(dynamic.epoch_snapshot());
-        live.insert(
-            name.to_string(),
-            Arc::new(LiveGraph {
-                dynamic: Mutex::new(dynamic),
-                published,
-                served: AtomicU64::new(0),
-            }),
-        );
-        Ok(info)
+        self.store.insert_live(name, DynamicGraph::new(g, stream_config)?)
     }
 
     /// Applies an update batch to the live graph bound to `name`.
@@ -449,17 +392,13 @@ impl TcimService {
     /// Returns [`ServiceError::UnknownGraph`] for unbound (or static)
     /// names and propagates batch failures.
     pub fn update(&self, name: &str, batch: &UpdateBatch) -> Result<BatchReport> {
-        let graph = self
-            .live_graph(name)
-            .ok_or_else(|| ServiceError::UnknownGraph { name: name.to_string() })?;
-        let mut dynamic = graph.dynamic.lock().expect("live graph lock is never poisoned");
+        let graph = self.live_graph(name)?;
+        let mut dynamic = graph.dynamic();
         let report = dynamic.apply_batch(batch)?;
         if report.folded {
             // The drift policy folded a fresh epoch: publish it for
-            // snapshot-isolated readers. Lock order dynamic → published
-            // (readers only ever take `published`, so no cycle).
-            *graph.published.write().expect("published lock is never poisoned") =
-                dynamic.epoch_snapshot();
+            // snapshot-isolated readers.
+            graph.publish(dynamic.epoch_snapshot());
         }
         self.metrics.updates.incr();
         Ok(report)
@@ -477,12 +416,9 @@ impl TcimService {
     /// Returns [`ServiceError::UnknownGraph`] for unbound (or static)
     /// names and propagates fold failures.
     pub fn publish(&self, name: &str) -> Result<EpochSnapshot> {
-        let graph = self
-            .live_graph(name)
-            .ok_or_else(|| ServiceError::UnknownGraph { name: name.to_string() })?;
-        let mut dynamic = graph.dynamic.lock().expect("live graph lock is never poisoned");
-        let snapshot = dynamic.publish()?;
-        *graph.published.write().expect("published lock is never poisoned") = snapshot.clone();
+        let graph = self.live_graph(name)?;
+        let snapshot = graph.dynamic().publish()?;
+        graph.publish(snapshot.clone());
         Ok(snapshot)
     }
 
@@ -496,12 +432,16 @@ impl TcimService {
     /// Returns [`ServiceError::UnknownGraph`] for unbound (or static)
     /// names.
     pub fn pinned_snapshot(&self, name: &str) -> Result<EpochSnapshot> {
-        let graph = self
-            .live_graph(name)
-            .ok_or_else(|| ServiceError::UnknownGraph { name: name.to_string() })?;
-        let snapshot =
-            graph.published.read().expect("published lock is never poisoned").clone();
-        Ok(snapshot)
+        Ok(self.live_graph(name)?.published())
+    }
+
+    /// The live graph bound to `name`, out of the name table: callers
+    /// never hold the table lock while working on the graph.
+    fn live_graph(&self, name: &str) -> Result<Arc<LiveGraph>> {
+        match self.store.get(name, 0) {
+            Some(Graph::Live(graph)) => Ok(graph),
+            _ => Err(ServiceError::UnknownGraph { name: name.to_string() }),
+        }
     }
 
     /// Evicts the graph bound to `name` (static or live), returning
@@ -512,33 +452,15 @@ impl TcimService {
     ///
     /// Returns [`ServiceError::UnknownGraph`] when nothing is bound.
     pub fn evict(&self, name: &str) -> Result<GraphInfo> {
-        if let Some(info) = self.store.remove(name) {
-            return Ok(info);
-        }
-        let mut live = self.live.write().expect("live lock is never poisoned");
-        match live.remove(name) {
-            Some(graph) => {
-                let dynamic = graph.dynamic.lock().expect("live graph lock is never poisoned");
-                Ok(live_info(name, &dynamic, graph.served.load(Ordering::Relaxed)))
-            }
-            None => Err(ServiceError::UnknownGraph { name: name.to_string() }),
-        }
+        self.store
+            .remove(name)
+            .ok_or_else(|| ServiceError::UnknownGraph { name: name.to_string() })
     }
 
     /// Every registered graph's card — static and live — sorted by
     /// name.
     pub fn list(&self) -> Vec<GraphInfo> {
-        let mut infos = self.store.list();
-        let snapshot: Vec<(String, Arc<LiveGraph>)> = {
-            let live = self.live.read().expect("live lock is never poisoned");
-            live.iter().map(|(name, graph)| (name.clone(), Arc::clone(graph))).collect()
-        };
-        for (name, graph) in snapshot {
-            let dynamic = graph.dynamic.lock().expect("live graph lock is never poisoned");
-            infos.push(live_info(&name, &dynamic, graph.served.load(Ordering::Relaxed)));
-        }
-        infos.sort_by(|a, b| a.name.cmp(&b.name));
-        infos
+        self.store.list()
     }
 
     /// Answers one query on the graph bound to `graph`, with the
@@ -559,40 +481,11 @@ impl TcimService {
     ///
     /// As [`TcimService::query`].
     pub fn query_with(&self, request: &QueryRequest) -> Result<QueryResponse> {
-        self.query_with_mode(request, LiveReadMode::Maintained)
-    }
-
-    /// The metrics-instrumented single-request path shared by direct
-    /// queries and singleton batch groups: the in-flight gauge is held
-    /// by an RAII guard, so `?` propagation (or a panicking backend)
-    /// can never leak it.
-    pub(crate) fn query_with_mode(
-        &self,
-        request: &QueryRequest,
-        mode: LiveReadMode,
-    ) -> Result<QueryResponse> {
-        let _inflight = self.metrics.inflight.track();
-        let start = Instant::now();
-        let (result, profiled) = if self.config.profile_queries {
-            tcim_telemetry::profile("query", || self.answer(request, mode))
-        } else {
-            (self.answer(request, mode), None)
-        };
-        self.metrics.queries.incr();
-        self.metrics.wall.observe_duration(start.elapsed());
-        if result.is_err() {
-            self.metrics.failures.incr();
-        }
-        let mut response = result?;
-        response.phases = profiled.map(|report| report.breakdown());
-        self.capture_slow(&response);
-        // The plan was assembled for the slow-query record even when
-        // responses are not asked to carry it; strip it here so the
-        // response surface follows `explain_queries` exactly.
-        if !self.config.explain_queries {
-            response.explain = None;
-        }
-        Ok(response)
+        let requests = std::slice::from_ref(request);
+        let group = Group::single(requests, 0);
+        let mut answered =
+            self.answer_group(requests, &group, LiveReadMode::Maintained, false);
+        answered.pop().expect("a group of one has one answer")
     }
 
     /// Records `response` in the slow-query flight recorder when it
@@ -638,17 +531,14 @@ impl TcimService {
     /// from maintained state, not a planned execution), and propagates
     /// planning failures.
     pub fn explain_with(&self, request: &QueryRequest) -> Result<ExplainReport> {
-        let Some(prepared) = self.store.get(&request.graph) else {
-            return Err(if self.live_graph(&request.graph).is_some() {
-                ServiceError::NotPlannable { name: request.graph.clone() }
-            } else {
-                ServiceError::UnknownGraph { name: request.graph.clone() }
-            });
+        let prepared = match self.store.get(&request.graph, 0) {
+            Some(Graph::Static(prepared)) => prepared,
+            Some(Graph::Live(_)) => {
+                return Err(ServiceError::NotPlannable { name: request.graph.clone() })
+            }
+            None => return Err(ServiceError::UnknownGraph { name: request.graph.clone() }),
         };
-        let backend = match &request.backend {
-            Some(explicit) => explicit.clone(),
-            None => self.select_backend(&prepared),
-        };
+        let backend = self.select_backend(request.backend.as_ref(), &prepared);
         Ok(self.pipeline.explain_prepared(&prepared, true, &backend, &request.query)?)
     }
 
@@ -657,91 +547,6 @@ impl TcimService {
     /// [`ServiceConfig::slow_query_threshold`] is set).
     pub fn slow_queries(&self) -> &SlowQueryLog {
         &self.slow_queries
-    }
-
-    /// Routes the request to the answering graph and executes it
-    /// (the profiled body of [`TcimService::query_with`]).
-    fn answer(&self, request: &QueryRequest, mode: LiveReadMode) -> Result<QueryResponse> {
-        let start = Instant::now();
-        let route_span = tcim_telemetry::span("route");
-        if let Some(prepared) = self.store.get(&request.graph) {
-            let backend = match &request.backend {
-                Some(explicit) => explicit.clone(),
-                None => self.select_backend(&prepared),
-            };
-            drop(route_span);
-            return self.answer_static(request, &prepared, backend, start);
-        }
-        match self.live_graph(&request.graph) {
-            Some(graph) => {
-                graph.served.fetch_add(1, Ordering::Relaxed);
-                match mode {
-                    LiveReadMode::Maintained => {
-                        let dynamic =
-                            graph.dynamic.lock().expect("live graph lock is never poisoned");
-                        drop(route_span);
-                        let _execute = tcim_telemetry::span("execute");
-                        answer_live(&request.graph, &dynamic, &request.query, start)
-                    }
-                    LiveReadMode::Pinned => {
-                        let snapshot = graph
-                            .published
-                            .read()
-                            .expect("published lock is never poisoned")
-                            .clone();
-                        drop(route_span);
-                        let _execute = tcim_telemetry::span("execute");
-                        self.answer_pinned(request, &snapshot, start)
-                    }
-                }
-            }
-            None => Err(ServiceError::UnknownGraph { name: request.graph.clone() }),
-        }
-    }
-
-    /// Answers one request from an epoch-pinned snapshot: the published
-    /// prepared artifact is queried exactly like a static graph (same
-    /// backend selection), so the response reflects the pinned epoch's
-    /// state no matter how far the live state has moved on.
-    fn answer_pinned(
-        &self,
-        request: &QueryRequest,
-        snapshot: &EpochSnapshot,
-        start: Instant,
-    ) -> Result<QueryResponse> {
-        let backend = match &request.backend {
-            Some(explicit) => explicit.clone(),
-            None => self.select_backend(&snapshot.prepared),
-        };
-        let report = self.pipeline.query(&snapshot.prepared, &backend, &request.query)?;
-        Ok(QueryResponse {
-            graph: request.graph.clone(),
-            fingerprint: snapshot.prepared.key().fingerprint,
-            backend: report.backend,
-            query: report.query,
-            value: report.value,
-            triangles: report.triangles,
-            prepared_cache_hit: true,
-            live: true,
-            modelled_time_s: report.modelled_time_s,
-            modelled_energy_j: report.modelled_energy_j,
-            kernel: report.kernel,
-            compressed_bytes: report.compressed_bytes,
-            sharding: report.sharding,
-            wall: start.elapsed(),
-            phases: None,
-            explain: None,
-            batch: None,
-            epoch: Some(snapshot.epoch),
-        })
-    }
-
-    /// Clones the live graph bound to `name` out of the registry, so
-    /// callers never hold the registry lock while executing against the
-    /// graph (the registry lock guards only the name table; each live
-    /// graph serializes behind its own mutex).
-    pub(crate) fn live_graph(&self, name: &str) -> Option<Arc<LiveGraph>> {
-        self.live.read().expect("live lock is never poisoned").get(name).cloned()
     }
 
     /// The worker-thread count batch paths fan over.
@@ -757,72 +562,27 @@ impl TcimService {
     /// of them answer from already-prepared artifacts (nothing is
     /// re-oriented or re-sliced at serve time).
     ///
-    /// This is a thin compatibility shim over the shared batch path
-    /// ([`TcimService::serve_with`]) — the same code the gateway's
-    /// dispatcher drains its admission queue into. By default requests
-    /// keep per-request execution provenance; set
-    /// [`ServiceConfig::coalesce`] to let compatible requests share one
-    /// attributed execution each.
+    /// This is [`TcimService::serve_with`] without coalescing: every
+    /// request is answered as a group of one, exactly as
+    /// [`TcimService::query_with`] answers it, and its response carries
+    /// no batch provenance.
     pub fn serve(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse>> {
-        self.serve_with(
-            requests,
-            &BatchOptions { coalesce: self.config.coalesce, live: LiveReadMode::Maintained },
-        )
+        self.serve_with(requests, &BatchOptions::default())
     }
 
-    fn answer_static(
-        &self,
-        request: &QueryRequest,
-        prepared: &Arc<PreparedGraph>,
-        backend: Backend,
-        start: Instant,
-    ) -> Result<QueryResponse> {
-        // Plan before executing when anything downstream wants the
-        // explain — the response itself or a potential slow-query
-        // record. The plan reads the same cached artifacts the
-        // execution consumes, so nothing is re-prepared.
-        let mut plan = if self.config.explain_queries
-            || self.config.slow_query_threshold.is_some()
-        {
-            let _explain = tcim_telemetry::span("explain");
-            Some(self.pipeline.explain_prepared(prepared, true, &backend, &request.query)?)
-        } else {
-            None
-        };
-        let execute_span = tcim_telemetry::span("execute");
-        let report = self.pipeline.query(prepared, &backend, &request.query)?;
-        drop(execute_span);
-        if let Some(plan) = plan.as_mut() {
-            plan.attach_measured(&report);
-        }
-        Ok(QueryResponse {
-            graph: request.graph.clone(),
-            fingerprint: prepared.key().fingerprint,
-            backend: report.backend,
-            query: report.query,
-            value: report.value,
-            triangles: report.triangles,
-            prepared_cache_hit: true,
-            live: false,
-            modelled_time_s: report.modelled_time_s,
-            modelled_energy_j: report.modelled_energy_j,
-            kernel: report.kernel,
-            compressed_bytes: report.compressed_bytes,
-            sharding: report.sharding,
-            wall: start.elapsed(),
-            phases: None,
-            explain: plan,
-            batch: None,
-            epoch: None,
-        })
-    }
-
-    /// Picks the backend for a request with no explicit selection:
-    /// the default backend, unless the artifact exceeds the configured
-    /// per-array slice budget — then sharded execution with
+    /// Picks the backend a request runs on: its `explicit` selection,
+    /// else the default backend, unless the artifact exceeds the
+    /// configured per-array slice budget — then sharded execution with
     /// `⌈valid slices / budget⌉` shards (the sharded artifact is built
     /// once and cached in the pipeline's `ShardedCache`).
-    pub(crate) fn select_backend(&self, prepared: &PreparedGraph) -> Backend {
+    pub(crate) fn select_backend(
+        &self,
+        explicit: Option<&Backend>,
+        prepared: &PreparedGraph,
+    ) -> Backend {
+        if let Some(explicit) = explicit {
+            return explicit.clone();
+        }
         let Some(budget) = self.config.shard_slice_budget else {
             return self.config.default_backend.clone();
         };
@@ -843,15 +603,16 @@ impl TcimService {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snapshot = self.metrics.registry.snapshot();
         snapshot.samples.extend(self.pipeline.metrics_snapshot().samples);
+        let (static_graphs, live_graphs) = self.store.counts();
         snapshot.push_gauge(
             "tcim_service_static_graphs",
             "static graphs currently registered",
-            self.store.len() as i64,
+            static_graphs as i64,
         );
         snapshot.push_gauge(
             "tcim_service_live_graphs",
             "live graphs currently registered",
-            self.live.read().expect("live lock is never poisoned").len() as i64,
+            live_graphs as i64,
         );
         snapshot.push_gauge(
             "tcim_slow_query_log_retained",
@@ -883,102 +644,4 @@ impl TcimService {
     pub fn render_prometheus(&self) -> String {
         tcim_telemetry::render_prometheus(&self.metrics_snapshot())
     }
-}
-
-/// The card of a live graph (the fingerprint is the latest epoch
-/// snapshot's).
-fn live_info(name: &str, dynamic: &DynamicGraph, queries_served: u64) -> GraphInfo {
-    GraphInfo {
-        name: name.to_string(),
-        fingerprint: dynamic.prepared().key().fingerprint,
-        vertices: dynamic.vertex_count(),
-        edges: dynamic.edge_count(),
-        prepared_cache_hit: false,
-        queries_served,
-        live: true,
-    }
-}
-
-/// Answers a query from a live graph's incrementally maintained state:
-/// total and per-vertex counts are read directly, clustering derives
-/// from them plus live degrees, and edge support runs one delta kernel
-/// per live edge — never a re-slice.
-fn answer_live(
-    name: &str,
-    dynamic: &DynamicGraph,
-    query: &Query,
-    start: Instant,
-) -> Result<QueryResponse> {
-    // Motif queries run their own kernel rounds over the live rows
-    // (peeling for trusses, chained ANDs for cliques) instead of
-    // reshaping the maintained counters — still never a re-slice.
-    if query.is_motif() {
-        let (value, kernel) = match *query {
-            Query::KTruss { k } => dynamic.trussness(k),
-            _ => dynamic.four_cliques(),
-        };
-        return Ok(QueryResponse {
-            graph: name.to_string(),
-            fingerprint: dynamic.prepared().key().fingerprint,
-            backend: "stream-incremental".to_string(),
-            query: query.clone(),
-            value,
-            triangles: dynamic.triangles(),
-            prepared_cache_hit: true,
-            live: true,
-            modelled_time_s: None,
-            modelled_energy_j: None,
-            kernel,
-            compressed_bytes: dynamic.compressed_bytes(),
-            sharding: None,
-            wall: start.elapsed(),
-            phases: None,
-            explain: None,
-            batch: None,
-            epoch: None,
-        });
-    }
-    let n = dynamic.vertex_count();
-    let degrees: Vec<u64> = match query {
-        Query::LocalClustering { .. } | Query::GlobalClustering => {
-            (0..n as u32).map(|v| dynamic.neighbors(v).len() as u64).collect()
-        }
-        _ => Vec::new(),
-    };
-    let (edge_support, kernel) = if matches!(query, Query::EdgeSupport) {
-        let (entries, slice_pairs, blocks_skipped) = dynamic.edge_support();
-        let support: Vec<EdgeSupport> =
-            entries.into_iter().map(|(u, v, support)| EdgeSupport { u, v, support }).collect();
-        let kernel = KernelStats {
-            kernel_invocations: support.len() as u64,
-            slice_pairs,
-            result_readouts: 0,
-            blocks_skipped,
-        };
-        (Some(support), kernel)
-    } else {
-        (None, KernelStats::default())
-    };
-    let value =
-        shape_value(query, dynamic.triangles(), dynamic.per_vertex(), &degrees, edge_support)?;
-    Ok(QueryResponse {
-        graph: name.to_string(),
-        fingerprint: dynamic.prepared().key().fingerprint,
-        backend: "stream-incremental".to_string(),
-        query: query.clone(),
-        value,
-        triangles: dynamic.triangles(),
-        prepared_cache_hit: true,
-        live: true,
-        modelled_time_s: None,
-        modelled_energy_j: None,
-        kernel,
-        compressed_bytes: dynamic.compressed_bytes(),
-        sharding: None,
-        wall: start.elapsed(),
-        phases: None,
-        explain: None,
-        batch: None,
-        epoch: None,
-    })
 }

@@ -6,10 +6,15 @@
 //! (`kernel_invocations`, `slice_pairs`, `blocks_skipped`; readouts are
 //! data-dependent and excluded by design).
 
+use std::sync::Arc;
+
 use tcim_repro::bitmatrix::EncodingPolicy;
+use tcim_repro::gateway::{Gateway, GatewayConfig};
 use tcim_repro::graph::generators::{barabasi_albert, gnm};
 use tcim_repro::graph::CsrGraph;
-use tcim_repro::service::{QueryRequest, ServiceConfig, ServiceError, TcimService};
+use tcim_repro::service::{
+    QueryRequest, QueryResponse, ServiceConfig, ServiceError, TcimService,
+};
 use tcim_repro::tcim::{Backend, Query, ShardPolicy, TcimConfig, TcimPipeline};
 
 fn generators() -> Vec<(&'static str, CsrGraph)> {
@@ -147,13 +152,36 @@ fn service_explain_reuses_backend_auto_selection() {
     assert_eq!(merged.backend, "cpu-merge");
 }
 
+/// Three static queries on graph `g`, sent through a gateway as one
+/// coalesced wave (caller-driven dispatch): their responses, in
+/// submission order.
+fn coalesced_wave(service: &Arc<TcimService>) -> Vec<QueryResponse> {
+    let gateway = Gateway::new(
+        Arc::clone(service),
+        &GatewayConfig { workers: 0, ..GatewayConfig::default() },
+    );
+    let tickets: Vec<_> =
+        [Query::TotalTriangles, Query::PerVertexTriangles, Query::GlobalClustering]
+            .into_iter()
+            .map(|query| gateway.submit("t", QueryRequest::new("g", query)).unwrap())
+            .collect();
+    assert_eq!(gateway.run_until_idle(), 3);
+    let responses: Vec<QueryResponse> =
+        tickets.into_iter().map(|ticket| ticket.wait().unwrap()).collect();
+    for response in &responses {
+        let batch = response.batch.as_ref().expect("gateway answers carry provenance");
+        assert_eq!((batch.coalesced, batch.executions), (3, 1), "one coalesced run");
+    }
+    responses
+}
+
 /// With `explain_queries` on, every static response carries its plan
 /// with measured accounting attached — and the census verdict is an
-/// exact match.
+/// exact match, for direct answers and coalesced ones alike.
 #[test]
 fn responses_carry_explain_with_measurement_when_enabled() {
     let config = ServiceConfig { explain_queries: true, ..ServiceConfig::default() };
-    let service = TcimService::new(&config).unwrap();
+    let service = Arc::new(TcimService::new(&config).unwrap());
     service.register("g", &barabasi_albert(150, 4, 3).unwrap()).unwrap();
 
     let response = service.query("g", &Query::TotalTriangles).unwrap();
@@ -162,6 +190,16 @@ fn responses_carry_explain_with_measurement_when_enabled() {
     assert_eq!(explain.census_matches(), Some(true), "{explain}");
     let measured = explain.measured.as_ref().unwrap();
     assert_eq!(measured.kernel, response.kernel);
+
+    // A coalesced wave's members each carry their own plan, measured
+    // against the one carrier run they shared.
+    for response in coalesced_wave(&service) {
+        let explain = response.explain.as_ref().expect("coalesced answers carry their plan");
+        assert_eq!(explain.query, response.query);
+        assert_eq!(explain.backend, response.backend);
+        assert_eq!(explain.census_matches(), Some(true), "{explain}");
+        assert_eq!(explain.measured.as_ref().unwrap().kernel, response.kernel);
+    }
 
     // Off by default: responses stay lean.
     let lean = TcimService::new(&ServiceConfig::default()).unwrap();
@@ -180,7 +218,7 @@ fn slow_queries_are_captured_with_full_forensics() {
         slow_query_capacity: 8,
         ..ServiceConfig::default()
     };
-    let service = TcimService::new(&config).unwrap();
+    let service = Arc::new(TcimService::new(&config).unwrap());
     service.register("g", &gnm(120, 700, 9).unwrap()).unwrap();
 
     for _ in 0..3 {
@@ -208,6 +246,22 @@ fn slow_queries_are_captured_with_full_forensics() {
     // The counter renders in the Prometheus exposition.
     let text = service.render_prometheus();
     assert!(text.contains("tcim_slow_queries_total 4"), "{text}");
+
+    // A coalesced wave's slow members are recorded with their plans
+    // too; the responses still carry none.
+    service.slow_queries().drain();
+    for response in coalesced_wave(&service) {
+        assert!(response.explain.is_none(), "explain_queries is off");
+    }
+    let records = service.slow_queries().drain();
+    assert_eq!(records.len(), 3);
+    for record in &records {
+        let explain = record.explain.as_ref().expect("coalesced static answers carry a plan");
+        assert_eq!(explain.query, record.query);
+        assert_eq!(explain.census_matches(), Some(true), "{explain}");
+        let phases = record.phases.as_ref().expect("profile_queries is on");
+        assert!(phases.phases.iter().any(|p| p.name == "execute"));
+    }
 
     // Live graphs answer from maintained state: nothing to explain.
     service.register_live("live", &gnm(40, 120, 1).unwrap()).unwrap();

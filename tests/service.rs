@@ -3,7 +3,7 @@
 //! provenance, live (incrementally maintained) graphs that survive
 //! randomized churn, and registry lifecycle.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
 use tcim_repro::graph::generators::{barabasi_albert, classic, gnm};
 use tcim_repro::service::{QueryRequest, ServiceConfig, ServiceError, TcimService};
@@ -287,6 +287,64 @@ fn registry_lifecycle_and_name_conflicts() {
     service.register_live("g", &classic::wheel(12)).unwrap();
     let report = service.query("g", &Query::TotalTriangles).unwrap();
     assert_eq!(report.triangles, 11);
+}
+
+/// Static and live registrations racing for one name: exactly one kind
+/// wins it, every losing call reports `NameInUse`, and the static
+/// winners (idempotent re-registrations of one graph) agree on its
+/// fingerprint.
+#[test]
+fn concurrent_registration_keeps_names_exclusive() {
+    let _counter = exclusive_matrix_counter();
+    let g = classic::wheel(40);
+    for round in 0..6 {
+        let service = service();
+        let name = format!("race-{round}");
+        let barrier = Barrier::new(6);
+        // (live call?, outcome) per thread; statics and lives interleave.
+        let outcomes: Vec<(bool, Result<_, ServiceError>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..6)
+                .map(|t| {
+                    let (service, name, barrier, g) = (&service, &name, &barrier, &g);
+                    scope.spawn(move || {
+                        let live = t % 2 == 1;
+                        barrier.wait();
+                        let outcome = if live {
+                            service.register_live(name, g)
+                        } else {
+                            service.register(name, g)
+                        };
+                        (live, outcome)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+
+        let won =
+            |live: bool| outcomes.iter().filter(|(l, o)| *l == live && o.is_ok()).count();
+        let (static_wins, live_wins) = (won(false), won(true));
+        assert!(
+            (static_wins > 0 && live_wins == 0) || (static_wins == 0 && live_wins == 1),
+            "round {round}: {static_wins} static and {live_wins} live registrations won"
+        );
+        for (_, outcome) in &outcomes {
+            if let Err(e) = outcome {
+                assert!(matches!(e, ServiceError::NameInUse { .. }), "round {round}: {e}");
+            }
+        }
+        let fingerprints: std::collections::BTreeSet<u64> = outcomes
+            .iter()
+            .filter(|(live, _)| !live)
+            .filter_map(|(_, o)| o.as_ref().ok().map(|info| info.fingerprint))
+            .collect();
+        assert!(fingerprints.len() <= 1, "round {round}: {fingerprints:?}");
+
+        let cards = service.list();
+        assert_eq!(cards.len(), 1, "round {round}: one card for the name");
+        assert_eq!(cards[0].name, name);
+        assert_eq!(cards[0].live, live_wins == 1, "round {round}: the card names the winner");
+    }
 }
 
 /// Out-of-bounds query parameters surface as wrapped core errors, for

@@ -3,10 +3,13 @@
 //! the metrics a pipeline reports equal the accounting its reports
 //! already pin.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
+use tcim_repro::gateway::{Gateway, GatewayConfig};
 use tcim_repro::graph::generators::{barabasi_albert, classic, gnm, rmat, RmatParams};
 use tcim_repro::graph::CsrGraph;
-use tcim_repro::service::{QueryRequest, ServiceConfig, TcimService};
+use tcim_repro::service::{QueryRequest, QueryResponse, ServiceConfig, TcimService};
 use tcim_repro::stream::UpdateBatch;
 use tcim_repro::tcim::{Backend, Query, SchedPolicy, TcimConfig, TcimPipeline};
 use tcim_repro::telemetry::{profile, recent_spans, set_flight_recorder, span};
@@ -19,18 +22,16 @@ fn suite() -> Vec<Backend> {
 
 /// A profiled service query carries a per-phase breakdown whose phase
 /// sum is within 5% of the total profiled wall time (the acceptance
-/// criterion): `route` + `execute` cover everything `query_with` does.
+/// criterion): `route` + `execute` cover everything `query_with` does,
+/// and everything a coalesced gateway wave's group does.
 #[test]
 fn profiled_query_phases_sum_to_wall_time() {
     let config = ServiceConfig { profile_queries: true, ..ServiceConfig::default() };
-    let service = TcimService::new(&config).unwrap();
+    let service = Arc::new(TcimService::new(&config).unwrap());
     let g = gnm(400, 2600, 7).unwrap();
     service.register("g", &g).unwrap();
-
-    for backend in suite() {
-        let request = QueryRequest::new("g", Query::TotalTriangles).with_backend(backend);
-        let response = service.query_with(&request).unwrap();
-        let phases = response.phases.expect("profiling is enabled");
+    let check = |response: &QueryResponse| {
+        let phases = response.phases.as_ref().expect("profiling is enabled");
         let names: Vec<&str> = phases.phases.iter().map(|p| p.name).collect();
         assert!(names.contains(&"route"), "{names:?}");
         assert!(names.contains(&"execute"), "{names:?}");
@@ -44,6 +45,28 @@ fn profiled_query_phases_sum_to_wall_time() {
             covered * 100.0,
             phases.total
         );
+    };
+
+    for backend in suite() {
+        let request = QueryRequest::new("g", Query::TotalTriangles).with_backend(backend);
+        check(&service.query_with(&request).unwrap());
+    }
+
+    // One coalesced wave of three, caller-driven.
+    let gateway = Gateway::new(
+        Arc::clone(&service),
+        &GatewayConfig { workers: 0, ..GatewayConfig::default() },
+    );
+    let tickets: Vec<_> =
+        [Query::TotalTriangles, Query::PerVertexTriangles, Query::EdgeSupport]
+            .into_iter()
+            .map(|query| gateway.submit("t", QueryRequest::new("g", query)).unwrap())
+            .collect();
+    assert_eq!(gateway.run_until_idle(), 3);
+    for ticket in tickets {
+        let response = ticket.wait().unwrap();
+        assert_eq!(response.batch.as_ref().map(|b| b.coalesced), Some(3));
+        check(&response);
     }
 }
 
