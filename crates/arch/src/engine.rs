@@ -1,76 +1,82 @@
-//! The one-stop PIM engine facade: characterize-time state
-//! ([`PimCharacterization`]) bundled with the run-time executor
-//! ([`runtime`](crate::runtime)) behind the original single-object API.
+//! The PIM engine: the device, array and bit-counter models resolved
+//! once per configuration, which the [`runtime`](crate::runtime)
+//! executes prepared matrices against.
+//!
+//! The TCIM dataflow is two-phase. *Characterization*
+//! ([`PimEngine::new`]) runs the MTJ device co-simulation and the
+//! NVSim-style array model — expensive, configuration-dependent,
+//! graph-independent. *Execution* ([`PimEngine::run`]) replays
+//! Algorithm 1 over a prepared [`SlicedMatrix`] — cheap per run and
+//! repeatable. Splitting the two lets callers characterize once and
+//! execute many matrices (or the same matrix many times), and gives
+//! external runtimes (`tcim-sched`) a stable object to price work
+//! against.
 
 use tcim_bitmatrix::SlicedMatrix;
+use tcim_mtj::MtjCell;
+use tcim_nvsim::{ArrayCharacterization, ArrayModel};
 
-use crate::characterization::PimCharacterization;
+use crate::bitcounter::BitCounterModel;
 use crate::config::PimConfig;
 use crate::costs::SliceCostModel;
 use crate::error::Result;
 use crate::kernel::TriangleSink;
-use crate::runtime::{self, PimRunResult};
+use crate::runtime::{self, EnergyBreakdown, LatencyBreakdown, PimRunResult};
+use crate::stats::AccessStats;
 
 /// The processing-in-MRAM engine: a characterized array plus the
-/// controller logic of Algorithm 1.
-///
-/// Since the characterize/run split this is a thin facade:
-/// [`PimCharacterization`] holds everything configuration-dependent and
-/// the [`runtime`](crate::runtime) functions execute prepared matrices
-/// against it. The facade remains the convenient entry point for
-/// callers that want both halves in one object.
+/// controller logic of Algorithm 1 — everything a run needs that does
+/// not depend on the graph.
 #[derive(Debug, Clone)]
 pub struct PimEngine {
-    characterization: PimCharacterization,
+    config: PimConfig,
+    array: ArrayCharacterization,
+    bitcounter: BitCounterModel,
+    capacity_slices: usize,
 }
 
 impl PimEngine {
-    /// Characterizes the device and array for `config`.
+    /// Characterizes the device, array and bit counter for `config`.
     ///
     /// # Errors
     ///
     /// Returns configuration/characterization errors; see
     /// [`PimConfig::validate`].
     pub fn new(config: &PimConfig) -> Result<Self> {
-        Ok(PimEngine { characterization: PimCharacterization::characterize(config)? })
-    }
-
-    /// Wraps an existing characterization (no re-characterization).
-    pub fn from_characterization(characterization: PimCharacterization) -> Self {
-        PimEngine { characterization }
-    }
-
-    /// The characterize-time half of this engine.
-    pub fn characterization(&self) -> &PimCharacterization {
-        &self.characterization
+        config.validate()?;
+        let cell = MtjCell::characterize(&config.mtj)?;
+        let array = ArrayModel::characterize(&cell, &config.organization)?;
+        let bitcounter = BitCounterModel::freepdk45(config.slice_size.bits());
+        let capacity_slices = config.capacity_slices()?;
+        Ok(PimEngine { config: config.clone(), array, bitcounter, capacity_slices })
     }
 
     /// The NVSim-style characterization backing this engine.
-    pub fn array(&self) -> &tcim_nvsim::ArrayCharacterization {
-        self.characterization.array()
+    pub fn array(&self) -> &ArrayCharacterization {
+        &self.array
     }
 
     /// The bit-counter model backing this engine.
-    pub fn bitcounter(&self) -> &crate::bitcounter::BitCounterModel {
-        self.characterization.bitcounter()
+    pub fn bitcounter(&self) -> &BitCounterModel {
+        &self.bitcounter
     }
 
     /// The configuration this engine was built from.
     pub fn config(&self) -> &PimConfig {
-        self.characterization.config()
+        &self.config
     }
 
     /// The resolved per-operation cost model — the hooks an external
     /// scheduler (`tcim-sched`) uses to account work it places onto
     /// arrays itself.
     pub fn cost_model(&self) -> SliceCostModel {
-        self.characterization.cost_model()
+        SliceCostModel::resolve(&self.config, &self.array, &self.bitcounter)
     }
 
     /// Total data-buffer capacity in valid slices (rows + columns), per
     /// [`PimConfig::capacity_slices`].
     pub fn capacity_slices(&self) -> usize {
-        self.characterization.capacity_slices()
+        self.capacity_slices
     }
 
     /// Executes Algorithm 1 over an oriented sliced matrix; see
@@ -81,7 +87,7 @@ impl PimEngine {
     /// Panics if `matrix` was built with a different slice size than the
     /// engine configuration — a mapping bug at the call site.
     pub fn run(&self, matrix: &SlicedMatrix) -> PimRunResult {
-        runtime::run(&self.characterization, matrix)
+        runtime::run(self, matrix)
     }
 
     /// Executes Algorithm 1 with triangle attribution, reporting every
@@ -97,13 +103,30 @@ impl PimEngine {
         matrix: &SlicedMatrix,
         sink: &mut S,
     ) -> PimRunResult {
-        runtime::run_attributed(&self.characterization, matrix, sink)
+        runtime::run_attributed(self, matrix, sink)
     }
-}
 
-impl From<PimCharacterization> for PimEngine {
-    fn from(characterization: PimCharacterization) -> Self {
-        PimEngine::from_characterization(characterization)
+    /// Column-slice cache capacity after reserving the row region: the
+    /// current row's slices must be resident while its edges process, so
+    /// the widest row of `matrix` is set aside.
+    pub(crate) fn column_capacity(&self, matrix: &SlicedMatrix) -> usize {
+        let row_reserve = (0..matrix.dim() as u32)
+            .map(|i| matrix.row(i).valid_slice_count())
+            .max()
+            .unwrap_or(0);
+        self.capacity_slices.saturating_sub(row_reserve).max(1)
+    }
+
+    /// Converts operation counts into time and energy using the array
+    /// characterization. Writes and compute ops are spread across the
+    /// concurrently operating sub-arrays; controller dispatch is serial on
+    /// the host. Host controller energy is the single-core host burning
+    /// its active package power for as long as it dispatches edges — the
+    /// term that dominates end-to-end TCIM energy, exactly as in the
+    /// paper's Fig. 6 arithmetic (`tcim_core::experiments::fig6`).
+    pub(crate) fn roll_up(&self, stats: &AccessStats) -> (LatencyBreakdown, EnergyBreakdown) {
+        let parallel = self.array.organization.parallel_subarrays() as f64;
+        self.cost_model().roll_up(stats, parallel)
     }
 }
 
@@ -302,14 +325,20 @@ mod tests {
 
     #[test]
     fn runtime_functions_match_the_facade() {
-        use crate::runtime;
-        let chr = PimCharacterization::characterize(&PimConfig::default()).unwrap();
+        let engine = engine();
         let m = fig2_matrix();
-        let direct = runtime::run(&chr, &m);
-        let facade = PimEngine::from_characterization(chr.clone()).run(&m);
+        let direct = runtime::run(&engine, &m);
+        let facade = engine.run(&m);
         assert_eq!(direct.triangles, facade.triangles);
         assert_eq!(direct.stats, facade.stats);
-        let local = runtime::run_attributed(&chr, &m, &mut crate::TriangleTally::new(4, None));
+        let local =
+            runtime::run_attributed(&engine, &m, &mut crate::TriangleTally::new(4, None));
         assert_eq!(local.triangles, direct.triangles);
+    }
+
+    #[test]
+    fn invalid_config_is_rejected() {
+        let config = PimConfig { capacity_slices_override: Some(0), ..PimConfig::default() };
+        assert!(PimEngine::new(&config).is_err());
     }
 }

@@ -15,13 +15,13 @@
 //!   functional model plus synthesis-style latency/energy constants.
 //! * [`PimConfig`] — simulator configuration (slice size, array size,
 //!   replacement policy, controller overhead).
-//! * [`PimCharacterization`] — the characterize-time half: device, array
-//!   and bit-counter models resolved once per configuration.
+//! * [`PimEngine`] — the characterized engine: device, array and
+//!   bit-counter models resolved once per configuration, with
+//!   [`PimEngine::run`] executing prepared matrices against them.
 //! * [`kernel`] — the one AND + BitCount kernel (Eq. 5) and the one
 //!   matrix walker over it, generic over residency and attribution.
 //! * [`runtime`] — the run-time half: Algorithm 1 executed over a
-//!   prepared sliced matrix against a characterization.
-//! * [`PimEngine`] — the one-object facade over both halves.
+//!   prepared sliced matrix against an engine.
 //! * [`SliceCostModel`] — per-operation cost hooks for external
 //!   schedulers (`tcim-sched`) that place work onto arrays themselves.
 //! * [`stats`] — access statistics behind Fig. 5 and the WRITE-saving
@@ -58,7 +58,6 @@
 
 pub mod bitcounter;
 pub mod buffer;
-mod characterization;
 mod config;
 mod costs;
 mod engine;
@@ -70,7 +69,6 @@ pub mod sweep;
 
 pub use bitcounter::BitCounterModel;
 pub use buffer::{AccessOutcome, ReplacementPolicy, SliceCache};
-pub use characterization::PimCharacterization;
 pub use config::PimConfig;
 pub use costs::SliceCostModel;
 pub use engine::PimEngine;

@@ -5,17 +5,16 @@
 //! kernel census lists as visiting a slice pair; the census bills the
 //! others, so every count and modelled bit is that of walking every arc.
 //!
-//! These functions take a [`PimCharacterization`] (built once per
+//! These functions take a [`PimEngine`] (characterized once per
 //! configuration) and a matrix that is already oriented and sliced — the
 //! run-time half of the characterize/run split. They never re-slice or
-//! re-characterize; callers that want the one-shot convenience use
-//! [`PimEngine`](crate::PimEngine), which wraps both halves.
+//! re-characterize.
 
 use tcim_bitmatrix::popcount::PopcountMethod;
 use tcim_bitmatrix::SlicedMatrix;
 
 use crate::buffer::SliceCache;
-use crate::characterization::PimCharacterization;
+use crate::engine::PimEngine;
 use crate::kernel::{self, ArrayBuffer, TriangleSink, TriangleTally};
 use crate::stats::AccessStats;
 use tcim_telemetry::EventTrace;
@@ -111,9 +110,9 @@ impl PimRunResult {
 /// # Panics
 ///
 /// Panics if `matrix` was built with a different slice size than the
-/// characterization's configuration — a mapping bug at the call site.
-pub fn run(chr: &PimCharacterization, matrix: &SlicedMatrix) -> PimRunResult {
-    execute(chr, matrix, None::<&mut TriangleTally>)
+/// engine's configuration — a mapping bug at the call site.
+pub fn run(engine: &PimEngine, matrix: &SlicedMatrix) -> PimRunResult {
+    execute(engine, matrix, None::<&mut TriangleTally>)
 }
 
 /// Executes Algorithm 1 with triangle attribution: besides counting,
@@ -130,28 +129,28 @@ pub fn run(chr: &PimCharacterization, matrix: &SlicedMatrix) -> PimRunResult {
 /// # Panics
 ///
 /// Panics if `matrix` was built with a different slice size than the
-/// characterization's configuration.
+/// engine's configuration.
 pub fn run_attributed<S: TriangleSink + ?Sized>(
-    chr: &PimCharacterization,
+    engine: &PimEngine,
     matrix: &SlicedMatrix,
     sink: &mut S,
 ) -> PimRunResult {
-    execute(chr, matrix, Some(sink))
+    execute(engine, matrix, Some(sink))
 }
 
 fn execute<S: TriangleSink + ?Sized>(
-    chr: &PimCharacterization,
+    engine: &PimEngine,
     matrix: &SlicedMatrix,
     sink: Option<&mut S>,
 ) -> PimRunResult {
-    let config = chr.config();
+    let config = engine.config();
     assert_eq!(
         matrix.slice_size(),
         config.slice_size,
         "matrix slice size must match the engine configuration"
     );
     let cache = SliceCache::new(
-        chr.column_capacity(matrix),
+        engine.column_capacity(matrix),
         config.replacement,
         config.replacement_seed,
     );
@@ -159,7 +158,7 @@ fn execute<S: TriangleSink + ?Sized>(
     // The bit counter is the 8→256 LUT of §V-A.
     let rows = std::iter::once(0..matrix.edge_count());
     let walk = kernel::walk(matrix, rows, PopcountMethod::Lut8, &mut buffer, sink);
-    let (latency, energy) = chr.roll_up(&walk.stats);
+    let (latency, energy) = engine.roll_up(&walk.stats);
     PimRunResult {
         triangles: walk.triangles,
         stats: walk.stats,
