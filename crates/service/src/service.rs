@@ -417,7 +417,10 @@ impl TcimService {
     /// names and propagates fold failures.
     pub fn publish(&self, name: &str) -> Result<EpochSnapshot> {
         let graph = self.live_graph(name)?;
-        let snapshot = graph.dynamic().publish()?;
+        // Publish under the dynamic lock, so a concurrent update's
+        // newer epoch can never be overwritten by this older one.
+        let mut dynamic = graph.dynamic();
+        let snapshot = dynamic.publish()?;
         graph.publish(snapshot.clone());
         Ok(snapshot)
     }
