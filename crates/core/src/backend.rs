@@ -1,6 +1,7 @@
 //! The unified execution layer: interchangeable query engines behind
-//! one [`ExecutionBackend`] trait, selected by value via [`Backend`] and
-//! all consuming the same [`PreparedGraph`] artifact.
+//! one [`ExecutionBackend`] trait, selected by value via [`Backend`]
+//! (resolved by [`TcimPipeline::backend`](crate::TcimPipeline::backend))
+//! and all consuming the same [`PreparedGraph`] artifact.
 //!
 //! Every backend implements one primitive,
 //! [`run`](ExecutionBackend::run): execute the prepared graph at an
@@ -26,7 +27,7 @@ use crate::error::{CoreError, Result};
 use crate::motifs::{self, MotifFlavor, MotifPricing};
 use crate::pipeline::PreparedGraph;
 use crate::query::{self, KernelStats, Query, QueryReport};
-use crate::sharded::{ShardPolicy, ShardProvenance, ShardedBackend};
+use crate::sharded::{ShardPolicy, ShardProvenance};
 
 /// A query engine that executes prepared graphs.
 ///
@@ -240,9 +241,13 @@ impl fmt::Display for ExecutionReport {
 
 /// Value-based backend selection: which engine to run, with its
 /// engine-specific knobs. Resolved against a pipeline's characterized
-/// engine via [`Backend::bind`] (or [`TcimPipeline::execute`]).
+/// engine (and, for sharded selections, its sharded-artifact cache) by
+/// [`TcimPipeline::backend`], which [`TcimPipeline::execute`] and
+/// [`TcimPipeline::query`] call.
 ///
+/// [`TcimPipeline::backend`]: crate::TcimPipeline::backend
 /// [`TcimPipeline::execute`]: crate::TcimPipeline::execute
+/// [`TcimPipeline::query`]: crate::TcimPipeline::query
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Backend {
@@ -260,8 +265,8 @@ pub enum Backend {
     /// per-shard scheduled PIM runs plus a cross-shard composition
     /// pass (`tcim-shard`). Unlike the other backends this one derives
     /// a [`ShardedPreparedGraph`](crate::ShardedPreparedGraph) from
-    /// the prepared artifact (cached when bound through a
-    /// [`TcimPipeline`](crate::TcimPipeline)).
+    /// the prepared artifact, cached by the
+    /// [`TcimPipeline`](crate::TcimPipeline) that binds it.
     Sharded(ShardPolicy),
 }
 
@@ -296,24 +301,6 @@ impl Backend {
             Backend::SerialPim,
             Backend::ScheduledPim(SchedPolicy::with_arrays(4)),
         ]
-    }
-
-    /// Binds this selection to a characterized engine, yielding an
-    /// executable backend. CPU and software backends ignore the engine.
-    pub fn bind<'e>(&self, engine: &'e PimEngine) -> Box<dyn ExecutionBackend + 'e> {
-        match self {
-            Backend::SerialPim => Box::new(SerialPimBackend::new(engine)),
-            Backend::ScheduledPim(policy) => {
-                Box::new(ScheduledPimBackend::new(engine, policy.clone()))
-            }
-            Backend::Software(popcount) => Box::new(SoftwareBackend::new(*popcount)),
-            Backend::CpuMerge => Box::new(CpuMergeBackend),
-            Backend::CpuForward => Box::new(CpuForwardBackend),
-            // Uncached: every execution builds its sharded artifact.
-            // Pipelines bind through their `ShardedCache` instead
-            // (`TcimPipeline::backend`).
-            Backend::Sharded(policy) => Box::new(ShardedBackend::new(engine, policy.clone())),
-        }
     }
 }
 

@@ -90,19 +90,7 @@ impl TcimPipeline {
         if let Some(&first) = ktruss.first() {
             executions += 1;
             let base = self.query(prepared, spec, &queries[first])?;
-            let edges = base
-                .value
-                .trussness()
-                .expect("a k-truss query always yields a k-truss value")
-                .to_vec();
-            for &i in &ktruss {
-                let Query::KTruss { k } = queries[i] else { unreachable!() };
-                slots[i] = Some(Ok(QueryReport {
-                    query: queries[i].clone(),
-                    value: QueryValue::KTruss { k, edges: edges.clone() },
-                    ..base.clone()
-                }));
-            }
+            share(&mut slots, queries, &ktruss, base);
         }
 
         // The 4-clique class: members are identical; run once, share.
@@ -111,9 +99,7 @@ impl TcimPipeline {
         if !cliques.is_empty() {
             executions += 1;
             let base = self.query(prepared, spec, &Query::FourCliques)?;
-            for &i in &cliques {
-                slots[i] = Some(Ok(base.clone()));
-            }
+            share(&mut slots, queries, &cliques, base);
         }
 
         // The classic class: one carrier execution at the highest member
@@ -139,6 +125,27 @@ impl TcimPipeline {
             .map(|slot| slot.expect("every member belongs to exactly one class"))
             .collect();
         Ok(CoalescedOutcome { reports, executions, carrier })
+    }
+}
+
+/// Hands one motif run's report to every member at `members`, each
+/// under its own query (a k-truss member also under its own `k`).
+/// `repeat_n` clones the report for every member but the last, which
+/// takes it by move, so a group of one copies nothing.
+fn share(
+    slots: &mut [Option<Result<QueryReport>>],
+    queries: &[Query],
+    members: &[usize],
+    base: QueryReport,
+) {
+    for (&i, mut report) in members.iter().zip(std::iter::repeat_n(base, members.len())) {
+        if let (Query::KTruss { k }, QueryValue::KTruss { k: level, .. }) =
+            (&queries[i], &mut report.value)
+        {
+            *level = *k;
+        }
+        report.query = queries[i].clone();
+        slots[i] = Some(Ok(report));
     }
 }
 

@@ -34,7 +34,7 @@ use crate::backend::Backend;
 use crate::error::Result;
 use crate::pipeline::{PreparedGraph, PreparedPricing, TcimPipeline};
 use crate::query::{KernelStats, Query, QueryReport};
-use crate::sharded::ShardedPreparedGraph;
+use crate::sharded::{self, ShardedPreparedGraph};
 
 /// The deterministic part of a run's [`KernelStats`], predicted before
 /// executing: kernel dispatches, AND + BitCount slice pairs, and the
@@ -446,7 +446,8 @@ impl TcimPipeline {
                 KernelCensus::from(pricing)
             }
             Backend::Sharded(policy) => {
-                let (artifact, sharded_hit) = self.sharded_cache().get_or_build_reporting(
+                let (artifact, sharded_hit) = sharded::cached_artifact(
+                    self.sharded_cache(),
                     prepared,
                     &policy.spec,
                     self.engine(),
@@ -535,7 +536,7 @@ impl TcimPipeline {
                     + pricing.kernel_dispatches as f64 * costs.controller_overhead_s,
             ),
             Backend::Sharded(policy) => {
-                let artifact = self.sharded_cache().peek(prepared, &policy.spec)?;
+                let artifact = self.sharded_cache().peek(&(*prepared.key(), policy.spec))?;
                 let arrays = policy.inner.arrays as f64;
                 // Shards run concurrently: the intra phase finishes on
                 // the slowest shard's clock.

@@ -30,8 +30,9 @@
 //! *prepared* once (orient → slice → price, [`PreparedGraph`], cached by
 //! [`PreparedCache`]) and then *executed* any number of times on
 //! interchangeable [`ExecutionBackend`]s selected by value
-//! ([`Backend`]) — serial PIM, scheduled multi-array PIM, the sliced
-//! software path, CPU baselines and sharded execution. Every backend
+//! ([`Backend`], resolved by [`TcimPipeline::backend`]) — serial PIM,
+//! scheduled multi-array PIM, the sliced software path, CPU baselines
+//! and sharded execution. Every backend
 //! implements one primitive, [`ExecutionBackend::run`]: execute at an
 //! [`Attribution`] level (count only, per-vertex, per-vertex plus
 //! per-arc support) and return one [`ExecutionReport`].
@@ -59,7 +60,10 @@
 //! ([`ShardedPreparedGraph`], cached by [`ShardedCache`]) and counts
 //! intra-shard runs plus a cross-shard composition pass — answering
 //! every [`Query`] shape with shard provenance
-//! ([`ShardProvenance`]).
+//! ([`ShardProvenance`]). [`PreparedCache`] and [`ShardedCache`] are
+//! one bounded LRU type, [`ArtifactCache`], and every placement a query
+//! runs (a scheduled plan, a composition plan) is built once and
+//! memoized on its artifact.
 //!
 //! Every routing decision above is inspectable *before* executing:
 //! [`TcimPipeline::explain`] assembles an [`ExplainReport`] — resolved
@@ -100,6 +104,7 @@
 pub mod ablations;
 pub mod backend;
 pub mod baseline;
+mod cache;
 pub mod coalesce;
 mod error;
 pub mod experiments;
@@ -115,6 +120,7 @@ pub mod telemetry;
 pub mod verify;
 
 pub use backend::{Backend, BackendDetail, ExecutionBackend, ExecutionReport};
+pub use cache::ArtifactCache;
 pub use coalesce::CoalescedOutcome;
 pub use error::{CoreError, Result};
 pub use explain::{

@@ -1,17 +1,20 @@
 //! The staged counting pipeline: one-time graph *preparation*
 //! ([`PreparedGraph`], cached by [`PreparedCache`]) separated from
 //! repeated *execution* against interchangeable backends
-//! ([`crate::backend`]).
+//! ([`crate::backend`]), which [`TcimPipeline::backend`] resolves.
 //!
 //! The paper's dataflow is inherently two-phase — orient, slice and map
 //! the graph once (§IV-A/B), then run Algorithm 1's AND + BitCount
 //! kernel over the prepared form. Serving workloads repeat the second
 //! phase many times per graph (different backends, policies, or repeated
 //! queries), so the pipeline materialises phase one as a reusable
-//! artifact and keys it by graph fingerprint + orientation + slice size.
+//! artifact, keyed by the graph's identity and the preparation
+//! parameters ([`PreparedKey`]). The prepared and sharded caches are
+//! one LRU type, [`ArtifactCache`]; each artifact memoizes the
+//! scheduled plans built over it ([`PreparedGraph::schedule_plan`]).
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::convert::Infallible;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use tcim_arch::{kernel, ArcIndex, ArcOffsets, PimConfig, PimEngine, SliceCostModel};
@@ -19,10 +22,14 @@ use tcim_bitmatrix::{EncodingPolicy, RowEncoding, SliceSize, SliceStats, SlicedM
 use tcim_graph::{CsrGraph, Orientation, OrientedGraph};
 use tcim_sched::{SchedPolicy, SchedulePlan, ScheduledRun};
 
-use crate::backend::{Backend, ExecutionBackend, ExecutionReport};
+use crate::backend::{
+    Backend, CpuForwardBackend, CpuMergeBackend, ExecutionBackend, ExecutionReport,
+    ScheduledPimBackend, SerialPimBackend, SoftwareBackend,
+};
+use crate::cache::{ArtifactCache, PlanMemo};
 use crate::error::Result;
 use crate::query::{KernelStats, Query, QueryReport};
-use crate::sharded::{ShardedBackend, ShardedCache, ShardedPreparedGraph};
+use crate::sharded::{self, ShardedBackend, ShardedCache, ShardedPreparedGraph};
 use crate::telemetry::{ExecutionSample, PipelineMetrics};
 use tcim_shard::ShardSpec;
 
@@ -121,7 +128,7 @@ pub struct PreparedGraph {
     arc_offsets: OnceLock<ArcOffsets>,
     /// Scheduled plans built so far, at most one per array count ×
     /// placement × cost model × per-array residency buffer.
-    schedule_plans: Mutex<Vec<Arc<SchedulePlan>>>,
+    schedule_plans: PlanMemo<SchedulePlan>,
 }
 
 impl PreparedGraph {
@@ -171,7 +178,7 @@ impl PreparedGraph {
             pricing,
             prepare_time: start.elapsed(),
             arc_offsets: OnceLock::new(),
-            schedule_plans: Mutex::default(),
+            schedule_plans: PlanMemo::default(),
         }
     }
 
@@ -225,27 +232,18 @@ impl PreparedGraph {
         costs: &SliceCostModel,
     ) -> Result<(Arc<SchedulePlan>, bool)> {
         policy.validate()?;
-        let mut plans = self.schedule_plans();
-        if let Some(plan) = plans.iter().find(|plan| plan.is_for(engine, policy, costs)) {
-            return Ok((Arc::clone(plan), false));
-        }
-        let plan = Arc::new(
-            ScheduledRun::plan_with_costs(engine, &self.matrix, policy, *costs)?.into_plan(),
-        );
-        plans.push(Arc::clone(&plan));
-        Ok((plan, true))
+        self.schedule_plans.get_or_build(
+            |plan| plan.is_for(engine, policy, costs),
+            || {
+                Ok(ScheduledRun::plan_with_costs(engine, &self.matrix, policy, *costs)?
+                    .into_plan())
+            },
+        )
     }
 
     /// Scheduled plans this artifact has built so far.
     pub fn schedule_plans_built(&self) -> usize {
-        self.schedule_plans().len()
-    }
-
-    /// The plan memo. A plan is a pure function of the matrix and its
-    /// key and is pushed only once complete, so a lock poisoned by a
-    /// panicking builder is recovered, not propagated.
-    fn schedule_plans(&self) -> MutexGuard<'_, Vec<Arc<SchedulePlan>>> {
-        self.schedule_plans.lock().unwrap_or_else(PoisonError::into_inner)
+        self.schedule_plans.len()
     }
 
     /// Slicing statistics (Table III/IV quantities), measured once at
@@ -280,140 +278,8 @@ impl PreparedGraph {
     }
 }
 
-struct CacheInner {
-    map: HashMap<PreparedKey, Arc<PreparedGraph>>,
-    /// Keys in least-recently-used-first order.
-    order: Vec<PreparedKey>,
-    hits: u64,
-    misses: u64,
-}
-
-/// A bounded, keyed cache of prepared graphs with LRU eviction.
-///
-/// Thread-safe behind a mutex; artifacts are shared out as
-/// `Arc<PreparedGraph>` so eviction never invalidates an in-flight
-/// execution.
-pub struct PreparedCache {
-    inner: Mutex<CacheInner>,
-    capacity: usize,
-}
-
-impl std::fmt::Debug for PreparedCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "PreparedCache(len={}, capacity={}, hits={}, misses={})",
-            self.len(),
-            self.capacity,
-            self.hits(),
-            self.misses()
-        )
-    }
-}
-
-impl PreparedCache {
-    /// An empty cache holding at most `capacity` prepared graphs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be at least 1");
-        PreparedCache {
-            inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                order: Vec::new(),
-                hits: 0,
-                misses: 0,
-            }),
-            capacity,
-        }
-    }
-
-    /// The cache state. No critical section can panic between its
-    /// updates of the map, the LRU order and the counters, and every
-    /// cached artifact can be rebuilt, so a lock poisoned by a panicking
-    /// holder is recovered, not propagated.
-    fn inner(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The cached artifact for `key`, or `None` (recording a hit/miss
-    /// either way).
-    pub fn get(&self, key: &PreparedKey) -> Option<Arc<PreparedGraph>> {
-        let mut inner = self.inner();
-        match inner.map.get(key).cloned() {
-            Some(found) => {
-                inner.hits += 1;
-                // Refresh recency.
-                inner.order.retain(|k| k != key);
-                inner.order.push(*key);
-                Some(found)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts `prepared`, evicting the least recently used artifact when
-    /// full. Returns the cached value (the existing one if another thread
-    /// inserted the same key first).
-    pub fn insert(&self, prepared: PreparedGraph) -> Arc<PreparedGraph> {
-        let key = *prepared.key();
-        let mut inner = self.inner();
-        if let Some(existing) = inner.map.get(&key).cloned() {
-            return existing;
-        }
-        let shared = Arc::new(prepared);
-        inner.map.insert(key, Arc::clone(&shared));
-        inner.order.push(key);
-        if inner.order.len() > self.capacity {
-            let evicted = inner.order.remove(0);
-            inner.map.remove(&evicted);
-        }
-        shared
-    }
-
-    /// Number of cached artifacts.
-    pub fn len(&self) -> usize {
-        self.inner().map.len()
-    }
-
-    /// Maximum number of artifacts the cache holds before evicting.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The cached keys in least-recently-used-first order (for eviction
-    /// inspection; does not touch hit/miss counters or recency).
-    pub fn keys_lru_first(&self) -> Vec<PreparedKey> {
-        self.inner().order.clone()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookups that found a cached artifact.
-    pub fn hits(&self) -> u64 {
-        self.inner().hits
-    }
-
-    /// Lookups that missed.
-    pub fn misses(&self) -> u64 {
-        self.inner().misses
-    }
-
-    /// Drops every cached artifact (hit/miss counters are preserved).
-    pub fn clear(&self) {
-        let mut inner = self.inner();
-        inner.map.clear();
-        inner.order.clear();
-    }
-}
+/// The bounded LRU cache of prepared graphs, keyed by [`PreparedKey`].
+pub type PreparedCache = ArtifactCache<PreparedKey, PreparedGraph>;
 
 /// The staged counting pipeline: a characterized engine, a prepared-graph
 /// cache, and value-selected execution backends.
@@ -452,7 +318,7 @@ impl Clone for TcimPipeline {
         TcimPipeline {
             config: self.config.clone(),
             engine: self.engine.clone(),
-            cache: PreparedCache::new(self.cache.capacity),
+            cache: PreparedCache::new(self.cache.capacity()),
             sharded: ShardedCache::new(self.sharded.capacity()),
             metrics: PipelineMetrics::new(),
         }
@@ -561,7 +427,7 @@ impl TcimPipeline {
         prepared: &PreparedGraph,
         spec: &ShardSpec,
     ) -> Result<Arc<ShardedPreparedGraph>> {
-        self.sharded.get_or_build(prepared, spec, &self.engine)
+        Ok(sharded::cached_artifact(&self.sharded, prepared, spec, &self.engine)?.0)
     }
 
     /// Prepares `g` under this pipeline's orientation and slice size,
@@ -581,12 +447,12 @@ impl TcimPipeline {
             self.config.pim.slice_size,
             self.config.encoding,
         );
-        if let Some(found) = self.cache.get(&key) {
-            return (found, true);
+        let Ok((prepared, hit)) =
+            self.cache.get_or_build(key, || Ok::<_, Infallible>(self.prepare_uncached(g)));
+        if !hit {
+            self.metrics.record_prepared_build(prepared.encoding());
         }
-        let built = self.prepare_uncached(g);
-        self.metrics.record_prepared_build(built.encoding());
-        (self.cache.insert(built), false)
+        (prepared, hit)
     }
 
     /// Prepares `g` without touching the cache (benchmarking, or callers
@@ -602,18 +468,24 @@ impl TcimPipeline {
     }
 
     /// Resolves a backend selection into an executable backend bound to
-    /// this pipeline's engine. Sharded selections additionally share
-    /// the pipeline's [`ShardedCache`], so repeated executions reuse
-    /// one partitioned artifact (the raw [`Backend::bind`] builds it
-    /// per call).
+    /// this pipeline's engine — the one place a [`Backend`] becomes an
+    /// [`ExecutionBackend`]. CPU and software backends ignore the
+    /// engine; sharded selections also share the pipeline's
+    /// [`ShardedCache`], so repeated executions reuse one partitioned
+    /// artifact.
     pub fn backend(&self, spec: &Backend) -> Box<dyn ExecutionBackend + '_> {
+        let engine = &self.engine;
         match spec {
-            Backend::Sharded(policy) => Box::new(ShardedBackend::with_cache(
-                &self.engine,
-                policy.clone(),
-                &self.sharded,
-            )),
-            _ => spec.bind(&self.engine),
+            Backend::SerialPim => Box::new(SerialPimBackend::new(engine)),
+            Backend::ScheduledPim(policy) => {
+                Box::new(ScheduledPimBackend::new(engine, policy.clone()))
+            }
+            Backend::Software(popcount) => Box::new(SoftwareBackend::new(*popcount)),
+            Backend::CpuMerge => Box::new(CpuMergeBackend),
+            Backend::CpuForward => Box::new(CpuForwardBackend),
+            Backend::Sharded(policy) => {
+                Box::new(ShardedBackend::new(engine, policy.clone(), &self.sharded))
+            }
         }
     }
 
@@ -772,59 +644,32 @@ mod tests {
         assert_eq!(p.cache().misses(), misses_before + 1);
     }
 
-    /// Direct cache-level LRU regression: eviction removes the least
-    /// recently used key and `get` refreshes recency — pinned at the
-    /// `PreparedCache` API level, independent of pipeline plumbing.
+    /// Racing first `prepare`s of one graph agree on one artifact, and
+    /// every call that built reports a miss and counts one prepared
+    /// build.
     #[test]
-    fn cache_evictions_follow_lru_order_and_get_refreshes_recency() {
+    fn racing_prepares_agree_and_count_every_build() {
         let p = pipeline();
-        let engine = p.engine();
-        let prepared_for = |n: usize| {
-            PreparedGraph::build(
-                &classic::wheel(n),
-                Orientation::Natural,
-                SliceSize::S64,
-                EncodingPolicy::default(),
-                engine,
-            )
-        };
-        let cache = PreparedCache::new(2);
-        assert_eq!(cache.capacity(), 2);
-        let ka = *cache.insert(prepared_for(10)).key();
-        let kb = *cache.insert(prepared_for(11)).key();
-        assert_eq!(cache.keys_lru_first(), vec![ka, kb]);
-
-        // A hit moves the key to most-recently-used.
-        assert!(cache.get(&ka).is_some());
-        assert_eq!(cache.keys_lru_first(), vec![kb, ka]);
-
-        // The next insert evicts the LRU key (kb), not the refreshed ka.
-        let kc = *cache.insert(prepared_for(12)).key();
-        assert_eq!(cache.keys_lru_first(), vec![ka, kc]);
-        assert!(cache.get(&kb).is_none(), "kb was the LRU victim");
-        assert!(cache.get(&ka).is_some(), "ka survived thanks to the refresh");
-
-        // Eviction keeps following recency: ka was just refreshed, so
-        // kc is now the victim.
-        let kd = *cache.insert(prepared_for(13)).key();
-        assert_eq!(cache.keys_lru_first(), vec![ka, kd]);
-        assert!(cache.get(&kc).is_none());
-
-        // Re-inserting a resident key returns the cached artifact and
-        // evicts nothing.
-        let again = cache.insert(prepared_for(13));
-        assert_eq!(*again.key(), kd);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn clear_preserves_counters() {
-        let p = pipeline();
-        p.prepare(&classic::wheel(10));
-        p.prepare(&classic::wheel(10));
-        p.cache().clear();
-        assert!(p.cache().is_empty());
-        assert_eq!(p.cache().hits(), 1);
+        let g = gnm(400, 3000, 17).unwrap();
+        let barrier = std::sync::Barrier::new(8);
+        let served: Vec<(Arc<PreparedGraph>, bool)> = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        p.prepare_reporting(&g)
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|caller| caller.join().unwrap()).collect()
+        });
+        assert!(served.iter().all(|(prepared, _)| Arc::ptr_eq(prepared, &served[0].0)));
+        let built = served.iter().filter(|(_, hit)| !hit).count() as u64;
+        assert_eq!(built, p.cache().misses(), "every call that built reports a miss");
+        let builds = p.metrics_snapshot().counter("tcim_prepared_builds_total");
+        assert_eq!(builds, Some(p.cache().misses()), "every build is counted once");
+        assert_eq!(p.cache().hits() + p.cache().misses(), 8);
+        assert_eq!(p.cache().len(), 1);
     }
 
     #[test]
@@ -879,40 +724,15 @@ mod tests {
         // An invalid policy is rejected even when its key would hit.
         let zero_threads = SchedPolicy { host_threads: Some(0), ..policy.clone() };
         assert!(prepared.schedule_plan(p.engine(), &zero_threads, &costs).is_err());
-        // A panic while the memo is locked poisons it; lookups recover.
         let built = prepared.schedule_plans_built();
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _plans = prepared.schedule_plans();
-            panic!("poison the plan memo");
-        }));
-        assert!(poisoned.is_err());
         let (again, built_now) = prepared.schedule_plan(p.engine(), &policy, &costs).unwrap();
         assert!(!built_now && Arc::ptr_eq(&first, &again));
         assert_eq!(prepared.schedule_plans_built(), built);
     }
 
     #[test]
-    fn a_poisoned_prepared_cache_keeps_answering() {
-        let p = pipeline();
-        let cache = PreparedCache::new(2);
-        let first = cache.insert(p.prepare_uncached(&classic::wheel(10)));
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _inner = cache.inner();
-            panic!("poison the cache");
-        }));
-        assert!(poisoned.is_err());
-        assert!(Arc::ptr_eq(&first, &cache.get(first.key()).unwrap()));
-        cache.insert(p.prepare_uncached(&classic::wheel(11)));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.keys_lru_first().len(), 2);
-        assert_eq!((cache.hits(), cache.misses()), (1, 0));
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_cache_panics() {
-        PreparedCache::new(0);
+        let _ = TcimPipeline::with_cache_capacity(&TcimConfig::default(), 0);
     }
 }

@@ -15,8 +15,9 @@
 //! * [`ShardedPreparedGraph`] — per-shard [`PreparedGraph`]s over the
 //!   induced subgraphs of slice-aligned vertex ranges, plus the
 //!   cross-shard [`BoundarySlices`].
-//! * [`ShardedCache`] — keyed LRU of sharded artifacts, so repeated
-//!   sharded queries through one
+//! * [`ShardedCache`] — the pipeline's
+//!   [`ArtifactCache`] of sharded artifacts, keyed
+//!   by base artifact × spec, so repeated sharded queries through one
 //!   [`TcimPipeline`](crate::TcimPipeline) partition and re-slice
 //!   nothing.
 //! * [`ShardedBackend`] — the [`ExecutionBackend`] answering every
@@ -36,8 +37,7 @@
 //! bit-exactly with every other backend on every query shape
 //! (`tests/sharding.rs`).
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tcim_arch::{AccessStats, ArcIndex, Attribution, PimEngine, SliceCostModel};
@@ -52,6 +52,7 @@ use tcim_shard::{
 use crate::backend::{
     Backend, BackendDetail, ExecutionBackend, ExecutionReport, ScheduledPimBackend,
 };
+use crate::cache::{ArtifactCache, PlanMemo};
 use crate::error::{CoreError, Result};
 use crate::motifs::MotifPricing;
 use crate::pipeline::{PreparedGraph, PreparedKey};
@@ -158,7 +159,7 @@ pub struct ShardedPreparedGraph {
     boundary: BoundarySlices,
     /// Composition plans built so far, at most one per array count ×
     /// placement × cost model.
-    compose_plans: Mutex<Vec<Arc<CompositionPlan>>>,
+    compose_plans: PlanMemo<CompositionPlan>,
     pieces: Vec<ShardPiece>,
     prepare_time: Duration,
 }
@@ -235,7 +236,7 @@ impl ShardedPreparedGraph {
             spec: *spec,
             plan,
             boundary,
-            compose_plans: Mutex::default(),
+            compose_plans: PlanMemo::default(),
             pieces,
             prepare_time: start.elapsed(),
         })
@@ -281,28 +282,19 @@ impl ShardedPreparedGraph {
         costs: &SliceCostModel,
     ) -> Result<Arc<CompositionPlan>> {
         policy.validate().map_err(|e| CoreError::Shard(ShardError::from(e)))?;
-        let mut plans = self.compose_plans();
-        if let Some(plan) = plans.iter().find(|plan| plan.is_for(policy, costs)) {
-            return Ok(Arc::clone(plan));
-        }
-        let plan = Arc::new(
-            CompositionPlan::new(&self.plan, &self.boundary, policy, costs)
-                .map_err(CoreError::Shard)?,
-        );
-        plans.push(Arc::clone(&plan));
+        let (plan, _) = self.compose_plans.get_or_build(
+            |plan| plan.is_for(policy, costs),
+            || {
+                CompositionPlan::new(&self.plan, &self.boundary, policy, costs)
+                    .map_err(CoreError::Shard)
+            },
+        )?;
         Ok(plan)
     }
 
     /// Composition plans this artifact has built so far.
     pub fn compose_plans_built(&self) -> usize {
-        self.compose_plans().len()
-    }
-
-    /// The plan memo. A plan is a pure function of the artifact and its
-    /// key and is pushed only once complete, so a lock poisoned by a
-    /// panicking builder is recovered, not propagated.
-    fn compose_plans(&self) -> MutexGuard<'_, Vec<Arc<CompositionPlan>>> {
-        self.compose_plans.lock().unwrap_or_else(PoisonError::into_inner)
+        self.compose_plans.len()
     }
 
     /// The per-shard prepared pieces, in shard order.
@@ -361,153 +353,26 @@ pub struct ShardSliceReport {
     pub kernel: KernelStats,
 }
 
-struct CacheInner {
-    map: HashMap<(PreparedKey, ShardSpec), Arc<ShardedPreparedGraph>>,
-    order: Vec<(PreparedKey, ShardSpec)>,
-    hits: u64,
-    misses: u64,
-}
+/// The bounded LRU cache of [`ShardedPreparedGraph`]s, keyed by base
+/// artifact × shard spec.
+pub type ShardedCache = ArtifactCache<(PreparedKey, ShardSpec), ShardedPreparedGraph>;
 
-/// A bounded LRU cache of [`ShardedPreparedGraph`]s keyed by base
-/// artifact × shard spec — the sharded twin of
-/// [`PreparedCache`](crate::PreparedCache), so repeated sharded queries
-/// partition and re-slice nothing.
-pub struct ShardedCache {
-    inner: Mutex<CacheInner>,
-    capacity: usize,
-}
-
-impl std::fmt::Debug for ShardedCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ShardedCache(len={}, capacity={}, hits={}, misses={})",
-            self.len(),
-            self.capacity,
-            self.hits(),
-            self.misses()
-        )
-    }
-}
-
-impl ShardedCache {
-    /// An empty cache holding at most `capacity` sharded artifacts.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be at least 1");
-        ShardedCache {
-            inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                order: Vec::new(),
-                hits: 0,
-                misses: 0,
-            }),
-            capacity,
-        }
-    }
-
-    /// The cache state. No critical section can panic between its
-    /// updates of the map, the LRU order and the counters, and every
-    /// cached artifact can be rebuilt, so a lock poisoned by a panicking
-    /// holder is recovered, not propagated.
-    fn inner(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The cached artifact for `prepared` under `spec`, building and
-    /// inserting it (with LRU eviction) on a miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ShardedPreparedGraph::build`] failures.
-    pub fn get_or_build(
-        &self,
-        prepared: &PreparedGraph,
-        spec: &ShardSpec,
-        engine: &PimEngine,
-    ) -> Result<Arc<ShardedPreparedGraph>> {
-        self.get_or_build_reporting(prepared, spec, engine).map(|(artifact, _)| artifact)
-    }
-
-    /// As [`ShardedCache::get_or_build`], additionally reporting whether
-    /// the artifact was served from the cache (`true`) or built by this
-    /// call (`false`) — the provenance an EXPLAIN plan records.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ShardedPreparedGraph::build`] failures.
-    pub fn get_or_build_reporting(
-        &self,
-        prepared: &PreparedGraph,
-        spec: &ShardSpec,
-        engine: &PimEngine,
-    ) -> Result<(Arc<ShardedPreparedGraph>, bool)> {
-        let key = (*prepared.key(), *spec);
-        {
-            let mut inner = self.inner();
-            if let Some(found) = inner.map.get(&key).cloned() {
-                inner.hits += 1;
-                inner.order.retain(|k| k != &key);
-                inner.order.push(key);
-                return Ok((found, true));
-            }
-            inner.misses += 1;
-        }
-        // Build outside the lock (slow); racing builders agree on the
-        // first inserted value. A builder that lost the race still paid
-        // for its build, so it reports a miss either way.
-        let built = Arc::new(ShardedPreparedGraph::build(prepared, spec, engine)?);
-        let mut inner = self.inner();
-        if let Some(existing) = inner.map.get(&key).cloned() {
-            return Ok((existing, false));
-        }
-        inner.map.insert(key, Arc::clone(&built));
-        inner.order.push(key);
-        if inner.order.len() > self.capacity {
-            let evicted = inner.order.remove(0);
-            inner.map.remove(&evicted);
-        }
-        Ok((built, false))
-    }
-
-    /// The cached artifact for `prepared` under `spec`, if present —
-    /// without counting a lookup, refreshing LRU order or building, so
-    /// pricing a prediction leaves the cache's accounting untouched.
-    pub(crate) fn peek(
-        &self,
-        prepared: &PreparedGraph,
-        spec: &ShardSpec,
-    ) -> Option<Arc<ShardedPreparedGraph>> {
-        self.inner().map.get(&(*prepared.key(), *spec)).cloned()
-    }
-
-    /// Number of cached artifacts.
-    pub fn len(&self) -> usize {
-        self.inner().map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookups that found a cached artifact.
-    pub fn hits(&self) -> u64 {
-        self.inner().hits
-    }
-
-    /// Lookups that missed.
-    pub fn misses(&self) -> u64 {
-        self.inner().misses
-    }
-
-    /// Maximum number of artifacts held before evicting.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
+/// The sharded artifact of `prepared` under `spec` from `cache`, built
+/// on a miss, and whether the cache served it — the one path every
+/// sharded caller resolves its artifact through.
+///
+/// # Errors
+///
+/// Propagates [`ShardedPreparedGraph::build`] failures.
+pub(crate) fn cached_artifact(
+    cache: &ShardedCache,
+    prepared: &PreparedGraph,
+    spec: &ShardSpec,
+    engine: &PimEngine,
+) -> Result<(Arc<ShardedPreparedGraph>, bool)> {
+    cache.get_or_build((*prepared.key(), *spec), || {
+        ShardedPreparedGraph::build(prepared, spec, engine)
+    })
 }
 
 /// One shard's partial result, normalized for merging in shard order.
@@ -529,46 +394,26 @@ struct IntraPartial {
 /// plus the cross-shard composition pass, answering every [`Query`](crate::Query)
 /// shape.
 ///
-/// Bound through a [`TcimPipeline`](crate::TcimPipeline) the backend
-/// reuses the pipeline's [`ShardedCache`]; bound directly via
-/// [`Backend::bind`](crate::Backend::bind) it builds the sharded
-/// artifact per call (the uncached convenience path).
+/// The backend resolves its sharded artifact through a [`ShardedCache`]:
+/// [`TcimPipeline::backend`](crate::TcimPipeline::backend) binds it to
+/// the pipeline's, so repeated executions partition once.
 #[derive(Debug, Clone)]
 pub struct ShardedBackend<'e> {
     engine: &'e PimEngine,
     policy: ShardPolicy,
-    cache: Option<&'e ShardedCache>,
+    cache: &'e ShardedCache,
 }
 
 impl<'e> ShardedBackend<'e> {
-    /// An uncached sharded backend running `policy` on `engine`.
-    pub fn new(engine: &'e PimEngine, policy: ShardPolicy) -> Self {
-        ShardedBackend { engine, policy, cache: None }
-    }
-
-    /// A sharded backend sharing `cache` (the pipeline's).
-    pub fn with_cache(
-        engine: &'e PimEngine,
-        policy: ShardPolicy,
-        cache: &'e ShardedCache,
-    ) -> Self {
-        ShardedBackend { engine, policy, cache: Some(cache) }
+    /// A sharded backend running `policy` on `engine`, resolving its
+    /// artifacts through `cache`.
+    pub fn new(engine: &'e PimEngine, policy: ShardPolicy, cache: &'e ShardedCache) -> Self {
+        ShardedBackend { engine, policy, cache }
     }
 
     /// The shard policy this backend executes with.
     pub fn policy(&self) -> &ShardPolicy {
         &self.policy
-    }
-
-    fn artifact(&self, prepared: &PreparedGraph) -> Result<Arc<ShardedPreparedGraph>> {
-        match self.cache {
-            Some(cache) => cache.get_or_build(prepared, &self.policy.spec, self.engine),
-            None => Ok(Arc::new(ShardedPreparedGraph::build(
-                prepared,
-                &self.policy.spec,
-                self.engine,
-            )?)),
-        }
     }
 }
 
@@ -664,7 +509,8 @@ impl ExecutionBackend for ShardedBackend<'_> {
         attribution: Attribution,
     ) -> Result<ExecutionReport> {
         let start = Instant::now();
-        let sharded = self.artifact(prepared)?;
+        let (sharded, _) =
+            cached_artifact(self.cache, prepared, &self.policy.spec, self.engine)?;
         let pieces = sharded.pieces();
         let n = prepared.oriented().vertex_count();
         let arcs = sharded.plan().arcs();
@@ -917,12 +763,6 @@ mod tests {
         let err = sharded.compose_plan(&zero_threads, &costs).unwrap_err();
         assert!(matches!(err, CoreError::Shard(ShardError::Sched(_))), "{err}");
         assert_eq!(sharded.compose_plans_built(), 2);
-        // A panic while the memo is locked poisons it; lookups recover.
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _plans = sharded.compose_plans();
-            panic!("poison the plan memo");
-        }));
-        assert!(poisoned.is_err());
         assert!(Arc::ptr_eq(&first, &sharded.compose_plan(&policy, &costs).unwrap()));
     }
 
@@ -948,53 +788,6 @@ mod tests {
         p.explain_prepared(&prepared, true, &spec, &Query::TotalTriangles).unwrap();
         assert_eq!(built(), warm, "no piece plans again");
         assert_eq!(artifact.compose_plans_built(), 1, "composition planned once");
-    }
-
-    #[test]
-    fn a_builder_that_loses_the_race_reports_a_miss() {
-        let p = pipeline();
-        let prepared = p.prepare(&gnm(256, 1800, 5).unwrap());
-        let cache = ShardedCache::new(4);
-        let spec = ShardSpec::one_d(2);
-        let barrier = std::sync::Barrier::new(8);
-        let served: Vec<(Arc<ShardedPreparedGraph>, bool)> = std::thread::scope(|scope| {
-            let callers: Vec<_> = (0..8)
-                .map(|_| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        cache.get_or_build_reporting(&prepared, &spec, p.engine()).unwrap()
-                    })
-                })
-                .collect();
-            callers.into_iter().map(|caller| caller.join().unwrap()).collect()
-        });
-        let built = served.iter().filter(|(_, hit)| !hit).count() as u64;
-        assert_eq!(built, cache.misses(), "every call that built reports a miss");
-        assert_eq!(cache.hits() + cache.misses(), 8);
-        assert_eq!(cache.len(), 1);
-        assert!(served.iter().all(|(artifact, _)| Arc::ptr_eq(artifact, &served[0].0)));
-    }
-
-    #[test]
-    fn a_poisoned_sharded_cache_keeps_answering() {
-        let p = pipeline();
-        let prepared = p.prepare(&gnm(256, 1800, 5).unwrap());
-        let cache = ShardedCache::new(2);
-        let spec = ShardSpec::one_d(2);
-        let first = cache.get_or_build(&prepared, &spec, p.engine()).unwrap();
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _inner = cache.inner();
-            panic!("poison the cache");
-        }));
-        assert!(poisoned.is_err());
-        assert!(Arc::ptr_eq(
-            &first,
-            &cache.get_or_build(&prepared, &spec, p.engine()).unwrap()
-        ));
-        assert!(cache.peek(&prepared, &spec).is_some());
-        cache.get_or_build(&prepared, &ShardSpec::one_d(4), p.engine()).unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
     #[test]

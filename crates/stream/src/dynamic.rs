@@ -68,11 +68,10 @@ pub struct StreamConfig {
     /// Minimum round size that engages the multi-array fan-out; smaller
     /// rounds run serially on one array.
     pub fanout_threshold: usize,
-    /// Recount the folded artifact and fail on disagreement with the
-    /// maintained count (a self-check; disabled by default).
+    /// Recount the folded artifact on the CPU merge backend and fail on
+    /// disagreement with the maintained count (a self-check; disabled
+    /// by default).
     pub verify_on_fold: bool,
-    /// Backend used for the initial count and fold-time verification.
-    pub count_backend: Backend,
 }
 
 impl Default for StreamConfig {
@@ -83,7 +82,6 @@ impl Default for StreamConfig {
             sched: SchedPolicy::with_arrays(4),
             fanout_threshold: 8,
             verify_on_fold: false,
-            count_backend: Backend::CpuMerge,
         }
     }
 }
@@ -180,8 +178,8 @@ pub struct DynamicGraph {
 
 impl DynamicGraph {
     /// Builds the dynamic state from an initial graph: prepares (and
-    /// caches) the epoch-0 artifact, obtains the initial count with
-    /// `config.count_backend`, and slices every full neighbourhood row.
+    /// caches) the epoch-0 artifact, obtains the initial count on the
+    /// CPU merge backend, and slices every full neighbourhood row.
     ///
     /// # Errors
     ///
@@ -192,7 +190,7 @@ impl DynamicGraph {
         // One attributed execution seeds both maintained quantities:
         // the per-vertex query's report carries the total alongside.
         let local =
-            pipeline.query(&prepared, &config.count_backend, &Query::PerVertexTriangles)?;
+            pipeline.query(&prepared, &Backend::CpuMerge, &Query::PerVertexTriangles)?;
         let per_vertex = local
             .value
             .per_vertex()
@@ -597,7 +595,7 @@ impl DynamicGraph {
             // One attributed recount checks both maintained quantities.
             let local = self.pipeline.query(
                 &prepared,
-                &self.config.count_backend,
+                &Backend::CpuMerge,
                 &Query::PerVertexTriangles,
             )?;
             if local.triangles != self.triangles {
