@@ -32,7 +32,10 @@ struct Lru<K, V> {
 /// A bounded, keyed cache of shared artifacts with LRU eviction.
 ///
 /// Thread-safe behind a mutex; artifacts are shared out as `Arc<V>`, so
-/// eviction never invalidates an in-flight execution.
+/// eviction never invalidates an in-flight execution. Only the owning
+/// [`TcimPipeline`](crate::TcimPipeline) fills the cache (the
+/// build-on-miss entry point is crate-private), so every entry was
+/// built for its key.
 pub struct ArtifactCache<K, V> {
     lru: Mutex<Lru<K, V>>,
     capacity: usize,
@@ -108,7 +111,7 @@ impl<K: Copy + Eq + Hash, V> ArtifactCache<K, V> {
     /// # Errors
     ///
     /// Propagates `build`'s error; a failed build inserts nothing.
-    pub fn get_or_build<E>(
+    pub(crate) fn get_or_build<E>(
         &self,
         key: K,
         build: impl FnOnce() -> Result<V, E>,
