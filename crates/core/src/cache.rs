@@ -194,6 +194,19 @@ impl<P> PlanMemo<P> {
 }
 
 #[cfg(test)]
+impl<K, V> ArtifactCache<K, V> {
+    /// Poisons the cache's lock by panicking while holding it, so tests
+    /// of the pipeline's caches can check they keep answering.
+    pub(crate) fn poison(&self) {
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _lru = self.lru();
+            panic!("poison the cache");
+        }));
+        assert!(poisoned.is_err() && self.lru.is_poisoned());
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::convert::Infallible;
@@ -297,11 +310,7 @@ mod tests {
     fn a_poisoned_cache_keeps_answering() {
         let cache = ArtifactCache::new(2);
         let (first, _) = cache.get_or_build(1, make(10)).unwrap();
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _lru = cache.lru();
-            panic!("poison the cache");
-        }));
-        assert!(poisoned.is_err());
+        cache.poison();
         let (again, hit) = cache.get_or_build(1, make(0)).unwrap();
         assert!(hit && Arc::ptr_eq(&first, &again));
         assert!(cache.peek(&1).is_some());

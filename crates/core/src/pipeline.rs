@@ -731,6 +731,18 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_prepared_cache_keeps_answering() {
+        let p = TcimPipeline::with_cache_capacity(&TcimConfig::default(), 2).unwrap();
+        let first = p.prepare(&classic::wheel(10));
+        p.cache().poison();
+        assert!(Arc::ptr_eq(&first, &p.prepare(&classic::wheel(10))));
+        p.prepare(&classic::wheel(11));
+        assert_eq!(p.cache().len(), 2);
+        assert_eq!(p.cache().keys_lru_first().len(), 2);
+        assert_eq!((p.cache().hits(), p.cache().misses()), (1, 2));
+    }
+
+    #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_cache_panics() {
         let _ = TcimPipeline::with_cache_capacity(&TcimConfig::default(), 0);

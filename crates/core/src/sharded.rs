@@ -717,6 +717,19 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_sharded_cache_keeps_answering() {
+        let p = pipeline();
+        let prepared = p.prepare(&gnm(256, 1800, 5).unwrap());
+        let spec = ShardSpec::one_d(2);
+        let first = p.prepare_sharded(&prepared, &spec).unwrap();
+        p.sharded_cache().poison();
+        assert!(Arc::ptr_eq(&first, &p.prepare_sharded(&prepared, &spec).unwrap()));
+        p.prepare_sharded(&prepared, &ShardSpec::one_d(4)).unwrap();
+        assert_eq!(p.sharded_cache().len(), 2);
+        assert_eq!((p.sharded_cache().hits(), p.sharded_cache().misses()), (1, 2));
+    }
+
+    #[test]
     fn sharded_artifact_is_keyed_by_spec_not_inner_policy() {
         let p = pipeline();
         let prepared = p.prepare(&gnm(256, 1800, 5).unwrap());
