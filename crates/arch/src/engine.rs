@@ -20,7 +20,7 @@ use crate::bitcounter::BitCounterModel;
 use crate::config::PimConfig;
 use crate::costs::SliceCostModel;
 use crate::error::Result;
-use crate::kernel::TriangleSink;
+use crate::kernel::{TriangleSink, TriangleTally};
 use crate::runtime::{self, EnergyBreakdown, LatencyBreakdown, PimRunResult};
 use crate::stats::AccessStats;
 
@@ -79,20 +79,31 @@ impl PimEngine {
         self.capacity_slices
     }
 
-    /// Executes Algorithm 1 over an oriented sliced matrix; see
-    /// [`runtime::run`].
+    /// Executes Algorithm 1 over an oriented sliced matrix: the one
+    /// kernel walker charged to the array's buffer, then rolled up into
+    /// latency and energy.
+    ///
+    /// The returned triangle count is computed by the simulated dataflow
+    /// itself (LUT bit counter over sliced ANDs), so functional
+    /// correctness of the architecture is checked on every run.
     ///
     /// # Panics
     ///
     /// Panics if `matrix` was built with a different slice size than the
     /// engine configuration — a mapping bug at the call site.
     pub fn run(&self, matrix: &SlicedMatrix) -> PimRunResult {
-        runtime::run(self, matrix)
+        runtime::execute(self, matrix, None::<&mut TriangleTally>)
     }
 
     /// Executes Algorithm 1 with triangle attribution, reporting every
     /// surviving triangle to `sink` (ascending matrix ids — the
-    /// [`TriangleSink`] contract); see [`runtime::run_attributed`].
+    /// [`TriangleSink`] contract).
+    ///
+    /// Hardware-wise this costs one extra operation class relative to
+    /// [`PimEngine::run`]: one read-class array access per *non-zero*
+    /// slice pair ([`AccessStats::result_readouts`]), rolled into the
+    /// latency/energy model. Zero results are filtered by the bit
+    /// counter and never read out.
     ///
     /// # Panics
     ///
@@ -103,7 +114,7 @@ impl PimEngine {
         matrix: &SlicedMatrix,
         sink: &mut S,
     ) -> PimRunResult {
-        runtime::run_attributed(self, matrix, sink)
+        runtime::execute(self, matrix, Some(sink))
     }
 
     /// Column-slice cache capacity after reserving the row region: the
@@ -321,19 +332,6 @@ mod tests {
         // Same event stream as the plain run: 3 row writes + 5 col
         // accesses + 5 and/bitcount events.
         assert_eq!(run.trace.len(), 13);
-    }
-
-    #[test]
-    fn runtime_functions_match_the_facade() {
-        let engine = engine();
-        let m = fig2_matrix();
-        let direct = runtime::run(&engine, &m);
-        let facade = engine.run(&m);
-        assert_eq!(direct.triangles, facade.triangles);
-        assert_eq!(direct.stats, facade.stats);
-        let local =
-            runtime::run_attributed(&engine, &m, &mut crate::TriangleTally::new(4, None));
-        assert_eq!(local.triangles, direct.triangles);
     }
 
     #[test]

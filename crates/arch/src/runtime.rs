@@ -5,17 +5,17 @@
 //! kernel census lists as visiting a slice pair; the census bills the
 //! others, so every count and modelled bit is that of walking every arc.
 //!
-//! These functions take a [`PimEngine`] (characterized once per
+//! The walk takes a [`PimEngine`] (characterized once per
 //! configuration) and a matrix that is already oriented and sliced — the
-//! run-time half of the characterize/run split. They never re-slice or
-//! re-characterize.
+//! run-time half of the characterize/run split. It never re-slices or
+//! re-characterizes.
 
 use tcim_bitmatrix::popcount::PopcountMethod;
 use tcim_bitmatrix::SlicedMatrix;
 
 use crate::buffer::SliceCache;
 use crate::engine::PimEngine;
-use crate::kernel::{self, ArrayBuffer, TriangleSink, TriangleTally};
+use crate::kernel::{self, ArrayBuffer, TriangleSink};
 use crate::stats::AccessStats;
 use tcim_telemetry::EventTrace;
 
@@ -101,44 +101,16 @@ impl PimRunResult {
 
 /// Executes Algorithm 1 over an oriented sliced matrix: the one kernel
 /// walker ([`kernel::walk`]) charged to the array's buffer, then rolled
-/// up into latency and energy.
-///
-/// The returned triangle count is computed by the simulated dataflow
-/// itself (LUT bit counter over sliced ANDs), so functional correctness
-/// of the architecture is checked on every run.
+/// up into latency and energy. With a `sink`, every non-zero AND result
+/// is also read back out of the array and its surviving bits are
+/// reported as triangles. The entry points are [`PimEngine::run`] and
+/// [`PimEngine::run_attributed`].
 ///
 /// # Panics
 ///
 /// Panics if `matrix` was built with a different slice size than the
 /// engine's configuration — a mapping bug at the call site.
-pub fn run(engine: &PimEngine, matrix: &SlicedMatrix) -> PimRunResult {
-    execute(engine, matrix, None::<&mut TriangleTally>)
-}
-
-/// Executes Algorithm 1 with triangle attribution: besides counting,
-/// every non-zero AND result is read back out of the array and its
-/// surviving bits are reported to `sink` as triangles (see
-/// [`TriangleSink`]).
-///
-/// Hardware-wise this costs one extra operation class relative to
-/// [`run`]: one read-class array access per *non-zero* slice pair
-/// ([`AccessStats::result_readouts`]),
-/// rolled into the latency/energy model. Zero results are filtered by
-/// the bit counter and never read out.
-///
-/// # Panics
-///
-/// Panics if `matrix` was built with a different slice size than the
-/// engine's configuration.
-pub fn run_attributed<S: TriangleSink + ?Sized>(
-    engine: &PimEngine,
-    matrix: &SlicedMatrix,
-    sink: &mut S,
-) -> PimRunResult {
-    execute(engine, matrix, Some(sink))
-}
-
-fn execute<S: TriangleSink + ?Sized>(
+pub(crate) fn execute<S: TriangleSink + ?Sized>(
     engine: &PimEngine,
     matrix: &SlicedMatrix,
     sink: Option<&mut S>,

@@ -67,5 +67,5 @@ pub use popcount::PopcountMethod;
 pub use row::{EncodingPolicy, PairStats, RowEncoding, SlicedRow};
 pub use slice::SliceSize;
 pub use sliced::{MatchingSlices, SlicedBitVector, ValidSlice};
-pub use sliced_matrix::{matrices_built, SliceStats, SlicedMatrix, SlicedMatrixBuilder};
+pub use sliced_matrix::{SliceStats, SlicedMatrix, SlicedMatrixBuilder};
 pub use sparse::SparseSlicedRow;

@@ -2,7 +2,6 @@
 //! adjacency matrix in compressed sliced form.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::census::KernelCensus;
@@ -10,22 +9,6 @@ use crate::error::{BitMatrixError, Result};
 use crate::row::{EncodingPolicy, RowEncoding, SlicedRow};
 use crate::slice::SliceSize;
 use crate::sliced::SlicedBitVector;
-
-/// Process-wide count of [`SlicedMatrix`] constructions — a work counter
-/// for the slicing stage.
-static MATRICES_BUILT: AtomicU64 = AtomicU64::new(0);
-
-/// How many [`SlicedMatrix`] values this process has built so far (every
-/// [`SlicedMatrix::from_adjacency`] call, including via
-/// [`SlicedMatrixBuilder::build`]).
-///
-/// Slicing is the expensive preparation step of the TCIM pipeline;
-/// callers that cache prepared matrices can read this counter before and
-/// after a workload to *prove* the cache prevented re-slicing rather
-/// than assume it. Monotone, never reset.
-pub fn matrices_built() -> u64 {
-    MATRICES_BUILT.load(Ordering::Relaxed)
-}
 
 /// Aggregate slicing statistics for a [`SlicedMatrix`] — the quantities
 /// behind the paper's Table III (valid slice data size) and Table IV
@@ -204,7 +187,6 @@ impl SlicedMatrix {
         };
         let (rows, cols) = (wrap(dense_rows), wrap(dense_cols));
 
-        MATRICES_BUILT.fetch_add(1, Ordering::Relaxed);
         Ok(SlicedMatrix {
             n,
             slice_size,
@@ -478,16 +460,6 @@ mod tests {
         assert_eq!(s.valid_slices, 0);
         assert_eq!(s.total_slices, 0);
         assert_eq!(s.valid_fraction(), 0.0);
-    }
-
-    #[test]
-    fn build_counter_is_monotone() {
-        // Other tests in this binary may build matrices concurrently, so
-        // only the monotone lower bound is asserted.
-        let before = matrices_built();
-        let _ = fig2();
-        let _ = SlicedMatrix::from_adjacency(&[], SliceSize::S64).unwrap();
-        assert!(matrices_built() >= before + 2);
     }
 
     #[test]

@@ -231,8 +231,8 @@ impl Adjacency {
 /// input-id order (`u < v`), their [`Adjacency`], one live flag per
 /// edge, and, for the sliced flavor, one [`SlicedRow`] per vertex. Rows
 /// are built with [`SlicedRow::from_sorted_indices`] and patched in
-/// place with `clear_bit` — never via a matrix build, so
-/// `matrices_built()` provably stays flat across peeling.
+/// place with `clear_bit` — never via a matrix build, so peeling
+/// prepares no artifact and leaves the pipeline's cache misses flat.
 struct MotifState {
     /// Edge `e`'s endpoints `(u, v)`, `u < v`, ascending in `e`.
     edges: Vec<(u32, u32)>,

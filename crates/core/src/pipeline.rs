@@ -134,7 +134,7 @@ pub struct PreparedGraph {
 impl PreparedGraph {
     /// Orients, slices and prices `g`; the uncached preparation
     /// primitive behind [`TcimPipeline::prepare`].
-    pub fn build(
+    pub(crate) fn build(
         g: &CsrGraph,
         orientation: Orientation,
         slice_size: SliceSize,

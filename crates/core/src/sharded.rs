@@ -167,7 +167,8 @@ pub struct ShardedPreparedGraph {
 impl ShardedPreparedGraph {
     /// Partitions `prepared`'s oriented DAG, extracts boundary slices
     /// and prepares every induced subgraph — the sharded analogue of
-    /// [`PreparedGraph::build`]. Cached callers go through
+    /// [`TcimPipeline::prepare_uncached`](crate::TcimPipeline::prepare_uncached).
+    /// Cached callers go through
     /// [`TcimPipeline::prepare_sharded`](crate::TcimPipeline::prepare_sharded).
     ///
     /// # Errors

@@ -102,42 +102,22 @@ impl DeltaPlan {
 pub fn plan_deltas(jobs: &[DeltaJob], policy: &SchedPolicy) -> Result<DeltaPlan> {
     policy.validate()?;
     let arrays = policy.arrays;
-    let mut assignment = vec![0usize; jobs.len()];
-    let mut busy = vec![0.0f64; arrays];
-    match policy.placement {
+    let (assignment, per_array_busy_s) = match policy.placement {
         PlacementPolicy::RoundRobin => {
-            for (k, job) in jobs.iter().enumerate() {
-                let a = k % arrays;
-                assignment[k] = a;
+            let assignment: Vec<usize> = (0..jobs.len()).map(|k| k % arrays).collect();
+            let mut busy = vec![0.0f64; arrays];
+            for (job, &a) in jobs.iter().zip(&assignment) {
                 busy[a] += job.est_busy_s;
             }
+            (assignment, busy)
         }
         // One-shot operand pairs leave the reuse-aware policy nothing to
         // colocate, so both cost-aware policies balance by LPT.
         PlacementPolicy::LoadBalanced | PlacementPolicy::ReuseAware => {
-            let mut order: Vec<usize> = (0..jobs.len()).collect();
-            order.sort_by(|&x, &y| {
-                jobs[y]
-                    .est_busy_s
-                    .partial_cmp(&jobs[x].est_busy_s)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(x.cmp(&y))
-            });
-            for k in order {
-                let a = busy
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, x), (_, y)| {
-                        x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .map(|(a, _)| a)
-                    .expect("policy validation guarantees at least one array");
-                assignment[k] = a;
-                busy[a] += jobs[k].est_busy_s;
-            }
+            crate::placement::lpt(jobs, arrays, |job| job.est_busy_s)
         }
-    }
-    Ok(DeltaPlan { arrays, assignment, per_array_busy_s: busy })
+    };
+    Ok(DeltaPlan { arrays, assignment, per_array_busy_s })
 }
 
 #[cfg(test)]

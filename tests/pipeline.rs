@@ -1,6 +1,11 @@
 //! Cross-crate pipeline properties: for every backend × orientation ×
 //! graph family, prepare-once/execute-many equals the one-shot path and
-//! all backends agree on the triangle count.
+//! all backends agree on the triangle count; and a second execution on
+//! a cached `PreparedGraph` performs **no re-slicing**, pinned by the
+//! pipeline's own cache misses (a pipeline slices matrices only when
+//! one of its caches misses).
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use tcim_repro::graph::generators::{
@@ -77,7 +82,51 @@ fn one_shot_counts_reuse_the_prepared_artifact() {
     // Five counts → five cache hits, zero further misses.
     assert_eq!(p.cache().misses(), 1);
     assert_eq!(p.cache().hits(), 5);
-    assert!(std::sync::Arc::ptr_eq(&prepared, &p.prepare(&g)));
+    assert!(Arc::ptr_eq(&prepared, &p.prepare(&g)));
+}
+
+/// Acceptance proof for the prepared-graph cache: executing the whole
+/// backend suite twice over a cached artifact builds no further
+/// artifact, and the artifact's slice statistics and pricing stay
+/// unchanged.
+#[test]
+fn cached_prepared_graph_is_never_resliced() {
+    let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
+    let g = gnm(300, 2200, 19).unwrap();
+    let artifacts_built = || (pipeline.cache().misses(), pipeline.sharded_cache().misses());
+
+    // First preparation slices exactly once: one prepared-cache miss.
+    assert_eq!(artifacts_built(), (0, 0));
+    let prepared = pipeline.prepare(&g);
+    assert_eq!(artifacts_built(), (1, 0));
+    let stats = prepared.slice_stats();
+    let pricing = prepared.pricing();
+
+    // Execute the full backend suite twice over the cached artifact:
+    // no backend, planner or popcount path may slice anything.
+    let builds_after_prepare = artifacts_built();
+    let mut counts = Vec::new();
+    for round in 0..2 {
+        let again = pipeline.prepare(&g);
+        assert!(
+            Arc::ptr_eq(&prepared, &again),
+            "round {round}: prepare must return the cached artifact"
+        );
+        for spec in Backend::default_suite() {
+            counts.push(pipeline.execute(&again, &spec).unwrap().triangles);
+        }
+    }
+    assert_eq!(artifacts_built(), builds_after_prepare, "execution must not re-slice");
+
+    // Work counters of the artifact are untouched…
+    assert_eq!(prepared.slice_stats(), stats);
+    assert_eq!(prepared.pricing(), pricing);
+    // …and every execution agreed.
+    assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
+
+    // Cache accounting: one miss (the initial build), hits ever after.
+    assert_eq!(pipeline.cache().misses(), 1);
+    assert_eq!(pipeline.cache().hits(), 2);
 }
 
 /// The pipeline's metric counters are the same accounting its reports

@@ -2,9 +2,7 @@
 //! every `Query` variant from one `PreparedGraph`, and all answers
 //! agree exactly with naive CPU references computed on the raw graph —
 //! across the full generator grid and every orientation, without any
-//! re-slicing at query time (pinned via `matrices_built()`).
-
-use std::sync::{Mutex, MutexGuard, PoisonError};
+//! re-slicing at query time (pinned via the pipeline's cache misses).
 
 use tcim_repro::bitmatrix::EncodingPolicy;
 use tcim_repro::graph::generators::{
@@ -16,14 +14,11 @@ use tcim_repro::tcim::{
     baseline, Backend, Query, QueryValue, SchedPolicy, ShardPolicy, TcimConfig, TcimPipeline,
 };
 
-/// `matrices_built()` counts every matrix the process builds, and the
-/// harness runs this binary's tests on parallel threads: each test holds
-/// this lock throughout, so no test builds matrices while another reads
-/// the counter.
-static MATRIX_COUNTER: Mutex<()> = Mutex::new(());
-
-fn exclusive_matrix_counter() -> MutexGuard<'static, ()> {
-    MATRIX_COUNTER.lock().unwrap_or_else(PoisonError::into_inner)
+/// The artifacts `pipeline` has built: prepared-cache misses, then
+/// sharded-cache misses. A pipeline slices matrices only inside those
+/// caches' builds, so an unchanged pair means nothing was re-sliced.
+fn artifacts_built(pipeline: &TcimPipeline) -> (u64, u64) {
+    (pipeline.cache().misses(), pipeline.sharded_cache().misses())
 }
 
 /// The generator grid the satellite task names: fig2, wheel, ER, BA,
@@ -69,7 +64,6 @@ fn naive_edge_support(g: &CsrGraph) -> Vec<(u32, u32, u64)> {
 /// preparation.
 #[test]
 fn backend_query_agreement_grid() {
-    let _counter = exclusive_matrix_counter();
     let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
     for (name, g) in generator_grid() {
         let total = baseline::edge_iterator_merge(&g);
@@ -84,7 +78,7 @@ fn backend_query_agreement_grid() {
             .sum();
 
         let prepared = pipeline.prepare(&g);
-        let built_after_prepare = tcim_repro::bitmatrix::matrices_built();
+        let built_after_prepare = artifacts_built(&pipeline);
         for spec in Backend::default_suite() {
             let ctx = format!("{name} on {}", spec.label());
             for query in Query::example_suite() {
@@ -137,7 +131,7 @@ fn backend_query_agreement_grid() {
         // Acceptance: every backend answered every query variant from
         // the one artifact — nothing was re-oriented or re-sliced.
         assert_eq!(
-            tcim_repro::bitmatrix::matrices_built(),
+            artifacts_built(&pipeline),
             built_after_prepare,
             "{name}: queries must never re-slice"
         );
@@ -152,7 +146,6 @@ fn backend_query_agreement_grid() {
 /// would move one edge's support here.
 #[test]
 fn edge_support_matches_the_naive_count_on_every_backend_and_encoding() {
-    let _counter = exclusive_matrix_counter();
     let graphs = [
         ("rmat", rmat(10, 9000, RmatParams::default(), 5).unwrap()),
         ("barabasi-albert", barabasi_albert(900, 9, 13).unwrap()),
@@ -192,7 +185,6 @@ fn edge_support_matches_the_naive_count_on_every_backend_and_encoding() {
 /// motif rounds.
 #[test]
 fn motif_queries_agree_with_the_oracle_across_the_grid() {
-    let _counter = exclusive_matrix_counter();
     let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
     let mut suite = Backend::default_suite();
     suite.push(Backend::Sharded(ShardPolicy {
@@ -206,7 +198,7 @@ fn motif_queries_agree_with_the_oracle_across_the_grid() {
         for spec in &suite {
             pipeline.query(&prepared, spec, &Query::TotalTriangles).unwrap();
         }
-        let built = tcim_repro::bitmatrix::matrices_built();
+        let built = artifacts_built(&pipeline);
         for spec in &suite {
             let ctx = format!("{name} on {}", spec.label());
             let report = pipeline.query(&prepared, spec, &Query::KTruss { k: 4 }).unwrap();
@@ -231,7 +223,7 @@ fn motif_queries_agree_with_the_oracle_across_the_grid() {
             );
         }
         assert_eq!(
-            tcim_repro::bitmatrix::matrices_built(),
+            artifacts_built(&pipeline),
             built,
             "{name}: motif peeling must never re-slice"
         );
@@ -246,7 +238,6 @@ fn motif_queries_agree_with_the_oracle_across_the_grid() {
 /// all-ties worst case.
 #[test]
 fn topk_breaks_total_ties_by_ascending_input_id_on_every_backend() {
-    let _counter = exclusive_matrix_counter();
     let g = watts_strogatz(64, 6, 0.0, 1).unwrap();
     let local = baseline::local_triangles(&g);
     assert!(
@@ -278,7 +269,6 @@ fn topk_breaks_total_ties_by_ascending_input_id_on_every_backend() {
 /// graph inside the execution layer.
 #[test]
 fn attributed_queries_are_orientation_invariant() {
-    let _counter = exclusive_matrix_counter();
     let g = barabasi_albert(200, 6, 9).unwrap();
     let local = baseline::local_triangles(&g);
     let support = naive_edge_support(&g);
@@ -309,7 +299,6 @@ fn attributed_queries_are_orientation_invariant() {
 /// identical between serial and scheduled paths.
 #[test]
 fn attributed_queries_cost_readouts_and_report_normalized_stats() {
-    let _counter = exclusive_matrix_counter();
     let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
     let prepared = pipeline.prepare(&gnm(250, 1800, 2).unwrap());
     let total =

@@ -10,8 +10,6 @@
 //! rows. Any divergence anywhere in the grid is a bug in exactly one
 //! of them, which is the point of keeping both.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
 use tcim_repro::bitmatrix::popcount::PopcountMethod;
 use tcim_repro::bitmatrix::EncodingPolicy;
 use tcim_repro::graph::generators::{
@@ -23,14 +21,11 @@ use tcim_repro::tcim::{
     Backend, EdgeTruss, Query, QueryValue, SchedPolicy, ShardPolicy, TcimConfig, TcimPipeline,
 };
 
-/// `matrices_built()` counts every matrix the process builds, and the
-/// harness runs this binary's tests on parallel threads: each test holds
-/// this lock throughout, so no test builds matrices while another reads
-/// the counter.
-static MATRIX_COUNTER: Mutex<()> = Mutex::new(());
-
-fn exclusive_matrix_counter() -> MutexGuard<'static, ()> {
-    MATRIX_COUNTER.lock().unwrap_or_else(PoisonError::into_inner)
+/// The artifacts `pipeline` has built: prepared-cache misses, then
+/// sharded-cache misses. A pipeline slices matrices only inside those
+/// caches' builds, so an unchanged pair means nothing was re-sliced.
+fn artifacts_built(pipeline: &TcimPipeline) -> (u64, u64) {
+    (pipeline.cache().misses(), pipeline.sharded_cache().misses())
 }
 
 /// The generator grid the satellite task names.
@@ -110,7 +105,6 @@ fn assert_motifs_match_oracle(
 /// Fig. 2 graph, a wheel, and the complete graphs K5/K6.
 #[test]
 fn golden_fixtures_match_hand_derived_values() {
-    let _counter = exclusive_matrix_counter();
     let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
 
     // Fig. 2: triangles {0,1,2}, {1,2,3}; edge (1,2) closes both, the
@@ -162,7 +156,6 @@ fn golden_fixtures_match_hand_derived_values() {
 /// time — peeling mutates rows in place, it never re-slices.
 #[test]
 fn motif_answers_match_the_oracle_across_the_grid() {
-    let _counter = exclusive_matrix_counter();
     for (name, g) in generator_grid() {
         for orientation in [Orientation::Natural, Orientation::Degree, Orientation::Degeneracy]
         {
@@ -180,13 +173,13 @@ fn motif_answers_match_the_oracle_across_the_grid() {
                 for backend in backends() {
                     pipeline.query(&prepared, &backend, &Query::TotalTriangles).unwrap();
                 }
-                let built = tcim_repro::bitmatrix::matrices_built();
+                let built = artifacts_built(&pipeline);
                 for backend in backends() {
                     let ctx = format!("{name} {orientation:?} {encoding:?} {backend:?}");
                     assert_motifs_match_oracle(&pipeline, &prepared, &g, &backend, &ctx);
                 }
                 assert_eq!(
-                    tcim_repro::bitmatrix::matrices_built(),
+                    artifacts_built(&pipeline),
                     built,
                     "{name} {orientation:?} {encoding:?}: motif queries must never re-slice"
                 );
@@ -201,7 +194,6 @@ fn motif_answers_match_the_oracle_across_the_grid() {
 /// the motif rounds run over the merged input-id adjacency.
 #[test]
 fn sharded_motifs_are_shard_count_invariant() {
-    let _counter = exclusive_matrix_counter();
     let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
     let graphs =
         vec![("ba", barabasi_albert(150, 5, 3).unwrap()), ("er", gnm(140, 900, 7).unwrap())];

@@ -3,22 +3,12 @@
 //! provenance, live (incrementally maintained) graphs that survive
 //! randomized churn, and registry lifecycle.
 
-use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::Barrier;
 
 use tcim_repro::graph::generators::{barabasi_albert, classic, gnm};
 use tcim_repro::service::{QueryRequest, ServiceConfig, ServiceError, TcimService};
 use tcim_repro::stream::UpdateBatch;
 use tcim_repro::tcim::{baseline, Backend, Query, QueryValue};
-
-/// `matrices_built()` counts every matrix the process builds, and the
-/// harness runs this binary's tests on parallel threads: each test holds
-/// this lock throughout, so no test builds matrices while another reads
-/// the counter.
-static MATRIX_COUNTER: Mutex<()> = Mutex::new(());
-
-fn exclusive_matrix_counter() -> MutexGuard<'static, ()> {
-    MATRIX_COUNTER.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn service() -> TcimService {
     TcimService::new(&ServiceConfig::default()).unwrap()
@@ -29,7 +19,6 @@ fn service() -> TcimService {
 /// provenance (graph, fingerprint, backend, cache hit, wall time).
 #[test]
 fn serves_concurrent_mixed_queries_across_graphs_with_provenance() {
-    let _counter = exclusive_matrix_counter();
     let service = service();
     let ba = barabasi_albert(300, 5, 21).unwrap();
     let er = gnm(250, 1700, 4).unwrap();
@@ -94,14 +83,17 @@ fn serves_concurrent_mixed_queries_across_graphs_with_provenance() {
 
 /// Queries answer from the one artifact prepared at registration:
 /// nothing re-orients or re-slices at serve time, pinned via the
-/// global matrix-build counter.
+/// serving pipeline's prepared- and sharded-cache misses (the only
+/// places it slices a matrix).
 #[test]
 fn serving_never_reslices() {
-    let _counter = exclusive_matrix_counter();
     let service = service();
     service.register("a", &classic::wheel(60)).unwrap();
     service.register("b", &gnm(150, 900, 8).unwrap()).unwrap();
-    let built = tcim_repro::bitmatrix::matrices_built();
+    let pipeline = service.pipeline();
+    let artifacts_built = || (pipeline.cache().misses(), pipeline.sharded_cache().misses());
+    let built = artifacts_built();
+    assert_eq!(built, (2, 0), "registration prepared each graph once");
     let requests: Vec<QueryRequest> = Query::example_suite()
         .into_iter()
         .flat_map(|q| [QueryRequest::new("a", q.clone()), QueryRequest::new("b", q)])
@@ -109,11 +101,11 @@ fn serving_never_reslices() {
     for outcome in service.serve(&requests) {
         outcome.unwrap();
     }
-    assert_eq!(tcim_repro::bitmatrix::matrices_built(), built);
+    assert_eq!(artifacts_built(), built);
     // Re-registering the same graph hits the prepared cache.
     let again = service.register("a-alias", &classic::wheel(60)).unwrap();
     assert!(again.prepared_cache_hit);
-    assert_eq!(tcim_repro::bitmatrix::matrices_built(), built);
+    assert_eq!(artifacts_built(), built);
 }
 
 /// Live graphs serve the motif queries straight off the maintained
@@ -123,7 +115,6 @@ fn serving_never_reslices() {
 #[test]
 fn live_graphs_serve_motif_queries_from_maintained_rows() {
     use tcim_repro::graph::oracle;
-    let _counter = exclusive_matrix_counter();
     let service = service();
     let g = gnm(90, 450, 5).unwrap();
     service.register_live("feed", &g).unwrap();
@@ -173,7 +164,6 @@ fn live_graphs_serve_motif_queries_from_maintained_rows() {
 /// from-scratch recount of the materialised snapshot.
 #[test]
 fn live_graph_answers_match_recount_after_randomized_churn() {
-    let _counter = exclusive_matrix_counter();
     let service = service();
     let g = gnm(120, 700, 33).unwrap();
     let info = service.register_live("feed", &g).unwrap();
@@ -252,7 +242,6 @@ fn live_graph_answers_match_recount_after_randomized_churn() {
 /// name.
 #[test]
 fn registry_lifecycle_and_name_conflicts() {
-    let _counter = exclusive_matrix_counter();
     let service = service();
     service.register("g", &classic::wheel(12)).unwrap();
     assert!(matches!(
@@ -295,7 +284,6 @@ fn registry_lifecycle_and_name_conflicts() {
 /// fingerprint.
 #[test]
 fn concurrent_registration_keeps_names_exclusive() {
-    let _counter = exclusive_matrix_counter();
     let g = classic::wheel(40);
     for round in 0..6 {
         let service = service();
@@ -351,7 +339,6 @@ fn concurrent_registration_keeps_names_exclusive() {
 /// static and live graphs alike.
 #[test]
 fn invalid_query_parameters_fail_cleanly() {
-    let _counter = exclusive_matrix_counter();
     let service = service();
     service.register("s", &classic::wheel(10)).unwrap();
     service.register_live("l", &classic::wheel(10)).unwrap();

@@ -1,7 +1,12 @@
 //! Acceptance property for the dynamic-graph subsystem: for randomized
 //! insert/delete sequences over every graph family, the incrementally
 //! maintained count equals a from-scratch recount after every batch,
-//! and invalid updates are rejected cleanly.
+//! and invalid updates are rejected cleanly. A batch below the drift
+//! threshold builds no new artifact (the per-update delta kernels run
+//! on the in-place patched rows), while one above it triggers exactly
+//! one rebuild, pinned by the live graph's own pipeline cache misses.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use tcim_repro::graph::generators::{barabasi_albert, classic, gnm, rmat, RmatParams};
@@ -210,4 +215,87 @@ fn full_drain_returns_to_zero() {
     assert_eq!(r.inserts, edges.len() as u64);
     assert_eq!(r.deletes, edges.len() as u64);
     assert_eq!(r.kernel_invocations, 2 * edges.len() as u64);
+}
+
+/// The artifacts `dg`'s pipeline has built: prepared-cache misses, then
+/// sharded-cache misses. A pipeline slices matrices only inside those
+/// caches' builds, so an unchanged pair means nothing was re-sliced.
+fn artifacts_built(dg: &DynamicGraph) -> (u64, u64) {
+    (dg.pipeline().cache().misses(), dg.pipeline().sharded_cache().misses())
+}
+
+/// Applying a batch below the drift threshold builds **zero** new
+/// artifacts, while exceeding the threshold triggers exactly one
+/// rebuild that lands in the pipeline's `PreparedCache`.
+#[test]
+fn deltas_never_reslice_and_drift_triggers_exactly_one_rebuild() {
+    let g = gnm(200, 1200, 31).unwrap();
+    let config = StreamConfig {
+        drift: DriftPolicy {
+            // 200 vertices: trip the fold once more than 25% of the
+            // rows (50) were touched since the last fold.
+            max_touched_fraction: Some(0.25),
+            max_valid_slice_drift: None,
+            max_updates: None,
+        },
+        verify_on_fold: true,
+        ..StreamConfig::default()
+    };
+
+    // Construction prepares (slices) the epoch-0 artifact exactly once.
+    let mut dg = DynamicGraph::new(&g, config).unwrap();
+    assert_eq!(artifacts_built(&dg), (1, 0));
+    assert_eq!(dg.pipeline().cache().len(), 1);
+
+    // A small batch (touches ≤ 20 rows out of 200) stays below the
+    // drift threshold: zero new SlicedMatrix builds, no fold.
+    let mut small = UpdateBatch::new();
+    for v in 0..10u32 {
+        small.push(Update::Insert(2 * v, 2 * v + 1));
+    }
+    let before_small = artifacts_built(&dg);
+    let outcome = dg.apply_batch(&small).unwrap();
+    assert!(outcome.applied() > 0, "the batch did real work");
+    assert!(!outcome.folded, "below the drift threshold");
+    assert_eq!(
+        artifacts_built(&dg),
+        before_small,
+        "sub-threshold batches must not build any SlicedMatrix"
+    );
+    assert_eq!(dg.epoch(), 0);
+    assert_eq!(dg.report().rebuilds, 0);
+
+    // A wide batch (touches 120 distinct rows) exceeds the threshold:
+    // exactly one rebuild, landing in the PreparedCache.
+    let mut wide = UpdateBatch::new();
+    for v in 20..80u32 {
+        wide.push(Update::Insert(v, v + 100));
+    }
+    let (misses_before, sharded_before) = artifacts_built(&dg);
+    let outcome = dg.apply_batch(&wide).unwrap();
+    assert!(outcome.folded, "above the drift threshold");
+    assert_eq!(
+        artifacts_built(&dg),
+        (misses_before + 1, sharded_before),
+        "the fold rebuilds exactly one SlicedMatrix"
+    );
+    assert_eq!(dg.epoch(), 1);
+    assert_eq!(dg.report().rebuilds, 1);
+    // …and the artifact landed in the cache: one miss (the build, pinned
+    // above), and re-preparing the same snapshot is a pure hit on the
+    // same Arc.
+    assert_eq!(dg.pipeline().cache().len(), 2);
+    let hits_before = dg.pipeline().cache().hits();
+    let again = dg.pipeline().prepare(&dg.snapshot());
+    assert!(Arc::ptr_eq(dg.prepared(), &again));
+    assert_eq!(dg.pipeline().cache().hits(), hits_before + 1);
+    assert_eq!(
+        artifacts_built(&dg),
+        (misses_before + 1, sharded_before),
+        "the hit resliced nothing"
+    );
+
+    // The drift measure reset after the fold.
+    assert_eq!(dg.drift().touched_rows, 0);
+    assert_eq!(dg.drift().updates_since_fold, 0);
 }
