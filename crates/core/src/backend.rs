@@ -7,10 +7,11 @@
 //! [`run`](ExecutionBackend::run): execute the prepared graph at an
 //! [`Attribution`] level and return one [`ExecutionReport`]. The level
 //! says what the run reads out beyond the count — nothing, per-vertex
-//! participation, or per-vertex participation plus per-arc support —
-//! and the provided [`query`](ExecutionBackend::query) method runs each
-//! [`Query`] at the level it needs. Swap the engine, keep the call site
-//! *and* the question.
+//! participation, or per-vertex participation plus per-arc support.
+//! Backends only execute: the pipeline answers every
+//! [`Query`](crate::Query) by running its backend at the level the query
+//! needs ([`TcimPipeline::query_coalesced`](crate::TcimPipeline::query_coalesced)).
+//! Swap the engine, keep the call site *and* the question.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -24,9 +25,8 @@ use tcim_graph::OrientedGraph;
 use tcim_sched::{SchedPolicy, ScheduledReport};
 
 use crate::error::{CoreError, Result};
-use crate::motifs::{self, MotifFlavor, MotifPricing};
 use crate::pipeline::PreparedGraph;
-use crate::query::{self, KernelStats, Query, QueryReport};
+use crate::query::KernelStats;
 use crate::sharded::{ShardPolicy, ShardProvenance};
 
 /// A query engine that executes prepared graphs.
@@ -85,64 +85,6 @@ pub trait ExecutionBackend {
             Attribution::PerVertex
         };
         self.run(prepared, attribution)
-    }
-
-    /// How this backend's motif engine intersects neighbourhoods:
-    /// sliced AND+BitCount kernels by default; the CPU baselines
-    /// override to sorted-list merges, preserving their "zero slice
-    /// pairs" accounting invariant.
-    fn motif_flavor(&self) -> MotifFlavor {
-        MotifFlavor::Sliced
-    }
-
-    /// The cost model motif kernels are priced with, for
-    /// simulated-hardware backends; `None` (the default) leaves the
-    /// modelled time/energy of motif reports at the anchor run's.
-    fn motif_pricing(&self) -> Option<MotifPricing> {
-        None
-    }
-
-    /// Answers a typed query over a prepared graph: one
-    /// [`run`](ExecutionBackend::run) at the query's
-    /// [`attribution`](Query::attribution) level, shaped into the
-    /// query's value. Motif queries ([`Query::is_motif`]) anchor on that
-    /// run and then hand over to the motif engine ([`crate::motifs`]),
-    /// which peels / chains further kernels without ever re-slicing.
-    ///
-    /// # Errors
-    ///
-    /// As [`ExecutionBackend::run`], plus [`CoreError::Query`] for
-    /// invalid query parameters (e.g. out-of-bounds vertices).
-    fn query(&self, prepared: &PreparedGraph, query: &Query) -> Result<QueryReport> {
-        let anchor_span = query.is_motif().then(|| tcim_telemetry::span("motif.anchor"));
-        let run = self.run(prepared, query.attribution())?;
-        drop(anchor_span);
-        match query {
-            // The k-truss peel seeds from the anchor run's edge supports.
-            Query::KTruss { k } => motifs::ktruss_report(
-                prepared,
-                query,
-                run,
-                self.motif_flavor(),
-                self.motif_pricing(),
-                *k,
-            ),
-            // The 4-clique witness pass re-derives the triangle census
-            // as a built-in cross-check against the anchor run.
-            Query::FourCliques => motifs::four_clique_report(
-                prepared,
-                query,
-                run,
-                self.motif_flavor(),
-                self.motif_pricing(),
-            ),
-            _ => {
-                let value = query::shape(std::slice::from_ref(query), prepared, &run)
-                    .pop()
-                    .expect("one query shapes one value")?;
-                Ok(QueryReport::of_run(query, value, prepared, &run))
-            }
-        }
     }
 }
 
@@ -243,11 +185,11 @@ impl fmt::Display for ExecutionReport {
 /// engine-specific knobs. Resolved against a pipeline's characterized
 /// engine (and, for sharded selections, its sharded-artifact cache) by
 /// [`TcimPipeline::backend`], which [`TcimPipeline::execute`] and
-/// [`TcimPipeline::query`] call.
+/// [`TcimPipeline::query_coalesced`] call.
 ///
 /// [`TcimPipeline::backend`]: crate::TcimPipeline::backend
 /// [`TcimPipeline::execute`]: crate::TcimPipeline::execute
-/// [`TcimPipeline::query`]: crate::TcimPipeline::query
+/// [`TcimPipeline::query_coalesced`]: crate::TcimPipeline::query_coalesced
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Backend {
@@ -400,11 +342,6 @@ impl ExecutionBackend for SerialPimBackend<'_> {
         };
         Ok(report.with_tally(tally))
     }
-
-    fn motif_pricing(&self) -> Option<MotifPricing> {
-        // The serial engine runs every kernel on its one array.
-        Some(MotifPricing::new(self.engine.cost_model(), SchedPolicy::with_arrays(1)))
-    }
 }
 
 /// Scheduled multi-array PIM execution over the prepared sliced matrix.
@@ -462,12 +399,6 @@ impl ExecutionBackend for ScheduledPimBackend<'_> {
             detail: BackendDetail::ScheduledPim(Box::new(report)),
         };
         Ok(report.with_tally(tally))
-    }
-
-    fn motif_pricing(&self) -> Option<MotifPricing> {
-        // Peel passes and chained-AND waves are placed across the same
-        // arrays, under the same policy, as the triangle kernels.
-        Some(MotifPricing::new(self.costs, self.policy.clone()))
     }
 }
 
@@ -590,10 +521,6 @@ impl ExecutionBackend for CpuMergeBackend {
         );
         Ok(report.with_tally(tally))
     }
-
-    fn motif_flavor(&self) -> MotifFlavor {
-        MotifFlavor::Adjacency
-    }
 }
 
 /// CPU forward-algorithm baseline (Schank & Wagner) over the prepared
@@ -626,10 +553,6 @@ impl ExecutionBackend for CpuForwardBackend {
             BackendDetail::Cpu,
         );
         Ok(report.with_tally(tally))
-    }
-
-    fn motif_flavor(&self) -> MotifFlavor {
-        MotifFlavor::Adjacency
     }
 }
 

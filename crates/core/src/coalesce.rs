@@ -29,9 +29,11 @@
 //! member — and `carrier` reports the classic class's carrier level.
 
 use tcim_arch::Attribution;
+use tcim_sched::SchedPolicy;
 
 use crate::backend::Backend;
 use crate::error::Result;
+use crate::motifs::{self, MotifFlavor, MotifPricing};
 use crate::pipeline::{PreparedGraph, TcimPipeline};
 use crate::query::{shape, Query, QueryReport, QueryValue};
 
@@ -58,7 +60,8 @@ pub struct CoalescedOutcome {
 impl TcimPipeline {
     /// Answers every query in `queries` over one prepared artifact on
     /// one backend with a **single** carrier execution, fanning the
-    /// carrier's attribution out into per-member reports.
+    /// carrier's attribution out into per-member reports. This is the
+    /// one query path: [`TcimPipeline::query`] is a batch of one.
     ///
     /// Each member's report carries the carrier's execution envelope
     /// (backend label, kernel accounting, modelled cost, wall time) —
@@ -89,16 +92,16 @@ impl TcimPipeline {
             .collect();
         if let Some(&first) = ktruss.first() {
             executions += 1;
-            let base = self.query(prepared, spec, &queries[first])?;
+            let base = self.motif(prepared, spec, &queries[first])?;
             share(&mut slots, queries, &ktruss, base);
         }
 
         // The 4-clique class: members are identical; run once, share.
         let cliques: Vec<usize> =
             (0..queries.len()).filter(|&i| matches!(queries[i], Query::FourCliques)).collect();
-        if !cliques.is_empty() {
+        if let Some(&first) = cliques.first() {
             executions += 1;
-            let base = self.query(prepared, spec, &Query::FourCliques)?;
+            let base = self.motif(prepared, spec, &queries[first])?;
             share(&mut slots, queries, &cliques, base);
         }
 
@@ -125,6 +128,49 @@ impl TcimPipeline {
             .map(|slot| slot.expect("every member belongs to exactly one class"))
             .collect();
         Ok(CoalescedOutcome { reports, executions, carrier })
+    }
+
+    /// Answers one motif query: the anchoring run at the query's
+    /// [`attribution`](Query::attribution) level, handed to the motif
+    /// engine ([`crate::motifs`]), which peels or chains further kernels
+    /// without re-slicing. Records one execution.
+    fn motif(
+        &self,
+        prepared: &PreparedGraph,
+        spec: &Backend,
+        query: &Query,
+    ) -> Result<QueryReport> {
+        let backend = self.backend(spec);
+        let anchor_span = tcim_telemetry::span("motif.anchor");
+        let anchor = backend.run(prepared, query.attribution())?;
+        drop(anchor_span);
+        // The CPU baselines intersect sorted adjacency lists (zero slice
+        // pairs, as in their triangle runs); every other backend runs
+        // sliced kernels. The simulated-hardware backends price each
+        // peel pass or chained-AND wave as a round of delta jobs, placed
+        // under the policy their triangle kernels run under.
+        let priced = |sched| Some(MotifPricing::new(self.engine().cost_model(), sched));
+        let (flavor, pricing) = match spec {
+            Backend::CpuMerge | Backend::CpuForward => (MotifFlavor::Adjacency, None),
+            Backend::Software(_) => (MotifFlavor::Sliced, None),
+            Backend::SerialPim => (MotifFlavor::Sliced, priced(SchedPolicy::with_arrays(1))),
+            Backend::ScheduledPim(policy) => (MotifFlavor::Sliced, priced(policy.clone())),
+            Backend::Sharded(policy) => (MotifFlavor::Sliced, priced(policy.inner.clone())),
+        };
+        let report = match query {
+            // The k-truss peel seeds from the anchor run's edge supports.
+            Query::KTruss { k } => {
+                motifs::ktruss_report(prepared, query, anchor, flavor, pricing, *k)
+            }
+            // The 4-clique witness pass re-derives the triangle census
+            // as a built-in cross-check against the anchor run.
+            Query::FourCliques => {
+                motifs::four_clique_report(prepared, query, anchor, flavor, pricing)
+            }
+            _ => unreachable!("only the motif classes run the motif engine"),
+        }?;
+        self.record(prepared, spec, Some(query), &report);
+        Ok(report)
     }
 }
 

@@ -16,8 +16,6 @@
 //! * [`reported`] — runtimes and energy ratios quoted from the paper for
 //!   CPU/GPU/FPGA platforms that cannot be rerun here.
 //! * [`experiments`] — drivers that regenerate every table and figure.
-//! * [`metrics`] — graph metrics built on triangle counts (transitivity,
-//!   clustering coefficient).
 //! * [`verify`] — a one-call cross-check of all five counting paths.
 //! * scheduling — [`Backend::ScheduledPim`] runs the dataflow on the
 //!   `tcim-sched` multi-array runtime ([`SchedPolicy`],
@@ -35,17 +33,21 @@
 //! and sharded execution. Every backend
 //! implements one primitive, [`ExecutionBackend::run`]: execute at an
 //! [`Attribution`] level (count only, per-vertex, per-vertex plus
-//! per-arc support) and return one [`ExecutionReport`].
+//! per-arc support) and return one [`ExecutionReport`]. Backends only
+//! execute; the pipeline answers the questions.
 //!
 //! Execution is **query-shaped** ([`query`]): a typed [`Query`] (total
 //! count, per-vertex counts, local/global clustering, edge support,
-//! top-k, k-truss, 4-cliques) runs at its [`Query::attribution`] level
-//! on any backend from one prepared artifact, returning a
-//! [`QueryReport`] with normalized [`KernelStats`]; a batch of queries
-//! shares one execution at the highest member level
-//! ([`TcimPipeline::query_coalesced`]). The count-only entry points
-//! ([`TcimPipeline::execute`], [`TcimPipeline::count`]) run
-//! [`Attribution::Count`].
+//! top-k, k-truss, 4-cliques) is answered on any backend from one
+//! prepared artifact, returning a [`QueryReport`] with normalized
+//! [`KernelStats`]. Every query takes one path,
+//! [`TcimPipeline::query_coalesced`], and [`TcimPipeline::query`] is a
+//! batch of one: the classic members share one run at the highest
+//! member [`Query::attribution`] level, and the k-truss and 4-clique
+//! members each share one run of the motif engine ([`motifs`]),
+//! anchored on a run at their level. The count-only entry points
+//! ([`TcimPipeline::execute`], [`TcimPipeline::count`]) run the backend
+//! at [`Attribution::Count`] and shape no query.
 //!
 //! For *dynamic* graphs (streams of edge insertions/deletions), the
 //! `tcim-stream` crate layers incremental delta counting on top of this
@@ -109,7 +111,6 @@ pub mod coalesce;
 mod error;
 pub mod experiments;
 pub mod explain;
-pub mod metrics;
 pub mod motifs;
 pub mod pipeline;
 pub mod query;
@@ -127,9 +128,7 @@ pub use explain::{
     CacheProvenance, EncodingDecision, ExplainReport, KernelCensus, MeasuredCost,
     PredictedCost, SchedPlanSummary, ShardPieceSummary, ShardPlanSummary,
 };
-pub use motifs::{
-    four_cliques_from_adjacency, ktruss_value_from_adjacency, MotifFlavor, MotifPricing,
-};
+pub use motifs::{four_cliques_from_adjacency, ktruss_value_from_adjacency};
 pub use pipeline::{
     PreparedCache, PreparedGraph, PreparedKey, PreparedPricing, TcimConfig, TcimPipeline,
 };

@@ -35,18 +35,21 @@
 //!   row, closing each `K_4` exactly once at its two smallest vertices.
 //!
 //! Kernel accounting is honest per flavor: PIM/software backends run
-//! [`MotifFlavor::Sliced`] (real sliced rows, pair/readout/skip
-//! accounting identical in meaning to the triangle kernels), CPU
-//! baselines run [`MotifFlavor::Adjacency`] (sorted-list intersections,
-//! one kernel invocation per intersection and zero slice pairs — the
-//! same invariant the triangle path keeps). Backends with a hardware
-//! cost model attach a [`MotifPricing`]: every peel pass / chained-AND
-//! wave becomes a round of [`DeltaJob`]s placed by [`plan_deltas`]
-//! under the backend's own scheduling policy, and the modelled
-//! time/energy land on top of the anchor run's.
+//! the sliced flavor (real sliced rows, pair/readout/skip accounting
+//! identical in meaning to the triangle kernels), CPU baselines the
+//! adjacency flavor (sorted-list intersections, one kernel invocation
+//! per intersection and zero slice pairs — the same invariant the
+//! triangle path keeps). Backends with a hardware cost model price the
+//! engine: every peel pass / chained-AND wave becomes a round of
+//! [`DeltaJob`]s placed by [`plan_deltas`] under the backend's own
+//! scheduling policy, and the modelled time/energy land on top of the
+//! anchor run's. The pipeline's motif classes
+//! ([`TcimPipeline::query_coalesced`](crate::TcimPipeline::query_coalesced))
+//! run the anchor and pick the flavor and pricing from the
+//! [`Backend`](crate::Backend) value.
 //!
 //! The engine's work shows as the `motif.peel` (k-truss) and
-//! `motif.chain` (4-clique) spans, next to the backend's
+//! `motif.chain` (4-clique) spans, next to the pipeline's
 //! `motif.anchor` span around the anchoring run. Inside `motif.peel`,
 //! `motif.rows` covers numbering the edges, seeding their supports and
 //! building the rows, and `motif.rounds` the peel passes.
@@ -70,7 +73,7 @@ type MotifOutcome<T> = Result<(T, KernelStats, Option<f64>, Option<f64>)>;
 
 /// How a backend's motif engine runs its intersections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MotifFlavor {
+pub(crate) enum MotifFlavor {
     /// Real sliced-row AND+BitCount kernels over full-neighbourhood
     /// rows (PIM and software-sliced backends). Pair, readout and
     /// skip accounting mean exactly what they mean for triangles.
@@ -87,16 +90,16 @@ pub enum MotifFlavor {
 /// peel passes and chained-AND waves are placed as delta-job rounds
 /// exactly like streaming updates and shard composition.
 #[derive(Debug, Clone)]
-pub struct MotifPricing {
+pub(crate) struct MotifPricing {
     /// Per-operation slice costs of the characterized engine.
-    pub costs: SliceCostModel,
+    costs: SliceCostModel,
     /// The placement policy delta rounds are planned under.
-    pub sched: SchedPolicy,
+    sched: SchedPolicy,
 }
 
 impl MotifPricing {
     /// Prices motif kernels with `costs` under `sched`.
-    pub fn new(costs: SliceCostModel, sched: SchedPolicy) -> Self {
+    pub(crate) fn new(costs: SliceCostModel, sched: SchedPolicy) -> Self {
         MotifPricing { costs, sched }
     }
 }
@@ -769,7 +772,6 @@ mod tests {
     use super::*;
     use crate::backend::{CpuForwardBackend, ExecutionBackend};
     use crate::pipeline::{TcimConfig, TcimPipeline};
-    use tcim_arch::Attribution;
     use tcim_graph::generators::{barabasi_albert, classic, rmat, RmatParams};
     use tcim_graph::{oracle, CsrGraph};
 
@@ -928,43 +930,25 @@ mod tests {
         }
     }
 
-    /// A backend whose runs carry a broken per-arc support list: the
-    /// CPU forward run's, passed through the function.
-    struct SupportBreaking(fn(Option<Vec<u64>>) -> Option<Vec<u64>>);
-
-    impl ExecutionBackend for SupportBreaking {
-        fn name(&self) -> String {
-            "support-breaking".to_string()
-        }
-
-        fn run(
-            &self,
-            prepared: &PreparedGraph,
-            attribution: Attribution,
-        ) -> Result<ExecutionReport> {
-            let run = CpuForwardBackend.run(prepared, attribution)?;
-            Ok(ExecutionReport { support: (self.0)(run.support.clone()), ..run })
-        }
-    }
-
+    /// The k-truss engine refuses an anchor run whose per-arc support is
+    /// missing or beyond any vertex count: a CPU forward anchor, once
+    /// with its support removed and once with every entry pushed past
+    /// `u32`.
     #[test]
     fn an_anchor_run_without_support_is_a_pipeline_error() {
         let p = TcimPipeline::new(&TcimConfig::default()).unwrap();
         let prepared = p.prepare(&classic::wheel(12));
-        let cases: [(SupportBreaking, &str); 2] = [
-            (SupportBreaking(|_| None), "no support"),
-            (
-                SupportBreaking(|s| s.map(|s| s.into_iter().map(|c| c + (1 << 32)).collect())),
-                "beyond any vertex count",
-            ),
-        ];
-        for (backend, message) in cases {
-            let err = backend.query(&prepared, &Query::KTruss { k: 3 }).unwrap_err();
+        let query = Query::KTruss { k: 3 };
+        let anchor = CpuForwardBackend.run(&prepared, query.attribution()).unwrap();
+        let beyond =
+            anchor.support.as_ref().map(|s| s.iter().map(|c| c + (1 << 32)).collect());
+        for (support, message) in [(None, "no support"), (beyond, "beyond any vertex count")] {
+            let anchor = ExecutionReport { support, ..anchor.clone() };
+            let err =
+                ktruss_report(&prepared, &query, anchor, MotifFlavor::Adjacency, None, 3)
+                    .unwrap_err();
             assert!(matches!(err, CoreError::Pipeline { .. }), "{err}");
             assert!(err.to_string().contains(message), "{err}");
-            // Queries that read no support still answer.
-            let total = backend.query(&prepared, &Query::TotalTriangles).unwrap();
-            assert_eq!(total.value, QueryValue::Total(11));
         }
     }
 }

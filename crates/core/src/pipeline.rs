@@ -507,8 +507,9 @@ impl TcimPipeline {
     }
 
     /// Answers a typed [`Query`] over a prepared graph on the selected
-    /// backend — the general entry point [`TcimPipeline::execute`] and
-    /// [`TcimPipeline::count`] are the `TotalTriangles` shims of.
+    /// backend: a coalesced batch of one
+    /// ([`TcimPipeline::query_coalesced`]), so a single query and a batch
+    /// member take the same path.
     ///
     /// # Errors
     ///
@@ -521,9 +522,8 @@ impl TcimPipeline {
         spec: &Backend,
         query: &Query,
     ) -> Result<QueryReport> {
-        let report = self.backend(spec).query(prepared, query)?;
-        self.record(prepared, spec, Some(query), &report);
-        Ok(report)
+        let mut outcome = self.query_coalesced(prepared, spec, std::slice::from_ref(query))?;
+        outcome.reports.pop().expect("a batch of one answers one report")
     }
 
     /// One-shot convenience: prepare (cached) and execute — the
@@ -666,8 +666,12 @@ mod tests {
         assert!(served.iter().all(|(prepared, _)| Arc::ptr_eq(prepared, &served[0].0)));
         let built = served.iter().filter(|(_, hit)| !hit).count() as u64;
         assert_eq!(built, p.cache().misses(), "every call that built reports a miss");
-        let builds = p.metrics_snapshot().counter("tcim_prepared_builds_total");
-        assert_eq!(builds, Some(p.cache().misses()), "every build is counted once");
+        let snap = p.metrics_snapshot();
+        let misses = snap.counter("tcim_prepared_cache_misses_total");
+        assert_eq!(misses, Some(p.cache().misses()), "every build is counted once");
+        let encodings = ["dense", "sparse"]
+            .map(|e| snap.counter(&format!("tcim_encoding_selected_{e}_total")).unwrap_or(0));
+        assert_eq!(encodings.iter().sum::<u64>(), built, "every build records its encoding");
         assert_eq!(p.cache().hits() + p.cache().misses(), 8);
         assert_eq!(p.cache().len(), 1);
     }

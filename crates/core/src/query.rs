@@ -226,6 +226,23 @@ pub enum QueryValue {
     /// ascending vertex id when all vertices were requested).
     LocalClustering(Vec<VertexClustering>),
     /// Answer to [`Query::GlobalClustering`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use tcim_core::{Backend, Query, QueryValue, TcimConfig, TcimPipeline};
+    /// use tcim_graph::generators::classic;
+    ///
+    /// // Every wedge of a complete graph closes.
+    /// let pipeline = TcimPipeline::new(&TcimConfig::default())?;
+    /// let k5 = pipeline.prepare(&classic::complete(5));
+    /// let report = pipeline.query(&k5, &Backend::CpuForward, &Query::GlobalClustering)?;
+    /// let QueryValue::GlobalClustering { transitivity, .. } = report.value else {
+    ///     unreachable!()
+    /// };
+    /// assert!((transitivity - 1.0).abs() < 1e-12);
+    /// # Ok::<(), tcim_core::CoreError>(())
+    /// ```
     GlobalClustering {
         /// The global triangle count.
         triangles: u64,
@@ -720,6 +737,61 @@ mod tests {
         // Degrees 2, 3, 3, 2 → wedges 1 + 3 + 3 + 1 = 8.
         assert_eq!((triangles, wedges), (2, 8));
         assert!((transitivity - 6.0 / 8.0).abs() < 1e-12);
+    }
+
+    /// Transitivity, wedges and the average local clustering
+    /// coefficient (over vertices of degree ≥ 2) of `g`, answered by
+    /// one global and one local clustering query.
+    fn clustering_of(g: &tcim_graph::CsrGraph) -> (f64, u64, f64) {
+        let p = TcimPipeline::new(&TcimConfig::default()).unwrap();
+        let prepared = p.prepare(g);
+        let global = p.query(&prepared, &Backend::CpuForward, &Query::GlobalClustering);
+        let QueryValue::GlobalClustering { wedges, transitivity, .. } = global.unwrap().value
+        else {
+            panic!("wrong value shape");
+        };
+        let all = Query::LocalClustering { vertices: None };
+        let local = p.query(&prepared, &Backend::CpuForward, &all).unwrap();
+        let coefficients: Vec<f64> = local
+            .value
+            .local_clustering()
+            .unwrap()
+            .iter()
+            .filter(|e| e.degree >= 2)
+            .map(|e| e.coefficient)
+            .collect();
+        let average = coefficients.iter().sum::<f64>() / coefficients.len().max(1) as f64;
+        (transitivity, wedges, average)
+    }
+
+    #[test]
+    fn complete_graph_is_fully_clustered() {
+        let (transitivity, _, average) = clustering_of(&classic::complete(6));
+        assert!((transitivity - 1.0).abs() < 1e-12);
+        assert!((average - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn star_has_zero_clustering() {
+        assert_eq!(clustering_of(&classic::star(20)), (0.0, 19 * 18 / 2, 0.0));
+    }
+
+    #[test]
+    fn wedge_count_of_star() {
+        // Hub of degree n−1 contributes C(n−1, 2) wedges.
+        assert_eq!(clustering_of(&classic::star(10)).1, 9 * 8 / 2);
+    }
+
+    #[test]
+    fn path_has_wedges_but_no_triangles() {
+        // 8 interior vertices of degree 2.
+        assert_eq!(clustering_of(&classic::path(10)), (0.0, 8, 0.0));
+    }
+
+    #[test]
+    fn empty_graph_metrics_are_zero() {
+        let g = tcim_graph::CsrGraph::from_edges(0, []).unwrap();
+        assert_eq!(clustering_of(&g), (0.0, 0, 0.0));
     }
 
     #[test]

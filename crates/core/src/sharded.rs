@@ -54,7 +54,6 @@ use crate::backend::{
 };
 use crate::cache::{ArtifactCache, PlanMemo};
 use crate::error::{CoreError, Result};
-use crate::motifs::MotifPricing;
 use crate::pipeline::{PreparedGraph, PreparedKey};
 use crate::query::KernelStats;
 
@@ -652,16 +651,6 @@ impl ExecutionBackend for ShardedBackend<'_> {
             detail: BackendDetail::Sharded(Box::new(provenance)),
         })
     }
-
-    // Query dispatch (including the motif engines) is the provided
-    // trait method: shard provenance flows through the run's
-    // `BackendDetail::Sharded`, and the peeling / chained-AND rounds are
-    // priced under the *inner* scheduling policy — post-composition
-    // delta work is planned across the same arrays a shard runs on.
-
-    fn motif_pricing(&self) -> Option<MotifPricing> {
-        Some(MotifPricing::new(self.engine.cost_model(), self.policy.inner.clone()))
-    }
 }
 
 #[cfg(test)]
@@ -704,7 +693,7 @@ mod tests {
         let prepared = p.prepare(&gnm(256, 1800, 5).unwrap());
         let spec = Backend::Sharded(ShardPolicy::with_shards(2));
         p.execute(&prepared, &spec).unwrap();
-        let builds = || p.metrics_snapshot().counter("tcim_prepared_builds_total");
+        let builds = || p.metrics_snapshot().counter("tcim_prepared_cache_misses_total");
         let built = builds();
         for _ in 0..3 {
             p.query(&prepared, &spec, &Query::PerVertexTriangles).unwrap();

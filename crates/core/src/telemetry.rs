@@ -78,7 +78,6 @@ pub struct PipelineMetrics {
     slice_pairs: Counter,
     result_readouts: Counter,
     blocks_skipped: Counter,
-    prepared_builds: Counter,
     encoding_dense: Counter,
     encoding_sparse: Counter,
     execute_latency: Histogram,
@@ -119,10 +118,6 @@ impl PipelineMetrics {
                 "tcim_blocks_skipped_total",
                 "mutually valid slice pairs proven zero by the sparse row \
                  encoding and skipped before the AND",
-            ),
-            prepared_builds: registry.counter(
-                "tcim_prepared_builds_total",
-                "prepared-graph artifacts built (cache misses that did work)",
             ),
             encoding_dense: registry.counter(
                 "tcim_encoding_selected_dense_total",
@@ -205,11 +200,10 @@ impl PipelineMetrics {
         }
     }
 
-    /// Records one prepared-graph build (a prepare that did the work
-    /// rather than hitting the cache), tagged with the row encoding the
-    /// build resolved to.
+    /// Records the row encoding one prepared-graph build resolved to
+    /// (the build itself is the prepared cache's miss, which the cache
+    /// counts).
     pub fn record_prepared_build(&self, encoding: RowEncoding) {
-        self.prepared_builds.incr();
         match encoding {
             RowEncoding::Dense => self.encoding_dense.incr(),
             RowEncoding::Sparse => self.encoding_sparse.incr(),
@@ -374,7 +368,6 @@ mod tests {
         m.record_prepared_build(RowEncoding::Sparse);
         m.record_prepared_build(RowEncoding::Dense);
         let snap = m.snapshot();
-        assert_eq!(snap.counter("tcim_prepared_builds_total"), Some(3));
         assert_eq!(snap.counter("tcim_encoding_selected_dense_total"), Some(2));
         assert_eq!(snap.counter("tcim_encoding_selected_sparse_total"), Some(1));
     }
@@ -417,7 +410,7 @@ mod tests {
     fn clones_share_instruments() {
         let m = PipelineMetrics::new();
         m.clone().record_prepared_build(RowEncoding::Dense);
-        assert_eq!(m.snapshot().counter("tcim_prepared_builds_total"), Some(1));
+        assert_eq!(m.snapshot().counter("tcim_encoding_selected_dense_total"), Some(1));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use tcim_repro::graph::generators::{
 };
 use tcim_repro::graph::{CsrGraph, Orientation};
 use tcim_repro::tcim::software::sliced_count;
-use tcim_repro::tcim::{baseline, Backend, TcimConfig, TcimPipeline};
+use tcim_repro::tcim::{baseline, Backend, Query, QueryValue, TcimConfig, TcimPipeline};
 
 /// Counts with every implemented method and asserts unanimity.
 fn assert_all_paths_agree(g: &CsrGraph, label: &str) -> u64 {
@@ -90,7 +90,15 @@ fn snap_io_roundtrip_preserves_triangles() {
 fn transitivity_is_consistent_between_metrics_and_counts() {
     let g = watts_strogatz(500, 6, 0.05, 13).unwrap();
     let triangles = assert_all_paths_agree(&g, "ws-metrics");
-    let t = tcim_repro::tcim::metrics::transitivity(&g, triangles);
+    let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
+    let prepared = pipeline.prepare(&g);
+    let global = pipeline.query(&prepared, &Backend::SerialPim, &Query::GlobalClustering);
+    let QueryValue::GlobalClustering { triangles: counted, transitivity: t, .. } =
+        global.unwrap().value
+    else {
+        panic!("wrong value shape");
+    };
+    assert_eq!(counted, triangles);
     // A barely rewired k=6 ring lattice keeps transitivity near the
     // lattice value of 0.6.
     assert!(t > 0.3 && t < 0.7, "transitivity {t}");

@@ -158,10 +158,9 @@ fn pipeline_metrics_mirror_report_and_cache_accounting() {
     assert_eq!(snap.counter("tcim_executions_total"), Some(executions));
     assert_eq!(snap.counter("tcim_kernel_invocations_total"), Some(kernels));
     assert_eq!(snap.counter("tcim_slice_pairs_total"), Some(pairs));
-    // One explicit prepare → one build and one miss; the five `count`
-    // calls above all hit (the same pins as the cache test).
-    assert_eq!(snap.counter("tcim_prepared_builds_total"), Some(1));
-    assert_eq!(snap.counter("tcim_prepared_cache_misses_total"), Some(p.cache().misses()));
+    // One explicit prepare → one build, which is one miss; the five
+    // `count` calls above all hit (the same pins as the cache test).
+    assert_eq!(snap.counter("tcim_prepared_cache_misses_total"), Some(1));
     assert_eq!(snap.counter("tcim_prepared_cache_hits_total"), Some(p.cache().hits()));
     assert_eq!(p.cache().misses(), 1);
     assert_eq!(p.cache().hits(), 5);

@@ -90,7 +90,7 @@ fn sharded_queries_reuse_the_partitioned_artifact() {
     let prepared = pipeline.prepare(&gnm(512, 3600, 13).unwrap());
     let spec = sharded(4, ShardMode::OneD);
     pipeline.query(&prepared, &spec, &Query::TotalTriangles).unwrap();
-    let builds = || pipeline.metrics_snapshot().counter("tcim_prepared_builds_total");
+    let builds = || pipeline.metrics_snapshot().counter("tcim_prepared_cache_misses_total");
     let built = builds();
     for query in Query::example_suite() {
         pipeline.query(&prepared, &spec, &query).unwrap();
