@@ -4,10 +4,13 @@
 //! [`and_bitcount`] is the per-arc kernel: it ANDs every visited slice
 //! pair of a row and a column, counts the surviving bits, optionally
 //! reads non-zero results out into a [`TriangleSink`], and makes the
-//! sparse dispatch decision ([`dispatches`]). Every kernel in the
-//! repository runs through it: the serial engine, the scheduler's
-//! arrays and the software path via [`walk`], and the streaming deltas,
-//! motif rounds and shard composition arc by arc.
+//! sparse dispatch decision ([`dispatches`]). The serial engine, the
+//! scheduler's arrays and the software path run it via [`walk`], and
+//! the streaming deltas and shard composition arc by arc. The motif
+//! rounds in `tcim-core` run the kernel of a word-payload row store
+//! built for in-place deletion instead; a test there pins it to this
+//! one over the same bits, counter for counter, and its skip and
+//! dispatch rules are [`dispatches`]'s.
 //!
 //! [`walk`] is Algorithm 1 over a prepared matrix, generic over the
 //! [`Residency`] model the operands are charged to (`()` for none, an
@@ -237,8 +240,8 @@ impl<'a> ArcIndex<'a> {
 /// is read out, so the triangle's three edges are exactly the DAG arcs
 /// `(a, b)`, `(a, c)` and `(b, c)` and a sink can attribute per-vertex
 /// or per-edge quantities without any further graph lookups. Kernels
-/// over full-neighbourhood rows (streaming deltas, motif rounds) only
-/// collect the witness `b`.
+/// over full-neighbourhood rows (streaming deltas) only collect the
+/// witness `b`.
 ///
 /// Closures `FnMut(u32, u32, u32)` implement the trait, so ad-hoc
 /// sinks need no named type; a `Vec<u32>` collects the witnesses.

@@ -115,7 +115,7 @@ impl TcimPipeline {
             let run = self.backend(spec).run(prepared, level)?;
             // The member the carrier level came from labels the sample.
             let labelled = classic.iter().find(|q| q.attribution() == level);
-            self.record(prepared, spec, labelled, &run);
+            self.record(prepared, spec, labelled, &run, run.modelled_time_s);
             let values = shape(&classic, prepared, &run);
             for ((i, query), value) in positions.into_iter().zip(&classic).zip(values) {
                 slots[i] =
@@ -133,7 +133,10 @@ impl TcimPipeline {
     /// Answers one motif query: the anchoring run at the query's
     /// [`attribution`](Query::attribution) level, handed to the motif
     /// engine ([`crate::motifs`]), which peels or chains further kernels
-    /// without re-slicing. Records one execution.
+    /// without re-slicing. Records one execution with the report's full
+    /// accounting; its calibration observation scores the prediction
+    /// against the anchor run's modelled time, the part the count-level
+    /// prediction prices.
     fn motif(
         &self,
         prepared: &PreparedGraph,
@@ -144,6 +147,7 @@ impl TcimPipeline {
         let anchor_span = tcim_telemetry::span("motif.anchor");
         let anchor = backend.run(prepared, query.attribution())?;
         drop(anchor_span);
+        let anchor_modelled_s = anchor.modelled_time_s;
         // The CPU baselines intersect sorted adjacency lists (zero slice
         // pairs, as in their triangle runs); every other backend runs
         // sliced kernels. The simulated-hardware backends price each
@@ -169,7 +173,7 @@ impl TcimPipeline {
             }
             _ => unreachable!("only the motif classes run the motif engine"),
         }?;
-        self.record(prepared, spec, Some(query), &report);
+        self.record(prepared, spec, Some(query), &report, anchor_modelled_s);
         Ok(report)
     }
 }
@@ -199,7 +203,7 @@ fn share(
 mod tests {
     use super::*;
     use crate::pipeline::TcimConfig;
-    use tcim_graph::generators::{barabasi_albert, classic};
+    use tcim_graph::generators::{barabasi_albert, classic, rmat, RmatParams};
 
     fn pipeline() -> TcimPipeline {
         TcimPipeline::new(&TcimConfig::default()).unwrap()
@@ -343,6 +347,35 @@ mod tests {
         assert_eq!(outcome.executions, 1);
         assert!(outcome.carrier.is_none());
         assert!(outcome.reports.iter().all(|r| r.is_ok()));
+    }
+
+    /// A motif query's calibration observation scores the count-level
+    /// prediction against its anchor run, which is the classic run at
+    /// the query's attribution level: a k-truss query observes what
+    /// `EdgeSupport` does, and a 4-clique query what
+    /// `PerVertexTriangles` does, although both report more modelled
+    /// time. Each query runs on a pipeline of its own.
+    #[test]
+    fn motif_calibration_scores_the_anchor_run() {
+        let g = rmat(10, 6000, RmatParams::default(), 7).unwrap();
+        let observe = |query: Query| {
+            let p = pipeline();
+            let prepared = p.prepare(&g);
+            let report = p.query(&prepared, &Backend::SerialPim, &query).unwrap();
+            let snapshot = p.metrics_snapshot();
+            let errors = snapshot.histogram("tcim_model_error_permille").unwrap();
+            assert_eq!(errors.count, 1, "{query}");
+            (errors.sum, report.modelled_time_s.unwrap())
+        };
+        for (motif, classic) in [
+            (Query::KTruss { k: 4 }, Query::EdgeSupport),
+            (Query::FourCliques, Query::PerVertexTriangles),
+        ] {
+            let ((motif_error, motif_s), (classic_error, classic_s)) =
+                (observe(motif.clone()), observe(classic));
+            assert_eq!(motif_error, classic_error, "{motif}");
+            assert!(motif_s > classic_s, "{motif}: the rounds add modelled time");
+        }
     }
 
     /// A per-vertex member riding a support-level carrier reads the

@@ -14,18 +14,20 @@
 //! * **k-truss** ([`Query::KTruss`]): the full trussness decomposition
 //!   by iterated support peeling. Each peeled edge costs exactly one
 //!   deletion-delta kernel — `N(u) AND N(v)` over the *live* rows to
-//!   find the triangles the removal destroys — and edges are cleared
-//!   with in-place bit patches, exactly like `tcim-stream` deletion
-//!   deltas: **no re-slice between rounds**, ever. The initial per-edge
-//!   supports are seeded from the anchoring attributed execution (its
-//!   per-arc support, mapped through each edge's arc position), so
-//!   peeling starts from the kernels the backend already ran. The live
-//!   edges are scanned once per level, over a list compacted at each
-//!   level; every later peel pass is the worklist of edges whose support
+//!   find the triangles the removal destroys — and the edge leaves its
+//!   two rows as one cleared bit each, patched in place in a row store
+//!   built for deletion (`NeighbourRows`): **no re-slice between
+//!   rounds**, and no payload shifts. The initial per-edge supports are
+//!   seeded from the anchoring attributed execution (its per-arc
+//!   support, mapped through each edge's arc position), so peeling
+//!   starts from the kernels the backend already ran. The live edges
+//!   are scanned once per level, over a list compacted at each level;
+//!   every later peel pass is the worklist of edges whose support
 //!   crossed below the level's floor during the pass before. A
-//!   destroyed triangle's two other edges are found by forward cursors
-//!   along the peeled edge's endpoints' neighbour lists, since a kernel
-//!   reads its witnesses out in ascending order.
+//!   destroyed triangle's two other edges are read off the witness's
+//!   rank inside its slice of each endpoint's row: the rank plus the
+//!   slice's first neighbour position is the witness's position in the
+//!   endpoint's neighbour list, so no list is searched.
 //! * **4-clique** ([`Query::FourCliques`]): for every edge, the first
 //!   AND yields the triangle witness row; its above-the-edge witnesses
 //!   flow through the existing [`TriangleSink`] attribution hook (a
@@ -35,15 +37,16 @@
 //!   row, closing each `K_4` exactly once at its two smallest vertices.
 //!
 //! Kernel accounting is honest per flavor: PIM/software backends run
-//! the sliced flavor (real sliced rows, pair/readout/skip accounting
-//! identical in meaning to the triangle kernels), CPU baselines the
-//! adjacency flavor (sorted-list intersections, one kernel invocation
-//! per intersection and zero slice pairs — the same invariant the
-//! triangle path keeps). Backends with a hardware cost model price the
-//! engine: every peel pass / chained-AND wave becomes a round of
-//! [`DeltaJob`]s placed by [`plan_deltas`] under the backend's own
-//! scheduling policy, and the modelled time/energy land on top of the
-//! anchor run's. The pipeline's motif classes
+//! the sliced flavor (the row store's kernel, whose pair, readout,
+//! skip and dispatch accounting is `tcim_arch::kernel::and_bitcount`'s
+//! over the same bits), CPU baselines the adjacency flavor (sorted-list
+//! intersections, one kernel invocation per intersection and zero slice
+//! pairs — the same invariant the triangle path keeps). Backends with a
+//! hardware cost model price the engine: every peel pass / chained-AND
+//! wave becomes a round of [`DeltaJob`]s placed under the backend's own
+//! scheduling policy ([`DeltaLoads`], the loads `plan_deltas` would
+//! place), and the modelled time/energy land on top of the anchor
+//! run's. The pipeline's motif classes
 //! ([`TcimPipeline::query_coalesced`](crate::TcimPipeline::query_coalesced))
 //! run the anchor and pick the flavor and pricing from the
 //! [`Backend`](crate::Backend) value.
@@ -56,11 +59,11 @@
 
 use std::time::Instant;
 
-use tcim_arch::kernel::{self, gallop};
+use tcim_arch::kernel::{self, gallop, ArcKernel};
 use tcim_arch::{SliceCostModel, TriangleSink, TriangleTally};
-use tcim_bitmatrix::popcount::PopcountMethod;
-use tcim_bitmatrix::{RowEncoding, SliceSize, SlicedRow};
-use tcim_sched::{plan_deltas, DeltaJob, SchedPolicy};
+use tcim_bitmatrix::popcount::visit_set_bits;
+use tcim_bitmatrix::{PairStats, RowEncoding, SliceSize};
+use tcim_sched::{DeltaJob, DeltaLoads, SchedPolicy};
 
 use crate::backend::{merge_intersect_visit, ExecutionReport};
 use crate::error::{CoreError, Result};
@@ -74,9 +77,10 @@ type MotifOutcome<T> = Result<(T, KernelStats, Option<f64>, Option<f64>)>;
 /// How a backend's motif engine runs its intersections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MotifFlavor {
-    /// Real sliced-row AND+BitCount kernels over full-neighbourhood
-    /// rows (PIM and software-sliced backends). Pair, readout and
-    /// skip accounting mean exactly what they mean for triangles.
+    /// Real AND+BitCount kernels over full-neighbourhood rows held in
+    /// a [`NeighbourRows`] store (PIM and software-sliced backends).
+    /// Pair, readout and skip accounting mean exactly what they mean
+    /// for triangles.
     Sliced,
     /// Sorted adjacency-list intersections (the CPU baselines): one
     /// kernel invocation per intersection, zero slice pairs — the same
@@ -114,17 +118,26 @@ struct KernelSample {
 }
 
 /// Accumulates delta-job rounds into modelled time/energy under a
-/// [`MotifPricing`]; a no-op when the backend has none.
+/// [`MotifPricing`]; a no-op when the backend has none. The round's
+/// jobs and the placement scratch are kept across rounds, so pricing a
+/// pass allocates nothing once they have grown.
 struct PricedRounds<'p> {
     pricing: Option<&'p MotifPricing>,
     round: Vec<DeltaJob>,
+    loads: DeltaLoads,
     time_s: f64,
     energy_j: f64,
 }
 
 impl<'p> PricedRounds<'p> {
     fn new(pricing: Option<&'p MotifPricing>) -> Self {
-        PricedRounds { pricing, round: Vec::new(), time_s: 0.0, energy_j: 0.0 }
+        PricedRounds {
+            pricing,
+            round: Vec::new(),
+            loads: DeltaLoads::default(),
+            time_s: 0.0,
+            energy_j: 0.0,
+        }
     }
 
     /// Adds one kernel to the open round and bills its energy (energy
@@ -140,15 +153,15 @@ impl<'p> PricedRounds<'p> {
     }
 
     /// Closes the open round: places its jobs under the policy and
-    /// adds the plan's critical path plus per-kernel dispatch overhead.
+    /// adds the placement's critical path plus per-kernel dispatch
+    /// overhead.
     fn close_round(&mut self) -> Result<()> {
         let Some(p) = self.pricing else { return Ok(()) };
         if self.round.is_empty() {
             return Ok(());
         }
-        let plan = plan_deltas(&self.round, &p.sched)?;
-        self.time_s +=
-            plan.critical_path_s() + self.round.len() as f64 * p.costs.controller_overhead_s;
+        self.time_s += self.loads.critical_path_s(&self.round, &p.sched)?
+            + self.round.len() as f64 * p.costs.controller_overhead_s;
         self.round.clear();
         Ok(())
     }
@@ -230,22 +243,276 @@ impl Adjacency {
     }
 }
 
+/// Words of the widest slice (512 bits).
+const WIDEST_SLICE_WORDS: usize = 8;
+
+/// Appends the slices of the ascending set bits `ones` to `indices` and
+/// `words` (`words_per_slice` payload words per slice), calling
+/// `opened(i)` for each new slice with the index in `ones` of its first
+/// bit.
+fn append_slices(
+    ones: &[u32],
+    slice_size: SliceSize,
+    indices: &mut Vec<u32>,
+    words: &mut Vec<u64>,
+    mut opened: impl FnMut(usize),
+) {
+    let (bits, wps) = (slice_size.bits(), slice_size.words_per_slice());
+    let mut open = None;
+    for (i, &one) in ones.iter().enumerate() {
+        let slice = one / bits;
+        if open != Some(slice) {
+            open = Some(slice);
+            indices.push(slice);
+            words.resize(words.len() + wps, 0);
+            opened(i);
+        }
+        let within = (one % bits) as usize;
+        let base = words.len() - wps;
+        words[base + within / 64] |= 1u64 << (within % 64);
+    }
+}
+
+/// One operand of the store's kernel: ascending slice numbers and
+/// their payload words, `words_per_slice` per slice. A slice whose
+/// words are all zero is listed but not valid.
+#[derive(Debug, Clone, Copy)]
+struct Operand<'a> {
+    indices: &'a [u32],
+    words: &'a [u64],
+}
+
+/// A set of bits in operand form, owned: the chained second AND's
+/// re-materialized witness row.
+struct OwnedOperand {
+    indices: Vec<u32>,
+    words: Vec<u64>,
+}
+
+impl OwnedOperand {
+    fn of(ones: &[u32], slice_size: SliceSize) -> Self {
+        let (mut indices, mut words) = (Vec::new(), Vec::new());
+        append_slices(ones, slice_size, &mut indices, &mut words, |_| {});
+        OwnedOperand { indices, words }
+    }
+
+    fn operand(&self) -> Operand<'_> {
+        Operand { indices: &self.indices, words: &self.words }
+    }
+}
+
+/// The full-neighbourhood rows of the motif engine, in a word-payload
+/// layout built for deletion, straight from an [`Adjacency`].
+///
+/// Each vertex lists its valid slices ascending. Each slice holds its
+/// live payload words, its build-time words and the [`Adjacency`]
+/// position of its first neighbour; each vertex keeps its count of
+/// live valid slices. Clearing a bit patches one word in place: a slice
+/// whose words reach zero stops counting as valid but stays listed, so
+/// nothing shifts. A live bit's rank among its slice's build-time bits,
+/// added to the slice's first position, is the neighbour's position in
+/// the [`Adjacency`], and so gives the number of the edge to it.
+struct NeighbourRows {
+    slice_size: SliceSize,
+    encoding: RowEncoding,
+    /// Vertex `x`'s slices are `offsets[x]..offsets[x + 1]`.
+    offsets: Vec<usize>,
+    /// Slice `s` covers bits `indices[s] · |S|` onwards.
+    indices: Vec<u32>,
+    /// The [`Adjacency`] position of slice `s`'s first neighbour.
+    firsts: Vec<u32>,
+    /// The live payload words, `words_per_slice` per slice.
+    live: Vec<u64>,
+    /// The payload words as built, which ranks count over.
+    built: Vec<u64>,
+    /// Each vertex's live valid slices.
+    valid: Vec<u32>,
+}
+
+impl NeighbourRows {
+    /// The rows of every vertex of `adjacency`, sliced by `slice_size`;
+    /// `encoding` sets the kernel's skip and dispatch rules.
+    fn new(adjacency: &Adjacency, slice_size: SliceSize, encoding: RowEncoding) -> Self {
+        let n = adjacency.vertex_count();
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let (mut indices, mut firsts, mut live) = (Vec::new(), Vec::new(), Vec::new());
+        let mut valid = Vec::with_capacity(n);
+        u32::try_from(adjacency.neighbours.len()).expect("adjacency positions fit in u32");
+        for x in 0..n as u32 {
+            let (listed, start) = (indices.len(), adjacency.offsets[x as usize]);
+            append_slices(adjacency.of(x).0, slice_size, &mut indices, &mut live, |i| {
+                firsts.push((start + i) as u32)
+            });
+            valid.push((indices.len() - listed) as u32);
+            offsets.push(indices.len());
+        }
+        let built = live.clone();
+        NeighbourRows { slice_size, encoding, offsets, indices, firsts, live, built, valid }
+    }
+
+    fn words_per_slice(&self) -> usize {
+        self.slice_size.words_per_slice()
+    }
+
+    /// Vertex `x`'s row as a kernel operand.
+    fn row(&self, x: u32) -> Operand<'_> {
+        let wps = self.words_per_slice();
+        let (start, end) = (self.offsets[x as usize], self.offsets[x as usize + 1]);
+        Operand {
+            indices: &self.indices[start..end],
+            words: &self.live[start * wps..end * wps],
+        }
+    }
+
+    /// The [`Adjacency`] position of bit `offset` of vertex `x`'s slice
+    /// at `ordinal` in its row: the slice's first position plus the
+    /// bit's rank among the slice's build-time bits.
+    fn position(&self, x: u32, ordinal: usize, offset: u32) -> usize {
+        let wps = self.words_per_slice();
+        let s = self.offsets[x as usize] + ordinal;
+        let words = &self.built[s * wps..][..wps];
+        let (word, bit) = (offset as usize / 64, offset % 64);
+        let below: u32 = words[..word].iter().map(|w| w.count_ones()).sum::<u32>()
+            + (words[word] & ((1u64 << bit) - 1)).count_ones();
+        self.firsts[s] as usize + below as usize
+    }
+
+    /// Clears bit `y` of vertex `x`'s row in place. A slice whose words
+    /// reach zero stops counting as valid but stays listed.
+    fn clear(&mut self, x: u32, y: u32) {
+        let (bits, wps) = (self.slice_size.bits(), self.words_per_slice());
+        let (start, end) = (self.offsets[x as usize], self.offsets[x as usize + 1]);
+        let rank = self.indices[start..end]
+            .binary_search(&(y / bits))
+            .expect("a row lists its neighbours' slices");
+        let within = (y % bits) as usize;
+        let words = &mut self.live[(start + rank) * wps..][..wps];
+        let mask = 1u64 << (within % 64);
+        assert!(words[within / 64] & mask != 0, "only a live edge is cleared");
+        words[within / 64] &= !mask;
+        if words.iter().all(|&w| w == 0) {
+            self.valid[x as usize] -= 1;
+        }
+    }
+
+    /// The store's AND+BitCount kernel over `a AND b`. It walks the
+    /// operand listing fewer slices and gallops into the other. A pair
+    /// is *mutually valid* when both slices' words are non-zero; under
+    /// the sparse encoding a mutually valid pair whose payloads share no
+    /// non-zero byte is skipped (the sparse rows' byte-mask rule), under
+    /// the dense one every such pair is visited. Each visited pair is
+    /// ANDed and counted; each non-zero result is one readout, handed to
+    /// `readout(slice number, ordinal in a, ordinal in b, words)` in
+    /// ascending slice order. The kernel dispatches by
+    /// `tcim_arch::kernel::dispatches`. So every count is
+    /// `tcim_arch::kernel::and_bitcount`'s over sliced rows of the same
+    /// bits with a witness sink attached.
+    fn and_bitcount(
+        &self,
+        a: Operand<'_>,
+        b: Operand<'_>,
+        readout: impl FnMut(u32, usize, usize, &[u64]),
+    ) -> ArcKernel {
+        // One walk per slice width, so the word loops unroll.
+        match self.words_per_slice() {
+            1 => and_bitcount_words::<1>(a, b, self.encoding, readout),
+            2 => and_bitcount_words::<2>(a, b, self.encoding, readout),
+            4 => and_bitcount_words::<4>(a, b, self.encoding, readout),
+            _ => and_bitcount_words::<WIDEST_SLICE_WORDS>(a, b, self.encoding, readout),
+        }
+    }
+}
+
+/// The high bit of every byte of `word` that is non-zero.
+fn non_zero_bytes(word: u64) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    (((word & LOW7) + LOW7) | word) & !LOW7
+}
+
+/// [`NeighbourRows::and_bitcount`] over slices of `W` words.
+fn and_bitcount_words<const W: usize>(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    encoding: RowEncoding,
+    mut readout: impl FnMut(u32, usize, usize, &[u64]),
+) -> ArcKernel {
+    let swapped = b.indices.len() < a.indices.len();
+    let (walked, probed) = if swapped { (b, a) } else { (a, b) };
+    let sparse = encoding == RowEncoding::Sparse;
+    let mut anded = [0u64; W];
+    let (mut count, mut readouts, mut pairs) = (0u64, 0u64, PairStats::default());
+    let mut cursor = 0;
+    for (ordinal, (&k, left)) in
+        walked.indices.iter().zip(walked.words.chunks_exact(W)).enumerate()
+    {
+        if left.iter().all(|&w| w == 0) {
+            continue;
+        }
+        cursor = gallop(probed.indices, cursor, |&j| j < k);
+        match probed.indices.get(cursor) {
+            None => break,
+            Some(&j) if j != k => continue,
+            Some(_) => {}
+        }
+        let right = &probed.words[cursor * W..][..W];
+        if right.iter().all(|&w| w == 0) {
+            continue;
+        }
+        if sparse
+            && left
+                .iter()
+                .zip(right)
+                .all(|(&x, &y)| non_zero_bytes(x) & non_zero_bytes(y) == 0)
+        {
+            pairs.skipped += 1;
+            continue;
+        }
+        pairs.visited += 1;
+        let mut bits = 0u64;
+        for ((out, &x), &y) in anded.iter_mut().zip(left).zip(right) {
+            *out = x & y;
+            bits += u64::from(out.count_ones());
+        }
+        count += bits;
+        if bits > 0 {
+            readouts += 1;
+            let (in_a, in_b) = if swapped { (cursor, ordinal) } else { (ordinal, cursor) };
+            readout(k, in_a, in_b, &anded);
+        }
+    }
+    ArcKernel { count, pairs, readouts, dispatched: kernel::dispatches(encoding, pairs) }
+}
+
+/// Adds one store kernel to `stats` and samples it for pricing, with
+/// operands of `valid_a` and `valid_b` live valid slices.
+fn bill(stats: &mut KernelStats, run: ArcKernel, valid_a: u32, valid_b: u32) -> KernelSample {
+    stats.kernel_invocations += u64::from(run.dispatched);
+    stats.slice_pairs += run.pairs.visited;
+    stats.blocks_skipped += run.pairs.skipped;
+    stats.result_readouts += run.readouts;
+    KernelSample {
+        valid_a: u64::from(valid_a),
+        valid_b: u64::from(valid_b),
+        pairs: run.pairs.visited,
+        readouts: run.readouts,
+    }
+}
+
 /// The live motif state: the graph's edges numbered once, in ascending
 /// input-id order (`u < v`), their [`Adjacency`], one live flag per
-/// edge, and, for the sliced flavor, one [`SlicedRow`] per vertex. Rows
-/// are built with [`SlicedRow::from_sorted_indices`] and patched in
-/// place with `clear_bit` — never via a matrix build, so peeling
-/// prepares no artifact and leaves the pipeline's cache misses flat.
+/// edge, and, for the sliced flavor, the [`NeighbourRows`] store. The
+/// store is built straight from the adjacency — never via a matrix
+/// build, so peeling prepares no artifact and leaves the pipeline's
+/// cache misses flat — and a peel patches it in place, one cleared bit
+/// per endpoint row.
 struct MotifState {
     /// Edge `e`'s endpoints `(u, v)`, `u < v`, ascending in `e`.
     edges: Vec<(u32, u32)>,
     adjacency: Adjacency,
     live: Vec<bool>,
-    rows: Option<Vec<SlicedRow>>,
-    slice_size: SliceSize,
+    rows: Option<NeighbourRows>,
     kernel: KernelStats,
-    /// The peel kernel's witness buffer, reused across peels.
-    witnesses: Vec<u32>,
 }
 
 impl MotifState {
@@ -260,27 +527,14 @@ impl MotifState {
         let adjacency = Adjacency::new(n, &edges);
         let rows = match flavor {
             MotifFlavor::Adjacency => None,
-            MotifFlavor::Sliced => Some(
-                (0..n as u32)
-                    .map(|x| {
-                        SlicedRow::from_sorted_indices(
-                            n,
-                            adjacency.of(x).0.iter().map(|&y| y as usize),
-                            slice_size,
-                            encoding,
-                        )
-                    })
-                    .collect(),
-            ),
+            MotifFlavor::Sliced => Some(NeighbourRows::new(&adjacency, slice_size, encoding)),
         };
         MotifState {
             live: vec![true; edges.len()],
             edges,
             adjacency,
             rows,
-            slice_size,
             kernel: KernelStats::default(),
-            witnesses: Vec::new(),
         }
     }
 
@@ -291,13 +545,11 @@ impl MotifState {
     fn intersect(&mut self, u: u32, v: u32) -> (Vec<u32>, KernelSample) {
         let mut witnesses = Vec::new();
         let sample = match &self.rows {
-            Some(rows) => sliced_kernel(
-                (u, v),
-                &rows[u as usize],
-                &rows[v as usize],
-                &mut self.kernel,
-                &mut witnesses,
-            ),
+            Some(rows) => {
+                let run =
+                    rows.and_bitcount(rows.row(u), rows.row(v), collect(rows, &mut witnesses));
+                bill(&mut self.kernel, run, rows.valid[u as usize], rows.valid[v as usize])
+            }
             None => {
                 self.adjacency.probe(&self.live, u, v, |w, _, _| witnesses.push(w));
                 list_kernel(&mut self.kernel)
@@ -312,10 +564,15 @@ impl MotifState {
     fn intersect_row(&mut self, c: u32, witness_row: &WitnessRow) -> (Vec<u32>, KernelSample) {
         let mut witnesses = Vec::new();
         let sample = match (&self.rows, witness_row) {
-            // The witness row has no vertex of its own; the witness
-            // sink reads only the surviving bits.
             (Some(rows), WitnessRow::Sliced(row)) => {
-                sliced_kernel((c, c), &rows[c as usize], row, &mut self.kernel, &mut witnesses)
+                let run = rows.and_bitcount(
+                    rows.row(c),
+                    row.operand(),
+                    collect(rows, &mut witnesses),
+                );
+                let listed =
+                    u32::try_from(row.indices.len()).expect("slice counts fit in u32");
+                bill(&mut self.kernel, run, rows.valid[c as usize], listed)
             }
             (None, WitnessRow::List(list)) => {
                 merge_intersect_visit(self.adjacency.of(c).0, list, |w| witnesses.push(w));
@@ -329,48 +586,34 @@ impl MotifState {
     /// Peels live edge `e`: one kernel over the live state finds the
     /// triangles its removal destroys, and `destroyed` gets the numbers
     /// of each one's other two edges. The edge is then removed: its live
-    /// flag cleared and, for the sliced flavor, both rows patched in
-    /// place with `clear_bit` (a deletion delta).
+    /// flag cleared and, for the sliced flavor, one bit cleared in each
+    /// endpoint's row (a deletion delta).
     fn peel(&mut self, e: u32, mut destroyed: impl FnMut(u32, u32)) -> KernelSample {
         let (u, v) = self.edges[e as usize];
-        let sample = match &mut self.rows {
+        let MotifState { adjacency, live, rows, kernel, .. } = self;
+        let sample = match rows {
             Some(rows) => {
-                self.witnesses.clear();
-                let sample = sliced_kernel(
-                    (u, v),
-                    &rows[u as usize],
-                    &rows[v as usize],
-                    &mut self.kernel,
-                    &mut self.witnesses,
-                );
-                // Witnesses come out ascending, so each endpoint's list
-                // is searched forward from the previous witness.
-                let ((near_u, ids_u), (near_v, ids_v)) =
-                    (self.adjacency.of(u), self.adjacency.of(v));
-                let (mut at_u, mut at_v) = (0, 0);
-                for &w in &self.witnesses {
-                    at_u = gallop(near_u, at_u, |&x| x < w);
-                    at_v = gallop(near_v, at_v, |&x| x < w);
-                    assert!(
-                        near_u.get(at_u) == Some(&w) && near_v.get(at_v) == Some(&w),
-                        "witnesses are neighbours"
-                    );
-                    destroyed(ids_u[at_u], ids_v[at_v]);
-                }
-                for (x, y) in [(u, v), (v, u)] {
-                    rows[x as usize]
-                        .clear_bit(y as usize)
-                        .expect("edge endpoints are within the row universe");
-                }
+                let edge_to = |x: u32, ordinal: usize, offset: u32| {
+                    let position = rows.position(x, ordinal, offset);
+                    adjacency.edge_ids[position]
+                };
+                let run =
+                    rows.and_bitcount(rows.row(u), rows.row(v), |_, at_u, at_v, anded| {
+                        visit_set_bits(anded.iter().copied(), |offset| {
+                            destroyed(edge_to(u, at_u, offset), edge_to(v, at_v, offset));
+                        });
+                    });
+                let sample = bill(kernel, run, rows.valid[u as usize], rows.valid[v as usize]);
+                rows.clear(u, v);
+                rows.clear(v, u);
                 sample
             }
             None => {
-                self.adjacency
-                    .probe(&self.live, u, v, |_, via_u, via_v| destroyed(via_u, via_v));
-                list_kernel(&mut self.kernel)
+                adjacency.probe(live, u, v, |_, via_u, via_v| destroyed(via_u, via_v));
+                list_kernel(kernel)
             }
         };
-        self.live[e as usize] = false;
+        live[e as usize] = false;
         sample
     }
 
@@ -378,49 +621,27 @@ impl MotifState {
     /// second AND.
     fn witness_row(&self, witnesses: &[u32]) -> WitnessRow {
         match &self.rows {
-            Some(rows) => {
-                let encoding = rows.first().map_or(RowEncoding::Dense, SlicedRow::encoding);
-                let row = SlicedRow::from_sorted_indices(
-                    self.adjacency.vertex_count(),
-                    witnesses.iter().map(|&w| w as usize),
-                    self.slice_size,
-                    encoding,
-                );
-                WitnessRow::Sliced(row)
-            }
+            Some(rows) => WitnessRow::Sliced(OwnedOperand::of(witnesses, rows.slice_size)),
             None => WitnessRow::List(witnesses.to_vec()),
         }
     }
 }
 
-/// The sliced kernel over `arc`: AND matching valid pairs, read each
-/// non-zero result back out, appending its witnesses to `witnesses`.
-/// Sparse operands whose byte masks prove every pair disjoint are never
-/// dispatched — the kernel's one dispatch rule.
-fn sliced_kernel(
-    arc: (u32, u32),
-    a: &SlicedRow,
-    b: &SlicedRow,
-    stats: &mut KernelStats,
-    witnesses: &mut Vec<u32>,
-) -> KernelSample {
-    let run =
-        kernel::and_bitcount(arc, a, b, PopcountMethod::Native, Some(witnesses), |_, _| {});
-    stats.kernel_invocations += u64::from(run.dispatched);
-    stats.slice_pairs += run.pairs.visited;
-    stats.blocks_skipped += run.pairs.skipped;
-    stats.result_readouts += run.readouts;
-    KernelSample {
-        valid_a: a.valid_slice_count() as u64,
-        valid_b: b.valid_slice_count() as u64,
-        pairs: run.pairs.visited,
-        readouts: run.readouts,
+/// A readout that appends each surviving bit of a store kernel to
+/// `witnesses` as a vertex id.
+fn collect<'w>(
+    rows: &NeighbourRows,
+    witnesses: &'w mut Vec<u32>,
+) -> impl FnMut(u32, usize, usize, &[u64]) + 'w {
+    let bits = rows.slice_size.bits();
+    move |k, _, _, anded| {
+        visit_set_bits(anded.iter().copied(), |offset| witnesses.push(k * bits + offset));
     }
 }
 
 /// A re-materialized witness set, in the state's operand form.
 enum WitnessRow {
-    Sliced(SlicedRow),
+    Sliced(OwnedOperand),
     List(Vec<u32>),
 }
 
@@ -772,6 +993,8 @@ mod tests {
     use super::*;
     use crate::backend::{CpuForwardBackend, ExecutionBackend};
     use crate::pipeline::{TcimConfig, TcimPipeline};
+    use tcim_bitmatrix::popcount::PopcountMethod;
+    use tcim_bitmatrix::SlicedRow;
     use tcim_graph::generators::{barabasi_albert, classic, rmat, RmatParams};
     use tcim_graph::{oracle, CsrGraph};
 
@@ -826,6 +1049,96 @@ mod tests {
         let (_, kernel) =
             ktruss_value_from_adjacency(&adjacency, slice16(), RowEncoding::Dense, 3);
         assert_eq!(kernel.kernel_invocations, 2 * g.edge_count() as u64);
+    }
+
+    /// The store's kernel over edge `(u, v)` with its witnesses,
+    /// asserting that each witness's rank-found position in each
+    /// endpoint's neighbour list holds the witness.
+    fn store_kernel(
+        store: &NeighbourRows,
+        adjacency: &Adjacency,
+        (u, v): (u32, u32),
+    ) -> (ArcKernel, Vec<u32>) {
+        let bits = store.slice_size.bits();
+        let mut witnesses = Vec::new();
+        let run = store.and_bitcount(store.row(u), store.row(v), |k, at_u, at_v, anded| {
+            visit_set_bits(anded.iter().copied(), |offset| {
+                let w = k * bits + offset;
+                for (x, at) in [(u, at_u), (v, at_v)] {
+                    let position = store.position(x, at, offset);
+                    let list =
+                        adjacency.offsets[x as usize]..adjacency.offsets[x as usize + 1];
+                    assert!(list.contains(&position), "({u}, {v}): {w} in the list of {x}");
+                    assert_eq!(adjacency.neighbours[position], w, "({u}, {v})");
+                }
+                witnesses.push(w);
+            })
+        });
+        (run, witnesses)
+    }
+
+    /// The store's kernel against `tcim_arch::kernel::and_bitcount`
+    /// with a witness sink, over `SlicedRow`s of the same bits, at every
+    /// slice size under both encodings: every edge's kernel, once as
+    /// built and once after every third edge is deleted from both of
+    /// its rows (the store clears in place, the reference rows with
+    /// `clear_bit`). Outcomes, witnesses and live valid-slice counts
+    /// agree, and every rank-found position holds its witness.
+    #[test]
+    fn store_kernel_equals_and_bitcount_over_sliced_rows() {
+        let graphs = [
+            ("rmat", rmat(10, 6000, RmatParams::default(), 7).unwrap()),
+            ("ba", barabasi_albert(800, 6, 5).unwrap()),
+            ("wheel", classic::wheel(12)),
+        ];
+        for (name, g) in graphs {
+            let n = g.vertex_count();
+            let edges = edges_of(&adjacency_of(&g));
+            let adjacency = Adjacency::new(n, &edges);
+            for (slice_size, encoding) in SliceSize::ALL
+                .into_iter()
+                .flat_map(|s| [(s, RowEncoding::Dense), (s, RowEncoding::Sparse)])
+            {
+                let mut store = NeighbourRows::new(&adjacency, slice_size, encoding);
+                let mut reference: Vec<SlicedRow> = (0..n as u32)
+                    .map(|x| {
+                        let ones = adjacency.of(x).0.iter().map(|&y| y as usize);
+                        SlicedRow::from_sorted_indices(n, ones, slice_size, encoding)
+                    })
+                    .collect();
+                for phase in ["built", "after deletes"] {
+                    if phase == "after deletes" {
+                        for &(u, v) in edges.iter().step_by(3) {
+                            for (x, y) in [(u, v), (v, u)] {
+                                store.clear(x, y);
+                                assert!(reference[x as usize].clear_bit(y as usize).unwrap());
+                            }
+                        }
+                    }
+                    for &(u, v) in &edges {
+                        let ctx =
+                            format!("{name} {slice_size} {encoding:?} {phase} ({u}, {v})");
+                        let (row_u, row_v) = (&reference[u as usize], &reference[v as usize]);
+                        let mut expected = Vec::new();
+                        let want = kernel::and_bitcount(
+                            (u, v),
+                            row_u,
+                            row_v,
+                            PopcountMethod::Native,
+                            Some(&mut expected),
+                            |_, _| {},
+                        );
+                        let (got, witnesses) = store_kernel(&store, &adjacency, (u, v));
+                        assert_eq!(got, want, "{ctx}");
+                        assert_eq!(witnesses, expected, "{ctx}");
+                        for (x, row) in [(u, row_u), (v, row_v)] {
+                            let live = store.valid[x as usize] as usize;
+                            assert_eq!(live, row.valid_slice_count(), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The peel passes of one decomposition: `(level, edges)` in order.

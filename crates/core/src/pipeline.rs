@@ -502,7 +502,7 @@ impl TcimPipeline {
         spec: &Backend,
     ) -> Result<ExecutionReport> {
         let report = self.backend(spec).execute(prepared)?;
-        self.record(prepared, spec, None, &report);
+        self.record(prepared, spec, None, &report, report.modelled_time_s);
         Ok(report)
     }
 
@@ -538,14 +538,15 @@ impl TcimPipeline {
 
     /// Records one completed execution of `spec` over `prepared` in this
     /// pipeline's metrics: the report's own accounting, the artifact's
-    /// encoding, the cost model's prediction and, for typed queries, the
-    /// query's label.
+    /// encoding, the cost model's prediction scored against
+    /// `scored_modelled_s` and, for typed queries, the query's label.
     pub(crate) fn record(
         &self,
         prepared: &PreparedGraph,
         spec: &Backend,
         query: Option<&Query>,
         report: &impl Accounted,
+        scored_modelled_s: Option<f64>,
     ) {
         let (backend, kernel, execute_time, modelled_time_s) = report.accounting();
         self.metrics.record_execution(&ExecutionSample {
@@ -555,6 +556,7 @@ impl TcimPipeline {
             execute_time,
             modelled_time_s,
             predicted_modelled_s: self.predicted_modelled_s(prepared, spec),
+            scored_modelled_s,
             query: query.map(Query::label),
         });
     }

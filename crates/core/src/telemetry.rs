@@ -56,6 +56,10 @@ pub struct ExecutionSample<'a> {
     /// latency (s), when the backend has one — feeds the
     /// `tcim_model_error_permille` calibration histograms.
     pub predicted_modelled_s: Option<f64>,
+    /// The modelled latency (s) the prediction is scored against: the
+    /// run's own for a classic execution, the anchor run's for a motif
+    /// query, whose rounds the count-level prediction does not price.
+    pub scored_modelled_s: Option<f64>,
     /// The answered query's stable label ([`Query::label`]), when the
     /// execution served a typed query — feeds the per-variant
     /// `tcim_query_variant_total` series. `None` for plain count
@@ -160,7 +164,7 @@ impl PipelineMetrics {
 
     /// Records one completed execution's aggregate accounting: the
     /// unlabelled totals, the `{backend, encoding}` labelled series,
-    /// and (when both a prediction and a measured modelled time are
+    /// and (when both a prediction and a scored modelled time are
     /// present) one cost-model calibration observation.
     pub fn record_execution(&self, sample: &ExecutionSample<'_>) {
         self.executions.incr();
@@ -172,7 +176,7 @@ impl PipelineMetrics {
         if let Some(s) = sample.modelled_time_s {
             self.modelled_latency.observe_duration(Duration::from_secs_f64(s.max(0.0)));
         }
-        let error_permille = match (sample.predicted_modelled_s, sample.modelled_time_s) {
+        let error_permille = match (sample.predicted_modelled_s, sample.scored_modelled_s) {
             (Some(predicted), Some(measured)) if measured > 0.0 => {
                 let permille = ((predicted - measured).abs() / measured) * 1000.0;
                 Some(permille.round().min(u64::MAX as f64) as u64)
@@ -283,6 +287,7 @@ mod tests {
             execute_time: Duration::from_micros(10),
             modelled_time_s: modelled,
             predicted_modelled_s: predicted,
+            scored_modelled_s: modelled,
             query: None,
         }
     }

@@ -120,6 +120,51 @@ pub fn plan_deltas(jobs: &[DeltaJob], policy: &SchedPolicy) -> Result<DeltaPlan>
     Ok(DeltaPlan { arrays, assignment, per_array_busy_s })
 }
 
+/// The per-array loads of delta rounds, kept across rounds: prices a
+/// round by its critical path alone, without materializing a
+/// [`DeltaPlan`]. The placement order and the loads are reused, so a
+/// caller that prices many rounds (the motif engine's peel passes)
+/// allocates nothing once they have grown.
+#[derive(Debug, Clone, Default)]
+pub struct DeltaLoads {
+    order: Vec<usize>,
+    loads: Vec<f64>,
+}
+
+impl DeltaLoads {
+    /// The critical path of `jobs` placed under `policy`: bit for bit
+    /// `plan_deltas(jobs, policy)?.critical_path_s()`. Jobs are placed
+    /// exactly as [`plan_deltas`] places them and each array's load is
+    /// summed in the same order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError::InvalidPolicy`](crate::SchedError::InvalidPolicy)
+    /// for a malformed policy.
+    pub fn critical_path_s(&mut self, jobs: &[DeltaJob], policy: &SchedPolicy) -> Result<f64> {
+        policy.validate()?;
+        self.loads.clear();
+        self.loads.resize(policy.arrays, 0.0);
+        match policy.placement {
+            PlacementPolicy::RoundRobin => {
+                for (k, job) in jobs.iter().enumerate() {
+                    self.loads[k % policy.arrays] += job.est_busy_s;
+                }
+            }
+            PlacementPolicy::LoadBalanced | PlacementPolicy::ReuseAware => {
+                crate::placement::lpt_into(
+                    jobs,
+                    &mut self.loads,
+                    &mut self.order,
+                    |job| job.est_busy_s,
+                    |_, _| {},
+                );
+            }
+        }
+        Ok(self.loads.iter().copied().fold(0.0, f64::max))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,6 +242,35 @@ mod tests {
         assert!(plan.assignment.is_empty());
         assert_eq!(plan.critical_path_s(), 0.0);
         assert_eq!(plan.imbalance(), 1.0);
+    }
+
+    /// Reused loads price every round exactly as a fresh plan does,
+    /// under every policy and array count, over rounds that shrink,
+    /// grow and tie.
+    #[test]
+    fn reused_loads_price_rounds_exactly_as_plans_do() {
+        let rounds = [
+            jobs(&[5, 3, 8, 1, 8, 3, 3]),
+            jobs(&[100, 1, 1, 1, 1, 1, 1, 1]),
+            jobs(&[2]),
+            jobs(&[]),
+        ];
+        let mut loads = DeltaLoads::default();
+        for placement in [
+            PlacementPolicy::RoundRobin,
+            PlacementPolicy::LoadBalanced,
+            PlacementPolicy::ReuseAware,
+        ] {
+            for arrays in [1, 2, 3, 4, 8] {
+                let policy = SchedPolicy::with_arrays(arrays).placement(placement);
+                for round in &rounds {
+                    let planned = plan_deltas(round, &policy).unwrap().critical_path_s();
+                    let priced = loads.critical_path_s(round, &policy).unwrap();
+                    assert_eq!(priced.to_bits(), planned.to_bits(), "{placement:?} x{arrays}");
+                }
+            }
+        }
+        assert!(loads.critical_path_s(&rounds[0], &SchedPolicy::with_arrays(0)).is_err());
     }
 
     #[test]

@@ -75,7 +75,7 @@ mod policy;
 mod report;
 mod runner;
 
-pub use delta::{plan_deltas, DeltaJob, DeltaPlan};
+pub use delta::{plan_deltas, DeltaJob, DeltaLoads, DeltaPlan};
 pub use error::{Result, SchedError};
 pub use jobs::RowJob;
 pub use placement::{ArrayAssignment, Placement};

@@ -172,18 +172,40 @@ pub(crate) fn lpt<J>(
     // workload's peak RSS read about 3% higher.
     let mut assignment = vec![0usize; jobs.len()];
     let mut load = vec![0.0f64; arrays];
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    // A stable sort: equal estimates keep input order.
-    order.sort_by(|&a, &b| {
-        est(&jobs[b]).partial_cmp(&est(&jobs[a])).expect("busy estimates are finite")
+    lpt_into(jobs, &mut load, &mut Vec::new(), est, |j, target| assignment[j] = target);
+    (assignment, load)
+}
+
+/// [`lpt`] into caller-kept buffers: adds each job's `est` to its
+/// array's entry of `load` (one entry per array, summed onto what it
+/// holds) and calls `place(job, array)` in placement order. `order` is
+/// scratch, overwritten.
+///
+/// # Panics
+///
+/// As [`lpt`], with `load.len()` arrays.
+pub(crate) fn lpt_into<J>(
+    jobs: &[J],
+    load: &mut [f64],
+    order: &mut Vec<usize>,
+    est: impl Fn(&J) -> f64,
+    mut place: impl FnMut(usize, usize),
+) {
+    order.clear();
+    order.extend(0..jobs.len());
+    // Equal estimates keep input order: ties break on the job's index,
+    // so the unstable sort, which allocates nothing, orders exactly as a
+    // stable one.
+    order.sort_unstable_by(|&a, &b| {
+        let by_est = est(&jobs[b]).partial_cmp(&est(&jobs[a]));
+        by_est.expect("busy estimates are finite").then(a.cmp(&b))
     });
-    for j in order {
+    for &j in order.iter() {
         let target =
-            (1..arrays).fold(0, |best, a| if load[a] < load[best] { a } else { best });
-        assignment[j] = target;
+            (1..load.len()).fold(0, |best, a| if load[a] < load[best] { a } else { best });
+        place(j, target);
         load[target] += est(&jobs[j]);
     }
-    (assignment, load)
 }
 
 /// Reuse-aware greedy: jobs are visited in row order (the order arrays
