@@ -167,8 +167,9 @@ fn bits(x: Option<f64>) -> String {
 /// EdgeSupport, KTruss{k: 4}, FourCliques} with their EXPLAIN
 /// predictions, plus one coalesced batch of [`Query::example_suite`] per
 /// backend (executions and the shared carrier census); the serial and
-/// scheduled `AccessStats`; the serial event-trace lengths; and a live
-/// graph's stream counters after one fixed churn batch.
+/// scheduled `AccessStats`; the serial event-trace lengths; the
+/// artifact's valid slices and compressed bytes; and a live graph's
+/// stream counters and footprint after one fixed churn batch.
 fn golden_census() -> String {
     let graphs = [
         ("ba600", barabasi_albert(600, 5, 7).unwrap()),
@@ -197,6 +198,13 @@ fn golden_census() -> String {
                 p.kernel_dispatches,
                 p.blocks_skipped,
                 bits(Some(p.est_busy_s))
+            )
+            .unwrap();
+            let footprint = prepared.slice_stats();
+            writeln!(
+                out,
+                "{cell} footprint valid {} bytes {}",
+                footprint.valid_slices, footprint.compressed_bytes
             )
             .unwrap();
             for backend in backends() {
@@ -327,6 +335,13 @@ fn golden_census() -> String {
                 s.kernel_invocations,
                 s.slice_pairs,
                 bits(Some(s.modelled_kernel_s))
+            )
+            .unwrap();
+            writeln!(
+                out,
+                "{cell} live footprint valid {} bytes {}",
+                live.valid_slices(),
+                live.compressed_bytes()
             )
             .unwrap();
             let (support, pairs, skipped) = live.edge_support();
