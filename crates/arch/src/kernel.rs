@@ -6,11 +6,11 @@
 //! reads non-zero results out into a [`TriangleSink`], and makes the
 //! sparse dispatch decision ([`dispatches`]). The serial engine, the
 //! scheduler's arrays and the software path run it via [`walk`], and
-//! the streaming deltas and shard composition arc by arc. The motif
-//! rounds in `tcim-core` run the kernel of a word-payload row store
-//! built for in-place deletion instead; a test there pins it to this
-//! one over the same bits, counter for counter, and its skip and
-//! dispatch rules are [`dispatches`]'s.
+//! the streaming deltas and shard composition arc by arc. Its slice
+//! pairs come from the one matching walk,
+//! [`tcim_bitmatrix::matching::walk`], which the motif rounds in
+//! `tcim-core` also run over their word-payload row store; a test there
+//! pins that kernel to this one over the same bits, counter for counter.
 //!
 //! [`walk`] is Algorithm 1 over a prepared matrix, generic over the
 //! [`Residency`] model the operands are charged to (`()` for none, an
@@ -33,6 +33,7 @@
 use std::ops::Range;
 use std::sync::OnceLock;
 
+use tcim_bitmatrix::matching::gallop;
 use tcim_bitmatrix::popcount::{popcount_word, visit_set_bits, PopcountMethod};
 use tcim_bitmatrix::{PairStats, RowEncoding, SlicedMatrix, SlicedRow};
 use tcim_telemetry::{EventTrace, KernelEvent};
@@ -69,39 +70,6 @@ impl Attribution {
             Attribution::PerVertexWithSupport => Some(TriangleTally::new(dim, Some(arcs()))),
         }
     }
-}
-
-/// The first index at or after `from` whose item `below` rejects, in
-/// `items[from..]` partitioned by `below` (every item it accepts comes
-/// before every item it rejects); `items.len()` when it accepts them
-/// all. The search gallops: it probes `from`, then doubles its stride
-/// until it passes the answer, and binary-searches the last stride. So a
-/// cursor that moves forward by `d` items costs `O(log d)` probes, and
-/// one probe when it stays put.
-///
-/// ```
-/// use tcim_arch::kernel::gallop;
-///
-/// let heads = [2, 3, 5, 8, 13, 21, 34];
-/// assert_eq!(gallop(&heads, 0, |&h| h < 5), 2);
-/// assert_eq!(gallop(&heads, 2, |&h| h < 5), 2, "already there: one probe");
-/// assert_eq!(gallop(&heads, 2, |&h| h < 30), 6);
-/// assert_eq!(gallop(&heads, 3, |&h| h < 99), heads.len());
-/// ```
-///
-/// # Panics
-///
-/// Panics when `from` is past `items.len()`.
-pub fn gallop<T>(items: &[T], from: usize, mut below: impl FnMut(&T) -> bool) -> usize {
-    // Invariant: every item in `from..lo` is below.
-    let (mut lo, mut probe, mut stride) = (from, from, 1);
-    while probe < items.len() && below(&items[probe]) {
-        lo = probe + 1;
-        probe += stride;
-        stride *= 2;
-    }
-    let end = probe.min(items.len());
-    lo + items[lo..end].partition_point(below)
 }
 
 /// What an owner keeps to index its row-major arc list: the row offsets,
@@ -1007,17 +975,5 @@ mod tests {
         let mut tally = TriangleTally::new(3, Some(ArcIndex::new(&list, &offsets)));
         tally.enter_arc(1);
         tally.triangle(0, 1, 2);
-    }
-
-    #[test]
-    fn gallop_finds_the_partition_point_from_any_start() {
-        let items: Vec<u32> = (0..200).map(|x| x * 3).collect();
-        for from in [0, 1, 5, 64, 199, 200] {
-            for target in [0, 1, 3, 100, 299, 597, 598, 1000] {
-                let want = from + items[from..].partition_point(|&x| x < target);
-                assert_eq!(gallop(&items, from, |&x| x < target), want, "{from} {target}");
-            }
-        }
-        assert_eq!(gallop::<u32>(&[], 0, |_| true), 0);
     }
 }

@@ -14,12 +14,15 @@
 //! * [`SlicedBitVector`] — the compressed `(valid slice index, slice data)`
 //!   representation, including the paper's byte-size accounting
 //!   `NVS × (|S|/8 + 4)`.
-//! * [`SparseSlicedRow`] — the hierarchical sparse encoding: summary
-//!   bitmasks over packed non-zero payload bytes, with a two-level
-//!   skip-empty intersection walk.
-//! * [`SlicedRow`] / [`RowEncoding`] / [`EncodingPolicy`] — the
-//!   density-adaptive abstraction over both encodings; prepared graphs
-//!   pick one per matrix from the measured valid-slice fraction.
+//! * [`matching`] — the one matching walk every kernel runs over two
+//!   rows in that layout: it gallops from the shorter operand into the
+//!   longer and, under the sparse encoding, skips the slice pairs whose
+//!   payloads share no non-zero byte.
+//! * [`SlicedRow`] / [`RowEncoding`] / [`EncodingPolicy`] — a sliced
+//!   vector plus the encoding its kernels run under: the encoding picks
+//!   the walk's skip and dispatch rule and the footprint the row
+//!   reports, never the host layout. Prepared graphs pick one per matrix
+//!   from the measured valid-slice fraction.
 //! * [`SlicedMatrix`] — every row and column of an adjacency matrix in sliced
 //!   form, the input to the architecture simulator, with its
 //!   [`KernelCensus`]: which arcs visit at least one slice pair.
@@ -51,13 +54,13 @@
 mod bitvec;
 mod census;
 mod error;
+pub mod matching;
 mod matrix;
 pub mod popcount;
 mod row;
 mod slice;
 mod sliced;
 mod sliced_matrix;
-mod sparse;
 
 pub use bitvec::BitVec;
 pub use census::KernelCensus;
@@ -68,4 +71,3 @@ pub use row::{EncodingPolicy, PairStats, RowEncoding, SlicedRow};
 pub use slice::SliceSize;
 pub use sliced::{MatchingSlices, SlicedBitVector, ValidSlice};
 pub use sliced_matrix::{SliceStats, SlicedMatrix, SlicedMatrixBuilder};
-pub use sparse::SparseSlicedRow;

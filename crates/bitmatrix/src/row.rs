@@ -1,31 +1,37 @@
-//! Density-adaptive row encoding: one type over the dense
-//! [`SlicedBitVector`] and the hierarchical [`SparseSlicedRow`], plus the
-//! policy that picks between them.
+//! Density-adaptive row encoding: one row type over the paper's Fig. 3
+//! layout ([`SlicedBitVector`]: ascending valid-slice indices plus
+//! payload words), the [`RowEncoding`] it is walked under, and the policy
+//! that picks the encoding.
 //!
 //! Every consumer of a sliced row — the architecture simulator, the
 //! scheduler's row jobs, shard boundary extraction, streaming patches —
 //! goes through [`SlicedRow`], so a prepared graph can switch encodings
-//! wholesale without its consumers caring which layout is underneath.
-//! The dense encoding is bit-identical to the paper's `(index, payload)`
-//! format; the sparse encoding stores the same bit set hierarchically
-//! and intersects it with the two-level skip-empty walk.
+//! wholesale without its consumers caring which one is in force. The
+//! encoding is not a host layout: it selects the kernel's skip and
+//! dispatch rule ([`crate::matching`]) and the footprint a row reports
+//! ([`SlicedRow::compressed_bytes`]).
 
 use std::fmt;
 
 use crate::bitvec::BitVec;
 use crate::error::{BitMatrixError, Result};
+use crate::matching::{self, non_zero_bytes};
 use crate::popcount::{popcount_words, PopcountMethod};
-use crate::slice::{SliceSize, MAX_WORDS_PER_SLICE};
+use crate::slice::SliceSize;
 use crate::sliced::{MatchingSlices, SlicedBitVector};
-use crate::sparse::{walk_matching, SparseSlicedRow};
 
-/// Which physical layout a row (or a whole prepared matrix) uses.
+/// How the controller walks a row (or a whole prepared matrix) and what
+/// footprint the row reports. Both encodings keep the same Fig. 3
+/// layout on the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum RowEncoding {
-    /// The paper's flat `(u32 index, |S|-bit payload)` list.
+    /// The paper's flat `(u32 index, |S|-bit payload)` list: every
+    /// mutually valid slice pair is ANDed, every arc dispatches.
     #[default]
     Dense,
-    /// Hierarchical summary masks over packed non-zero payload bytes.
+    /// Summary masks over packed non-zero payload bytes: pairs whose
+    /// payloads share no non-zero byte are skipped, and an arc that
+    /// visits no pair is not dispatched.
     Sparse,
 }
 
@@ -40,10 +46,17 @@ impl fmt::Display for RowEncoding {
 
 /// Valid-slice fraction below which [`EncodingPolicy::Auto`] picks the
 /// sparse encoding. Below it, the dispatches and slice pairs the sparse
-/// walk skips make sparse the faster artifact in modelled accelerator
-/// time, although the host's payload decode keeps dense faster on the
-/// CPU at every density. The density sweep (0.1%–50%) that placed it is
-/// described in CHANGES.md, in the entry that added sparse bit-rows.
+/// rule skips make sparse the faster artifact in modelled accelerator
+/// time. The density sweep (0.1%–50%) that placed it is described in
+/// CHANGES.md, in the entry that added sparse bit-rows. On the host both
+/// encodings run one walk over one layout, and sparse was the faster
+/// one on both benchmark graphs: the software walk (`|S|` = 64, medians
+/// of 15 release runs on a 2-core Xeon) read 12.6 ms dense against
+/// 6.2 ms sparse on `barabasi_albert(20_000, 8, 7)` and 46.6 against
+/// 40.7 ms on `rmat(14, 160_000, _, 7)`, because the kernel census
+/// leaves fewer arcs to walk. An index-only pass over every arc, the
+/// census itself, cost 3–12% more sparse (18.0 against 18.6 ms, 31.8
+/// against 35.5 ms): one byte-mask compare per mutually valid pair.
 const AUTO_SPARSE_THRESHOLD: f64 = 0.25;
 
 /// How a prepared graph chooses its [`RowEncoding`].
@@ -117,7 +130,7 @@ impl fmt::Display for EncodingPolicy {
 /// the sparse walk is a strict refinement, never a different population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PairStats {
-    /// Pairs decoded and fed to the AND + BitCount kernel.
+    /// Pairs ANDed and fed to the AND + BitCount kernel.
     pub visited: u64,
     /// Mutually valid pairs skipped because their byte masks were
     /// disjoint (the AND is provably zero).
@@ -131,8 +144,8 @@ impl PairStats {
     }
 }
 
-/// A sliced bit row in either encoding, with a common API for every
-/// consumer of the prepared matrix.
+/// A sliced bit row: the paper's Fig. 3 layout plus the
+/// [`RowEncoding`] its kernels run under.
 ///
 /// # Example
 ///
@@ -148,40 +161,19 @@ impl PairStats {
 /// // The skip-empty walk visits only byte-intersecting pairs.
 /// let stats = a.matching_stats(&b).unwrap();
 /// assert_eq!(stats.visited, 2);
+/// // Three valid slices with one non-zero byte each undercut the dense
+/// // footprint, NVS x (8 + 4) bytes.
+/// let dense = a.reencoded(RowEncoding::Dense);
+/// assert_eq!(dense.compressed_bytes(), 3 * 12);
+/// assert!(a.compressed_bytes() < dense.compressed_bytes());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SlicedRow {
-    /// The paper's flat compressed layout.
-    Dense(SlicedBitVector),
-    /// The hierarchical summary-mask layout.
-    Sparse(SparseSlicedRow),
-}
-
-impl From<SlicedBitVector> for SlicedRow {
-    fn from(v: SlicedBitVector) -> Self {
-        SlicedRow::Dense(v)
-    }
-}
-
-impl From<SparseSlicedRow> for SlicedRow {
-    fn from(v: SparseSlicedRow) -> Self {
-        SlicedRow::Sparse(v)
-    }
+pub struct SlicedRow {
+    slices: SlicedBitVector,
+    encoding: RowEncoding,
 }
 
 impl SlicedRow {
-    /// Compresses `v` under `encoding`.
-    pub fn from_bitvec(v: &BitVec, slice_size: SliceSize, encoding: RowEncoding) -> Self {
-        match encoding {
-            RowEncoding::Dense => {
-                SlicedRow::Dense(SlicedBitVector::from_bitvec(v, slice_size))
-            }
-            RowEncoding::Sparse => {
-                SlicedRow::Sparse(SparseSlicedRow::from_bitvec(v, slice_size))
-            }
-        }
-    }
-
     /// Compresses a vector given the ascending indices of its set bits.
     ///
     /// # Panics
@@ -197,132 +189,98 @@ impl SlicedRow {
     where
         I: IntoIterator<Item = usize>,
     {
-        match encoding {
-            RowEncoding::Dense => SlicedRow::Dense(SlicedBitVector::from_sorted_indices(
-                len_bits, set_bits, slice_size,
-            )),
-            RowEncoding::Sparse => SlicedRow::Sparse(SparseSlicedRow::from_sorted_indices(
-                len_bits, set_bits, slice_size,
-            )),
-        }
+        let slices = SlicedBitVector::from_sorted_indices(len_bits, set_bits, slice_size);
+        SlicedRow { slices, encoding }
     }
 
-    /// Wraps (or re-encodes) an already-compressed dense vector.
-    pub fn encode(dense: SlicedBitVector, encoding: RowEncoding) -> Self {
-        match encoding {
-            RowEncoding::Dense => SlicedRow::Dense(dense),
-            RowEncoding::Sparse => SlicedRow::Sparse(SparseSlicedRow::from_dense(&dense)),
-        }
+    /// Wraps an already-compressed vector under `encoding`.
+    pub fn encode(slices: SlicedBitVector, encoding: RowEncoding) -> Self {
+        SlicedRow { slices, encoding }
     }
 
-    /// This row's physical encoding.
+    /// The encoding this row's kernels run under.
     pub fn encoding(&self) -> RowEncoding {
-        match self {
-            SlicedRow::Dense(_) => RowEncoding::Dense,
-            SlicedRow::Sparse(_) => RowEncoding::Sparse,
-        }
+        self.encoding
     }
 
-    /// The same bit set under `encoding` (a clone when it already is).
+    /// The same bit set under `encoding`.
     pub fn reencoded(&self, encoding: RowEncoding) -> SlicedRow {
-        match (self, encoding) {
-            (SlicedRow::Dense(v), RowEncoding::Sparse) => {
-                SlicedRow::Sparse(SparseSlicedRow::from_dense(v))
-            }
-            (SlicedRow::Sparse(v), RowEncoding::Dense) => SlicedRow::Dense(v.to_dense()),
-            _ => self.clone(),
-        }
+        SlicedRow { slices: self.slices.clone(), encoding }
     }
 
     /// The slice size this row was compressed with.
     pub fn slice_size(&self) -> SliceSize {
-        match self {
-            SlicedRow::Dense(v) => v.slice_size(),
-            SlicedRow::Sparse(v) => v.slice_size(),
-        }
+        self.slices.slice_size()
     }
 
     /// Length of the uncompressed vector in bits.
     pub fn len_bits(&self) -> usize {
-        match self {
-            SlicedRow::Dense(v) => v.len_bits(),
-            SlicedRow::Sparse(v) => v.len_bits(),
-        }
+        self.slices.len_bits()
     }
 
     /// Returns `true` when no slice is valid.
     pub fn is_empty(&self) -> bool {
-        match self {
-            SlicedRow::Dense(v) => v.is_empty(),
-            SlicedRow::Sparse(v) => v.is_empty(),
-        }
+        self.slices.is_empty()
     }
 
     /// Number of valid slices (identical across encodings).
     pub fn valid_slice_count(&self) -> usize {
-        match self {
-            SlicedRow::Dense(v) => v.valid_slice_count(),
-            SlicedRow::Sparse(v) => v.valid_slice_count(),
-        }
+        self.slices.valid_slice_count()
     }
 
     /// Number of slices the uncompressed vector would occupy.
     pub fn total_slices(&self) -> usize {
-        match self {
-            SlicedRow::Dense(v) => v.total_slices(),
-            SlicedRow::Sparse(v) => v.total_slices(),
-        }
+        self.slices.total_slices()
     }
 
     /// Fraction of slices that are valid, in `[0, 1]`.
     pub fn valid_fraction(&self) -> f64 {
-        match self {
-            SlicedRow::Dense(v) => v.valid_fraction(),
-            SlicedRow::Sparse(v) => v.valid_fraction(),
-        }
+        self.slices.valid_fraction()
     }
 
-    /// Bytes of the compressed representation under this row's own
-    /// encoding: `NVS × (|S|/8 + 4)` for dense, the full hierarchy
-    /// accounting for sparse.
+    /// Bytes of the compressed representation under this row's
+    /// encoding. Dense: the paper's `NVS × (|S|/8 + 4)`. Sparse: the
+    /// summary hierarchy the controller's skip rule reads, computed from
+    /// the payload words — 8 bytes per top word (`⌊last index / 4096⌋ +
+    /// 1` of them), 8 per 64-slice group holding a valid slice, one mask
+    /// byte per payload word and one byte per non-zero payload byte. An
+    /// empty row costs nothing under either encoding.
     pub fn compressed_bytes(&self) -> usize {
-        match self {
-            SlicedRow::Dense(v) => v.compressed_bytes(),
-            SlicedRow::Sparse(v) => v.compressed_bytes(),
+        if self.encoding == RowEncoding::Dense {
+            return self.slices.compressed_bytes();
         }
+        let matching::SliceWords { indices, words } = self.slices.slice_words();
+        let Some(&last) = indices.last() else { return 0 };
+        let top = last as usize / 4096 + 1;
+        let groups = 1 + indices.windows(2).filter(|w| w[0] / 64 != w[1] / 64).count();
+        let bytes: usize =
+            words.iter().map(|&w| non_zero_bytes(w).count_ones() as usize).sum();
+        8 * top + 8 * groups + words.len() + bytes
     }
 
     /// Number of set bits.
     pub fn count_ones(&self) -> u64 {
-        match self {
-            SlicedRow::Dense(v) => v.count_ones(),
-            SlicedRow::Sparse(v) => v.count_ones(),
-        }
+        self.slices.count_ones()
     }
 
     /// Decompresses back to a dense [`BitVec`].
     pub fn to_bitvec(&self) -> BitVec {
-        match self {
-            SlicedRow::Dense(v) => v.to_bitvec(),
-            SlicedRow::Sparse(v) => v.to_bitvec(),
-        }
+        self.slices.to_bitvec()
     }
 
-    /// The dense merge-join iterator over mutually valid slice pairs.
-    ///
-    /// This is the raw dense-layout view; encoding-generic consumers use
-    /// [`SlicedRow::for_each_matching`] instead, which also works (and
-    /// skips) on sparse rows.
+    /// The reference merge-join over every mutually valid slice pair
+    /// ([`SlicedBitVector::matching_slices`]), whatever the encoding's
+    /// skip rule; kernels use [`SlicedRow::for_each_matching`].
     ///
     /// # Errors
     ///
-    /// Returns [`BitMatrixError::EncodingMismatch`] unless both rows are
-    /// dense, plus the dense iterator's own slice-size/length checks.
+    /// Returns [`BitMatrixError::EncodingMismatch`] when the encodings
+    /// differ, plus the merge-join's own slice-size/length checks.
     pub fn matching_slices<'a>(&'a self, other: &'a SlicedRow) -> Result<MatchingSlices<'a>> {
-        match (self, other) {
-            (SlicedRow::Dense(a), SlicedRow::Dense(b)) => a.matching_slices(b),
-            _ => Err(BitMatrixError::EncodingMismatch),
+        if self.encoding != other.encoding {
+            return Err(BitMatrixError::EncodingMismatch);
         }
+        self.slices.matching_slices(&other.slices)
     }
 
     fn check_compatible(&self, other: &SlicedRow) -> Result<()> {
@@ -338,17 +296,17 @@ impl SlicedRow {
                 right: other.len_bits(),
             });
         }
-        if self.encoding() != other.encoding() {
+        if self.encoding != other.encoding {
             return Err(BitMatrixError::EncodingMismatch);
         }
         Ok(())
     }
 
     /// Runs `f(slice index, ANDed payload words)` over every visited
-    /// slice pair of `self AND other` — the encoding-generic kernel
-    /// walk. Dense rows visit every mutually valid pair; sparse rows
-    /// additionally skip pairs whose byte masks are disjoint (the AND is
-    /// provably zero), reported in [`PairStats::skipped`].
+    /// slice pair of `self AND other`, ascending — the kernel walk
+    /// ([`matching::walk`]). Dense rows visit every mutually valid pair;
+    /// sparse rows skip pairs whose payloads share no non-zero byte (the
+    /// AND is provably zero), reported in [`PairStats::skipped`].
     ///
     /// # Errors
     ///
@@ -362,29 +320,18 @@ impl SlicedRow {
         mut f: impl FnMut(u32, &[u64]),
     ) -> Result<PairStats> {
         self.check_compatible(other)?;
-        match (self, other) {
-            (SlicedRow::Dense(a), SlicedRow::Dense(b)) => {
-                let mut buf = [0u64; MAX_WORDS_PER_SLICE];
-                let scratch = &mut buf[..self.slice_size().words_per_slice()];
-                let mut stats = PairStats::default();
-                for (k, left, right) in a.matching_slices(b)? {
-                    for (s, (&x, &y)) in scratch.iter_mut().zip(left.iter().zip(right)) {
-                        *s = x & y;
-                    }
-                    stats.visited += 1;
-                    f(k, scratch);
-                }
-                Ok(stats)
-            }
-            (SlicedRow::Sparse(a), SlicedRow::Sparse(b)) => Ok(walk_matching::<true>(a, b, f)),
-            _ => unreachable!("check_compatible rejects mixed encodings"),
-        }
+        Ok(matching::walk(
+            self.slices.slice_words(),
+            other.slices.slice_words(),
+            self.slice_size(),
+            self.encoding,
+            |k, _, _, anded| f(k, anded),
+        ))
     }
 
     /// Like [`SlicedRow::for_each_matching`] but hands out only the
-    /// slice index of each visited pair, skipping payload decode — the
-    /// path for job decomposition, which needs pair identities, not
-    /// data.
+    /// slice index of each visited pair — the path for job
+    /// decomposition, which needs pair identities, not data.
     ///
     /// # Errors
     ///
@@ -394,31 +341,17 @@ impl SlicedRow {
         other: &SlicedRow,
         mut f: impl FnMut(u32),
     ) -> Result<PairStats> {
-        self.check_compatible(other)?;
-        match (self, other) {
-            (SlicedRow::Dense(a), SlicedRow::Dense(b)) => {
-                let mut stats = PairStats::default();
-                for (k, _, _) in a.matching_slices(b)? {
-                    stats.visited += 1;
-                    f(k);
-                }
-                Ok(stats)
-            }
-            (SlicedRow::Sparse(a), SlicedRow::Sparse(b)) => {
-                Ok(walk_matching::<false>(a, b, |k, _| f(k)))
-            }
-            _ => unreachable!("check_compatible rejects mixed encodings"),
-        }
+        self.for_each_matching(other, |k, _| f(k))
     }
 
-    /// The pair accounting of `self AND other` without visiting payloads
-    /// — what the cost model prices.
+    /// The pair accounting of `self AND other` — what the cost model
+    /// prices.
     ///
     /// # Errors
     ///
     /// Same conditions as [`SlicedRow::for_each_matching`].
     pub fn matching_stats(&self, other: &SlicedRow) -> Result<PairStats> {
-        self.for_each_matching_index(other, |_| {})
+        self.for_each_matching(other, |_, _| {})
     }
 
     /// `popcount(self AND other)` — the full TCIM kernel over one
@@ -439,62 +372,38 @@ impl SlicedRow {
     /// Panics when the operands disagree in slice size, length or
     /// encoding.
     pub fn and_popcount_with(&self, other: &SlicedRow, method: PopcountMethod) -> u64 {
-        match (self, other) {
-            (SlicedRow::Dense(a), SlicedRow::Dense(b)) => a.and_popcount_with(b, method),
-            _ => {
-                let mut total = 0u64;
-                self.for_each_matching(other, |_, anded| {
-                    total += popcount_words(anded, method);
-                })
-                .expect("operands must agree in slice size, length and encoding");
-                total
-            }
-        }
+        let mut total = 0u64;
+        self.for_each_matching(other, |_, anded| total += popcount_words(anded, method))
+            .expect("operands must agree in slice size, length and encoding");
+        total
     }
 
-    /// Sets bit `bit` in place under this row's encoding. Returns `true`
-    /// when the bit was newly set.
+    /// Sets bit `bit` in place. Returns `true` when the bit was newly
+    /// set.
     ///
     /// # Errors
     ///
     /// Returns [`BitMatrixError::IndexOutOfBounds`] when `bit` is at or
     /// beyond the vector length.
     pub fn set_bit(&mut self, bit: usize) -> Result<bool> {
-        match self {
-            SlicedRow::Dense(v) => v.set_bit(bit),
-            SlicedRow::Sparse(v) => v.set_bit(bit),
-        }
+        self.slices.set_bit(bit)
     }
 
-    /// Clears bit `bit` in place. Returns `true` when the bit was
-    /// previously set.
+    /// Clears bit `bit` in place, dropping its slice when it empties.
+    /// Returns `true` when the bit was previously set.
     ///
     /// # Errors
     ///
     /// Returns [`BitMatrixError::IndexOutOfBounds`] when `bit` is at or
     /// beyond the vector length.
     pub fn clear_bit(&mut self, bit: usize) -> Result<bool> {
-        match self {
-            SlicedRow::Dense(v) => v.clear_bit(bit),
-            SlicedRow::Sparse(v) => v.clear_bit(bit),
-        }
+        self.slices.clear_bit(bit)
     }
 
     /// Extracts the valid slices whose index falls in `slices`,
     /// preserving length, slice size and encoding.
     pub fn restrict_slices(&self, slices: std::ops::Range<u32>) -> SlicedRow {
-        match self {
-            SlicedRow::Dense(v) => SlicedRow::Dense(v.restrict_slices(slices)),
-            SlicedRow::Sparse(v) => SlicedRow::Sparse(v.restrict_slices(slices)),
-        }
-    }
-
-    /// Number of valid slices whose index falls in `slices`.
-    pub fn valid_slices_in(&self, slices: std::ops::Range<u32>) -> usize {
-        match self {
-            SlicedRow::Dense(v) => v.valid_slices_in(slices),
-            SlicedRow::Sparse(v) => v.valid_slices_in(slices),
-        }
+        SlicedRow { slices: self.slices.restrict_slices(slices), encoding: self.encoding }
     }
 }
 
@@ -613,6 +522,36 @@ mod tests {
                 "{encoding}"
             );
         }
+    }
+
+    #[test]
+    fn compressed_bytes_counts_every_level() {
+        let sparse = |len: usize, ones: &[usize], s: SliceSize| {
+            SlicedRow::from_sorted_indices(len, ones.iter().copied(), s, RowEncoding::Sparse)
+        };
+        // One bit: 1 top word + 1 summary word + 1 mask byte + 1 payload
+        // byte; the dense layout stores 4 + 8 bytes.
+        let one = sparse(128, &[0], SliceSize::S64);
+        assert_eq!(one.compressed_bytes(), 8 + 8 + 1 + 1);
+        assert_eq!(one.reencoded(RowEncoding::Dense).compressed_bytes(), 12);
+        // Slices 3 and 70 sit in two 64-slice groups; slice 70 holds two
+        // non-zero bytes.
+        let s16 = 16;
+        let two_groups =
+            sparse(200 * s16, &[3 * s16 + 1, 70 * s16, 70 * s16 + 9], SliceSize::S16);
+        assert_eq!(two_groups.compressed_bytes(), 8 + 2 * 8 + 2 + 3);
+        // Slice 4100 lies past the first top word's 4096 slices.
+        let mut far = sparse(5000 * s16, &[4100 * s16 + 2], SliceSize::S16);
+        assert_eq!(far.compressed_bytes(), 2 * 8 + 8 + 1 + 1);
+        // A 512-bit slice: eight mask bytes, one per payload word, and
+        // five non-zero payload bytes (bits 0 and 1 share one).
+        let wide = sparse(1024, &[0, 1, 9, 70, 200, 511], SliceSize::S512);
+        assert_eq!(wide.compressed_bytes(), 8 + 8 + 8 + 5);
+        // Empty rows cost nothing, also once a patch empties them.
+        assert!(far.clear_bit(4100 * s16 + 2).unwrap());
+        assert_eq!(far.compressed_bytes(), 0);
+        assert_eq!(sparse(128, &[], SliceSize::S64).compressed_bytes(), 0);
+        assert_eq!(sparse(0, &[], SliceSize::S64).compressed_bytes(), 0);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use std::fmt;
 
 use crate::bitvec::BitVec;
 use crate::error::{BitMatrixError, Result};
+use crate::matching::SliceWords;
 use crate::popcount::{popcount_words, PopcountMethod};
 use crate::slice::SliceSize;
 
@@ -127,21 +128,6 @@ impl SlicedBitVector {
         SlicedBitVector { slice_size, len_bits, indices, data }
     }
 
-    /// Assembles a vector from already-compressed parts: ascending valid
-    /// slice `indices` and `indices.len() * words_per_slice` payload
-    /// `data` words, none of them all-zero. Used by the sparse encoding's
-    /// decompression path, which produces exactly this layout.
-    pub(crate) fn from_parts(
-        slice_size: SliceSize,
-        len_bits: usize,
-        indices: Vec<u32>,
-        data: Vec<u64>,
-    ) -> Self {
-        debug_assert_eq!(data.len(), indices.len() * slice_size.words_per_slice());
-        debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
-        SlicedBitVector { slice_size, len_bits, indices, data }
-    }
-
     /// The slice size this vector was compressed with.
     pub fn slice_size(&self) -> SliceSize {
         self.slice_size
@@ -189,6 +175,12 @@ impl SlicedBitVector {
         popcount_words(&self.data, PopcountMethod::Native)
     }
 
+    /// The vector as an operand of the matching walk
+    /// ([`crate::matching::walk`]): its slice indices and payload words.
+    pub fn slice_words(&self) -> SliceWords<'_> {
+        SliceWords { indices: &self.indices, words: &self.data }
+    }
+
     /// Iterates over the valid slices in ascending index order.
     pub fn valid_slices(&self) -> impl Iterator<Item = ValidSlice<'_>> + '_ {
         let wps = self.slice_size.words_per_slice();
@@ -200,7 +192,10 @@ impl SlicedBitVector {
 
     /// The merge-join of valid slices of `self` and `other`: yields the
     /// *valid slice pairs* `(RiSk, CjSk)` of the paper — exactly the pairs
-    /// TCIM loads into the computational array.
+    /// TCIM loads into the computational array under the dense encoding.
+    /// It is the plain reference for the kernels' matching walk
+    /// ([`crate::matching::walk`]), which gallops and, under the sparse
+    /// encoding, skips the pairs that share no non-zero byte.
     ///
     /// # Errors
     ///
@@ -483,6 +478,18 @@ mod tests {
     #[should_panic(expected = "strictly ascending")]
     fn from_unsorted_indices_panics() {
         SlicedBitVector::from_sorted_indices(100, [5usize, 3], SliceSize::S64);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_sorted_indices_rejects_a_repeated_index() {
+        SlicedBitVector::from_sorted_indices(100, [5usize, 5], SliceSize::S16);
+    }
+
+    #[test]
+    #[should_panic(expected = "set bit 100 out of bounds for 100")]
+    fn from_sorted_indices_rejects_an_index_out_of_bounds() {
+        SlicedBitVector::from_sorted_indices(100, [3usize, 100], SliceSize::S512);
     }
 
     #[test]

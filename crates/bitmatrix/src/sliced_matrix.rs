@@ -20,9 +20,9 @@ pub struct SliceStats {
     /// Total slice positions across all rows and columns,
     /// `2 · n · ⌈n / |S|⌉`.
     pub total_slices: u64,
-    /// Compressed size in bytes under the matrix's row encoding:
-    /// `NVS × (|S|/8 + 4)` for dense, the summary/mask/block hierarchy
-    /// total for sparse.
+    /// Compressed size in bytes under the matrix's row encoding
+    /// ([`SlicedRow::compressed_bytes`]): `NVS × (|S|/8 + 4)` for dense,
+    /// the summary masks and non-zero payload bytes for sparse.
     pub compressed_bytes: u64,
     /// Non-zero matrix entries counted over the rows.
     pub nnz: u64,
@@ -115,9 +115,9 @@ impl SlicedMatrix {
     }
 
     /// [`SlicedMatrix::from_adjacency`] with a row-encoding policy: the
-    /// matrix is sliced densely first, its valid-slice fraction measured,
-    /// and every row and column re-encoded when the policy resolves to
-    /// [`RowEncoding::Sparse`].
+    /// matrix is sliced first, its valid-slice fraction measured, and
+    /// every row and column wrapped under the encoding the policy
+    /// resolves to.
     ///
     /// # Errors
     ///
@@ -172,8 +172,8 @@ impl SlicedMatrix {
             })
             .collect();
 
-        // Resolve the encoding from the measured density, then wrap (or
-        // re-encode) every vector under it.
+        // Resolve the encoding from the measured density, then wrap every
+        // vector under it.
         let valid: u64 = dense_rows
             .iter()
             .chain(dense_cols.iter())
@@ -258,8 +258,8 @@ impl SlicedMatrix {
     /// Aggregate slicing statistics over all rows *and* columns.
     ///
     /// `compressed_bytes` is summed per vector under the matrix's actual
-    /// encoding, so dense (`NVS × (|S|/8 + 4)`) and sparse (hierarchy
-    /// levels included) sizes are directly comparable.
+    /// encoding, so dense (`NVS × (|S|/8 + 4)`) and sparse (summary
+    /// masks included) sizes are directly comparable.
     pub fn stats(&self) -> SliceStats {
         let row_valid: u64 = self.rows.iter().map(|r| r.valid_slice_count() as u64).sum();
         let col_valid: u64 = self.cols.iter().map(|c| c.valid_slice_count() as u64).sum();

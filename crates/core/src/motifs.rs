@@ -37,9 +37,11 @@
 //!   row, closing each `K_4` exactly once at its two smallest vertices.
 //!
 //! Kernel accounting is honest per flavor: PIM/software backends run
-//! the sliced flavor (the row store's kernel, whose pair, readout,
-//! skip and dispatch accounting is `tcim_arch::kernel::and_bitcount`'s
-//! over the same bits), CPU baselines the adjacency flavor (sorted-list
+//! the sliced flavor (the row store's kernel, which runs the one
+//! matching walk, [`tcim_bitmatrix::matching::walk`], so its pair,
+//! readout, skip and dispatch accounting is
+//! `tcim_arch::kernel::and_bitcount`'s over the same bits), CPU
+//! baselines the adjacency flavor (sorted-list
 //! intersections, one kernel invocation per intersection and zero slice
 //! pairs — the same invariant the triangle path keeps). Backends with a
 //! hardware cost model price the engine: every peel pass / chained-AND
@@ -59,10 +61,11 @@
 
 use std::time::Instant;
 
-use tcim_arch::kernel::{self, gallop, ArcKernel};
+use tcim_arch::kernel::{self, ArcKernel};
 use tcim_arch::{SliceCostModel, TriangleSink, TriangleTally};
+use tcim_bitmatrix::matching::{self, SliceWords};
 use tcim_bitmatrix::popcount::visit_set_bits;
-use tcim_bitmatrix::{PairStats, RowEncoding, SliceSize};
+use tcim_bitmatrix::{RowEncoding, SliceSize, SlicedBitVector};
 use tcim_sched::{DeltaJob, DeltaLoads, SchedPolicy};
 
 use crate::backend::{merge_intersect_visit, ExecutionReport};
@@ -243,9 +246,6 @@ impl Adjacency {
     }
 }
 
-/// Words of the widest slice (512 bits).
-const WIDEST_SLICE_WORDS: usize = 8;
-
 /// Appends the slices of the ascending set bits `ones` to `indices` and
 /// `words` (`words_per_slice` payload words per slice), calling
 /// `opened(i)` for each new slice with the index in `ones` of its first
@@ -270,34 +270,6 @@ fn append_slices(
         let within = (one % bits) as usize;
         let base = words.len() - wps;
         words[base + within / 64] |= 1u64 << (within % 64);
-    }
-}
-
-/// One operand of the store's kernel: ascending slice numbers and
-/// their payload words, `words_per_slice` per slice. A slice whose
-/// words are all zero is listed but not valid.
-#[derive(Debug, Clone, Copy)]
-struct Operand<'a> {
-    indices: &'a [u32],
-    words: &'a [u64],
-}
-
-/// A set of bits in operand form, owned: the chained second AND's
-/// re-materialized witness row.
-struct OwnedOperand {
-    indices: Vec<u32>,
-    words: Vec<u64>,
-}
-
-impl OwnedOperand {
-    fn of(ones: &[u32], slice_size: SliceSize) -> Self {
-        let (mut indices, mut words) = (Vec::new(), Vec::new());
-        append_slices(ones, slice_size, &mut indices, &mut words, |_| {});
-        OwnedOperand { indices, words }
-    }
-
-    fn operand(&self) -> Operand<'_> {
-        Operand { indices: &self.indices, words: &self.words }
     }
 }
 
@@ -356,10 +328,10 @@ impl NeighbourRows {
     }
 
     /// Vertex `x`'s row as a kernel operand.
-    fn row(&self, x: u32) -> Operand<'_> {
+    fn row(&self, x: u32) -> SliceWords<'_> {
         let wps = self.words_per_slice();
         let (start, end) = (self.offsets[x as usize], self.offsets[x as usize + 1]);
-        Operand {
+        SliceWords {
             indices: &self.indices[start..end],
             words: &self.live[start * wps..end * wps],
         }
@@ -396,92 +368,37 @@ impl NeighbourRows {
         }
     }
 
-    /// The store's AND+BitCount kernel over `a AND b`. It walks the
-    /// operand listing fewer slices and gallops into the other. A pair
-    /// is *mutually valid* when both slices' words are non-zero; under
-    /// the sparse encoding a mutually valid pair whose payloads share no
-    /// non-zero byte is skipped (the sparse rows' byte-mask rule), under
-    /// the dense one every such pair is visited. Each visited pair is
-    /// ANDed and counted; each non-zero result is one readout, handed to
-    /// `readout(slice number, ordinal in a, ordinal in b, words)` in
-    /// ascending slice order. The kernel dispatches by
-    /// `tcim_arch::kernel::dispatches`. So every count is
+    /// The store's AND+BitCount kernel over `a AND b`: the matching
+    /// walk ([`matching::walk`]) under the store's encoding, counting
+    /// each visited pair's surviving bits. Each non-zero result is one
+    /// readout, handed to `readout(slice number, ordinal in a, ordinal
+    /// in b, words)` in ascending slice order, and the kernel
+    /// dispatches by `tcim_arch::kernel::dispatches`. So every count is
     /// `tcim_arch::kernel::and_bitcount`'s over sliced rows of the same
     /// bits with a witness sink attached.
     fn and_bitcount(
         &self,
-        a: Operand<'_>,
-        b: Operand<'_>,
-        readout: impl FnMut(u32, usize, usize, &[u64]),
+        a: SliceWords<'_>,
+        b: SliceWords<'_>,
+        mut readout: impl FnMut(u32, usize, usize, &[u64]),
     ) -> ArcKernel {
-        // One walk per slice width, so the word loops unroll.
-        match self.words_per_slice() {
-            1 => and_bitcount_words::<1>(a, b, self.encoding, readout),
-            2 => and_bitcount_words::<2>(a, b, self.encoding, readout),
-            4 => and_bitcount_words::<4>(a, b, self.encoding, readout),
-            _ => and_bitcount_words::<WIDEST_SLICE_WORDS>(a, b, self.encoding, readout),
+        let (mut count, mut readouts) = (0u64, 0u64);
+        let pairs =
+            matching::walk(a, b, self.slice_size, self.encoding, |k, in_a, in_b, anded| {
+                let bits: u64 = anded.iter().map(|w| u64::from(w.count_ones())).sum();
+                count += bits;
+                if bits > 0 {
+                    readouts += 1;
+                    readout(k, in_a, in_b, anded);
+                }
+            });
+        ArcKernel {
+            count,
+            pairs,
+            readouts,
+            dispatched: kernel::dispatches(self.encoding, pairs),
         }
     }
-}
-
-/// The high bit of every byte of `word` that is non-zero.
-fn non_zero_bytes(word: u64) -> u64 {
-    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-    (((word & LOW7) + LOW7) | word) & !LOW7
-}
-
-/// [`NeighbourRows::and_bitcount`] over slices of `W` words.
-fn and_bitcount_words<const W: usize>(
-    a: Operand<'_>,
-    b: Operand<'_>,
-    encoding: RowEncoding,
-    mut readout: impl FnMut(u32, usize, usize, &[u64]),
-) -> ArcKernel {
-    let swapped = b.indices.len() < a.indices.len();
-    let (walked, probed) = if swapped { (b, a) } else { (a, b) };
-    let sparse = encoding == RowEncoding::Sparse;
-    let mut anded = [0u64; W];
-    let (mut count, mut readouts, mut pairs) = (0u64, 0u64, PairStats::default());
-    let mut cursor = 0;
-    for (ordinal, (&k, left)) in
-        walked.indices.iter().zip(walked.words.chunks_exact(W)).enumerate()
-    {
-        if left.iter().all(|&w| w == 0) {
-            continue;
-        }
-        cursor = gallop(probed.indices, cursor, |&j| j < k);
-        match probed.indices.get(cursor) {
-            None => break,
-            Some(&j) if j != k => continue,
-            Some(_) => {}
-        }
-        let right = &probed.words[cursor * W..][..W];
-        if right.iter().all(|&w| w == 0) {
-            continue;
-        }
-        if sparse
-            && left
-                .iter()
-                .zip(right)
-                .all(|(&x, &y)| non_zero_bytes(x) & non_zero_bytes(y) == 0)
-        {
-            pairs.skipped += 1;
-            continue;
-        }
-        pairs.visited += 1;
-        let mut bits = 0u64;
-        for ((out, &x), &y) in anded.iter_mut().zip(left).zip(right) {
-            *out = x & y;
-            bits += u64::from(out.count_ones());
-        }
-        count += bits;
-        if bits > 0 {
-            readouts += 1;
-            let (in_a, in_b) = if swapped { (cursor, ordinal) } else { (ordinal, cursor) };
-            readout(k, in_a, in_b, &anded);
-        }
-    }
-    ArcKernel { count, pairs, readouts, dispatched: kernel::dispatches(encoding, pairs) }
 }
 
 /// Adds one store kernel to `stats` and samples it for pricing, with
@@ -567,12 +484,12 @@ impl MotifState {
             (Some(rows), WitnessRow::Sliced(row)) => {
                 let run = rows.and_bitcount(
                     rows.row(c),
-                    row.operand(),
+                    row.slice_words(),
                     collect(rows, &mut witnesses),
                 );
-                let listed =
-                    u32::try_from(row.indices.len()).expect("slice counts fit in u32");
-                bill(&mut self.kernel, run, rows.valid[c as usize], listed)
+                let valid =
+                    u32::try_from(row.valid_slice_count()).expect("slice counts fit in u32");
+                bill(&mut self.kernel, run, rows.valid[c as usize], valid)
             }
             (None, WitnessRow::List(list)) => {
                 merge_intersect_visit(self.adjacency.of(c).0, list, |w| witnesses.push(w));
@@ -621,7 +538,11 @@ impl MotifState {
     /// second AND.
     fn witness_row(&self, witnesses: &[u32]) -> WitnessRow {
         match &self.rows {
-            Some(rows) => WitnessRow::Sliced(OwnedOperand::of(witnesses, rows.slice_size)),
+            Some(rows) => WitnessRow::Sliced(SlicedBitVector::from_sorted_indices(
+                rows.valid.len(),
+                witnesses.iter().map(|&w| w as usize),
+                rows.slice_size,
+            )),
             None => WitnessRow::List(witnesses.to_vec()),
         }
     }
@@ -641,7 +562,7 @@ fn collect<'w>(
 
 /// A re-materialized witness set, in the state's operand form.
 enum WitnessRow {
-    Sliced(OwnedOperand),
+    Sliced(SlicedBitVector),
     List(Vec<u32>),
 }
 

@@ -40,7 +40,7 @@ pub struct TcimConfig {
     /// Edge orientation applied before slicing (paper: natural order).
     pub orientation: Orientation,
     /// Row-encoding selection policy: measure the sliced matrix's
-    /// valid-slice density and pick dense or hierarchical sparse rows
+    /// valid-slice density and pick the dense or the sparse encoding
     /// (default: automatic with a 25% density threshold).
     pub encoding: EncodingPolicy,
     /// Architecture-simulator configuration (paper defaults).

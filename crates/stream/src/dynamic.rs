@@ -29,11 +29,14 @@
 //! at which point [`DynamicGraph::fold`] rebuilds one fresh
 //! [`PreparedGraph`] through the pipeline's `PreparedCache`.
 //!
-//! Rows live under one [`RowEncoding`] resolved once at construction
-//! from the configured [`EncodingPolicy`](tcim_bitmatrix::EncodingPolicy)
-//! and the initial density: sparse rows keep their skip-empty kernel
-//! walk across in-place patches, so a sparse stream never pays for
-//! slices its neighbourhoods don't populate.
+//! Every row keeps the paper's Fig. 3 layout (ascending valid-slice
+//! indices plus payload words) under one [`RowEncoding`], resolved once
+//! at construction from the configured
+//! [`EncodingPolicy`](tcim_bitmatrix::EncodingPolicy) and the initial
+//! density. The encoding picks the delta kernel's skip and dispatch
+//! rule and the footprint the rows report, not their layout, so a patch
+//! costs the same under both: it flips one payload bit, and inserts or
+//! drops a slice only when the bit's slice fills or empties.
 //!
 //! [`clear_bit`]: SlicedRow::clear_bit
 
@@ -44,7 +47,7 @@ use std::time::Instant;
 use tcim_arch::kernel::{self, ArcKernel};
 use tcim_arch::SliceCostModel;
 use tcim_bitmatrix::popcount::PopcountMethod;
-use tcim_bitmatrix::{RowEncoding, SliceSize, SlicedRow};
+use tcim_bitmatrix::{RowEncoding, SliceSize, SlicedBitVector, SlicedRow};
 use tcim_core::{Backend, PreparedGraph, Query, TcimConfig, TcimPipeline};
 use tcim_graph::CsrGraph;
 use tcim_sched::{parallel_map_indexed, plan_deltas, DeltaJob, SchedPolicy};
@@ -54,6 +57,10 @@ use crate::error::{Result, StreamError};
 use crate::report::{BatchReport, Delta, Rejected, StreamReport};
 use crate::update::{Update, UpdateBatch};
 
+/// Minimum round size that engages the multi-array fan-out; smaller
+/// rounds run serially on one array.
+const FANOUT_THRESHOLD: usize = 8;
+
 /// Configuration of a [`DynamicGraph`].
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
@@ -62,12 +69,9 @@ pub struct StreamConfig {
     pub tcim: TcimConfig,
     /// When to fold dynamic state into a fresh prepared artifact.
     pub drift: DriftPolicy,
-    /// Arrays/placement/host threads used to fan large rounds of delta
-    /// kernels out via `tcim-sched`.
+    /// Arrays/placement/host threads used to fan rounds of at least
+    /// eight delta kernels out via `tcim-sched`.
     pub sched: SchedPolicy,
-    /// Minimum round size that engages the multi-array fan-out; smaller
-    /// rounds run serially on one array.
-    pub fanout_threshold: usize,
     /// Recount the folded artifact on the CPU merge backend and fail on
     /// disagreement with the maintained count (a self-check; disabled
     /// by default).
@@ -80,7 +84,6 @@ impl Default for StreamConfig {
             tcim: TcimConfig::default(),
             drift: DriftPolicy::default(),
             sched: SchedPolicy::with_arrays(4),
-            fanout_threshold: 8,
             verify_on_fold: false,
         }
     }
@@ -198,30 +201,26 @@ impl DynamicGraph {
             .to_vec();
         let n = g.vertex_count();
         let slice_size = config.tcim.pim.slice_size;
-        let rows: Vec<SlicedRow> = g
+        let slices: Vec<SlicedBitVector> = g
             .vertices()
             .map(|v| {
-                SlicedRow::from_sorted_indices(
+                SlicedBitVector::from_sorted_indices(
                     n,
                     g.neighbors(v).iter().map(|&x| x as usize),
                     slice_size,
-                    RowEncoding::Dense,
                 )
             })
             .collect();
         // Resolve the encoding from the *full*-neighbourhood density
         // (roughly twice the oriented artifact's) so streaming skips
         // exactly where its own kernels would find empty slices.
-        let total: usize = rows.iter().map(SlicedRow::total_slices).sum();
-        let valid: usize = rows.iter().map(SlicedRow::valid_slice_count).sum();
+        let total: usize = slices.iter().map(SlicedBitVector::total_slices).sum();
+        let valid: usize = slices.iter().map(SlicedBitVector::valid_slice_count).sum();
         let fraction = if total == 0 { 1.0 } else { valid as f64 / total as f64 };
         let encoding = config.tcim.encoding.resolve(fraction);
-        let rows: Vec<SlicedRow> = if encoding == RowEncoding::Sparse {
-            rows.iter().map(|r| r.reencoded(RowEncoding::Sparse)).collect()
-        } else {
-            rows
-        };
-        let valid_slices = rows.iter().map(|r| r.valid_slice_count() as u64).sum();
+        let rows: Vec<SlicedRow> =
+            slices.into_iter().map(|v| SlicedRow::encode(v, encoding)).collect();
+        let valid_slices = valid as u64;
         let costs = pipeline.engine().cost_model();
         let published = EpochSnapshot {
             epoch: 0,
@@ -690,8 +689,7 @@ impl DynamicGraph {
         if members.is_empty() {
             return Ok((Vec::new(), 0.0));
         }
-        let fan_out = members.len() >= self.config.fanout_threshold.max(1)
-            && self.config.sched.arrays > 1;
+        let fan_out = members.len() >= FANOUT_THRESHOLD && self.config.sched.arrays > 1;
         let plan_policy = if fan_out {
             self.config.sched.clone()
         } else {
@@ -772,8 +770,8 @@ impl DynamicGraph {
     }
 }
 
-/// The TCIM delta kernel `N(u) AND N(v)` over the live rows (sparse
-/// rows skip pairs their byte masks prove disjoint). With `witnesses`,
+/// The TCIM delta kernel `N(u) AND N(v)` over the live rows (the sparse
+/// encoding skips pairs whose payloads share no non-zero byte). With `witnesses`,
 /// each non-zero result is read back out and the common neighbours
 /// land there, ascending — what per-vertex maintenance attributes.
 fn delta_kernel(
@@ -929,22 +927,20 @@ mod tests {
                     }
                 })
                 .collect();
-        let serial_cfg = StreamConfig {
+        // One array never fans out; four fan out every round of at
+        // least the threshold's size.
+        let config = |arrays| StreamConfig {
             drift: DriftPolicy::never(),
-            fanout_threshold: usize::MAX,
+            sched: SchedPolicy::with_arrays(arrays),
             ..StreamConfig::default()
         };
-        let fan_cfg = StreamConfig {
-            drift: DriftPolicy::never(),
-            fanout_threshold: 1,
-            sched: SchedPolicy::with_arrays(4),
-            ..StreamConfig::default()
-        };
-        let mut serial = DynamicGraph::new(&g, serial_cfg).unwrap();
-        let mut fanned = DynamicGraph::new(&g, fan_cfg).unwrap();
+        let mut serial = DynamicGraph::new(&g, config(1)).unwrap();
+        let mut fanned = DynamicGraph::new(&g, config(4)).unwrap();
         let batch: UpdateBatch = updates.into_iter().collect();
         let a = serial.apply_batch(&batch).unwrap();
         let b = fanned.apply_batch(&batch).unwrap();
+        let first_round = b.deltas.iter().filter(|d| d.round == 0).count();
+        assert!(first_round >= FANOUT_THRESHOLD, "the first round fans out: {first_round}");
         assert_eq!(a.deltas.len(), b.deltas.len());
         for (x, y) in a.deltas.iter().zip(&b.deltas) {
             assert_eq!(x, y);

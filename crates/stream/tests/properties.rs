@@ -48,7 +48,6 @@ fn churn_with(g: &CsrGraph, label: &str, seed: u64, encoding: tcim_bitmatrix::En
             max_updates: None,
         },
         verify_on_fold: true,
-        fanout_threshold: 4,
         ..StreamConfig::default()
     };
     let mut dg = DynamicGraph::new(g, config).unwrap();
@@ -112,8 +111,8 @@ fn empty_graph_churn_stays_exact() {
     churn(&CsrGraph::from_edges(30, []).unwrap(), "empty", 29);
 }
 
-/// Sparse rows under churn: in-place patches on the hierarchical
-/// encoding stay canonical and the maintained count stays exact, with
+/// Sparse rows under churn: in-place patches under the sparse encoding
+/// stay canonical and the maintained count stays exact, with
 /// folds recounted through the sparse pipeline (`verify_on_fold`).
 #[test]
 fn er_churn_stays_exact_on_forced_sparse_rows() {

@@ -3,9 +3,8 @@
 //! generator grid × both orientations — while strictly reducing kernel
 //! dispatches and AND+BitCount work on power-law graphs.
 //!
-//! These are the PR's acceptance properties: the hierarchical sparse
-//! encoding is an *exact* filter (skipped pairs are provably zero), so
-//! only the work accounting may change, never an answer.
+//! The sparse encoding is an *exact* filter (skipped pairs are provably
+//! zero), so only the work accounting may change, never an answer.
 
 use std::fmt::Write as _;
 

@@ -57,7 +57,6 @@ proptest! {
                     max_updates: None,
                 },
                 verify_on_fold: true,
-                fanout_threshold: 6,
                 ..StreamConfig::default()
             };
             let mut dg = DynamicGraph::new(&g, config).unwrap();
