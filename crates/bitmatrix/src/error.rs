@@ -59,8 +59,7 @@ pub enum BitMatrixError {
         /// Larger endpoint of the duplicated edge.
         v: usize,
     },
-    /// Two row operands used different physical encodings, or a
-    /// dense-only view was requested of a sparse row. Matrix rows and
+    /// Two row operands used different encodings. Matrix rows and
     /// columns always share one encoding; mixing indicates operands from
     /// differently prepared artifacts.
     EncodingMismatch,

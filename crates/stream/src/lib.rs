@@ -9,8 +9,10 @@
 //! §IV, Alg. 1). This crate opens that workload:
 //!
 //! * [`DynamicGraph`] — mutable adjacency plus mutable sliced bit-rows
-//!   (patched in place via `tcim-bitmatrix`'s `set_bit`/`clear_bit`),
-//!   maintaining an exact triangle count under updates.
+//!   in the paper's Fig. 3 layout under either row encoding (patched in
+//!   place via `tcim-bitmatrix`'s `set_bit`/`clear_bit`, which insert
+//!   or drop a slice only when it fills or empties), maintaining an
+//!   exact triangle count under updates.
 //! * [`UpdateBatch`]/[`Delta`] — batched updates partitioned into
 //!   endpoint-disjoint rounds whose delta kernels are priced through
 //!   the engine's `SliceCostModel` and fanned across arrays via
