@@ -71,3 +71,7 @@ pub use row::{EncodingPolicy, PairStats, RowEncoding, SlicedRow};
 pub use slice::SliceSize;
 pub use sliced::{MatchingSlices, SlicedBitVector, ValidSlice};
 pub use sliced_matrix::{SliceStats, SlicedMatrix, SlicedMatrixBuilder};
+
+#[cfg(test)]
+#[path = "sparse_rows.rs"]
+mod sparse;

@@ -371,23 +371,4 @@ mod tests {
         assert_eq!(got, vec![(150, 150, 1, vec![0b100])]);
         assert_eq!(stats.visited, 1);
     }
-
-    #[test]
-    fn byte_mask_filter_skips_byte_disjoint_slices() {
-        let one = |ones: &[usize]| {
-            SlicedBitVector::from_sorted_indices(128, ones.iter().copied(), SliceSize::S64)
-        };
-        // Both rows valid in slice 0, but in different bytes of it.
-        let (a, b) = (one(&[0, 1]), one(&[40, 41]));
-        let (got, stats) =
-            run(a.slice_words(), b.slice_words(), SliceSize::S64, RowEncoding::Sparse);
-        assert!(got.is_empty());
-        assert_eq!(stats, PairStats { visited: 0, skipped: 1 });
-        // Same byte, different bits: visited, and the AND is zero.
-        let c = one(&[2]);
-        let (got, stats) =
-            run(a.slice_words(), c.slice_words(), SliceSize::S64, RowEncoding::Sparse);
-        assert_eq!(got, vec![(0, 0, 0, vec![0])]);
-        assert_eq!(stats, PairStats { visited: 1, skipped: 0 });
-    }
 }

@@ -161,11 +161,6 @@ impl PairStats {
 /// // The skip-empty walk visits only byte-intersecting pairs.
 /// let stats = a.matching_stats(&b).unwrap();
 /// assert_eq!(stats.visited, 2);
-/// // Three valid slices with one non-zero byte each undercut the dense
-/// // footprint, NVS x (8 + 4) bytes.
-/// let dense = a.reencoded(RowEncoding::Dense);
-/// assert_eq!(dense.compressed_bytes(), 3 * 12);
-/// assert!(a.compressed_bytes() < dense.compressed_bytes());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlicedRow {
@@ -245,6 +240,22 @@ impl SlicedRow {
     /// 1` of them), 8 per 64-slice group holding a valid slice, one mask
     /// byte per payload word and one byte per non-zero payload byte. An
     /// empty row costs nothing under either encoding.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use tcim_bitmatrix::{RowEncoding, SliceSize, SlicedRow};
+    ///
+    /// let sparse = SlicedRow::from_sorted_indices(4096, [3, 700, 701, 4000],
+    ///     SliceSize::S64, RowEncoding::Sparse);
+    /// let dense = sparse.reencoded(RowEncoding::Dense);
+    /// assert_eq!(sparse.count_ones(), 4);
+    /// assert_eq!(sparse.valid_slice_count(), dense.valid_slice_count());
+    /// // Three valid slices with one non-zero byte each, all in the first
+    /// // 64-slice group, undercut the dense footprint, NVS x (8 + 4) bytes.
+    /// assert_eq!(dense.compressed_bytes(), 3 * 12);
+    /// assert_eq!(sparse.compressed_bytes(), 8 + 8 + 3 + 3);
+    /// ```
     pub fn compressed_bytes(&self) -> usize {
         if self.encoding == RowEncoding::Dense {
             return self.slices.compressed_bytes();
@@ -522,36 +533,6 @@ mod tests {
                 "{encoding}"
             );
         }
-    }
-
-    #[test]
-    fn compressed_bytes_counts_every_level() {
-        let sparse = |len: usize, ones: &[usize], s: SliceSize| {
-            SlicedRow::from_sorted_indices(len, ones.iter().copied(), s, RowEncoding::Sparse)
-        };
-        // One bit: 1 top word + 1 summary word + 1 mask byte + 1 payload
-        // byte; the dense layout stores 4 + 8 bytes.
-        let one = sparse(128, &[0], SliceSize::S64);
-        assert_eq!(one.compressed_bytes(), 8 + 8 + 1 + 1);
-        assert_eq!(one.reencoded(RowEncoding::Dense).compressed_bytes(), 12);
-        // Slices 3 and 70 sit in two 64-slice groups; slice 70 holds two
-        // non-zero bytes.
-        let s16 = 16;
-        let two_groups =
-            sparse(200 * s16, &[3 * s16 + 1, 70 * s16, 70 * s16 + 9], SliceSize::S16);
-        assert_eq!(two_groups.compressed_bytes(), 8 + 2 * 8 + 2 + 3);
-        // Slice 4100 lies past the first top word's 4096 slices.
-        let mut far = sparse(5000 * s16, &[4100 * s16 + 2], SliceSize::S16);
-        assert_eq!(far.compressed_bytes(), 2 * 8 + 8 + 1 + 1);
-        // A 512-bit slice: eight mask bytes, one per payload word, and
-        // five non-zero payload bytes (bits 0 and 1 share one).
-        let wide = sparse(1024, &[0, 1, 9, 70, 200, 511], SliceSize::S512);
-        assert_eq!(wide.compressed_bytes(), 8 + 8 + 8 + 5);
-        // Empty rows cost nothing, also once a patch empties them.
-        assert!(far.clear_bit(4100 * s16 + 2).unwrap());
-        assert_eq!(far.compressed_bytes(), 0);
-        assert_eq!(sparse(128, &[], SliceSize::S64).compressed_bytes(), 0);
-        assert_eq!(sparse(0, &[], SliceSize::S64).compressed_bytes(), 0);
     }
 
     #[test]
